@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -326,12 +327,11 @@ def _build_params(cfg: dict) -> HKParams:
 
 def _radius_grid(spec) -> list[float]:
     if isinstance(spec, dict):
-        out = []
-        r = float(spec["start"])
-        while r <= spec["stop"]:
-            out.append(r)
-            r += float(spec["step"])
-        return out
+        start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
+        # count first and multiply, so rounding does not accumulate along the
+        # grid; the slack keeps a stop that lies on the grid
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return [start + i * step for i in range(count)]
     return [float(r) for r in spec]
 
 
@@ -447,8 +447,8 @@ def _suite_domination(space, params, cfg: dict) -> dict:
         for lam in cfg["domination"]["lambdas"]:
             rep = domination_check(f, system, opcfg, lam)
             checks += 2 * space.n
-            na = int(rep.violations_anchor.sum())
-            nm = int(rep.violations_martingale.sum())
+            na = rep.violations_anchor.size
+            nm = rep.violations_martingale.size
             if na or nm:
                 failures.append(
                     f"trial {t} lambda {lam}: {na} anchor / {nm} martingale "

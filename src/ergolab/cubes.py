@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import FiniteSpace
+from .space import FiniteSpace, greedy_net
 
 __all__ = [
     "HKParams",
@@ -222,13 +222,7 @@ def select_nets(space: FiniteSpace, params: HKParams) -> Nets:
         if sep > diam:
             centers.append(np.array([0]))
             continue
-        kept: list[int] = []
-        min_dist = np.full(space.n, np.inf)
-        for p in range(space.n):
-            if min_dist[p] >= sep:
-                kept.append(p)
-                np.minimum(min_dist, space.dist_row(p), out=min_dist)
-        centers.append(np.array(kept))
+        centers.append(np.array(greedy_net(space, sep, strict=False)))
     return Nets(tuple(levels), tuple(centers), tuple(notes))
 
 
@@ -285,6 +279,8 @@ def build_cubes(space: FiniteSpace, params: HKParams,
     Points are assigned to the nearest finest-level center (ties to the
     lower center index); each center then claims the nearest next-level
     center as parent.  Memberships at coarser levels follow the chains.
+    When every point is a finest-level center, the assignment is the
+    identity; `verify_cube_axioms` still checks it with real distances.
     """
     if nets is None:
         nets = select_nets(space, params)
@@ -308,7 +304,13 @@ def build_cubes(space: FiniteSpace, params: HKParams,
             best_i[closer] = ci
         return best_i, best_d
 
-    fine_assign, _ = nearest(centers[0], None)
+    if np.array_equal(centers[0], np.arange(space.n)):
+        # every point is a center (select_nets with sep <= resolution), and
+        # distinct points lie at positive distance: each point is nearest
+        # to itself, so no distance rows are needed
+        fine_assign = np.arange(space.n)
+    else:
+        fine_assign, _ = nearest(centers[0], None)
     assign = [fine_assign]
     parents: list[np.ndarray] = []
     for li in range(len(levels) - 1):

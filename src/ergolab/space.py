@@ -33,6 +33,7 @@ __all__ = [
     "random_square_space",
     "annular_decay_profile",
     "geometric_doubling_check",
+    "greedy_net",
     "fit_growth_exponent",
     "word_metric_constants",
     "growth_profile",
@@ -236,6 +237,12 @@ class MatrixSpace(FiniteSpace):
             raise ValueError("distance matrix must be symmetric")
         if np.any(matrix < 0):
             raise ValueError("distances must be nonnegative")
+        coincide = matrix == 0
+        np.fill_diagonal(coincide, False)
+        if coincide.any():
+            i, j = (int(v) for v in np.argwhere(coincide)[0])
+            raise ValueError(f"points ({i}, {j}) coincide: d({i}, {j}) == 0, "
+                             f"so the matrix is a pseudometric, not a metric")
         super().__init__(n, weights, r0, label)
         self._matrix = matrix
         self.provenance = provenance or {}
@@ -277,6 +284,13 @@ class GroupSpace(FiniteSpace):
         self._sorted_keys = self._keys[self._key_order]
         if np.any(np.diff(self._sorted_keys) == 0):
             raise ValueError("duplicate elements in enumeration")
+        # distinct keys filling the whole key range (every full quotient):
+        # the sorted keys are arange(n), so _key_order maps a key straight
+        # to its index
+        _, size = self._ranges()
+        self._dense_keys = bool(int(np.prod(size)) == self.n
+                                and self._sorted_keys[0] == 0
+                                and self._sorted_keys[-1] == self.n - 1)
         self._row_cache: dict[int, np.ndarray] = {}
         self._perm_cache: dict[int, np.ndarray] = {}
         self._neighbors: np.ndarray | None = None
@@ -320,6 +334,8 @@ class GroupSpace(FiniteSpace):
         keys = np.zeros(elems.shape[0], dtype=np.int64)
         for c in range(self.group.d):
             keys = keys * size[c] + safe[:, c]
+        if self._dense_keys:
+            return np.where(in_range, self._key_order[keys], -1)
         pos = np.searchsorted(self._sorted_keys, keys)
         pos = np.clip(pos, 0, self.n - 1)
         hit = in_range & (self._sorted_keys[pos] == keys)
@@ -691,15 +707,18 @@ class DoublingReport:
         return self.small_ok and all(p.ok for p in self.pairs)
 
 
-def _greedy_net(space: FiniteSpace, members: np.ndarray, sep: float) -> list[int]:
-    """Maximal strictly-sep-separated subset, scanning members in ascending
-    index.  Maximality means every rejected point lies within sep (closed) of
-    a kept one, so closed sep-balls around the net cover the member set."""
-    members = np.sort(members)
+def greedy_net(space: FiniteSpace, sep: float, members: np.ndarray | None = None,
+               *, strict: bool) -> list[int]:
+    """Maximal sep-separated subset of ``members`` (default: all points),
+    scanning in ascending index; a point is kept when its distance to every
+    kept point is > sep (``strict``) or >= sep.  Maximality means every
+    rejected point lies within sep of a kept one (closed when strict, open
+    otherwise), so sep-balls around the net cover the member set."""
+    members = range(space.n) if members is None else np.sort(members)
     kept: list[int] = []
     min_dist = np.full(space.n, np.inf)
     for p in members:
-        if min_dist[p] > sep:
+        if min_dist[p] > sep if strict else min_dist[p] >= sep:
             kept.append(int(p))
             np.minimum(min_dist, space.dist_row(p), out=min_dist)
     return kept
@@ -732,7 +751,7 @@ def geometric_doubling_check(space: FiniteSpace, D0: int,
         for r in small_radii:
             if r > 4 * r0:
                 continue
-            net = _greedy_net(space, space.ball(c, r), r / 2)
+            net = greedy_net(space, r / 2, space.ball(c, r), strict=True)
             max_small = max(max_small, len(net))
     D = max(float(D0), math.floor(9**eps * (K + 1)) + 1)
     checks = []
@@ -742,7 +761,8 @@ def geometric_doubling_check(space: FiniteSpace, D0: int,
                 raise ValueError("cover pairs need 0 < r <= R")
             worst = 0
             for c in centers:
-                worst = max(worst, len(_greedy_net(space, space.ball(c, R), r)))
+                net = greedy_net(space, r, space.ball(c, R), strict=True)
+                worst = max(worst, len(net))
             bound = D ** (math.log2(math.floor(R / r)) + 1)
             checks.append(CoverCheck(R=float(R), r=float(r), count=worst,
                                      bound=bound, ok=worst <= bound))

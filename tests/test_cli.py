@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab.cli import main
+from ergolab import cli
+from ergolab.cli import _radius_grid, main
 
 SMALL = {
     "seed": 7,
@@ -122,6 +124,26 @@ class TestCommands:
         assert [s["suite"] for s in blob["suites"]] == [
             "axioms", "transference"]
 
+    def test_domination_violation_at_point_zero_fails(self, tmp_path,
+                                                      monkeypatch):
+        real = cli.domination_check
+
+        def one_violation(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(
+                rep, violations_anchor=np.array([0]),
+                violations_martingale=np.array([], dtype=np.int64))
+
+        monkeypatch.setattr(cli, "domination_check", one_violation)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "domination") == 1
+        blob = json.loads((out / "verify.json").read_text())
+        assert blob["passed"] is False
+        assert blob["suites"][0]["failures"] == [
+            "trial 0 lambda 0.5: 1 anchor / 0 martingale violations"]
+
     def test_probe_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
@@ -161,6 +183,12 @@ class TestCommands:
         assert any("capped at the safe radius" in n
                    for n in blob["tail"]["notes"])
         assert "capped at the safe radius" in (out / "summary.txt").read_text()
+
+    def test_radius_grid_does_not_accumulate_rounding(self):
+        grid = _radius_grid({"start": 0.1, "stop": 1.0, "step": 0.1})
+        assert len(grid) == 10
+        assert grid[-1] == 1.0
+        assert grid == [0.1 + i * 0.1 for i in range(10)]
 
     def test_threads_flag_recorded(self, tmp_path):
         out = tmp_path / "run"

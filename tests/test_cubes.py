@@ -260,6 +260,45 @@ class TestBuildCubes:
             assert measures.sum() == pytest.approx(z512_system.space.total_mass())
             assert np.all(measures > 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_group_space(family="zd", d=1, modulus=64)[0],
+        lambda: build_group_space(family="zd", d=2, modulus=16)[0],
+        lambda: build_group_space(family="h3", modulus=8)[0],
+        lambda: random_square_space(60, 40, seed=9),
+    ], ids=["z64", "z2-16", "h3-8", "random-square"])
+    def test_assignment_and_parents_are_brute_force_nearest(self, make):
+        space = make()
+        system = build_cubes(space, HKParams())
+        assert len(system.centers[0]) == space.n    # the identity shortcut
+        m = space.dist_matrix()
+        # np.argmin picks the first minimum: the lowest-index tie
+        expected = np.argmin(m[:, system.centers[0]], axis=1)
+        assert np.array_equal(system.assign[0], expected)
+        for li in range(len(system.levels) - 1):
+            sub = m[np.ix_(system.centers[li], system.centers[li + 1])]
+            assert np.array_equal(system.parents[li], np.argmin(sub, axis=1))
+
+    def test_all_points_finest_level_needs_no_rows(self, monkeypatch):
+        space, _ = build_group_space(family="zd", d=2, modulus=16)
+        nets = select_nets(space, HKParams())
+        assert len(nets.centers[0]) == space.n
+        rows = []
+        real = space.dist_row
+        monkeypatch.setattr(space, "dist_row",
+                            lambda i: rows.append(i) or real(i))
+        build_cubes(space, HKParams(), nets)
+        # one row per coarser center, for the parent links only
+        assert len(rows) == sum(len(c) for c in nets.centers[1:])
+
+    def test_wrong_identity_assignment_is_caught(self, z64):
+        system = build_cubes(z64, HKParams())
+        assign = list(system.assign)
+        assign[0] = np.roll(assign[0], 1)
+        report = verify_cube_axioms(replace(system, assign=tuple(assign)))
+        # each finest cube now misses its own center: the inner ball fails
+        assert not report.sandwich_ok_in_safe
+        assert report.sandwich_passed == report.sandwich_checked - z64.n
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(5, 40), seed=st.integers(0, 2**20))
     def test_random_spaces_structural_axioms(self, n, seed):

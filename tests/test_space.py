@@ -16,6 +16,7 @@ from ergolab.space import (
     build_group_space,
     fit_growth_exponent,
     geometric_doubling_check,
+    greedy_net,
     growth_profile,
     load_space,
     random_square_space,
@@ -195,6 +196,72 @@ class TestWordMetric:
             space.right_perm(1)
 
 
+def searchsorted_index(space: GroupSpace, elems: np.ndarray) -> np.ndarray:
+    """Reference lookup: mixed-radix keys of the quotient coordinates,
+    binary-searched among the sorted keys of the enumeration."""
+    N, d = space.group.modulus, space.group.d
+
+    def keys(rows):
+        out = np.zeros(rows.shape[0], dtype=np.int64)
+        for c in range(d):
+            out = out * N + rows[:, c]
+        return out
+
+    enum_keys = keys(space.elements)
+    order = np.argsort(enum_keys)
+    sorted_keys = enum_keys[order]
+    in_range = np.all((elems >= 0) & (elems < N), axis=1)
+    q = keys(np.where(in_range[:, None], elems, 0))
+    pos = np.clip(np.searchsorted(sorted_keys, q), 0, space.n - 1)
+    hit = in_range & (sorted_keys[pos] == q)
+    return np.where(hit, order[pos], -1)
+
+
+class TestQuotientIndex:
+    @pytest.mark.parametrize("family,d,modulus", [
+        ("zd", 1, 64), ("zd", 2, 16), ("h3", 3, 8)])
+    def test_direct_index_matches_searchsorted(self, family, d, modulus):
+        space, _ = build_group_space(family, d=d, modulus=modulus)
+        assert space._dense_keys
+        rng = np.random.default_rng(11)
+        a = space.elements[rng.integers(0, space.n, size=200)]
+        b = space.elements[rng.integers(0, space.n, size=200)]
+        unreduced = space.elements[rng.integers(0, space.n, size=50)].copy()
+        unreduced[:, -1] += modulus
+        negative = -1 - space.elements[rng.integers(0, space.n, size=50)]
+        queries = np.concatenate([space.elements, space.group.mult(a, b),
+                                  unreduced, negative])
+        got = space.index_of(queries)
+        assert np.array_equal(got, searchsorted_index(space, queries))
+        assert np.array_equal(got[:space.n], np.arange(space.n))
+        assert np.all(got[-100:] == -1)
+
+    def test_truncations_keep_the_search(self):
+        space, _ = build_group_space("h3", radius=4)
+        assert not space._dense_keys
+        assert np.array_equal(space.index_of(space.elements),
+                              np.arange(space.n))
+
+
+class TestGreedyNet:
+    def test_strict_and_non_strict_separation(self):
+        # the points -4..4 of Z, scanned in canonical order 0, -1, 1, -2, ...
+        space, _ = build_group_space("zd", d=1, radius=4)
+        x = space.elements[:, 0]
+        loose = greedy_net(space, 2.0, strict=False)
+        tight = greedy_net(space, 2.0, strict=True)
+        assert sorted(x[loose]) == [-4, -2, 0, 2, 4]
+        assert sorted(x[tight]) == [-3, 0, 3]
+
+    def test_members_subset(self):
+        space, _ = build_group_space("zd", d=1, modulus=16)
+        members = np.array([9, 3, 5, 12])
+        net = greedy_net(space, 2.0, members, strict=True)
+        assert net == sorted(net) and net[0] == 3
+        assert set(net) <= set(members.tolist())
+        assert all(space.dist(i, j) > 2.0 for i in net for j in net if i != j)
+
+
 class TestBallTable:
     def test_nesting(self):
         space, table = build_group_space("zd", d=2, radius=5)
@@ -236,6 +303,14 @@ class TestMatrixSpace:
         a = random_square_space(25, 30, seed=4)
         b = random_square_space(25, 30, seed=4)
         assert np.array_equal(a.dist_matrix(), b.dist_matrix())
+
+    def test_rejects_coincident_points(self):
+        d = np.array([[0.0, 1.0, 2.0, 1.0],
+                      [1.0, 0.0, 1.0, 0.0],
+                      [2.0, 1.0, 0.0, 1.0],
+                      [1.0, 0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            MatrixSpace(d)
 
     def test_single_point(self):
         space = MatrixSpace([[0.0]])
