@@ -58,7 +58,6 @@ def _defaults() -> dict:
     return {
         "seed": 0,
         "out": "results",
-        "threads": 1,
         "space": {
             "family": "zd", "d": 1, "modulus": 64, "radius": None,
             "r0": 1.0, "doubling_D0": None,
@@ -102,7 +101,6 @@ _CHECKS = {
     ("seed",): ("a non-negative integer below 2^64",
                 lambda v: _is_int(v) and 0 <= v < 2**64),
     ("out",): ("a string", lambda v: isinstance(v, str)),
-    ("threads",): ("a positive integer", lambda v: _is_int(v) and v >= 1),
     ("space", "family"): ("'zd' or 'h3'", lambda v: v in ("zd", "h3")),
     ("space", "d"): ("a positive integer", lambda v: _is_int(v) and v >= 1),
     ("space", "modulus"): ("a positive integer or null",
@@ -171,22 +169,23 @@ _CHECKS = {
 }
 
 
-def _line_of(raw: str, key: str) -> int | None:
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if f'"{key}"' in line:
-            return i
-    return None
+def _line_of(raw: str, *path: str) -> int | None:
+    # each key of the path is looked for from its parent's line on
+    lines = raw.splitlines()
+    at = 0
+    for key in path:
+        while at < len(lines) and f'"{key}"' not in lines[at]:
+            at += 1
+    return at + 1 if at < len(lines) else None
 
 
 def load_config(path: str | None, *, seed: int | None = None,
-                out: str | None = None,
-                threads: int | None = None) -> tuple[dict, str]:
+                out: str | None = None) -> tuple[dict, str]:
     """Parse, validate, and canonicalize; returns (config, sha256).
 
     CLI overrides fold in before hashing, so the hash identifies the
-    effective run, not just the file.  The output directory and the
-    thread count are excluded: they change where results land and how
-    fast they arrive, never what they say.
+    effective run, not just the file.  The output directory is excluded:
+    it changes where results land, never what they say.
     """
     cfg = _defaults()
     raw = ""
@@ -213,7 +212,7 @@ def load_config(path: str | None, *, seed: int | None = None,
                 for sub, sval in value.items():
                     if sub not in cfg[key]:
                         raise ConfigError(f"unknown key {key}.{sub}", path,
-                                          _line_of(raw, sub))
+                                          _line_of(raw, key, sub))
                     cfg[key][sub] = sval
             else:
                 cfg[key] = value
@@ -222,8 +221,6 @@ def load_config(path: str | None, *, seed: int | None = None,
         cfg["seed"] = seed
     if out is not None:
         cfg["out"] = out
-    if threads is not None:
-        cfg["threads"] = threads
 
     for keys, (want, ok) in _CHECKS.items():
         node: Any = cfg
@@ -232,7 +229,7 @@ def load_config(path: str | None, *, seed: int | None = None,
         if not ok(node):
             raise ConfigError(f"{'.'.join(keys)} must be {want} "
                               f"(got {node!r})", name,
-                              _line_of(raw, keys[-1]) if raw else None)
+                              _line_of(raw, *keys) if raw else None)
     if (cfg["space"]["modulus"] is None) == (cfg["space"]["radius"] is None):
         raise ConfigError("space needs exactly one of modulus or radius",
                           name, _line_of(raw, "space") if raw else None)
@@ -241,7 +238,7 @@ def load_config(path: str | None, *, seed: int | None = None,
         raise ConfigError("experiment needs exactly one of lambda or upcross",
                           name, _line_of(raw, "experiment") if raw else None)
 
-    hashed = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
+    hashed = {k: v for k, v in cfg.items() if k != "out"}
     canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     sha = hashlib.sha256(canonical.encode()).hexdigest()
     return cfg, sha
@@ -420,8 +417,7 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
 
-def _suite_axioms(space, params, cfg: dict) -> dict:
-    system = build_cubes(space, params)
+def _suite_axioms(space, system, cfg: dict) -> dict:
     report = verify_cube_axioms(system)
     failures = [f"axiom {v.axiom} level {v.level} cube {v.cube}: {v.detail}"
                 for v in report.violations]
@@ -432,9 +428,8 @@ def _suite_axioms(space, params, cfg: dict) -> dict:
             "notes": list(system.notes)}
 
 
-def _suite_domination(space, params, cfg: dict) -> dict:
-    system = build_cubes(space, params)
-    opcfg = OperatorConfig.for_space(space, delta=params.delta,
+def _suite_domination(space, system, cfg: dict) -> dict:
+    opcfg = OperatorConfig.for_space(space, delta=system.params.delta,
                                      r0=space.r0,
                                      p=cfg["operators"]["p"],
                                      block_cap=cfg["operators"]["block_cap"])
@@ -457,8 +452,7 @@ def _suite_domination(space, params, cfg: dict) -> dict:
             "notes": [opcfg.notes[-1]] if opcfg.notes else []}
 
 
-def _suite_gundy(space, params, cfg: dict) -> dict:
-    system = build_cubes(space, params)
+def _suite_gundy(space, system, cfg: dict) -> dict:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "gundy"))
     failures: list[str] = []
     checks = 0
@@ -489,7 +483,7 @@ def _suite_gundy(space, params, cfg: dict) -> dict:
             "notes": []}
 
 
-def _suite_transference(space, params, cfg: dict) -> dict:
+def _suite_transference(space, system, cfg: dict) -> dict:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "transference"))
     values = rng.standard_normal(space.n)
     radii = [r for r in cfg["transference"]["radii"]
@@ -511,9 +505,12 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
     params = _build_params(cfg)
     runners = {"axioms": _suite_axioms, "domination": _suite_domination,
                "gundy": _suite_gundy, "transference": _suite_transference}
+    # one cube system serves every suite that reads cubes
+    system = (build_cubes(space, params)
+              if set(suites) - {"transference"} else None)
     results = []
     for name in suites:
-        results.append(runners[name](space, params, cfg))
+        results.append(runners[name](space, system, cfg))
     passed = all(not r["failures"] for r in results)
     _write_json(outdir, "verify.json",
                 {"suites": results, "passed": passed}, sha)
@@ -648,12 +645,18 @@ def cmd_report(outdir: Path) -> int:
              for k, p in artifacts.items() if p.exists()}
     lines: list[str] = []
     csv_rows: list[str] = []
+    by_sha: dict[str, list[str]] = {}
+    for name, blob in found.items():
+        by_sha.setdefault(str(blob.get("config_sha256")), []).append(name)
     if not found:
         lines.append("no suites run")
     else:
-        shas = {v.get("config_sha256") for v in found.values()}
         lines.append(f"bundle: {len(found)} artifact(s), config "
-                     f"{'/'.join(sorted(str(s)[:12] for s in shas))}")
+                     f"{'/'.join(sorted(s[:12] for s in by_sha))}")
+        if len(by_sha) > 1:
+            lines.append(f"WARNING: artifacts from {len(by_sha)} configs: "
+                         + "; ".join(f"{sha[:12]} ({', '.join(names)})"
+                                     for sha, names in sorted(by_sha.items())))
         if "verify" in found:
             lines.append("")
             lines.append("suite            checks   failures")
@@ -698,7 +701,7 @@ def cmd_report(outdir: Path) -> int:
     (outdir / "report.csv").write_text(
         "\n".join(["table,key,value"] + csv_rows) + "\n")
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_VIOLATION if len(by_sha) > 1 else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +727,6 @@ def _parser() -> argparse.ArgumentParser:
                            help="JSON config file (defaults used if omitted)")
             p.add_argument("--seed", type=int, metavar="U64",
                            help="override the config seed")
-            p.add_argument("--threads", type=int, metavar="N",
-                           help="advisory worker count, recorded in outputs")
         if name == "verify":
             p.add_argument("--suite", metavar="NAME[,NAME...]",
                            help=f"subset of {','.join(VERIFY_SUITES)}")
@@ -739,8 +740,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "report":
         return cmd_report(Path(args.out or "results"))
     try:
-        cfg, sha = load_config(args.config, seed=args.seed, out=args.out,
-                               threads=args.threads)
+        cfg, sha = load_config(args.config, seed=args.seed, out=args.out)
         suites: Sequence[str] = VERIFY_SUITES
         if args.command == "verify" and args.suite:
             suites = tuple(s.strip() for s in args.suite.split(","))
@@ -750,10 +750,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"unknown suite(s) {bad}; available: {VERIFY_SUITES}")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        if cfg["threads"] != 1:
-            _append_summary(outdir, sha, "threads",
-                            [f"threads requested: {cfg['threads']} "
-                             f"(suites run sequentially)"])
         if args.command == "space":
             return cmd_space(cfg, sha, outdir)
         if args.command == "cubes":

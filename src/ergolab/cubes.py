@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -238,6 +238,8 @@ class DyadicSystem:
     assign: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]     # one per level except the coarsest
     notes: tuple[str, ...] = ()
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         if len(self.centers) != len(self.levels) or len(self.assign) != len(self.levels):
@@ -254,14 +256,35 @@ class DyadicSystem:
     def n_cubes(self, k: int) -> int:
         return len(self.centers[self.level_index(k)])
 
-    def members(self, k: int, cube: int) -> np.ndarray:
+    def cube_index(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (order, starts, measures) of level k, built once from
+        ``assign``: cube c owns the points ``order[starts[c]:starts[c + 1]]``
+        in ascending order, and has measure ``measures[c]``."""
         li = self.level_index(k)
-        return np.nonzero(self.assign[li] == cube)[0]
+        if li not in self._index:
+            a = self.assign[li]
+            m = len(self.centers[li])
+            order = np.argsort(a, kind="stable")
+            self._index[li] = (
+                order, np.searchsorted(a[order], np.arange(m + 1)),
+                np.bincount(a, weights=self.space.weights, minlength=m))
+            for arr in self._index[li]:
+                arr.flags.writeable = False
+        return self._index[li]
+
+    def members(self, k: int, cube: int) -> np.ndarray:
+        order, starts, _ = self.cube_index(k)
+        return order[starts[cube]:starts[cube + 1]]
 
     def cube_measures(self, k: int) -> np.ndarray:
-        li = self.level_index(k)
-        return np.bincount(self.assign[li], weights=self.space.weights,
-                           minlength=len(self.centers[li]))
+        return self.cube_index(k)[2]
+
+    def cube_averages(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Weighted average of ``values`` over each level-k cube."""
+        a = self.assign[self.level_index(k)]
+        measures = self.cube_measures(k)
+        return np.bincount(a, weights=self.space.weights * values,
+                           minlength=len(measures)) / measures
 
     @property
     def finest(self) -> int:
@@ -512,16 +535,14 @@ def boundary_layer_report(system: DyadicSystem, space: FiniteSpace,
     n_cubes = len(system.centers[li])
     t = constants.delta ** (level - L)
     wanted = np.arange(n_cubes) if cubes is None else np.asarray(list(cubes))
-
-    order = np.argsort(a, kind="stable")
-    starts = np.searchsorted(a[order], np.arange(n_cubes))
+    order, starts, measures = system.cube_index(level)
 
     w = space.weights
     inner_w = np.zeros(n_cubes)
     outer_w = np.zeros(n_cubes)
     for x in range(space.n):
         row = space.dist_row(x)[order]
-        per_cube = np.minimum.reduceat(row, starts)
+        per_cube = np.minimum.reduceat(row, starts[:-1])
         own = a[x]
         near = per_cube <= t
         near[own] = False
@@ -530,7 +551,6 @@ def boundary_layer_report(system: DyadicSystem, space: FiniteSpace,
         if per_cube.min() <= t:
             inner_w[own] += w[x]
 
-    measures = system.cube_measures(level)
     decay = constants.delta ** (-L * constants.eta)
     layer_in = constants.L0 < L < level + constants.L0 - constants.L1
     halo_in = (level - L) > constants.n0 and L > constants.L0

@@ -47,8 +47,13 @@ class StoppingCube(NamedTuple):
 
 
 class GundyPart(NamedTuple):
+    """One b or xi part, stored on its support: the part equals ``values``
+    at the points ``support`` (ascending) and vanishes elsewhere.  A b part
+    lives on its stopping cube, a xi part on the stopping cube's parent."""
+
     level: int
     cube: int
+    support: np.ndarray
     values: np.ndarray
     integral: float
     l1: float
@@ -131,17 +136,9 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
         raise ValueError("function length does not match the space")
     w = space.weights
 
-    abs_avgs = []
-    mean_avgs = []
-    measures = []
-    for li, k in enumerate(system.levels):
-        a = system.assign[li]
-        m = system.cube_measures(k)
-        abs_avgs.append(np.bincount(a, weights=w * np.abs(values),
-                                    minlength=len(m)) / m)
-        mean_avgs.append(np.bincount(a, weights=w * values,
-                                     minlength=len(m)) / m)
-        measures.append(m)
+    abs_avgs = [system.cube_averages(k, np.abs(values)) for k in system.levels]
+    mean_avgs = [system.cube_averages(k, values) for k in system.levels]
+    measures = [system.cube_measures(k) for k in system.levels]
 
     top = len(system.levels) - 1
     if np.any(abs_avgs[top] > gamma):
@@ -161,15 +158,14 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
     xi_parts: list[GundyPart] = []
     for li in range(top - 1, -1, -1):
         k = system.levels[li]
-        a = system.assign[li]
         hot = np.nonzero(abs_avgs[li] > gamma)[0]
         for cube in hot:
-            members = np.nonzero(a == cube)[0]
+            members = system.members(k, cube)
             if covered[members[0]]:
                 continue
             covered[members] = True
             parent = int(system.parents[li][cube])
-            pmembers = np.nonzero(system.assign[li + 1] == parent)[0]
+            pmembers = system.members(system.levels[li + 1], parent)
             mean = float(mean_avgs[li][cube])
             pmean = float(mean_avgs[li + 1][parent])
             mq = float(measures[li][cube])
@@ -178,19 +174,18 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
                 level=k, cube=int(cube), abs_average=float(abs_avgs[li][cube]),
                 mean=mean, parent_mean=pmean, measure=mq, parent_measure=mp))
 
-            bv = np.zeros(space.n)
-            bv[members] = values[members] - mean
+            bv = values[members] - mean
             b_parts.append(GundyPart(
-                k, int(cube), bv, float((w * bv).sum()),
-                weighted_norm(bv, w, 1)))
+                k, int(cube), members, bv, float((w[members] * bv).sum()),
+                weighted_norm(bv, w[members], 1)))
 
-            xv = np.zeros(space.n)
             ratio = mq / mp
-            xv[pmembers] = -(mean - pmean) * ratio
-            xv[members] += mean - pmean
+            xv = np.full(len(pmembers), -(mean - pmean) * ratio)
+            # both member lists ascend, and the cube nests in its parent
+            xv[np.searchsorted(pmembers, members)] += mean - pmean
             xi_parts.append(GundyPart(
-                k, int(cube), xv, float((w * xv).sum()),
-                weighted_norm(xv, w, 1)))
+                k, int(cube), pmembers, xv, float((w[pmembers] * xv).sum()),
+                weighted_norm(xv, w[pmembers], 1)))
 
             base[members] = pmean
             lump[pmembers] += (mean - pmean) * ratio
@@ -198,16 +193,12 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
     g = base + lump
     f_l1 = weighted_norm(values, w, 1)
     recon = g.copy()
-    for part in b_parts:
-        recon += part.values
-    for part in xi_parts:
-        recon += part.values
-    gap = float(np.abs(recon - values).max())
-    rel_gap = gap / f_l1 if f_l1 > 0 else gap
-
     max_int = 0.0
     for part in b_parts + xi_parts:
+        recon[part.support] += part.values
         max_int = max(max_int, abs(part.integral))
+    gap = float(np.abs(recon - values).max())
+    rel_gap = gap / f_l1 if f_l1 > 0 else gap
 
     return GundyResult(
         gamma=gamma, p=p, f_l1=f_l1, stopping=tuple(stopping),

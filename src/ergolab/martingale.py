@@ -92,14 +92,9 @@ def _check_function(f: SampleFunction, system: DyadicSystem) -> np.ndarray:
 
 def expectation(f: SampleFunction, system: DyadicSystem, k: int) -> SampleFunction:
     """Conditional expectation onto the level-k cubes (weighted averages)."""
-    values = _check_function(f, system)
-    li = system.level_index(k)
-    a = system.assign[li]
-    w = system.space.weights
-    m = len(system.centers[li])
-    sums = np.bincount(a, weights=w * values, minlength=m)
-    means = sums / system.cube_measures(k)
-    return SampleFunction(f.space_label, means[a])
+    means = system.cube_averages(k, _check_function(f, system))
+    return SampleFunction(f.space_label,
+                          means[system.assign[system.level_index(k)]])
 
 
 def expectation_exact(values: Sequence, system: DyadicSystem,
@@ -109,20 +104,17 @@ def expectation_exact(values: Sequence, system: DyadicSystem,
     Floats convert losslessly to Fraction, so feeding the output back in
     composes conditional expectations with zero rounding.
     """
-    li = system.level_index(k)
-    a = system.assign[li]
-    w = system.space.weights
-    m = len(system.centers[li])
     if len(values) != system.space.n:
         raise ValueError("length mismatch")
-    num = [Fraction(0)] * m
-    den = [Fraction(0)] * m
-    for x in range(system.space.n):
-        fw = Fraction(w[x])
-        num[a[x]] += fw * Fraction(values[x])
-        den[a[x]] += fw
-    means = [nu / de for nu, de in zip(num, den)]
-    return [means[c] for c in a]
+    w = system.space.weights
+    out = [Fraction(0)] * system.space.n
+    for cube in range(system.n_cubes(k)):
+        mem = system.members(k, cube)
+        fw = [Fraction(w[x]) for x in mem]
+        mean = sum(c * Fraction(values[x]) for c, x in zip(fw, mem)) / sum(fw)
+        for x in mem:
+            out[x] = mean
+    return out
 
 
 def tower_check(f: SampleFunction, system: DyadicSystem, j: int, k: int) -> bool:
@@ -200,14 +192,14 @@ def sharp_maximal_bmo(f: SampleFunction,
     w = system.space.weights
     best = np.zeros(system.space.n)
     for li, k in enumerate(system.levels):
-        a = system.assign[li]
-        measures = system.cube_measures(k)
-        osc = np.empty(len(system.centers[li]))
-        for cube in range(len(system.centers[li])):
-            mask = a == cube
-            med = _weighted_median(values[mask], w[mask])
-            osc[cube] = (w[mask] * np.abs(values[mask] - med)).sum() / measures[cube]
-        np.maximum(best, osc[a], out=best)
+        order, starts, measures = system.cube_index(k)
+        osc = np.empty(len(measures))
+        for cube in range(len(measures)):
+            mem = order[starts[cube]:starts[cube + 1]]
+            v, wm = values[mem], w[mem]
+            med = _weighted_median(v, wm)
+            osc[cube] = (wm * np.abs(v - med)).sum() / measures[cube]
+        np.maximum(best, osc[system.assign[li]], out=best)
     sharp = SampleFunction(f.space_label, best)
     return sharp, float(best.max())
 

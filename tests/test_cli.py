@@ -63,13 +63,36 @@ class TestConfigValidation:
         assert f"{path}:2:" in err
 
     def test_unknown_key_is_anchored(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text('{\n  "cubse": {}\n}\n')
-        assert run("cubes", "--config", str(path), "--out",
+        # "threads" was a config key once; old configs must fail loudly
+        for key in ("cubse", "threads"):
+            path = tmp_path / "config.json"
+            path.write_text(f'{{\n  "{key}": {{}}\n}}\n')
+            assert run("cubes", "--config", str(path), "--out",
+                       str(tmp_path / "run")) == 2
+            err = capsys.readouterr().err
+            assert f"unknown key '{key}'" in err
+            assert f"{path}:2:" in err
+
+    def test_bad_value_is_anchored_by_key_path(self, tmp_path, capsys):
+        # operators.p is fine; probe.p is not, and shares the sub-key name
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "operators": {\n    "p": 2.0\n  },\n'
+                        '  "probe": {\n    "p": 0.5\n  }\n}\n')
+        assert run("probe", "--config", str(path), "--out",
                    str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
-        assert "unknown key 'cubse'" in err
-        assert f"{path}:2:" in err
+        assert "probe.p must be" in err
+        assert f"{path}:6:" in err
+
+    def test_unknown_sub_key_is_anchored_by_key_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "operators": {\n    "p": 2.0\n  },\n'
+                        '  "space": {\n    "p": 1\n  }\n}\n')
+        assert run("space", "--config", str(path), "--out",
+                   str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "unknown key space.p" in err
+        assert f"{path}:6:" in err
 
     def test_bad_value_reports_expectation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": -1})
@@ -114,6 +137,16 @@ class TestCommands:
         assert [s["suite"] for s in blob["suites"]] == [
             "axioms", "domination", "gundy", "transference"]
         assert all(not s["failures"] for s in blob["suites"])
+
+    def test_verify_builds_one_cube_system(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.build_cubes
+        monkeypatch.setattr(cli, "build_cubes",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        cfg = write_config(tmp_path, SMALL)
+        assert run("verify", "--config", cfg, "--out",
+                   str(tmp_path / "run")) == 0
+        assert len(calls) == 1
 
     def test_verify_suite_subset(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -190,11 +223,6 @@ class TestCommands:
         assert grid[-1] == 1.0
         assert grid == [0.1 + i * 0.1 for i in range(10)]
 
-    def test_threads_flag_recorded(self, tmp_path):
-        out = tmp_path / "run"
-        assert run("cubes", "--out", str(out), "--threads", "4") == 0
-        assert "threads requested: 4" in (out / "summary.txt").read_text()
-
 
 class TestDeterminism:
     def _run_all(self, cfg: str, out: Path) -> dict[str, str]:
@@ -245,6 +273,18 @@ class TestReport:
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[0] == "table,key,value"
         assert any(r.startswith("verify,axioms,pass") for r in rows)
+
+    def test_mixed_configs_are_flagged(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("space", "--seed", "1", "--out", str(out)) == 0
+        assert run("cubes", "--seed", "2", "--out", str(out)) == 0
+        shas = {name: json.loads((out / f"{name}.json").read_text())
+                ["config_sha256"][:12] for name in ("space", "cubes")}
+        assert run("report", "--out", str(out)) == 1
+        text = (out / "report.txt").read_text()
+        assert "WARNING: artifacts from 2 configs" in text
+        for name, sha in shas.items():
+            assert f"{sha} ({name})" in text
 
     def test_report_quantiles_match_raw_csv(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

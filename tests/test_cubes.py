@@ -42,6 +42,14 @@ def z512_system(z512):
     return build_cubes(z512, HKParams())
 
 
+FOUR_SPACES = pytest.mark.parametrize("make", [
+    lambda: build_group_space(family="zd", d=1, modulus=64)[0],
+    lambda: build_group_space(family="zd", d=2, modulus=16)[0],
+    lambda: build_group_space(family="h3", modulus=8)[0],
+    lambda: random_square_space(60, 40, seed=9),
+], ids=["z64", "z2-16", "h3-8", "random-square"])
+
+
 # ---------------------------------------------------------------------------
 # parameters and constants
 # ---------------------------------------------------------------------------
@@ -254,18 +262,47 @@ class TestBuildCubes:
         assert not report.nesting_ok
         assert any(v.axiom == "ii" for v in report.violations)
 
+    @FOUR_SPACES
+    def test_cube_index_matches_direct_scans(self, make):
+        space = make()
+        system = build_cubes(space, HKParams())
+        for li, k in enumerate(system.levels):
+            a = system.assign[li]
+            m = system.n_cubes(k)
+            expected = np.bincount(a, weights=space.weights, minlength=m)
+            measures = system.cube_measures(k)
+            assert measures.dtype == expected.dtype
+            assert measures.tobytes() == expected.tobytes()
+            for c in range(m):
+                assert np.array_equal(system.members(k, c),
+                                      np.nonzero(a == c)[0])
+            order, starts, _ = system.cube_index(k)
+            assert len(starts) == m + 1 and starts[-1] == space.n
+            assert system.cube_index(k) is system.cube_index(k)
+
+    def test_replaced_system_gets_its_own_index(self, z64):
+        system = build_cubes(z64, HKParams())
+        k = system.finest
+        before = system.members(k, 0).copy()
+        assign = list(system.assign)
+        # move the members of cube 0 into cube 1, leaving cube 0 empty
+        assign[0] = np.where(assign[0] == 0, 1, assign[0])
+        emptied = replace(system, assign=tuple(assign))
+        assert emptied.members(k, 0).size == 0
+        assert np.array_equal(emptied.members(k, 1),
+                              np.nonzero(assign[0] == 1)[0])
+        assert emptied.cube_measures(k)[0] == 0.0
+        # the original keeps its own grouping
+        assert np.array_equal(system.members(k, 0), before)
+        assert system.cube_index(k) is not emptied.cube_index(k)
+
     def test_cube_measures_sum_to_total(self, z512_system):
         for k in z512_system.levels:
             measures = z512_system.cube_measures(k)
             assert measures.sum() == pytest.approx(z512_system.space.total_mass())
             assert np.all(measures > 0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: build_group_space(family="zd", d=1, modulus=64)[0],
-        lambda: build_group_space(family="zd", d=2, modulus=16)[0],
-        lambda: build_group_space(family="h3", modulus=8)[0],
-        lambda: random_square_space(60, 40, seed=9),
-    ], ids=["z64", "z2-16", "h3-8", "random-square"])
+    @FOUR_SPACES
     def test_assignment_and_parents_are_brute_force_nearest(self, make):
         space = make()
         system = build_cubes(space, HKParams())

@@ -37,6 +37,13 @@ def sample(space, values):
     return SampleFunction(space.label, np.asarray(values, dtype=float))
 
 
+def dense(part, n):
+    """A part scattered from its support into a full n-vector."""
+    out = np.zeros(n)
+    out[part.support] = part.values
+    return out
+
+
 class TestHandInstance:
     """Eight points, two levels (singletons below one root), f massed on a
     single point, gamma = 1.5."""
@@ -64,11 +71,11 @@ class TestHandInstance:
 
         # b = (f - <f>_Q) 1_Q vanishes because f is constant on the cube
         assert len(res.b_parts) == 1
-        assert np.all(res.b_parts[0].values == 0.0)
+        assert np.all(dense(res.b_parts[0], 8) == 0.0)
         assert res.b_l1 == 0.0
 
         # xi = (8 - 1)(1_Q - (1/8) 1_{Q^}) = 6.125 on the point, -0.875 off
-        xi = res.xi_parts[0].values
+        xi = dense(res.xi_parts[0], 8)
         stop_idx = int(np.argmax(f))
         assert xi[stop_idx] == pytest.approx(6.125, abs=1e-14)
         off = np.delete(xi, stop_idx)
@@ -114,7 +121,7 @@ def check_invariants(space, system, values, gamma, p=2.0):
     # exact reconstruction
     total = res.g.values.copy()
     for part in res.b_parts + res.xi_parts:
-        total += part.values
+        total += dense(part, space.n)
     scale = max(f_l1, 1.0)
     assert np.abs(total - values).max() <= 1e-12 * scale
     assert res.reconstruction_gap <= 1e-12
@@ -123,6 +130,20 @@ def check_invariants(space, system, values, gamma, p=2.0):
     for part in res.b_parts + res.xi_parts:
         assert abs(part.integral) <= 1e-12 * scale
     assert res.max_part_integral <= 1e-12 * scale
+
+    # b parts live on their stopping cube, xi parts on its parent
+    assert len(res.b_parts) == len(res.xi_parts) == len(res.stopping)
+    for stop, b, xi in zip(res.stopping, res.b_parts, res.xi_parts):
+        li = system.level_index(stop.level)
+        parent = system.parents[li][stop.cube]
+        assert (b.level, b.cube) == (stop.level, stop.cube)
+        assert (xi.level, xi.cube) == (stop.level, stop.cube)
+        assert np.array_equal(
+            b.support, np.nonzero(system.assign[li] == stop.cube)[0])
+        assert np.array_equal(
+            xi.support, np.nonzero(system.assign[li + 1] == parent)[0])
+        assert b.values.shape == b.support.shape
+        assert xi.values.shape == xi.support.shape
 
     # stopping cubes are disjoint and their strict ancestors stay below gamma
     seen = np.zeros(space.n, dtype=bool)
