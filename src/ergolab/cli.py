@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -23,8 +24,8 @@ import numpy as np
 
 from .cubes import BoundaryConstants, HKParams, build_cubes, verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
-from .dynamics import build_system, convergence_probe, tail_experiment, \
-    transference_check
+from .dynamics import action_profile, build_system, convergence_probe, \
+    tail_experiment, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, _ENSEMBLES, _draw, domination_check, \
     norm_probe
@@ -169,14 +170,26 @@ _CHECKS = {
 }
 
 
+# a JSON string (a key when the colon follows) or a bracket
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}\[\]]')
+
+
 def _line_of(raw: str, *path: str) -> int | None:
-    # each key of the path is looked for from its parent's line on
-    lines = raw.splitlines()
-    at = 0
-    for key in path:
-        while at < len(lines) and f'"{key}"' not in lines[at]:
-            at += 1
-    return at + 1 if at < len(lines) else None
+    # line of the key at ``path`` (top-level key first), matched by nesting,
+    # not by line order; json.loads keeps the last of duplicate keys, so
+    # the last match wins
+    line = None
+    keys: list = []         # the current key of each open object or array
+    for m in _JSON_TOKEN.finditer(raw):
+        if m[0] in ("{", "["):
+            keys.append(None)
+        elif m[0] in ("}", "]"):
+            keys.pop()
+        elif m[2]:
+            keys[-1] = json.loads(m[1])
+            if tuple(keys) == path:
+                line = raw.count("\n", 0, m.start()) + 1
+    return line
 
 
 def load_config(path: str | None, *, seed: int | None = None,
@@ -284,14 +297,21 @@ def _write_csv(outdir: Path, name: str, header: str,
     (outdir / name).write_text("\n".join(lines) + "\n")
 
 
-def _append_summary(outdir: Path, sha: str, title: str,
-                    lines: Sequence[str]) -> None:
+def _write_summary(outdir: Path, sha: str, title: str,
+                   lines: Sequence[str]) -> None:
+    """Put this command's chunk into summary.txt: a rerun replaces the
+    chunk with the same title in place, other commands' chunks stay."""
     path = outdir / "summary.txt"
-    chunk = [f"== {title} ==", f"config sha256: {sha}"]
-    chunk.extend(lines)
-    chunk.append("")
-    with open(path, "a") as fh:
-        fh.write("\n".join(chunk) + "\n")
+    head = f"== {title} =="
+    chunk = "\n".join([head, f"config sha256: {sha}", *lines, ""]) + "\n"
+    old = path.read_text() if path.exists() else ""
+    chunks = [c for c in re.split(r"(?m)^(?=== .+ ==$)", old) if c]
+    titles = [c.split("\n", 1)[0] for c in chunks]
+    if head in titles:
+        chunks[titles.index(head)] = chunk
+    else:
+        chunks.append(chunk)
+    path.write_text("".join(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +390,7 @@ def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
         f"doubling cover max {rep.max_small_cover} against D0={rep.D0}",
     ]
     lines += [f"FAIL: {f}" for f in failures] or ["all checks passed"]
-    _append_summary(outdir, sha, "space", lines)
+    _write_summary(outdir, sha, "space", lines)
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -413,7 +433,7 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     else:
         lines += [f"FAIL: axiom {v.axiom} at level {v.level} cube {v.cube}: "
                   f"{v.detail}" for v in report.violations[:10]]
-    _append_summary(outdir, sha, "cubes", lines)
+    _write_summary(outdir, sha, "cubes", lines)
     return EXIT_OK if report.all_pass else EXIT_VIOLATION
 
 
@@ -520,7 +540,7 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
         lines.append(f"suite {r['suite']}: {status} ({r['checks']} checks)")
         lines += [f"  {f}" for f in r["failures"][:10]]
         lines += [f"  note: {n}" for n in r["notes"]]
-    _append_summary(outdir, sha, "verify", lines)
+    _write_summary(outdir, sha, "verify", lines)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
@@ -561,7 +581,7 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
              for op in cfg["probe"]["operators"]]
     lines.append(f"martingale jump probe: max ratio {jump['max_ratio']:.6f}")
     lines += [f"FAIL: {f}" for f in failures]
-    _append_summary(outdir, sha, "probe", lines)
+    _write_summary(outdir, sha, "probe", lines)
     return EXIT_VIOLATION if failures else EXIT_OK
 
 
@@ -586,8 +606,6 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     if np.any(diffs > 0):
         failures.append("tail is not non-increasing")
     base = float((system.mu * np.clip(values, -1, 1)).sum())
-    from .dynamics import action_profile
-
     rows = action_profile(system, np.clip(values, -1, 1), list(tail.radii))
     drift = float(np.abs(rows @ system.mu - base).max())
     if drift > 1e-12:
@@ -608,7 +626,7 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     lines += [f"note: {n}" for n in tail.notes]
     lines += [f"note: {n}" for n in conv.notes]
     lines += [f"FAIL: {f}" for f in failures]
-    _append_summary(outdir, sha, "experiment", lines)
+    _write_summary(outdir, sha, "experiment", lines)
     return EXIT_VIOLATION if failures else EXIT_OK
 
 

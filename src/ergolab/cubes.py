@@ -607,12 +607,37 @@ def system_from_json(doc: dict, space: FiniteSpace) -> DyadicSystem:
     p = doc["params"]
     params = HKParams(delta=p["delta"], c0=p["c0"], C0=p["C0"],
                       k_min=p["k_min"], k_max=p["k_max"])
-    return DyadicSystem(
+    system = DyadicSystem(
         space, params, tuple(doc["levels"]),
         tuple(np.asarray(c, dtype=np.int64) for c in doc["centers"]),
         tuple(np.asarray(a, dtype=np.int64) for a in doc["assign"]),
         tuple(np.asarray(pr, dtype=np.int64) for pr in doc["parents"]),
         tuple(doc.get("notes", ())))
+    # recheck the loaded tables with integer comparisons only
+    levels, assign, parents = system.levels, system.assign, system.parents
+    sizes = [len(c) for c in system.centers]
+    for li, k in enumerate(levels):
+        if not _maps_into(system.centers[li], sizes[li], space.n):
+            raise ValueError(f"level {k}: centers must be points of the space")
+        if not _maps_into(assign[li], space.n, sizes[li]):
+            raise ValueError(f"level {k}: assign must send each of the "
+                             f"{space.n} points to one of {sizes[li]} cubes")
+        if li and not np.array_equal(parents[li - 1][assign[li - 1]],
+                                     assign[li]):
+            raise ValueError(f"level {levels[li - 1]}: parent links disagree "
+                             f"with the level-{k} assignment")
+        if li + 1 < len(levels) and not _maps_into(parents[li], sizes[li],
+                                                   sizes[li + 1]):
+            raise ValueError(f"level {k}: parents must send each of its "
+                             f"{sizes[li]} cubes to one of the {sizes[li + 1]} "
+                             f"cubes at level {levels[li + 1]}")
+    return system
+
+
+def _maps_into(table: np.ndarray, length: int, bound: int) -> bool:
+    """``table`` is a length-``length`` vector of indices below ``bound``."""
+    return table.shape == (length,) and (
+        length == 0 or (table.min() >= 0 and table.max() < bound))
 
 
 def save_system(system: DyadicSystem, path,

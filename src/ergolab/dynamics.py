@@ -75,6 +75,7 @@ class MPSystem:
         self.label = label
         self._perm_for = perm_for
         self._cache: dict[int, np.ndarray] = {}
+        self._labels: np.ndarray | None = None
         if validate:
             self._validate(homomorphism_samples, seed)
 
@@ -129,7 +130,9 @@ class MPSystem:
 
     def orbit_labels(self) -> np.ndarray:
         """Connected components of the action graph, labelled by their
-        smallest state index."""
+        smallest state index; computed once per system, read-only."""
+        if self._labels is not None:
+            return self._labels
         labels = np.arange(self.n_states)
         perms = []
         for j in self._generator_indices():
@@ -146,6 +149,8 @@ class MPSystem:
                 if not np.array_equal(m, labels):
                     labels = m
                     changed = True
+        labels.flags.writeable = False
+        self._labels = labels
         return labels
 
     def orbit_means(self, values: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubes import DyadicSystem
+from .stats import jump_count_batch
 
 __all__ = [
     "SampleFunction",
@@ -213,8 +214,6 @@ def martingale_jump_probe(system: DyadicSystem, *, trials: int = 200,
     the levels (coarse to fine) and fed to the jump counter.  This probes
     the jump inequality's constant; it reports, it does not certify.
     """
-    from .stats import jump_count_batch
-
     rng = np.random.default_rng(seed)
     w = system.space.weights
     ratios = []

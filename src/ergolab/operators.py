@@ -25,7 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cubes import DyadicSystem
-from .martingale import SampleFunction, dyadic_maximal, expectation, weighted_norm
+from .martingale import (SampleFunction, dyadic_maximal, expectation,
+                         sharp_maximal_bmo, weighted_norm)
 from .space import FiniteSpace, GroupSpace
 from .stats import jump_count_batch, variation_batch
 
@@ -484,7 +485,6 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
             for g in gammas:
                 weak[g] = max(weak[g], g * w[np.abs(out) > g].sum() / l1)
         if compute_bmo:
-            from .martingale import sharp_maximal_bmo
             sup = np.abs(values).max()
             if sup > 0:
                 _, bmo = sharp_maximal_bmo(SampleFunction(space.label, out),

@@ -9,9 +9,11 @@ strictly increasing scales (radii).  The three functionals measured here are
 * the upcrossing count: maximal number of moves from below a to above b,
   in scale order.
 
-Exhaustive reference implementations (`jump_count_oracle`,
-`variation_oracle`) are kept alongside the fast ones; the test suite pins the
-fast implementations to them on large random ensembles.
+Each functional has one dynamic program over a (scales x points) array;
+the single-sequence forms are width-1 calls of it.  Exhaustive references
+(`jump_count_oracle`, `variation_oracle`, and the `upcrossing_count` scan)
+are kept apart; the test suite pins the fast paths to them on large
+random ensembles.
 """
 
 from __future__ import annotations
@@ -133,103 +135,12 @@ def variation_oracle(seq, q: float) -> float:
     return best ** (1.0 / q)
 
 
-# ---------------------------------------------------------------------------
-# fast implementations
-# ---------------------------------------------------------------------------
-
-def jump_count(seq, lam: float) -> int:
-    """Largest N admitting scales r_0 < ... < r_N with all gaps > ``lam``.
-
-    Exact O(n^2) chain dynamic program: best[i] is the longest qualifying
-    chain ending at index i.  (A single greedy pass, even restarted at every
-    index, can undercount: taking an early jump may block two later ones.)
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    a = _values_of(seq)
-    n = a.size
-    if n == 0:
-        return 0
-    best = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        reach = np.abs(a[i] - a[:i]) > lam
-        if reach.any():
-            best[i] = best[:i][reach].max() + 1
-    return int(best.max())
-
-
-def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
-    """`jump_count` down each column of a (scales x points) array."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("expected a 2-d (scales x points) array")
-    n, width = vals.shape
-    out = np.zeros(width, dtype=np.int64)
-    if n == 0:
-        return out
-    best = np.zeros((n, width), dtype=np.int64)
-    for i in range(1, n):
-        bi = best[i]
-        vi = vals[i]
-        for j in range(i):
-            cand = np.where(np.abs(vi - vals[j]) > lam, best[j] + 1, 0)
-            np.maximum(bi, cand, out=bi)
-        np.maximum(out, bi, out=out)
-    return out
-
-
-def variation(seq, q: float) -> float:
-    """q-variation for q >= 1 (or q = inf: the largest pairwise gap).
-
-    Finite q uses the exact dynamic program
-    best[i] = max_{j<i} (best[j] + |a_i - a_j|^q); the answer is
-    (max_i best[i])^{1/q}.  q < 1 is unsupported (the partition supremum is
-    still defined there but is not what this program computes).
-    """
-    a = _values_of(seq)
-    n = a.size
-    if n < 2:
-        return 0.0
-    if math.isinf(q):
-        # sup over i < j only; running extremes suffice
-        lo = np.minimum.accumulate(a)
-        hi = np.maximum.accumulate(a)
-        return float(max(np.max(a[1:] - lo[:-1]), np.max(hi[:-1] - a[1:]), 0.0))
-    if not q >= 1:
-        raise ValueError("q must be >= 1 or inf")
-    best = np.zeros(n)
-    for i in range(1, n):
-        best[i] = np.max(best[:i] + np.abs(a[i] - a[:i]) ** q)
-    return float(best.max() ** (1.0 / q))
-
-
-def variation_batch(values: np.ndarray, q: float) -> np.ndarray:
-    """`variation` down each column of a (scales x points) array (finite q)."""
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("expected a 2-d (scales x points) array")
-    n, width = vals.shape
-    if n < 2:
-        return np.zeros(width)
-    best = np.zeros((n, width))
-    for i in range(1, n):
-        bi = best[i]
-        vi = vals[i]
-        for j in range(i):
-            cand = best[j] + np.abs(vi - vals[j]) ** q
-            np.maximum(bi, cand, out=bi)
-    return np.max(best, axis=0) ** (1.0 / q)
-
-
 def upcrossing_count(seq, a: float, b: float) -> int:
     """Number of completed below-``a`` then above-``b`` transitions, in order.
 
     The single forward scan (seek value < a, then seek value > b, repeat)
-    attains the supremum over subsequences.
+    attains the supremum over subsequences.  Having no exhaustive oracle,
+    it is the reference `upcrossing_count_batch` is tested against.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -244,6 +155,92 @@ def upcrossing_count(seq, a: float, b: float) -> int:
             count += 1
             seeking_low = True
     return count
+
+
+# ---------------------------------------------------------------------------
+# fast implementations
+# ---------------------------------------------------------------------------
+
+def jump_count(seq, lam: float) -> int:
+    """Largest N admitting scales r_0 < ... < r_N with all gaps > ``lam``:
+    `jump_count_batch` on a single column."""
+    return int(jump_count_batch(_values_of(seq).reshape(-1, 1), lam)[0])
+
+
+def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
+    """`jump_count` down each column of a (scales x points) array.
+
+    Exact chain DP (a greedy pass can undercount: an early jump may block
+    two later ones).  lo[k]/hi[k] are the min/max of the earlier values
+    whose longest chain has >= k jumps.  The sets are nested, so the test
+    a_i - lo[k] > lam or hi[k] - a_i > lam passes on a prefix of levels,
+    whose length is best[i]; rounding is monotone, so it makes exactly the
+    pairwise comparisons.  NaN joins no chain (fmin/fmax skip it).
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError("expected a 2-d (scales x points) array")
+    width = vals.shape[1]
+    lo = np.full((1, width), np.inf)
+    hi = np.full((1, width), -np.inf)
+    used = 0
+    for vi in vals:
+        reach = vi - lo[:used] > lam
+        reach |= hi[:used] - vi > lam
+        best = reach.sum(axis=0)
+        top = int(best.max()) + 1
+        if top > len(lo):
+            # double the level capacity; empty envelopes never reach
+            lo = np.vstack([lo, np.full_like(lo, np.inf)])
+            hi = np.vstack([hi, np.full_like(hi, -np.inf)])
+        used = max(used, top)
+        fold = np.arange(top)[:, None] <= best
+        np.fmin(lo[:top], vi, out=lo[:top], where=fold)
+        np.fmax(hi[:top], vi, out=hi[:top], where=fold)
+    # a column's count is its highest nonempty level
+    return np.maximum((lo[:used] <= hi[:used]).sum(axis=0) - 1, 0)
+
+
+def variation(seq, q: float) -> float:
+    """q-variation for q >= 1 (or q = inf: the largest pairwise gap).
+
+    Finite q is `variation_batch` on a single column.  q < 1 is unsupported
+    (the partition supremum is still defined there but is not what the
+    program computes).
+    """
+    a = _values_of(seq)
+    if a.size < 2:
+        return 0.0
+    if math.isinf(q):
+        # sup over i < j only; running extremes suffice
+        lo = np.minimum.accumulate(a)
+        hi = np.maximum.accumulate(a)
+        return float(max(np.max(a[1:] - lo[:-1]), np.max(hi[:-1] - a[1:]), 0.0))
+    if not q >= 1:
+        raise ValueError("q must be >= 1 or inf")
+    return float(variation_batch(a.reshape(-1, 1), q)[0])
+
+
+def variation_batch(values: np.ndarray, q: float) -> np.ndarray:
+    """`variation` down each column of a (scales x points) array (finite q).
+
+    Exact dynamic program best[i] = max_{j<i} (best[j] + |a_i - a_j|^q);
+    the answer is (max_i best[i])^{1/q}.
+    """
+    if not q >= 1:
+        raise ValueError("q must be >= 1")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError("expected a 2-d (scales x points) array")
+    n, width = vals.shape
+    if n < 2:
+        return np.zeros(width)
+    best = np.zeros((n, width))
+    for i in range(1, n):
+        best[i] = (best[:i] + np.abs(vals[i] - vals[:i]) ** q).max(axis=0)
+    return np.max(best, axis=0) ** (1.0 / q)
 
 
 def upcrossing_count_batch(values: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -84,6 +84,18 @@ class TestConfigValidation:
         assert "probe.p must be" in err
         assert f"{path}:6:" in err
 
+    def test_top_level_key_after_same_named_sub_key(self, tmp_path, capsys):
+        # probe.operators (line 3) precedes the top-level operators (line 6)
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "probe": {\n    "operators": ["square"],\n'
+                        '    "p": 2.0\n  },\n  "operators": {\n'
+                        '    "p": 0.5\n  }\n}\n')
+        assert run("probe", "--config", str(path), "--out",
+                   str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert "operators.p must be" in err
+        assert f"{path}:7:" in err
+
     def test_unknown_sub_key_is_anchored_by_key_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "operators": {\n    "p": 2.0\n  },\n'
@@ -120,6 +132,27 @@ class TestCommands:
         assert blob["n"] == 64
         assert 0.8 < blob["growth"]["exponent"] < 1.2
         assert blob["doubling"]["small_ok"] is True
+
+    def test_rerun_into_same_out_matches_one_run(self, tmp_path):
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert run("space", "--out", str(once)) == 0
+        for _ in range(2):
+            assert run("space", "--out", str(twice)) == 0
+        files = sorted(p.name for p in once.iterdir())
+        assert sorted(p.name for p in twice.iterdir()) == files
+        for name in files:
+            assert (twice / name).read_bytes() == (once / name).read_bytes()
+
+    def test_summary_keeps_each_commands_chunk(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("space", "--out", str(out)) == 0
+        assert run("cubes", "--out", str(out)) == 0
+        text = (out / "summary.txt").read_text()
+        assert text.count("== space ==") == 1
+        assert text.count("== cubes ==") == 1
+        assert text.index("== space ==") < text.index("== cubes ==")
+        assert run("space", "--out", str(out)) == 0
+        assert (out / "summary.txt").read_text() == text
 
     def test_space_violation_exit_code(self, tmp_path):
         # an absurd doubling budget makes the honest check fail

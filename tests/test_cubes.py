@@ -446,6 +446,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match="different space"):
             system_from_json(doc, z64)
 
+    def test_corrupted_parent_link_rejected(self, z512, z512_system):
+        doc = system_to_json(z512_system)
+        # first level whose parents have a choice of two cubes
+        li = next(i for i, c in enumerate(doc["centers"][1:]) if len(c) > 1)
+        doc["parents"][li][0] = (doc["parents"][li][0] + 1) % len(
+            doc["centers"][li + 1])
+        level = doc["levels"][li]
+        with pytest.raises(ValueError, match=f"level {level}: parent links"):
+            system_from_json(doc, z512)
+
+    @pytest.mark.parametrize("table,index,value,match", [
+        ("assign", 0, -1, "assign must send"),
+        ("parents", 0, 10**6, "parents must send"),
+        ("centers", 0, 10**6, "centers must be points"),
+    ])
+    def test_out_of_range_tables_rejected(self, z512, z512_system, table,
+                                          index, value, match):
+        doc = system_to_json(z512_system)
+        doc[table][index][0] = value
+        with pytest.raises(ValueError, match=f"level {doc['levels'][index]}: "
+                                             f"{match}"):
+            system_from_json(doc, z512)
+
+    def test_short_assign_rejected(self, z512, z512_system):
+        doc = system_to_json(z512_system)
+        doc["assign"][-1].pop()
+        with pytest.raises(ValueError, match="assign must send"):
+            system_from_json(doc, z512)
+
     def test_wrong_format_rejected(self, z512):
         with pytest.raises(ValueError, match="not a cube-system"):
             system_from_json({"format": "bogus"}, z512)

@@ -344,6 +344,24 @@ class TestConvergence:
         assert rep.distances[0] == pytest.approx(
             np.abs(rows[0] - target).max(), abs=0)
 
+    def test_probe_computes_orbit_labels_once(self, monkeypatch):
+        system = build_system("rotation", modulus=12, step=3)
+        calls = []
+        real = system._generator_indices
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        # orbit_labels asks for the generators once per computation
+        monkeypatch.setattr(system, "_generator_indices", counted)
+        convergence_probe(system, np.arange(12.0), [1.0, 2.0])
+        convergence_probe(system, np.ones(12), [1.0])
+        assert len(calls) == 1
+        labels = system.orbit_labels()
+        assert labels is system.orbit_labels()
+        assert not labels.flags.writeable
+
     def test_regular_action_single_orbit(self, z64):
         system = regular_system(z64)
         assert len(np.unique(system.orbit_labels())) == 1

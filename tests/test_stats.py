@@ -85,11 +85,38 @@ class TestJumpCount:
         assert jump_count(vals, lam) >= jump_count(vals, 2 * lam)
 
     def test_batch_matches_scalar(self):
+        # jump_count is jump_count_batch on one column, so the reference
+        # here is the exhaustive oracle
         rng = np.random.default_rng(7)
         mat = rng.normal(size=(9, 40))
         counts = jump_count_batch(mat, 0.8)
         for col in range(40):
-            assert counts[col] == jump_count(mat[:, col], 0.8)
+            assert counts[col] == jump_count_oracle(mat[:, col], 0.8)
+
+    def test_batch_level_envelopes_match_oracle(self):
+        # one wide matrix whose columns stress the per-level envelopes:
+        # alternating runs (N = n - 1), integer lattices with many gaps of
+        # exactly lambda (strictness), constants, noise, non-finite values
+        rng = np.random.default_rng(5)
+        n, lam = 12, 1.0
+        alt = np.where(np.arange(n) % 2 == 0, 0.0, 2.0)
+        cols = [alt, -3.0 * alt, alt + rng.uniform(-0.45, 0.45, n),
+                np.full(n, 4.0), np.zeros(n), np.arange(n) * lam]
+        cols += [rng.integers(0, 4, n) * lam for _ in range(16)]
+        cols += [rng.normal(scale=1.5, size=n) for _ in range(8)]
+        odd = rng.normal(scale=2.0, size=n)
+        odd[[2, 5, 9]] = [np.nan, np.inf, -np.inf]
+        cols.append(odd)
+        mat = np.column_stack(cols)
+        with np.errstate(invalid="ignore"):     # inf - inf in both paths
+            counts = jump_count_batch(mat, lam)
+            want = [jump_count_oracle(mat[:, c], lam) for c in range(len(cols))]
+        assert counts[:3].tolist() == [n - 1] * 3
+        assert counts[3:5].tolist() == [0, 0]
+        assert counts.tolist() == want
+        for rows in (0, 1):
+            assert jump_count_batch(mat[:rows], lam).tolist() == [0] * len(cols)
+            assert jump_count_oracle(mat[:rows, 0], lam) == 0
 
     def test_batch_rejects_1d(self):
         with pytest.raises(ValueError):
@@ -158,8 +185,9 @@ class TestVariation:
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(8, 30))
         v = variation_batch(mat, 2.0)
+        # variation is variation_batch on one column; check the oracle
         for col in range(30):
-            assert v[col] == pytest.approx(variation(mat[:, col], 2.0))
+            assert v[col] == pytest.approx(variation_oracle(mat[:, col], 2.0))
 
 
 class TestUpcrossings:
