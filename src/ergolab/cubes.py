@@ -607,16 +607,22 @@ def system_from_json(doc: dict, space: FiniteSpace) -> DyadicSystem:
     p = doc["params"]
     params = HKParams(delta=p["delta"], c0=p["c0"], C0=p["C0"],
                       k_min=p["k_min"], k_max=p["k_max"])
+    names = ("centers", "assign", "parents")
+    raw = {name: [np.asarray(t) for t in doc[name]] for name in names}
     system = DyadicSystem(
         space, params, tuple(doc["levels"]),
-        tuple(np.asarray(c, dtype=np.int64) for c in doc["centers"]),
-        tuple(np.asarray(a, dtype=np.int64) for a in doc["assign"]),
-        tuple(np.asarray(pr, dtype=np.int64) for pr in doc["parents"]),
+        *(tuple(t.astype(np.int64) for t in raw[name]) for name in names),
         tuple(doc.get("notes", ())))
     # recheck the loaded tables with integer comparisons only
     levels, assign, parents = system.levels, system.assign, system.parents
     sizes = [len(c) for c in system.centers]
     for li, k in enumerate(levels):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"level {k!r}: levels must be integers")
+        # the coarsest level has no parent table
+        for name in names[:2 + (li + 1 < len(levels))]:
+            if raw[name][li].size and raw[name][li].dtype.kind not in "iu":
+                raise ValueError(f"level {k}: {name} entries must be integers")
         if not _maps_into(system.centers[li], sizes[li], space.n):
             raise ValueError(f"level {k}: centers must be points of the space")
         if not _maps_into(assign[li], space.n, sizes[li]):

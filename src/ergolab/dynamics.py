@@ -11,7 +11,7 @@ reached exactly instead of asymptotically.
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
 point with the group element.  Both sides here go through the same shell
-sweep (`operators.sweep_profile`) with the same permutation tables, so the
+sweep (`operators.shell_sweep`) with the same permutation tables, so the
 agreement is bitwise, not merely within rounding.
 """
 
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import avg_profile, sweep_profile
+from .operators import avg_profile, shell_sweep
 from .space import GroupSpace, build_group_space
 from .stats import jump_count_batch, upcrossing_count_batch
 
@@ -269,13 +269,6 @@ def build_system(kind: str, *, modulus: int | None = None,
 # Ergodic averages
 # ---------------------------------------------------------------------------
 
-def _action_shells(system: MPSystem, rmax: int):
-    g = system.group
-    for s in range(1, rmax + 1):
-        sl = g.shell_slice(s)
-        yield s, [system.act_perm(j) for j in range(sl.start, sl.stop)]
-
-
 def action_profile(system: MPSystem, values: np.ndarray,
                    radii: Sequence[float]) -> np.ndarray:
     """(len(radii), n_states) ergodic averages A_r f over the radius grid.
@@ -287,9 +280,8 @@ def action_profile(system: MPSystem, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     if values.shape != (system.n_states,):
         raise ValueError("values must have one entry per state")
-    rmax = min(int(math.floor(max(radii))), int(system.group.diameter()))
-    return sweep_profile(values, np.ones(system.n_states),
-                         _action_shells(system, rmax), radii)
+    return shell_sweep(values, np.ones(system.n_states), system.group,
+                       system.act_perm, radii)
 
 
 def action_average(system: MPSystem, values: np.ndarray, r: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "BlockGrid",
     "OperatorConfig",
     "sweep_profile",
+    "shell_sweep",
     "avg_profile",
     "translation_average",
     "square_function",
@@ -191,10 +192,21 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     return out
 
 
-def _group_shells(space: GroupSpace, rmax: int):
-    for s in range(1, rmax + 1):
-        sl = space.shell_slice(s)
-        yield s, [space.right_perm(j) for j in range(sl.start, sl.stop)]
+def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
+                perm: Callable[[int], np.ndarray],
+                radii: Sequence[float]) -> np.ndarray:
+    """`sweep_profile` over the spheres of ``group`` out to the largest
+    radius (at most the diameter), with ``perm(j)`` the permutation of the
+    j-th group element; permutations are built only as the sweep reaches
+    them."""
+    rmax = min(int(math.floor(max(radii))), int(group.diameter()))
+
+    def shells():
+        for s in range(1, rmax + 1):
+            sl = group.shell_slice(s)
+            yield s, [perm(j) for j in range(sl.start, sl.stop)]
+
+    return sweep_profile(values, weights, shells(), radii)
 
 
 def avg_profile(values: np.ndarray, space: FiniteSpace,
@@ -204,9 +216,7 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     if values.shape != (space.n,):
         raise ValueError("values must have one entry per point")
     if space.has_group_fastpath:
-        rmax = min(int(math.floor(max(radii))), int(space.diameter()))
-        return sweep_profile(values, space.weights,
-                             _group_shells(space, rmax), radii)
+        return shell_sweep(values, space.weights, space, space.right_perm, radii)
     radii = np.asarray(radii, dtype=float)
     if radii.size and np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")

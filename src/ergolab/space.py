@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -138,6 +137,41 @@ def _check_generators(group: FinGroup, gens: np.ndarray) -> np.ndarray:
                 f"generator set is not symmetric: inverse of {tuple(row)} missing"
             )
     return gens
+
+
+def _key_box(group: FinGroup, radius: int | None) -> tuple[np.ndarray, ...]:
+    """(low, size, place) per coordinate of the mixed-radix key box that
+    holds the quotient, or the standard-generator Cayley ball of the given
+    radius; the key of x is sum((x - low) * place)."""
+    if group.modulus is not None:
+        low = np.zeros(group.d, dtype=np.int64)
+        size = np.full(group.d, group.modulus, dtype=np.int64)
+    elif group.family == "zd":
+        low = np.full(group.d, -radius, dtype=np.int64)
+        size = np.full(group.d, 2 * radius + 1, dtype=np.int64)
+    else:
+        zmax = radius * radius + radius + 1
+        low = np.array([-radius, -radius, -zmax], dtype=np.int64)
+        size = np.array([2 * radius + 1, 2 * radius + 1, 2 * zmax + 1],
+                        dtype=np.int64)
+    if int(np.prod(size.astype(object))) > 2**62:
+        raise CapacityError("element encoding exceeds 64-bit range")
+    place = np.cumprod(np.append(1, size[:0:-1]))[::-1]
+    return low, size, place
+
+
+def _encode(elems: np.ndarray, box: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Keys of coordinate rows (last axis); -1 outside the box."""
+    low, size, place = box
+    shifted = elems - low
+    in_box = ((shifted >= 0) & (shifted < size)).all(axis=-1)
+    return np.where(in_box, shifted @ place, -1)
+
+
+def _decode(keys: np.ndarray, box: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Coordinate rows of in-box keys (inverse of `_encode`)."""
+    low, size, place = box
+    return keys[:, None] // place % size + low
 
 
 # ---------------------------------------------------------------------------
@@ -279,68 +313,31 @@ class GroupSpace(FiniteSpace):
         self.word_lengths = wl
         self.radius = radius            # truncation radius, None for quotients
         self._standard_gens = standard_gens
-        self._keys = self._encode(elements)
+        self._box = _key_box(group, radius)
+        self._keys = _encode(elements, self._box)
         self._key_order = np.argsort(self._keys)
         self._sorted_keys = self._keys[self._key_order]
         if np.any(np.diff(self._sorted_keys) == 0):
             raise ValueError("duplicate elements in enumeration")
-        # distinct keys filling the whole key range (every full quotient):
+        if self._sorted_keys[0] < 0:
+            raise ValueError("element outside the key box")
+        # distinct keys filling the whole key box (every full quotient):
         # the sorted keys are arange(n), so _key_order maps a key straight
         # to its index
-        _, size = self._ranges()
-        self._dense_keys = bool(int(np.prod(size)) == self.n
+        self._dense_keys = bool(int(np.prod(self._box[1])) == self.n
                                 and self._sorted_keys[0] == 0
                                 and self._sorted_keys[-1] == self.n - 1)
-        self._row_cache: dict[int, np.ndarray] = {}
         self._perm_cache: dict[int, np.ndarray] = {}
         self._neighbors: np.ndarray | None = None
-        self._gens = group.standard_generators() if standard_gens else None
-
-    # -- element encoding ---------------------------------------------------
-    def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(low, size) per coordinate for the mixed-radix key."""
-        g = self.group
-        if g.modulus is not None:
-            low = np.zeros(g.d, dtype=np.int64)
-            size = np.full(g.d, g.modulus, dtype=np.int64)
-        elif g.family == "zd":
-            r = self.radius
-            low = np.full(g.d, -r, dtype=np.int64)
-            size = np.full(g.d, 2 * r + 1, dtype=np.int64)
-        else:
-            r = self.radius
-            zmax = r * r + r + 1
-            low = np.array([-r, -r, -zmax], dtype=np.int64)
-            size = np.array([2 * r + 1, 2 * r + 1, 2 * zmax + 1], dtype=np.int64)
-        if int(np.prod(size.astype(object))) > 2**62:
-            raise CapacityError("element encoding exceeds 64-bit range")
-        return low, size
-
-    def _encode(self, elems: np.ndarray) -> np.ndarray:
-        low, size = self._ranges()
-        shifted = elems - low
-        keys = np.zeros(elems.shape[0], dtype=np.int64)
-        for c in range(self.group.d):
-            keys = keys * size[c] + shifted[:, c]
-        return keys
 
     def index_of(self, elems: np.ndarray) -> np.ndarray:
         """Indices of the given coordinate rows; -1 where not enumerated."""
         elems = np.atleast_2d(np.asarray(elems, dtype=np.int64))
-        low, size = self._ranges()
-        shifted = elems - low
-        in_range = np.all((shifted >= 0) & (shifted < size), axis=1)
-        safe = np.where(in_range[:, None], shifted, 0)
-        keys = np.zeros(elems.shape[0], dtype=np.int64)
-        for c in range(self.group.d):
-            keys = keys * size[c] + safe[:, c]
+        keys = _encode(elems, self._box)
         if self._dense_keys:
-            return np.where(in_range, self._key_order[keys], -1)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos = np.clip(pos, 0, self.n - 1)
-        hit = in_range & (self._sorted_keys[pos] == keys)
-        out = np.where(hit, self._key_order[pos], -1)
-        return out
+            return np.where(keys >= 0, self._key_order[keys], -1)
+        pos = np.clip(np.searchsorted(self._sorted_keys, keys), 0, self.n - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
 
     # -- metric ---------------------------------------------------------------
     @property
@@ -356,35 +353,18 @@ class GroupSpace(FiniteSpace):
             # the l^1 formula is exact on truncated diamonds: a monotone
             # path that shrinks coordinates before growing them stays inside
             return np.abs(self.elements - self.elements[i]).sum(axis=1).astype(float)
-        if i not in self._row_cache:
-            self._row_cache[i] = self._bfs_row(i)
-        return self._row_cache[i]
+        return self._bfs_row(i)
 
     def _neighbor_table(self) -> np.ndarray:
         if self._neighbors is None:
-            gens = self._gens
-            if gens is None:
-                raise ValueError("truncated space with custom generators "
-                                 "requires explicit neighbor construction")
-            cols = [self.index_of(self.group.mult(self.elements, g)) for g in gens]
-            self._neighbors = np.stack(cols, axis=1)
+            gens = self.group.standard_generators()
+            self._neighbors = self.index_of(
+                self.group.mult(self.elements[:, None, :], gens))
         return self._neighbors
 
     def _bfs_row(self, i: int) -> np.ndarray:
         nbrs = self._neighbor_table()
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[i] = 0
-        frontier = np.array([i])
-        d = 0
-        while frontier.size:
-            d += 1
-            cand = nbrs[frontier].ravel()
-            cand = cand[cand >= 0]
-            cand = cand[dist[cand] < 0]
-            if cand.size == 0:
-                break
-            frontier = np.unique(cand)
-            dist[frontier] = d
+        dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
         return dist.astype(float)
@@ -476,34 +456,45 @@ class BallTable:
 # construction
 # ---------------------------------------------------------------------------
 
+def _bfs_layers(n: int, start: int, step, radius: int | None = None) -> np.ndarray:
+    """Breadth-first layers over the ids 0..n-1 from ``start``: entry v is
+    the distance of id v (-1 where unreached), stopping after layer
+    ``radius``.  ``step(frontier)`` gives the ids adjacent to the frontier
+    ids, -1 for a neighbor outside the id range.  The reached count is
+    checked against _MAX_POINTS after every layer."""
+    dist = np.full(n + 1, -1, dtype=np.int32)
+    dist[n] = 0         # the neighbor id -1 reads this entry: never unreached
+    dist[start] = 0
+    frontier = np.array([start])
+    reached = layer = 1
+    while frontier.size and (radius is None or layer <= radius):
+        cand = step(frontier)
+        frontier = np.unique(cand[dist[cand] < 0])
+        dist[frontier] = layer
+        reached += frontier.size
+        if reached > _MAX_POINTS:
+            raise CapacityError(f"enumeration exceeded {_MAX_POINTS} elements")
+        layer += 1
+    return dist[:n]
+
+
 def _bfs_enumerate(group: FinGroup, gens: np.ndarray,
                    radius: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first enumeration from the identity; returns (elements, word
-    lengths) in canonical order."""
-    gen_tuples = [tuple(int(v) for v in g) for g in gens]
-    start = tuple(int(v) for v in group.identity)
-    seen: dict[tuple, int] = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        d = seen[cur]
-        if radius is not None and d >= radius:
-            continue
-        cur_arr = np.array(cur, dtype=np.int64)
-        for g in gen_tuples:
-            nxt = tuple(int(v) for v in group.mult(cur_arr, np.array(g, dtype=np.int64)))
-            if nxt not in seen:
-                if len(seen) >= _MAX_POINTS:
-                    raise CapacityError(
-                        f"enumeration exceeded {_MAX_POINTS} elements"
-                    )
-                seen[nxt] = d + 1
-                queue.append(nxt)
-    elems = np.array(list(seen.keys()), dtype=np.int64)
-    wl = np.array(list(seen.values()), dtype=np.int64)
+    """Breadth-first enumeration from the identity over the keys of the key
+    box; returns (elements, word lengths) in canonical order."""
+    box = _key_box(group, radius)
+
+    def step(frontier: np.ndarray) -> np.ndarray:
+        prods = group.mult(_decode(frontier, box)[:, None, :], gens)
+        return _encode(prods, box).ravel()
+
+    dist = _bfs_layers(int(np.prod(box[1])), int(_encode(group.identity, box)),
+                       step, radius)
+    keys = np.flatnonzero(dist >= 0)
+    elems = _decode(keys, box)
+    wl = dist[keys].astype(np.int64)
     # canonical order: word length, then coordinates lexicographically
-    keys = tuple(elems[:, c] for c in reversed(range(group.d))) + (wl,)
-    order = np.lexsort(keys)
+    order = np.lexsort(tuple(elems[:, c] for c in reversed(range(group.d))) + (wl,))
     return elems[order], wl[order]
 
 
@@ -537,14 +528,19 @@ def build_group_space(family: str, *, d: int | None = None,
     if radius is not None:
         if family == "zd" and (2 * radius + 1) ** dim > _MAX_POINTS:
             raise CapacityError("truncated ball has too many points")
-        if family == "h3" and radius > 64:
-            raise CapacityError("h3 truncations are capped at radius 64")
+        # |B_28| = 261,815 <= _MAX_POINTS < |B_29| = 301,323, so no larger
+        # key box (about 8 R^4 keys) is ever allocated
+        if family == "h3" and radius > 28:
+            raise CapacityError("h3 truncations are capped at radius 28")
     if modulus is not None and modulus ** dim > _MAX_POINTS:
         raise CapacityError("quotient has too many points")
 
     group = FinGroup(family, dim, modulus)
     standard = generators is None
     gens = group.standard_generators() if standard else _check_generators(group, generators)
+    if radius is not None and not standard:
+        raise ValueError("truncated space with custom generators requires "
+                         "explicit neighbor construction")
 
     elems, wl = _bfs_enumerate(group, gens, radius)
     if modulus is not None and elems.shape[0] != modulus ** dim:
@@ -648,15 +644,7 @@ def annular_decay_profile(space: FiniteSpace, centers: Iterable[int],
     worst = None
     n_samples = 0
     for c in centers:
-        raw = space.dist_row(c)
-        order = np.argsort(raw, kind="stable")
-        row = raw[order]
-        cumw = np.cumsum(space.weights[order])
-
-        def vol(r: float) -> float:
-            k = int(np.searchsorted(row, r, side="right"))
-            return float(cumw[k - 1]) if k else 0.0
-
+        vol = space.ball_table(c, ()).volume   # no radius list: volumes only
         for r in r_values:
             vr = vol(r)
             for s in s_values:

@@ -475,6 +475,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="assign must send"):
             system_from_json(doc, z512)
 
+    def test_fractional_assign_rejected(self, z64):
+        # a cast to int64 would load 0.9 as cube 0 and pass every recheck
+        doc = system_to_json(build_cubes(z64, HKParams()))
+        doc["assign"][0][0] = 0.9
+        with pytest.raises(ValueError, match=f"level {doc['levels'][0]}: "
+                                             f"assign entries must be integers"):
+            system_from_json(doc, z64)
+
+    def test_fractional_level_rejected(self, z64):
+        doc = system_to_json(build_cubes(z64, HKParams()))
+        doc["levels"][0] = 0.5
+        with pytest.raises(ValueError, match=r"level 0\.5: levels must be "
+                                             r"integers"):
+            system_from_json(doc, z64)
+
     def test_wrong_format_rejected(self, z512):
         with pytest.raises(ValueError, match="not a cube-system"):
             system_from_json({"format": "bogus"}, z512)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ergolab.space import (
     space_to_json,
     word_metric_constants,
 )
+from ergolab import space as space_module
 
 
 def identity_index(space: GroupSpace) -> int:
@@ -119,6 +121,76 @@ class TestBuildGroupSpace:
         space, _ = build_group_space("zd", d=2, radius=3)
         assert identity_index(space) == 0
         assert np.all(np.diff(space.word_lengths) >= 0)
+
+
+def dict_bfs_enumerate(group: FinGroup, gens: np.ndarray, radius):
+    """Reference enumeration: a breadth-first search over coordinate tuples
+    with a dict of word lengths, sorted into the canonical order (word
+    length, then coordinates lexicographically)."""
+    gen_tuples = [tuple(int(v) for v in g) for g in gens]
+    start = tuple(int(v) for v in group.identity)
+    seen = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        d = seen[cur]
+        if radius is not None and d >= radius:
+            continue
+        cur_arr = np.array(cur, dtype=np.int64)
+        for g in gen_tuples:
+            nxt = tuple(int(v) for v in group.mult(cur_arr, np.array(g, dtype=np.int64)))
+            if nxt not in seen:
+                seen[nxt] = d + 1
+                queue.append(nxt)
+    elems = np.array(list(seen.keys()), dtype=np.int64)
+    wl = np.array(list(seen.values()), dtype=np.int64)
+    keys = tuple(elems[:, c] for c in reversed(range(group.d))) + (wl,)
+    order = np.lexsort(keys)
+    return elems[order], wl[order]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("family,d,radius,modulus", [
+        ("zd", 1, None, 64), ("zd", 2, None, 16), ("h3", 3, None, 8),
+        ("zd", 2, 10, None), ("h3", 3, 6, None)])
+    def test_matches_dict_bfs(self, family, d, radius, modulus):
+        space, _ = build_group_space(family, d=d, radius=radius, modulus=modulus)
+        group = space.group
+        elems, wl = dict_bfs_enumerate(group, group.standard_generators(), radius)
+        assert space.elements.dtype == elems.dtype
+        assert space.word_lengths.dtype == wl.dtype
+        assert np.array_equal(space.elements, elems)
+        assert np.array_equal(space.word_lengths, wl)
+
+    def test_h3_ball_r20_size(self):
+        space, _ = build_group_space("h3", radius=20)
+        assert space.n == 68_079
+
+    def test_h3_largest_ball_under_the_cap_builds(self):
+        space, _ = build_group_space("h3", radius=28)
+        assert space.n == 261_815
+
+    @pytest.mark.parametrize("radius", [29, 64])
+    def test_h3_ball_over_the_cap_refused_before_enumerating(
+            self, radius, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr(space_module, "_bfs_enumerate", no_enumeration)
+        with pytest.raises(CapacityError):
+            build_group_space("h3", radius=radius)
+
+    def test_custom_generator_truncation_refused_before_enumerating(
+            self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr(space_module, "_bfs_enumerate", no_enumeration)
+        with pytest.raises(ValueError, match="custom generators"):
+            build_group_space("zd", d=1, radius=4, generators=[[2], [-2]])
+
+    def test_custom_generator_quotient_builds(self):
+        space, _ = build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])
+        assert space.n == 8
+        assert list(space.word_lengths) == [0, 1, 1, 2, 2, 3, 3, 4]
 
 
 class TestWordMetric:
