@@ -66,7 +66,7 @@ def _defaults() -> dict:
         "cubes": {
             "delta": 36.0, "c0": 1.0, "C0": 2.0, "k_min": None, "k_max": None,
         },
-        "operators": {"block_cap": 24, "p": 2.0},
+        "operators": {"block_cap": 24},
         "probe": {
             "trials": 20, "p": 2.0, "gammas": [0.5, 1.0, 2.0],
             "operators": list(PROBE_OPERATORS),
@@ -120,7 +120,6 @@ _CHECKS = {
                          lambda v: v is None or _is_int(v)),
     ("operators", "block_cap"): ("an integer >= 2",
                                  lambda v: _is_int(v) and v >= 2),
-    ("operators", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
     ("probe", "trials"): ("a positive integer",
                           lambda v: _is_int(v) and v >= 1),
     ("probe", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
@@ -451,7 +450,6 @@ def _suite_axioms(space, system, cfg: dict) -> dict:
 def _suite_domination(space, system, cfg: dict) -> dict:
     opcfg = OperatorConfig.for_space(space, delta=system.params.delta,
                                      r0=space.r0,
-                                     p=cfg["operators"]["p"],
                                      block_cap=cfg["operators"]["block_cap"])
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "domination"))
     failures: list[str] = []
@@ -549,7 +547,6 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     params = _build_params(cfg)
     system = build_cubes(space, params)
     opcfg = OperatorConfig.for_space(space, delta=params.delta, r0=space.r0,
-                                     p=cfg["probe"]["p"],
                                      block_cap=cfg["operators"]["block_cap"])
     rows: list[str] = []
     reports = {}

@@ -68,15 +68,13 @@ class OperatorConfig:
     delta: float
     r0: float
     n_r0: int
-    p: float
     block_cap: int
     blocks: tuple[BlockGrid, ...]
     notes: tuple[str, ...]
 
     @classmethod
     def for_space(cls, space: FiniteSpace, *, delta: float = 36.0,
-                  r0: float | None = None, p: float = 2.0,
-                  block_cap: int = 24) -> "OperatorConfig":
+                  r0: float | None = None, block_cap: int = 24) -> "OperatorConfig":
         if delta <= 1:
             raise ValueError("delta must exceed 1")
         if block_cap < 2:
@@ -113,7 +111,7 @@ class OperatorConfig:
         notes.append(
             "radius axis is the finite union of the per-block grids; all "
             "suprema over r are over this set")
-        return cls(delta=delta, r0=float(r0), n_r0=n_r0, p=p,
+        return cls(delta=delta, r0=float(r0), n_r0=n_r0,
                    block_cap=block_cap, blocks=tuple(blocks),
                    notes=tuple(notes))
 

@@ -74,9 +74,9 @@ class TestConfigValidation:
             assert f"{path}:2:" in err
 
     def test_bad_value_is_anchored_by_key_path(self, tmp_path, capsys):
-        # operators.p is fine; probe.p is not, and shares the sub-key name
+        # gundy.p is fine; probe.p is not, and shares the sub-key name
         path = tmp_path / "bad.json"
-        path.write_text('{\n  "operators": {\n    "p": 2.0\n  },\n'
+        path.write_text('{\n  "gundy": {\n    "p": 2.0\n  },\n'
                         '  "probe": {\n    "p": 0.5\n  }\n}\n')
         assert run("probe", "--config", str(path), "--out",
                    str(tmp_path / "run")) == 2
@@ -85,7 +85,8 @@ class TestConfigValidation:
         assert f"{path}:6:" in err
 
     def test_top_level_key_after_same_named_sub_key(self, tmp_path, capsys):
-        # probe.operators (line 3) precedes the top-level operators (line 6)
+        # probe.operators (line 3) precedes the top-level operators (line 6);
+        # operators.p was a config key once, and old configs must fail loudly
         path = tmp_path / "bad.json"
         path.write_text('{\n  "probe": {\n    "operators": ["square"],\n'
                         '    "p": 2.0\n  },\n  "operators": {\n'
@@ -93,12 +94,12 @@ class TestConfigValidation:
         assert run("probe", "--config", str(path), "--out",
                    str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
-        assert "operators.p must be" in err
+        assert "unknown key operators.p" in err
         assert f"{path}:7:" in err
 
     def test_unknown_sub_key_is_anchored_by_key_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{\n  "operators": {\n    "p": 2.0\n  },\n'
+        path.write_text('{\n  "gundy": {\n    "p": 2.0\n  },\n'
                         '  "space": {\n    "p": 1\n  }\n}\n')
         assert run("space", "--config", str(path), "--out",
                    str(tmp_path / "run")) == 2
