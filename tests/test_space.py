@@ -149,6 +149,14 @@ def dict_bfs_enumerate(group: FinGroup, gens: np.ndarray, radius):
     return elems[order], wl[order]
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail the test if build_group_space starts enumerating."""
+    def enumerate_(*args):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr(space_module, "_bfs_enumerate", enumerate_)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("family,d,radius,modulus", [
         ("zd", 1, None, 64), ("zd", 2, None, 16), ("h3", 3, None, 8),
@@ -172,18 +180,12 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("radius", [29, 64])
     def test_h3_ball_over_the_cap_refused_before_enumerating(
-            self, radius, monkeypatch):
-        def no_enumeration(*args):
-            raise AssertionError("enumeration started")
-        monkeypatch.setattr(space_module, "_bfs_enumerate", no_enumeration)
+            self, radius, no_enumeration):
         with pytest.raises(CapacityError):
             build_group_space("h3", radius=radius)
 
     def test_custom_generator_truncation_refused_before_enumerating(
-            self, monkeypatch):
-        def no_enumeration(*args):
-            raise AssertionError("enumeration started")
-        monkeypatch.setattr(space_module, "_bfs_enumerate", no_enumeration)
+            self, no_enumeration):
         with pytest.raises(ValueError, match="custom generators"):
             build_group_space("zd", d=1, radius=4, generators=[[2], [-2]])
 
