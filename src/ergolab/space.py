@@ -43,7 +43,14 @@ __all__ = [
 ]
 
 _MAX_POINTS = 300_000          # hard cap on enumerated group elements
+# largest H3 truncation radius: |B_28| = 261,815 <= _MAX_POINTS < |B_29| =
+# 301,323 (tests/test_space.py checks both sides against _MAX_POINTS)
+_H3_MAX_RADIUS = 28
 _MAX_MATRIX = 4096             # largest space for which a full matrix is allowed
+# bytes of BFS distance rows kept per truncation, one byte per entry: as
+# much as the largest distance matrix, so every row of a ball of up to
+# 11,585 points stays, and larger balls keep their first rows
+_ROW_CACHE_BYTES = 8 * _MAX_MATRIX ** 2
 
 
 class CapacityError(ValueError):
@@ -307,6 +314,9 @@ class GroupSpace(FiniteSpace):
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
                  radius: int | None, standard_gens: bool,
                  weights=None, r0: float = 1.0, label: str = "group") -> None:
+        if radius is not None and not standard_gens:
+            raise ValueError("truncated space with custom generators requires "
+                             "explicit neighbor construction")
         super().__init__(elements.shape[0], weights, r0, label)
         self.group = group
         self.elements = elements
@@ -328,6 +338,7 @@ class GroupSpace(FiniteSpace):
                                 and self._sorted_keys[0] == 0
                                 and self._sorted_keys[-1] == self.n - 1)
         self._perm_cache: dict[int, np.ndarray] = {}
+        self._row_cache: dict[int, np.ndarray] = {}
         self._neighbors: np.ndarray | None = None
 
     def index_of(self, elems: np.ndarray) -> np.ndarray:
@@ -349,11 +360,17 @@ class GroupSpace(FiniteSpace):
             # d(x, y) = |x^{-1} y| by left invariance
             prods = self.group.mult(self.group.inv(self.elements[i]), self.elements)
             return self.word_lengths[self.index_of(prods)].astype(float)
-        if self.group.family == "zd" and self._standard_gens:
+        if self.group.family == "zd":
             # the l^1 formula is exact on truncated diamonds: a monotone
             # path that shrinks coordinates before growing them stays inside
             return np.abs(self.elements - self.elements[i]).sum(axis=1).astype(float)
-        return self._bfs_row(i)
+        row = self._row_cache.get(i)
+        if row is None:
+            row = self._bfs_row(i)
+            # keep rows until the budget is spent, then recompute the rest
+            if (len(self._row_cache) + 1) * self.n <= _ROW_CACHE_BYTES:
+                self._row_cache[i] = row
+        return row.astype(float)
 
     def _neighbor_table(self) -> np.ndarray:
         if self._neighbors is None:
@@ -367,7 +384,8 @@ class GroupSpace(FiniteSpace):
         dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
-        return dist.astype(float)
+        # distances are at most the diameter 2R <= 2 * _H3_MAX_RADIUS
+        return dist.astype(np.uint8)
 
     def diameter(self) -> float:
         if self.is_quotient:
@@ -533,10 +551,10 @@ def build_group_space(family: str, *, d: int | None = None,
     if radius is not None:
         if family == "zd" and (2 * radius + 1) ** dim > _MAX_POINTS:
             raise CapacityError("truncated ball has too many points")
-        # |B_28| = 261,815 <= _MAX_POINTS < |B_29| = 301,323, so no larger
-        # key box (about 8 R^4 keys) is ever allocated
-        if family == "h3" and radius > 28:
-            raise CapacityError("h3 truncations are capped at radius 28")
+        # refused before the key box (about 8 R^4 keys) is allocated
+        if family == "h3" and radius > _H3_MAX_RADIUS:
+            raise CapacityError(
+                f"h3 truncations are capped at radius {_H3_MAX_RADIUS}")
     if modulus is not None and modulus ** dim > _MAX_POINTS:
         raise CapacityError("quotient has too many points")
 

@@ -178,6 +178,15 @@ class TestEnumeration:
         space, _ = build_group_space("h3", radius=28)
         assert space.n == 261_815
 
+    def test_h3_radius_cap_is_the_largest_ball_under_max_points(self):
+        group = FinGroup("h3", 3, None)
+        gens = group.standard_generators()
+        cap = space_module._H3_MAX_RADIUS
+        elems, _ = space_module._bfs_enumerate(group, gens, cap)
+        assert elems.shape[0] <= space_module._MAX_POINTS
+        with pytest.raises(CapacityError, match="enumeration exceeded"):
+            space_module._bfs_enumerate(group, gens, cap + 1)
+
     @pytest.mark.parametrize("radius", [29, 64])
     def test_h3_ball_over_the_cap_refused_before_enumerating(
             self, radius, no_enumeration):
@@ -216,6 +225,23 @@ class TestWordMetric:
         for _ in range(10):
             i, j = (int(v) for v in rng.integers(0, space.n, size=2))
             assert space.dist(i, j) == space.dist(j, i)
+
+    def test_bfs_rows_kept_up_to_the_budget(self, monkeypatch):
+        space, _ = build_group_space("h3", radius=3)
+        monkeypatch.setattr(space_module, "_ROW_CACHE_BYTES", 3 * space.n)
+        rows = [space.dist_row(i) for i in range(5)]
+        assert sorted(space._row_cache) == [0, 1, 2]
+        for i, row in enumerate(rows):
+            assert row.dtype == float
+            assert np.array_equal(row, space._bfs_row(i))
+            row[:] = -1.0       # callers get copies, never the kept row
+            assert np.array_equal(space.dist_row(i), space._bfs_row(i))
+
+    def test_truncation_with_custom_generators_refused(self):
+        space, _ = build_group_space("h3", radius=2)
+        with pytest.raises(ValueError, match="custom generators"):
+            GroupSpace(space.group, space.elements, space.word_lengths,
+                       space.radius, standard_gens=False)
 
     def test_left_invariance_on_quotient(self):
         space, _ = build_group_space("h3", modulus=5)
