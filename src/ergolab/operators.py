@@ -191,12 +191,9 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
 
 
 def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
-                perm: Callable[[int], np.ndarray],
-                radii: Sequence[float]) -> np.ndarray:
-    """`sweep_profile` over the spheres of ``group`` out to the largest
-    radius (at most the diameter), with ``perm(j)`` the permutation of the
-    j-th group element; permutations are built only as the sweep reaches
-    them."""
+                perm: Callable[[int], np.ndarray], radii: Sequence[float]) -> np.ndarray:
+    """`sweep_profile` over the spheres of ``group`` up to min(max radius,
+    diameter); ``perm(j)`` is called only as the sweep reaches element j."""
     rmax = min(int(math.floor(max(radii))), int(group.diameter()))
 
     def shells():

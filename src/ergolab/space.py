@@ -43,13 +43,9 @@ __all__ = [
 ]
 
 _MAX_POINTS = 300_000          # hard cap on enumerated group elements
-# largest H3 truncation radius: |B_28| = 261,815 <= _MAX_POINTS < |B_29| =
-# 301,323 (tests/test_space.py checks both sides against _MAX_POINTS)
-_H3_MAX_RADIUS = 28
+_H3_MAX_RADIUS = 28            # |B_28| = 261,815 <= _MAX_POINTS < |B_29| = 301,323
 _MAX_MATRIX = 4096             # largest space for which a full matrix is allowed
-# bytes of BFS distance rows kept per truncation, one byte per entry: as
-# much as the largest distance matrix, so every row of a ball of up to
-# 11,585 points stays, and larger balls keep their first rows
+# uint8 BFS rows kept per truncation: every row of a ball of <= 11,585 points
 _ROW_CACHE_BYTES = 8 * _MAX_MATRIX ** 2
 
 
@@ -159,8 +155,7 @@ def _key_box(group: FinGroup, radius: int | None) -> tuple[np.ndarray, ...]:
     else:
         zmax = radius * radius + radius + 1
         low = np.array([-radius, -radius, -zmax], dtype=np.int64)
-        size = np.array([2 * radius + 1, 2 * radius + 1, 2 * zmax + 1],
-                        dtype=np.int64)
+        size = np.array([2 * radius + 1, 2 * radius + 1, 2 * zmax + 1], dtype=np.int64)
     if int(np.prod(size.astype(object))) > 2**62:
         raise CapacityError("element encoding exceeds 64-bit range")
     place = np.cumprod(np.append(1, size[:0:-1]))[::-1]
@@ -221,9 +216,6 @@ class FiniteSpace:
     def ball(self, i: int, r: float) -> np.ndarray:
         """Indices of the closed ball B(i, r)."""
         return np.nonzero(self.dist_row(i) <= r)[0]
-
-    def ball_volume(self, i: int, r: float) -> float:
-        return float(self.weights[self.dist_row(i) <= r].sum())
 
     def ball_table(self, center: int, radii: Sequence[int] | None = None) -> "BallTable":
         return BallTable.from_space(self, center, radii)
@@ -372,15 +364,11 @@ class GroupSpace(FiniteSpace):
                 self._row_cache[i] = row
         return row.astype(float)
 
-    def _neighbor_table(self) -> np.ndarray:
-        if self._neighbors is None:
-            gens = self.group.standard_generators()
-            self._neighbors = self.index_of(
-                self.group.mult(self.elements[:, None, :], gens))
-        return self._neighbors
-
     def _bfs_row(self, i: int) -> np.ndarray:
-        nbrs = self._neighbor_table()
+        if self._neighbors is None:
+            self._neighbors = self.index_of(self.group.mult(
+                self.elements[:, None, :], self.group.standard_generators()))
+        nbrs = self._neighbors
         dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
@@ -553,8 +541,7 @@ def build_group_space(family: str, *, d: int | None = None,
             raise CapacityError("truncated ball has too many points")
         # refused before the key box (about 8 R^4 keys) is allocated
         if family == "h3" and radius > _H3_MAX_RADIUS:
-            raise CapacityError(
-                f"h3 truncations are capped at radius {_H3_MAX_RADIUS}")
+            raise CapacityError(f"h3 truncations are capped at radius {_H3_MAX_RADIUS}")
     if modulus is not None and modulus ** dim > _MAX_POINTS:
         raise CapacityError("quotient has too many points")
 
