@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .space import FiniteSpace, greedy_net
+from .space import FiniteSpace, _sorted_unique, greedy_net
 
 __all__ = [
     "HKParams",
@@ -440,7 +440,8 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
             add("iii", system.levels[li], cube,
                 "members leave the stored parent")
 
-    # (iv) + the net property, one distance row per cube
+    # (iv) + the net property, on balls of radius C1 delta^k around the
+    # centers: C1 > C0 > c0 > a0, so every check at level k lies inside them
     a0, C1 = system.params.a0, system.params.C1
     c0, C0, delta = system.params.c0, system.params.C0, system.params.delta
     safe = space.safe_radius
@@ -452,28 +453,45 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
         scale = delta**k
         cents = system.centers[li]
         a = system.assign[li]
-        cover_min = np.full(space.n, np.inf)
-        for ci, c in enumerate(cents):
-            row = space.dist_row(int(c))
-            np.minimum(cover_min, row, out=cover_min)
-            others = row[cents]
-            others[ci] = np.inf
-            if others.size > 1 and others.min() < c0 * scale:
-                separation_ok = False
-                add("separation", k, ci,
-                    f"center pair at distance {others.min()} < {c0 * scale}")
-            mine = a == ci
-            checked += 1
-            inner_bad = np.any((row <= a0 * scale) & ~mine)
-            outer_bad = np.any(mine & (row > C1 * scale))
-            if inner_bad or outer_bad:
-                side = "inner" if inner_bad else "outer"
+        m = len(cents)
+        # cube sizes over the in-range entries; (i) reports the others
+        sizes = np.bincount(a[(a >= 0) & (a < m)], minlength=m)
+        centers_at = np.bincount(cents, minlength=space.n)
+        sep_min = np.full(m, np.inf)       # nearest other center in the ball
+        inner_bad = np.zeros(m, dtype=bool)
+        outer_bad = np.zeros(m, dtype=bool)
+        covered = np.zeros(space.n, dtype=bool)
+        radius = min(C1 * scale, space.diameter())
+        for lo, indptr, members, dists in space.ball_chunks(cents, radius):
+            nb = indptr.size - 1
+            seg = np.repeat(np.arange(nb), np.diff(indptr))
+            mine = a[members] == lo + seg
+            others = centers_at[members] - (members == cents[lo + seg]) > 0
+            # every ball holds its center, so no segment is empty
+            sep_min[lo:lo + nb] = np.minimum.reduceat(
+                np.where(others, dists, np.inf), indptr[:-1])
+            inner_bad[lo:lo + nb] = np.bincount(
+                seg[(dists <= a0 * scale) & ~mine], minlength=nb) > 0
+            # the outer ball holds the whole cube exactly when it holds all
+            # of the cube's members
+            outer_bad[lo:lo + nb] = np.bincount(
+                seg[mine], minlength=nb) != sizes[lo:lo + nb]
+            covered[members[dists < C0 * scale]] = True
+        sep_bad = sep_min < c0 * scale
+        iv_bad = inner_bad | outer_bad
+        separation_ok = separation_ok and not sep_bad.any()
+        checked += m
+        passed += m - int(iv_bad.sum())
+        if iv_bad.any() and scale <= safe:
+            sandwich_ok_in_safe = False
+        for ci in np.flatnonzero(sep_bad | iv_bad).tolist():
+            if sep_bad[ci]:
+                add("separation", k, ci, f"center pair at distance "
+                                         f"{float(sep_min[ci])} < {c0 * scale}")
+            if iv_bad[ci]:
+                side = "inner" if inner_bad[ci] else "outer"
                 add("iv", k, ci, f"{side} sandwich violated")
-                if scale <= safe:
-                    sandwich_ok_in_safe = False
-            else:
-                passed += 1
-        if np.any(cover_min >= C0 * scale):
+        if not covered.all():
             covering_ok = False
             add("covering", k, -1,
                 f"point at distance >= {C0 * scale} from every center")
@@ -535,21 +553,22 @@ def boundary_layer_report(system: DyadicSystem, space: FiniteSpace,
     n_cubes = len(system.centers[li])
     t = constants.delta ** (level - L)
     wanted = np.arange(n_cubes) if cubes is None else np.asarray(list(cubes))
-    order, starts, measures = system.cube_index(level)
+    measures = system.cube_measures(level)
 
+    # x counts for every other cube that meets B(x, t) (outer) and, once,
+    # for its own cube when some other cube does (inner); np.add.at adds in
+    # ascending x, the order of a loop over the points
     w = space.weights
     inner_w = np.zeros(n_cubes)
     outer_w = np.zeros(n_cubes)
-    for x in range(space.n):
-        row = space.dist_row(x)[order]
-        per_cube = np.minimum.reduceat(row, starts[:-1])
-        own = a[x]
-        near = per_cube <= t
-        near[own] = False
-        outer_w[near] += w[x]
-        per_cube[own] = np.inf
-        if per_cube.min() <= t:
-            inner_w[own] += w[x]
+    for lo, indptr, members, _ in space.ball_chunks(np.arange(space.n), t):
+        x = np.repeat(np.arange(lo, lo + indptr.size - 1), np.diff(indptr))
+        foreign = a[members] != a[x]
+        hits = _sorted_unique(x[foreign] * n_cubes + a[members][foreign])
+        x_hit, cube_hit = np.divmod(hits, n_cubes)
+        np.add.at(outer_w, cube_hit, w[x_hit])
+        x_in = _sorted_unique(x_hit)
+        np.add.at(inner_w, a[x_in], w[x_in])
 
     decay = constants.delta ** (-L * constants.eta)
     layer_in = constants.L0 < L < level + constants.L0 - constants.L1

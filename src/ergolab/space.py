@@ -47,6 +47,7 @@ _H3_MAX_RADIUS = 28            # |B_28| = 261,815 <= _MAX_POINTS < |B_29| = 301,
 _MAX_MATRIX = 4096             # largest space for which a full matrix is allowed
 # uint8 BFS rows kept per truncation: every row of a ball of <= 11,585 points
 _ROW_CACHE_BYTES = 8 * _MAX_MATRIX ** 2
+_BALL_PAIRS = 8192             # (center, point) pairs per block of `ball_chunks`
 
 
 class CapacityError(ValueError):
@@ -153,7 +154,8 @@ def _key_box(group: FinGroup, radius: int | None) -> tuple[np.ndarray, ...]:
         low = np.full(group.d, -radius, dtype=np.int64)
         size = np.full(group.d, 2 * radius + 1, dtype=np.int64)
     else:
-        zmax = radius * radius + radius + 1
+        # z moves only on y-steps, by the current x, so |z| <= #x-steps * #y-steps
+        zmax = (radius // 2) * ((radius + 1) // 2)
         low = np.array([-radius, -radius, -zmax], dtype=np.int64)
         size = np.array([2 * radius + 1, 2 * radius + 1, 2 * zmax + 1], dtype=np.int64)
     if int(np.prod(size.astype(object))) > 2**62:
@@ -216,6 +218,31 @@ class FiniteSpace:
     def ball(self, i: int, r: float) -> np.ndarray:
         """Indices of the closed ball B(i, r)."""
         return np.nonzero(self.dist_row(i) <= r)[0]
+
+    def ball_chunks(self, centers, radius: float):
+        """Closed balls B(c, radius) around ``centers``, yielded in blocks
+        ``(lo, indptr, members, dists)`` of consecutive centers: the ball of
+        ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]``, in
+        ascending index, at distances ``dists[indptr[j]:indptr[j + 1]]``.
+        A block holds one center at least and otherwise at most
+        _BALL_PAIRS (center, point) pairs."""
+        centers = np.asarray(centers, dtype=np.int64)
+        step = max(1, _BALL_PAIRS // self._ball_bound(radius))
+        for lo in range(0, centers.size, step):
+            yield (lo, *self._balls(centers[lo:lo + step], radius))
+
+    def _ball_bound(self, radius: float) -> int:
+        """Upper bound on the number of points of any ball of this radius."""
+        return self.n
+
+    def _balls(self, block: np.ndarray,
+               radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # one thresholded distance row per center
+        rows = np.stack([self.dist_row(int(c)) for c in block])
+        inside = rows <= radius
+        seg, members = np.nonzero(inside)
+        indptr = np.searchsorted(seg, np.arange(block.size + 1))
+        return indptr, members, rows[inside]
 
     def ball_table(self, center: int, radii: Sequence[int] | None = None) -> "BallTable":
         return BallTable.from_space(self, center, radii)
@@ -305,16 +332,22 @@ class GroupSpace(FiniteSpace):
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
                  radius: int | None, standard_gens: bool,
-                 weights=None, r0: float = 1.0, label: str = "group") -> None:
+                 weights=None, r0: float = 1.0, label: str = "group",
+                 generators=None) -> None:
         if radius is not None and not standard_gens:
             raise ValueError("truncated space with custom generators requires "
                              "explicit neighbor construction")
+        if standard_gens != (generators is None):
+            raise ValueError("give generators= exactly when standard_gens is False")
         super().__init__(elements.shape[0], weights, r0, label)
         self.group = group
         self.elements = elements
         self.word_lengths = wl
         self.radius = radius            # truncation radius, None for quotients
         self._standard_gens = standard_gens
+        # the word metric's generators, checked symmetric: x ~ x * g
+        self.generators = (group.standard_generators() if standard_gens
+                           else _check_generators(group, generators))
         self._box = _key_box(group, radius)
         self._keys = _encode(elements, self._box)
         self._key_order = np.argsort(self._keys)
@@ -364,16 +397,51 @@ class GroupSpace(FiniteSpace):
                 self._row_cache[i] = row
         return row.astype(float)
 
-    def _bfs_row(self, i: int) -> np.ndarray:
+    def _neighbor_table(self) -> np.ndarray:
+        """(n, #generators) indices of x * g; -1 outside a truncation."""
         if self._neighbors is None:
             self._neighbors = self.index_of(self.group.mult(
-                self.elements[:, None, :], self.group.standard_generators()))
-        nbrs = self._neighbors
+                self.elements[:, None, :], self.generators))
+        return self._neighbors
+
+    def _bfs_row(self, i: int) -> np.ndarray:
+        nbrs = self._neighbor_table()
         dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
         # distances are at most the diameter 2R <= 2 * _H3_MAX_RADIUS
         return dist.astype(np.uint8)
+
+    def _ball_bound(self, radius: float) -> int:
+        # every ball has at most the points of the identity ball B(e, r) of
+        # the group: quotients are vertex-transitive, and a truncation's
+        # induced metric only lengthens distances
+        return int(np.searchsorted(self.word_lengths, radius, side="right"))
+
+    def _balls(self, block: np.ndarray,
+               radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # one breadth-first search from every center at once, over pair keys
+        # j * n + point for the j-th center of the block
+        n, nbrs = self.n, self._neighbor_table()
+        keys = np.arange(block.size) * n + block
+        layers, prev = [keys], keys[:0]
+        for _ in range(int(radius)):
+            src, pts = np.divmod(keys, n)
+            nb = nbrs[pts]
+            cand = _sorted_unique((src[:, None] * n + nb)[nb >= 0])
+            # generators are symmetric, so the neighbors of layer L lie in
+            # layers L - 1, L and L + 1: only two layers need checking
+            new = cand[~(_in_sorted(cand, keys) | _in_sorted(cand, prev))]
+            if not new.size:
+                break
+            prev, keys = keys, new
+            layers.append(keys)
+        keys = np.concatenate(layers)
+        order = np.argsort(keys)
+        seg, members = np.divmod(keys[order], n)
+        dists = np.repeat(np.arange(len(layers)),
+                          [layer.size for layer in layers])[order]
+        return np.searchsorted(seg, np.arange(block.size + 1)), members, dists
 
     def diameter(self) -> float:
         if self.is_quotient:
@@ -462,6 +530,23 @@ class BallTable:
 # construction
 # ---------------------------------------------------------------------------
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct entries of ``a`` in ascending order, by sort and adjacent
+    compare: np.unique (numpy 2.4) is about 8x slower on BFS frontiers."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _in_sorted(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``a`` that occur in the sorted array ``ref``."""
+    if not ref.size:
+        return np.zeros(a.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(ref, a), ref.size - 1)
+    return ref[pos] == a
+
+
 def _bfs_layers(n: int, start: int, step, radius: int | None = None) -> np.ndarray:
     """Breadth-first layers over the ids 0..n-1 from ``start``: entry v is
     the distance of id v (-1 where unreached), stopping after layer
@@ -475,12 +560,7 @@ def _bfs_layers(n: int, start: int, step, radius: int | None = None) -> np.ndarr
     reached = layer = 1
     while frontier.size and (radius is None or layer <= radius):
         cand = step(frontier)
-        # sort and drop repeats: np.unique (numpy 2.4) is about 8x slower
-        # on these frontiers
-        frontier = np.sort(cand[dist[cand] < 0])
-        keep = np.ones(frontier.size, dtype=bool)
-        np.not_equal(frontier[1:], frontier[:-1], out=keep[1:])
-        frontier = frontier[keep]
+        frontier = _sorted_unique(cand[dist[cand] < 0])
         dist[frontier] = layer
         reached += frontier.size
         if reached > _MAX_POINTS:
@@ -539,7 +619,7 @@ def build_group_space(family: str, *, d: int | None = None,
     if radius is not None:
         if family == "zd" and (2 * radius + 1) ** dim > _MAX_POINTS:
             raise CapacityError("truncated ball has too many points")
-        # refused before the key box (about 8 R^4 keys) is allocated
+        # refused before the key box (about 2 R^4 keys) is allocated
         if family == "h3" and radius > _H3_MAX_RADIUS:
             raise CapacityError(f"h3 truncations are capped at radius {_H3_MAX_RADIUS}")
     if modulus is not None and modulus ** dim > _MAX_POINTS:
@@ -565,7 +645,8 @@ def build_group_space(family: str, *, d: int | None = None,
             base = "H3"
         label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
     space = GroupSpace(group, elems, wl, radius, standard,
-                       weights=weights, r0=r0, label=label)
+                       weights=weights, r0=r0, label=label,
+                       generators=None if standard else gens)
     table = BallTable.from_space(space, int(np.nonzero(wl == 0)[0][0]))
     return space, table
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergolab.cubes import (
+    _MAX_VIOLATIONS,
     AxiomReport,
+    AxiomViolation,
     BoundaryConstants,
     ConstructionError,
     DyadicSystem,
@@ -48,6 +50,129 @@ FOUR_SPACES = pytest.mark.parametrize("make", [
     lambda: build_group_space(family="h3", modulus=8)[0],
     lambda: random_square_space(60, 40, seed=9),
 ], ids=["z64", "z2-16", "h3-8", "random-square"])
+
+
+def full_row_axioms(system: DyadicSystem) -> AxiomReport:
+    """Reference verifier: the axiom checks with one full distance row per
+    center, emitting violations in the order `verify_cube_axioms` does."""
+    space = system.space
+    viol: list[AxiomViolation] = []
+
+    def add(axiom: str, level: int, cube: int, detail: str) -> None:
+        if len(viol) < _MAX_VIOLATIONS:
+            viol.append(AxiomViolation(axiom, level, cube, detail))
+
+    partition_ok = True
+    for li, k in enumerate(system.levels):
+        a = system.assign[li]
+        m = len(system.centers[li])
+        if a.shape != (space.n,) or a.min() < 0 or a.max() >= m:
+            partition_ok = False
+            add("i", k, -1, "assignment out of range")
+            continue
+        for cube in np.nonzero(np.bincount(a, minlength=m) == 0)[0]:
+            partition_ok = False
+            add("i", k, int(cube), "empty cube")
+    nesting_ok = True
+    for li in range(len(system.levels)):
+        for lj in range(li + 1, len(system.levels)):
+            fine, coarse = system.assign[li], system.assign[lj]
+            m = len(system.centers[lj])
+            fine_ids = np.unique(fine.astype(np.int64) * m + coarse) // m
+            dup = fine_ids[:-1][fine_ids[:-1] == fine_ids[1:]]
+            for cube in np.unique(dup):
+                nesting_ok = False
+                add("ii", system.levels[li], int(cube),
+                    f"straddles two cubes at level {system.levels[lj]}")
+    parent_ok = True
+    for li in range(len(system.levels) - 1):
+        expected = system.parents[li][system.assign[li]]
+        mism = np.nonzero(expected != system.assign[li + 1])[0]
+        if mism.size:
+            parent_ok = False
+            add("iii", system.levels[li], int(system.assign[li][mism[0]]),
+                "members leave the stored parent")
+    p = system.params
+    checked = passed = 0
+    sandwich_ok_in_safe = separation_ok = covering_ok = True
+    for li, k in enumerate(system.levels):
+        scale = p.delta**k
+        cents = system.centers[li]
+        a = system.assign[li]
+        cover_min = np.full(space.n, np.inf)
+        for ci, c in enumerate(cents):
+            row = space.dist_row(int(c))
+            np.minimum(cover_min, row, out=cover_min)
+            others = row[cents]
+            others[ci] = np.inf
+            if others.size > 1 and others.min() < p.c0 * scale:
+                separation_ok = False
+                add("separation", k, ci, f"center pair at distance "
+                                         f"{others.min()} < {p.c0 * scale}")
+            mine = a == ci
+            checked += 1
+            inner_bad = np.any((row <= p.a0 * scale) & ~mine)
+            outer_bad = np.any(mine & (row > p.C1 * scale))
+            if inner_bad or outer_bad:
+                add("iv", k, ci,
+                    f"{'inner' if inner_bad else 'outer'} sandwich violated")
+                if scale <= space.safe_radius:
+                    sandwich_ok_in_safe = False
+            else:
+                passed += 1
+        if np.any(cover_min >= p.C0 * scale):
+            covering_ok = False
+            add("covering", k, -1,
+                f"point at distance >= {p.C0 * scale} from every center")
+    return AxiomReport(
+        n_cubes=sum(len(c) for c in system.centers), partition_ok=partition_ok,
+        nesting_ok=nesting_ok, parent_ok=parent_ok, sandwich_checked=checked,
+        sandwich_passed=passed, sandwich_ok_in_safe=sandwich_ok_in_safe,
+        separation_ok=separation_ok, covering_ok=covering_ok,
+        violations=tuple(viol))
+
+
+def full_row_layers(system: DyadicSystem, level: int, t: float):
+    """Reference inner and outer layer weights of the level-``level`` cubes
+    at width t, one full distance row per point."""
+    space = system.space
+    a = system.assign[system.level_index(level)]
+    order, starts, measures = system.cube_index(level)
+    inner_w = np.zeros(len(measures))
+    outer_w = np.zeros(len(measures))
+    for x in range(space.n):
+        per_cube = np.minimum.reduceat(space.dist_row(x)[order], starts[:-1])
+        own = a[x]
+        near = per_cube <= t
+        near[own] = False
+        outer_w[near] += space.weights[x]
+        per_cube[own] = np.inf
+        if per_cube.min() <= t:
+            inner_w[own] += space.weights[x]
+    return inner_w, outer_w
+
+
+def tampered(system: DyadicSystem, how: str) -> DyadicSystem:
+    """A copy of ``system`` with one defect at level index 0 or 1."""
+    centers = [c.copy() for c in system.centers]
+    assign = [a.copy() for a in system.assign]
+    parents = [p.copy() for p in system.parents]
+    m = len(centers[1])
+    if how == "teleport":       # a center's point moves to the farthest cube
+        victim = int(centers[1][0])
+        assign[1][victim] = np.argmax(system.space.dist_row(victim)[centers[1]])
+    elif how == "empty":        # cube 0 hands its points to cube 1
+        assign[1][assign[1] == 0] = 1
+    elif how == "parent":       # a finest cube names the wrong parent
+        parents[0][0] = (parents[0][0] + 1) % m
+    elif how == "roll":         # every finest cube misses its center
+        assign[0] = np.roll(assign[0], 1)
+    elif how == "moved-center":     # center 1 moves next to center 0
+        row = system.space.dist_row(int(centers[1][0])).copy()
+        row[centers[1][0]] = np.inf
+        centers[1][1] = np.argmin(row)
+    return replace(system, centers=tuple(centers), assign=tuple(assign),
+                   parents=tuple(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +461,16 @@ class TestBuildCubes:
         assert not report.sandwich_ok_in_safe
         assert report.sandwich_passed == report.sandwich_checked - z64.n
 
+    def test_verification_reads_no_distance_rows(self, monkeypatch):
+        space, _ = build_group_space(family="zd", d=2, modulus=16)
+        system = build_cubes(space, HKParams())
+        rows = []
+        real = space.dist_row
+        monkeypatch.setattr(space, "dist_row",
+                            lambda i: rows.append(i) or real(i))
+        assert verify_cube_axioms(system).all_pass
+        assert rows == []
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(5, 40), seed=st.integers(0, 2**20))
     def test_random_spaces_structural_axioms(self, n, seed):
@@ -343,6 +478,77 @@ class TestBuildCubes:
         report = verify_cube_axioms(build_cubes(space, HKParams()))
         assert report.partition_ok and report.nesting_ok and report.parent_ok
         assert report.separation_ok and report.covering_ok
+
+
+class TestLocalVerification:
+    """`verify_cube_axioms` reads local balls; the full-row reference must
+    give the same report, violations and details included."""
+
+    @FOUR_SPACES
+    def test_untouched_systems(self, make):
+        system = build_cubes(make(), HKParams())
+        assert verify_cube_axioms(system) == full_row_axioms(system)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_group_space("h3", radius=6)[0],
+        lambda: build_group_space("zd", d=2, radius=10)[0],
+        lambda: build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])[0],
+    ], ids=["h3-ball6", "z2-ball10", "z8-gens35"])
+    def test_truncations_and_custom_generators(self, make):
+        system = build_cubes(make(), HKParams())
+        assert verify_cube_axioms(system) == full_row_axioms(system)
+
+    @pytest.mark.parametrize("how", ["teleport", "empty", "parent", "roll",
+                                     "moved-center"])
+    def test_tampered_systems(self, z512_system, how):
+        system = tampered(z512_system, how)
+        report = verify_cube_axioms(system)
+        assert not report.all_pass
+        assert report == full_row_axioms(system)
+        if how == "moved-center":
+            assert not report.separation_ok
+            assert [v.cube for v in report.violations
+                    if v.axiom == "separation"] == [0, 1]
+        if how == "teleport":
+            assert [v.detail for v in report.violations if v.axiom == "iv"] \
+                == ["inner sandwich violated", "outer sandwich violated"]
+
+    def test_covering_ball_is_open(self):
+        # level-1 centers 0 and 144 on Z/288: the points 72 and 216 lie
+        # exactly C0 delta = 72 from both, outside the open covering balls
+        space, _ = build_group_space("zd", d=1, modulus=288)
+        system = build_cubes(space, HKParams())
+        cents = space.index_of(np.array([[0], [144]]))
+        near = np.argmin(np.stack([space.dist_row(c) for c in cents]), axis=0)
+        broken = replace(
+            system,
+            centers=(system.centers[0], cents, *system.centers[2:]),
+            assign=(system.assign[0], near, *system.assign[2:]),
+            parents=(near, np.zeros(2, dtype=np.int64), *system.parents[2:]))
+        report = verify_cube_axioms(broken)
+        assert not report.covering_ok
+        assert report.partition_ok and report.parent_ok
+        assert report == full_row_axioms(broken)
+
+    def test_tampered_random_square(self):
+        system = build_cubes(random_square_space(60, 40, seed=9), HKParams())
+        assert len(system.centers[1]) > 1
+        for how in ("teleport", "roll", "moved-center"):
+            broken = tampered(system, how)
+            report = verify_cube_axioms(broken)
+            assert not report.all_pass
+            assert report == full_row_axioms(broken)
+
+    def test_nesting_tamper(self):
+        space, _ = build_group_space(family="zd", d=1, modulus=4096)
+        system = build_cubes(space, HKParams(k_max=2))
+        assign = [a.copy() for a in system.assign]
+        members = system.members(1, 0)
+        assign[2][members[: len(members) // 2]] += 1
+        broken = replace(system, assign=tuple(assign))
+        report = verify_cube_axioms(broken)
+        assert not report.nesting_ok
+        assert report == full_row_axioms(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +615,28 @@ class TestBoundaryLayers:
         rep = boundary_layer_report(z512_system, z512, constants, level=1,
                                     L=1, cubes=[2, 5])
         assert [r.cube for r in rep.rows] == [2, 5]
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_group_space("zd", d=1, modulus=512)[0],
+        lambda: build_group_space("zd", d=1, modulus=512, weights=np.random.
+                                  default_rng(1).uniform(0.1, 3.0, 512))[0],
+        lambda: build_group_space("h3", modulus=8, weights=np.random.
+                                  default_rng(2).uniform(0.1, 3.0, 512))[0],
+        lambda: build_group_space("h3", radius=6)[0],
+        lambda: random_square_space(60, 40, seed=9),
+    ], ids=["z512", "z512-weighted", "h3-8-weighted", "h3-ball6",
+            "random-square"])
+    def test_matches_full_row_reference(self, make, constants):
+        system = build_cubes(make(), HKParams())
+        for level in system.levels[:2]:
+            for L in (0, 1, 2):
+                rep = boundary_layer_report(system, system.space, constants,
+                                            level=level, L=L)
+                inner, outer = full_row_layers(system, level, rep.t)
+                assert np.array([r.inner for r in rep.rows]).tobytes() == \
+                    inner.tobytes()
+                assert np.array([r.outer for r in rep.rows]).tobytes() == \
+                    outer.tobytes()
 
     def test_singleton_cubes_have_full_layers(self, z64, constants):
         system = build_cubes(z64, HKParams())

@@ -160,7 +160,7 @@ def no_enumeration(monkeypatch):
 class TestEnumeration:
     @pytest.mark.parametrize("family,d,radius,modulus", [
         ("zd", 1, None, 64), ("zd", 2, None, 16), ("h3", 3, None, 8),
-        ("zd", 2, 10, None), ("h3", 3, 6, None)])
+        ("zd", 2, 10, None), ("h3", 3, 6, None), ("h3", 3, 7, None)])
     def test_matches_dict_bfs(self, family, d, radius, modulus):
         space, _ = build_group_space(family, d=d, radius=radius, modulus=modulus)
         group = space.group
@@ -169,6 +169,14 @@ class TestEnumeration:
         assert space.word_lengths.dtype == wl.dtype
         assert np.array_equal(space.elements, elems)
         assert np.array_equal(space.word_lengths, wl)
+
+    def test_h3_key_box_z_range_is_tight(self):
+        # |z| <= (#x-steps)(#y-steps) <= floor(R/2) ceil(R/2), attained
+        for radius in range(1, 13):
+            space, _ = build_group_space("h3", radius=radius)
+            zmax = (radius // 2) * ((radius + 1) // 2)
+            assert np.abs(space.elements[:, 2]).max() == zmax
+            assert space._box[0][2] == -zmax
 
     def test_h3_ball_r20_size(self):
         space, _ = build_group_space("h3", radius=20)
@@ -202,6 +210,16 @@ class TestEnumeration:
         space, _ = build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])
         assert space.n == 8
         assert list(space.word_lengths) == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert space.generators.tolist() == [[3], [5]]
+        x = space.elements[:, 0]
+        assert np.array_equal(space.elements[space._neighbor_table()[:, 0], 0],
+                              (x + 3) % 8)
+
+    def test_custom_generator_quotient_needs_its_generators(self):
+        space, _ = build_group_space("zd", d=1, modulus=8)
+        with pytest.raises(ValueError, match="generators= exactly"):
+            GroupSpace(space.group, space.elements, space.word_lengths, None,
+                       standard_gens=False)
 
 
 class TestWordMetric:
@@ -341,6 +359,46 @@ class TestQuotientIndex:
         assert not space._dense_keys
         assert np.array_equal(space.index_of(space.elements),
                               np.arange(space.n))
+
+
+BALL_SPACES = pytest.mark.parametrize("make", [
+    lambda: build_group_space("zd", d=1, modulus=64)[0],
+    lambda: build_group_space("zd", d=2, modulus=16)[0],
+    lambda: build_group_space("h3", modulus=8)[0],
+    lambda: random_square_space(60, 40, seed=9),
+    lambda: build_group_space("zd", d=2, radius=10)[0],
+    lambda: build_group_space("h3", radius=6)[0],
+    lambda: build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])[0],
+], ids=["z64", "z2-16", "h3-8", "random-square", "z2-ball10", "h3-ball6",
+        "z8-gens35"])
+
+
+class TestBallChunks:
+    @BALL_SPACES
+    @pytest.mark.parametrize("pairs", [8192, 50])
+    def test_matches_thresholded_rows(self, make, pairs, monkeypatch):
+        monkeypatch.setattr(space_module, "_BALL_PAIRS", pairs)
+        space = make()
+        diam = space.diameter()
+        centers = np.arange(space.n)[::-1]
+        for radius in (0, 1, diam // 2, diam + 1):
+            bound = space._ball_bound(radius)
+            got = []
+            next_lo = 0
+            for lo, indptr, members, dists in space.ball_chunks(centers, radius):
+                assert lo == next_lo
+                next_lo += indptr.size - 1
+                assert indptr[0] == 0 and indptr[-1] == members.size
+                assert members.size <= max(pairs, bound)
+                got += [(members[p:q], dists[p:q])
+                        for p, q in zip(indptr[:-1], indptr[1:])]
+            assert next_lo == space.n
+            for c, (members, dists) in zip(centers, got):
+                row = space.dist_row(int(c))
+                inside = np.flatnonzero(row <= radius)
+                assert members.size <= bound
+                assert np.array_equal(members, inside)
+                assert np.array_equal(dists, row[inside])
 
 
 class TestGreedyNet:
