@@ -556,19 +556,27 @@ def boundary_layer_report(system: DyadicSystem, space: FiniteSpace,
     measures = system.cube_measures(level)
 
     # x counts for every other cube that meets B(x, t) (outer) and, once,
-    # for its own cube when some other cube does (inner); np.add.at adds in
-    # ascending x, the order of a loop over the points
+    # for its own cube when some other cube does (inner); np.add.at and
+    # np.cumsum add in ascending x, the order of a loop over the points
     w = space.weights
     inner_w = np.zeros(n_cubes)
     outer_w = np.zeros(n_cubes)
-    for lo, indptr, members, _ in space.ball_chunks(np.arange(space.n), t):
-        x = np.repeat(np.arange(lo, lo + indptr.size - 1), np.diff(indptr))
-        foreign = a[members] != a[x]
-        hits = _sorted_unique(x[foreign] * n_cubes + a[members][foreign])
-        x_hit, cube_hit = np.divmod(hits, n_cubes)
-        np.add.at(outer_w, cube_hit, w[x_hit])
-        x_in = _sorted_unique(x_hit)
-        np.add.at(inner_w, a[x_in], w[x_in])
+    if t >= space.diameter():
+        # every ball B(x, t) is the whole space and meets every cube
+        present = np.unique(a)
+        if present.size > 1:
+            np.add.at(inner_w, a, w)
+            for cube in present.tolist():
+                outer_w[cube] = np.cumsum(w[a != cube])[-1]
+    else:
+        for lo, indptr, members, _ in space.ball_chunks(np.arange(space.n), t):
+            x = np.repeat(np.arange(lo, lo + indptr.size - 1), np.diff(indptr))
+            foreign = a[members] != a[x]
+            hits = _sorted_unique(x[foreign] * n_cubes + a[members][foreign])
+            x_hit, cube_hit = np.divmod(hits, n_cubes)
+            np.add.at(outer_w, cube_hit, w[x_hit])
+            x_in = _sorted_unique(x_hit)
+            np.add.at(inner_w, a[x_in], w[x_in])
 
     decay = constants.delta ** (-L * constants.eta)
     layer_in = constants.L0 < L < level + constants.L0 - constants.L1

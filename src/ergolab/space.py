@@ -48,6 +48,9 @@ _MAX_MATRIX = 4096             # largest space for which a full matrix is allowe
 # uint8 BFS rows kept per truncation: every row of a ball of <= 11,585 points
 _ROW_CACHE_BYTES = 8 * _MAX_MATRIX ** 2
 _BALL_PAIRS = 8192             # (center, point) pairs per block of `ball_chunks`
+# a ball search pays while a center's share of its block's layer steps costs
+# less than _SEARCH_PAYS * n point operations, see GroupSpace._ball_kernel
+_SEARCH_PAYS = 6
 
 
 class CapacityError(ValueError):
@@ -225,24 +228,35 @@ class FiniteSpace:
         ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]``, in
         ascending index, at distances ``dists[indptr[j]:indptr[j + 1]]``.
         A block holds one center at least and otherwise at most
-        _BALL_PAIRS (center, point) pairs."""
+        _BALL_PAIRS (center, point) pairs.  Group spaces search small balls
+        over the generator graph; larger ones, like every ball of other
+        spaces, are thresholded distance rows."""
         centers = np.asarray(centers, dtype=np.int64)
         step = max(1, _BALL_PAIRS // self._ball_bound(radius))
+        balls = self._ball_kernel(radius, step)
         for lo in range(0, centers.size, step):
-            yield (lo, *self._balls(centers[lo:lo + step], radius))
+            yield (lo, *balls(centers[lo:lo + step], radius))
 
     def _ball_bound(self, radius: float) -> int:
         """Upper bound on the number of points of any ball of this radius."""
         return self.n
 
-    def _balls(self, block: np.ndarray,
-               radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # one thresholded distance row per center
-        rows = np.stack([self.dist_row(int(c)) for c in block])
-        inside = rows <= radius
-        seg, members = np.nonzero(inside)
-        indptr = np.searchsorted(seg, np.arange(block.size + 1))
-        return indptr, members, rows[inside]
+    def _ball_kernel(self, radius: float, step: int):
+        """The builder `ball_chunks` uses for blocks of ``step`` centers."""
+        return self._row_balls
+
+    def _row_balls(self, block: np.ndarray,
+                   radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # one thresholded distance row per center, one row held at a time
+        members, dists = [], []
+        for c in block.tolist():
+            row = self.dist_row(c)
+            inside = np.flatnonzero(row <= radius)
+            members.append(inside)
+            dists.append(row[inside])
+        indptr = np.zeros(block.size + 1, dtype=np.int64)
+        np.cumsum([m.size for m in members], out=indptr[1:])
+        return indptr, np.concatenate(members), np.concatenate(dists)
 
     def ball_table(self, center: int, radii: Sequence[int] | None = None) -> "BallTable":
         return BallTable.from_space(self, center, radii)
@@ -331,22 +345,19 @@ class GroupSpace(FiniteSpace):
     (word length, then lexicographic coordinates)."""
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
-                 radius: int | None, standard_gens: bool,
-                 weights=None, r0: float = 1.0, label: str = "group",
-                 generators=None) -> None:
-        if radius is not None and not standard_gens:
+                 radius: int | None, weights=None, r0: float = 1.0,
+                 label: str = "group", generators=None) -> None:
+        if radius is not None and generators is not None:
             raise ValueError("truncated space with custom generators requires "
                              "explicit neighbor construction")
-        if standard_gens != (generators is None):
-            raise ValueError("give generators= exactly when standard_gens is False")
         super().__init__(elements.shape[0], weights, r0, label)
         self.group = group
         self.elements = elements
         self.word_lengths = wl
         self.radius = radius            # truncation radius, None for quotients
-        self._standard_gens = standard_gens
+        self._standard_gens = generators is None
         # the word metric's generators, checked symmetric: x ~ x * g
-        self.generators = (group.standard_generators() if standard_gens
+        self.generators = (group.standard_generators() if generators is None
                            else _check_generators(group, generators))
         self._box = _key_box(group, radius)
         self._keys = _encode(elements, self._box)
@@ -418,8 +429,19 @@ class GroupSpace(FiniteSpace):
         # induced metric only lengthens distances
         return int(np.searchsorted(self.word_lengths, radius, side="right"))
 
-    def _balls(self, block: np.ndarray,
-               radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _ball_kernel(self, radius: float, step: int):
+        # per center, the search costs (layers + 1) / step layer steps of
+        # about 120 us, and a thresholded row about 0.04-0.12 us per point;
+        # they meet where (layers + 1) * _BALL_PAIRS / step is about 3n to
+        # 8n (measured on Z/4096, Z^2/64, Z^2/128, H3/16 and the Z^2 R=20
+        # and H3 R=10 balls, 2 cores)
+        layers = min(int(radius), int(self.diameter()))
+        if (layers + 1) * _BALL_PAIRS <= _SEARCH_PAYS * self.n * step:
+            return self._search_balls
+        return self._row_balls
+
+    def _search_balls(self, block: np.ndarray,
+                      radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # one breadth-first search from every center at once, over pair keys
         # j * n + point for the j-th center of the block
         n, nbrs = self.n, self._neighbor_table()
@@ -644,9 +666,8 @@ def build_group_space(family: str, *, d: int | None = None,
         else:
             base = "H3"
         label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
-    space = GroupSpace(group, elems, wl, radius, standard,
-                       weights=weights, r0=r0, label=label,
-                       generators=None if standard else gens)
+    space = GroupSpace(group, elems, wl, radius, weights=weights, r0=r0,
+                       label=label, generators=None if standard else gens)
     table = BallTable.from_space(space, int(np.nonzero(wl == 0)[0][0]))
     return space, table
 

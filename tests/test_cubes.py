@@ -461,7 +461,8 @@ class TestBuildCubes:
         assert not report.sandwich_ok_in_safe
         assert report.sandwich_passed == report.sandwich_checked - z64.n
 
-    def test_verification_reads_no_distance_rows(self, monkeypatch):
+    def test_verification_reads_rows_only_for_whole_space_balls(
+            self, monkeypatch):
         space, _ = build_group_space(family="zd", d=2, modulus=16)
         system = build_cubes(space, HKParams())
         rows = []
@@ -469,7 +470,9 @@ class TestBuildCubes:
         monkeypatch.setattr(space, "dist_row",
                             lambda i: rows.append(i) or real(i))
         assert verify_cube_axioms(system).all_pass
-        assert rows == []
+        # the 256 level-0 balls are searched; above level 0 the C1 ball is
+        # the whole space, and a row per center is cheaper than the search
+        assert rows == [int(c) for c in np.concatenate(system.centers[1:])]
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(5, 40), seed=st.integers(0, 2**20))
@@ -628,7 +631,9 @@ class TestBoundaryLayers:
             "random-square"])
     def test_matches_full_row_reference(self, make, constants):
         system = build_cubes(make(), HKParams())
-        for level in system.levels[:2]:
+        # t = 1 and 36 take the search or the rows, t >= diameter the
+        # whole-space branch
+        for level in system.levels:
             for L in (0, 1, 2):
                 rep = boundary_layer_report(system, system.space, constants,
                                             level=level, L=L)
@@ -637,6 +642,22 @@ class TestBoundaryLayers:
                     inner.tobytes()
                 assert np.array([r.outer for r in rep.rows]).tobytes() == \
                     outer.tobytes()
+
+    def test_whole_space_layers_read_no_balls(self, monkeypatch):
+        # c0 = 0.5 leaves two level-1 cubes on Z/128, whose diameter 64 is
+        # below t = delta = 100: every ball is the whole space
+        space, _ = build_group_space("zd", d=1, modulus=128, weights=np.random.
+                                     default_rng(3).uniform(0.1, 3.0, 128))
+        params = HKParams(delta=100.0, c0=0.5)
+        system = build_cubes(space, params)
+        assert len(system.centers[system.level_index(1)]) == 2
+        monkeypatch.setattr(space, "ball_chunks", None)
+        rep = boundary_layer_report(system, space, BoundaryConstants.derive(
+            params, r0=1.0), level=1, L=0)
+        assert rep.t >= space.diameter()
+        inner, outer = full_row_layers(system, 1, rep.t)
+        assert np.array([r.inner for r in rep.rows]).tobytes() == inner.tobytes()
+        assert np.array([r.outer for r in rep.rows]).tobytes() == outer.tobytes()
 
     def test_singleton_cubes_have_full_layers(self, z64, constants):
         system = build_cubes(z64, HKParams())

@@ -215,12 +215,6 @@ class TestEnumeration:
         assert np.array_equal(space.elements[space._neighbor_table()[:, 0], 0],
                               (x + 3) % 8)
 
-    def test_custom_generator_quotient_needs_its_generators(self):
-        space, _ = build_group_space("zd", d=1, modulus=8)
-        with pytest.raises(ValueError, match="generators= exactly"):
-            GroupSpace(space.group, space.elements, space.word_lengths, None,
-                       standard_gens=False)
-
 
 class TestWordMetric:
     def test_quotient_distance_wraps(self):
@@ -259,7 +253,7 @@ class TestWordMetric:
         space, _ = build_group_space("h3", radius=2)
         with pytest.raises(ValueError, match="custom generators"):
             GroupSpace(space.group, space.elements, space.word_lengths,
-                       space.radius, standard_gens=False)
+                       space.radius, generators=space.generators)
 
     def test_left_invariance_on_quotient(self):
         space, _ = build_group_space("h3", modulus=5)
@@ -361,16 +355,18 @@ class TestQuotientIndex:
                               np.arange(space.n))
 
 
-BALL_SPACES = pytest.mark.parametrize("make", [
-    lambda: build_group_space("zd", d=1, modulus=64)[0],
-    lambda: build_group_space("zd", d=2, modulus=16)[0],
-    lambda: build_group_space("h3", modulus=8)[0],
-    lambda: random_square_space(60, 40, seed=9),
-    lambda: build_group_space("zd", d=2, radius=10)[0],
-    lambda: build_group_space("h3", radius=6)[0],
-    lambda: build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])[0],
-], ids=["z64", "z2-16", "h3-8", "random-square", "z2-ball10", "h3-ball6",
-        "z8-gens35"])
+GROUP_BALL_SPACES = {
+    "z64": lambda: build_group_space("zd", d=1, modulus=64)[0],
+    "z2-16": lambda: build_group_space("zd", d=2, modulus=16)[0],
+    "h3-8": lambda: build_group_space("h3", modulus=8)[0],
+    "z2-ball10": lambda: build_group_space("zd", d=2, radius=10)[0],
+    "h3-ball6": lambda: build_group_space("h3", radius=6)[0],
+    "z8-gens35": lambda: build_group_space("zd", d=1, modulus=8,
+                                           generators=[[3], [5]])[0],
+}
+BALL_SPACES = pytest.mark.parametrize(
+    "make", [*GROUP_BALL_SPACES.values(), lambda: random_square_space(60, 40, seed=9)],
+    ids=[*GROUP_BALL_SPACES, "random-square"])
 
 
 class TestBallChunks:
@@ -399,6 +395,37 @@ class TestBallChunks:
                 assert members.size <= bound
                 assert np.array_equal(members, inside)
                 assert np.array_equal(dists, row[inside])
+
+    @pytest.mark.parametrize("make", GROUP_BALL_SPACES.values(),
+                             ids=GROUP_BALL_SPACES.keys())
+    def test_search_matches_thresholded_rows(self, make):
+        # ball_chunks searches only while balls are small; the search itself
+        # must hold at every radius
+        space = make()
+        centers = np.arange(space.n)[::-1]
+        for radius in (0, 1, space.diameter() // 2, space.diameter() + 1):
+            for lo in range(0, space.n, 37):
+                block = centers[lo:lo + 37]
+                indptr, members, dists = space._search_balls(block, radius)
+                for j, c in enumerate(block):
+                    row = space.dist_row(int(c))
+                    inside = np.flatnonzero(row <= radius)
+                    p, q = indptr[j], indptr[j + 1]
+                    assert np.array_equal(members[p:q], inside)
+                    assert np.array_equal(dists[p:q], row[inside])
+
+    def test_kernel_choice(self):
+        space, _ = build_group_space("zd", d=1, modulus=4096)
+        # |B(e, r)| = 2r + 1, so a block holds 8192 // (2r + 1) centers, and
+        # (r + 1) * 8192 <= 6 * 4096 * (8192 // (2r + 1)) up to r = 110
+        chosen = {r: next(space.ball_chunks([0], r)) for r in (110, 111)}
+        assert space._ball_kernel(110, 37) == space._search_balls
+        assert space._ball_kernel(111, 36) == space._row_balls
+        assert chosen[110][3].dtype == np.int64      # search: layer numbers
+        assert chosen[111][3].dtype == float         # rows: distances
+        assert space._ball_kernel(space.diameter(), 2) == space._row_balls
+        square = random_square_space(60, 40, seed=9)
+        assert square._ball_kernel(0, 1) == square._row_balls
 
 
 class TestGreedyNet:
