@@ -1,10 +1,11 @@
 """Dyadic cube systems on finite metric measure spaces.
 
 A system is built in three steps: greedy nets per scale (maximal separated
-sets), nearest-center assignment at the finest level, and parent chains
-upward.  Axioms (partition, nesting, unique parent) then hold by
-construction and are verified rather than assumed; the ball sandwich
-B(z, a0 d^k) <= Q <= B(z, C1 d^k) is measured cube by cube.
+sets, one local ball read per center, which also give every point's nearest
+center), assignment to the nearest finest-level center, and parent chains
+upward to the nearest next-level center.  Axioms (partition, nesting, unique
+parent) then hold by construction and are verified rather than assumed; the
+ball sandwich B(z, a0 d^k) <= Q <= B(z, C1 d^k) is measured cube by cube.
 
 The boundary machinery (layer and halo measures with their derived
 constants L0..L3, eta, C2, C2') lives here too.
@@ -196,8 +197,12 @@ class BoundaryConstants:
 
 @dataclass(frozen=True)
 class Nets:
+    """Centers per level, each point's nearest center and its distance."""
+
     levels: tuple[int, ...]
     centers: tuple[np.ndarray, ...]
+    nearest: tuple[np.ndarray, ...]
+    distance: tuple[np.ndarray, ...]
     notes: tuple[str, ...]
 
 
@@ -207,23 +212,20 @@ def select_nets(space: FiniteSpace, params: HKParams) -> Nets:
     Points are scanned in ascending index; a point joins the net when its
     distance to every kept point is >= the separation.  Maximality gives
     the covering half of the net property (every point strictly within
-    c0*delta^k <= C0*delta^k of some center).
+    c0*delta^k <= C0*delta^k of some center), so the scan, which reads one
+    c0*delta^k ball per center, also finds every point's nearest center.
     """
     levels, notes = params.resolve_levels(space)
-    centers: list[np.ndarray] = []
     resolution = space.resolution()
-    diam = space.diameter()
+    nets = []
     for k in levels:
         sep = params.c0 * params.delta**k
-        if sep <= resolution:
-            # distinct points are automatically separated
-            centers.append(np.arange(space.n))
-            continue
-        if sep > diam:
-            centers.append(np.array([0]))
-            continue
-        centers.append(np.array(greedy_net(space, sep, strict=False)))
-    return Nets(tuple(levels), tuple(centers), tuple(notes))
+        # at or below the resolution, every point is its own center
+        nets.append(greedy_net(space, sep, strict=False) if sep > resolution
+                    else (range(space.n), np.arange(space.n), np.zeros(space.n)))
+    centers, nearest, distance = zip(*nets)
+    return Nets(tuple(levels), tuple(np.array(c) for c in centers), nearest,
+                distance, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -297,50 +299,24 @@ class DyadicSystem:
 
 def build_cubes(space: FiniteSpace, params: HKParams,
                 nets: Nets | None = None) -> DyadicSystem:
-    """Assemble a dyadic system from the nets.
+    """Assemble a dyadic system from the nets, reading no distances.
 
     Points are assigned to the nearest finest-level center (ties to the
     lower center index); each center then claims the nearest next-level
-    center as parent.  Memberships at coarser levels follow the chains.
-    When every point is a finest-level center, the assignment is the
-    identity; `verify_cube_axioms` still checks it with real distances.
+    center as parent.  Both come from the nets' nearest-center maps.
+    Memberships at coarser levels follow the chains.
     """
     if nets is None:
         nets = select_nets(space, params)
     levels = list(nets.levels)
     centers = [np.asarray(c) for c in nets.centers]
-
-    def nearest(cands: np.ndarray,
-                restrict: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest candidate (ascending-index ties) for each point, using
-        one distance row per candidate.  restrict selects the points of
-        interest (None = all)."""
-        m = space.n if restrict is None else len(restrict)
-        best_d = np.full(m, np.inf)
-        best_i = np.zeros(m, dtype=np.int64)
-        for ci, c in enumerate(cands):
-            row = space.dist_row(int(c))
-            if restrict is not None:
-                row = row[restrict]
-            closer = row < best_d
-            best_d[closer] = row[closer]
-            best_i[closer] = ci
-        return best_i, best_d
-
-    if np.array_equal(centers[0], np.arange(space.n)):
-        # every point is a center (select_nets with sep <= resolution), and
-        # distinct points lie at positive distance: each point is nearest
-        # to itself, so no distance rows are needed
-        fine_assign = np.arange(space.n)
-    else:
-        fine_assign, _ = nearest(centers[0], None)
-    assign = [fine_assign]
+    assign = [nets.nearest[0]]
     parents: list[np.ndarray] = []
     for li in range(len(levels) - 1):
         k_up = levels[li + 1]
-        par, par_d = nearest(centers[li + 1], centers[li])
+        par = nets.nearest[li + 1][centers[li]]
         limit = params.C0 * params.delta**k_up
-        bad = par_d >= limit
+        bad = nets.distance[li + 1][centers[li]] >= limit
         if np.any(bad):
             worst = int(np.nonzero(bad)[0][0])
             raise ConstructionError(
@@ -399,26 +375,29 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
         if len(viol) < _MAX_VIOLATIONS:
             viol.append(AxiomViolation(axiom, level, cube, detail))
 
-    n_cubes = sum(len(c) for c in system.centers)
+    cubes_at = [len(c) for c in system.centers]
+    n_cubes = sum(cubes_at)
 
     # (i): assignments valid and no cube empty
     partition_ok = True
+    valid = [_maps_into(a, space.n, m) for a, m in zip(system.assign, cubes_at)]
     for li, k in enumerate(system.levels):
-        a = system.assign[li]
-        m = len(system.centers[li])
-        if a.shape != (space.n,) or a.min() < 0 or a.max() >= m:
+        if not valid[li]:
             partition_ok = False
             add("i", k, -1, "assignment out of range")
             continue
-        counts = np.bincount(a, minlength=m)
+        counts = np.bincount(system.assign[li], minlength=cubes_at[li])
         for cube in np.nonzero(counts == 0)[0]:
             partition_ok = False
             add("i", k, int(cube), "empty cube")
 
-    # (ii): each finer cube meets exactly one coarser cube
+    # (ii): each finer cube meets exactly one coarser cube; (ii) and (iii)
+    # read only the levels whose assignment (i) found in range
     nesting_ok = True
     for li in range(len(system.levels)):
         for lj in range(li + 1, len(system.levels)):
+            if not (valid[li] and valid[lj]):
+                continue
             fine, coarse = system.assign[li], system.assign[lj]
             m = len(system.centers[lj])
             keys = fine.astype(np.int64) * m + coarse
@@ -432,6 +411,12 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
     # (iii): stored parent links agree with actual containment
     parent_ok = True
     for li in range(len(system.levels) - 1):
+        if not (valid[li] and valid[li + 1]):
+            continue
+        if not _maps_into(system.parents[li], cubes_at[li], cubes_at[li + 1]):
+            parent_ok = False
+            add("iii", system.levels[li], -1, "parent out of range")
+            continue
         expected = system.parents[li][system.assign[li]]
         mism = np.nonzero(expected != system.assign[li + 1])[0]
         if mism.size:

@@ -60,8 +60,8 @@ class MPSystem:
     """
 
     def __init__(self, group: GroupSpace, mu, perm_for: Callable[[int], np.ndarray],
-                 label: str = "system", validate: bool = True,
-                 homomorphism_samples: int = 40, seed: int = 0) -> None:
+                 label: str = "system", homomorphism_samples: int = 40,
+                 seed: int = 0) -> None:
         if not group.is_quotient:
             raise ActionError("the acting group must be a finite quotient")
         mu = np.asarray(mu, dtype=float)
@@ -76,8 +76,7 @@ class MPSystem:
         self._perm_for = perm_for
         self._cache: dict[int, np.ndarray] = {}
         self._labels: np.ndarray | None = None
-        if validate:
-            self._validate(homomorphism_samples, seed)
+        self._validate(homomorphism_samples, seed)
 
     def act_perm(self, j: int) -> np.ndarray:
         """State permutation for group element index j (tau_{u_j^-1})."""

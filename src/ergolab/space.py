@@ -218,21 +218,18 @@ class FiniteSpace:
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_row(i)[j])
 
-    def ball(self, i: int, r: float) -> np.ndarray:
-        """Indices of the closed ball B(i, r)."""
-        return np.nonzero(self.dist_row(i) <= r)[0]
-
     def ball_chunks(self, centers, radius: float):
         """Closed balls B(c, radius) around ``centers``, yielded in blocks
         ``(lo, indptr, members, dists)`` of consecutive centers: the ball of
         ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]``, in
         ascending index, at distances ``dists[indptr[j]:indptr[j + 1]]``.
         A block holds one center at least and otherwise at most
-        _BALL_PAIRS (center, point) pairs.  Group spaces search small balls
-        over the generator graph; larger ones, like every ball of other
-        spaces, are thresholded distance rows."""
+        _BALL_PAIRS (center, point) pairs, and is costed for the centers it
+        holds.  Group spaces search small balls over the generator graph;
+        larger ones, like every ball of other spaces, are thresholded
+        distance rows."""
         centers = np.asarray(centers, dtype=np.int64)
-        step = max(1, _BALL_PAIRS // self._ball_bound(radius))
+        step = max(1, min(centers.size, _BALL_PAIRS // self._ball_bound(radius)))
         balls = self._ball_kernel(radius, step)
         for lo in range(0, centers.size, step):
             yield (lo, *balls(centers[lo:lo + step], radius))
@@ -290,6 +287,7 @@ class FiniteSpace:
             m = np.empty((self.n, self.n))
             for i in range(self.n):
                 m[i] = self.dist_row(i)
+            m.flags.writeable = False
             self._matrix = m
         return self._matrix
 
@@ -299,7 +297,9 @@ class MatrixSpace(FiniteSpace):
 
     def __init__(self, matrix, weights=None, r0: float = 1.0,
                  label: str = "matrix", provenance: dict | None = None) -> None:
-        matrix = np.asarray(matrix, dtype=float)
+        # a private read-only copy: rows handed out are views of it
+        matrix = np.array(matrix, dtype=float)
+        matrix.flags.writeable = False
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
         n = matrix.shape[0]
@@ -808,20 +808,29 @@ class DoublingReport:
 
 
 def greedy_net(space: FiniteSpace, sep: float, members: np.ndarray | None = None,
-               *, strict: bool) -> list[int]:
+               *, strict: bool) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Maximal sep-separated subset of ``members`` (default: all points),
     scanning in ascending index; a point is kept when its distance to every
     kept point is > sep (``strict``) or >= sep.  Maximality means every
     rejected point lies within sep of a kept one (closed when strict, open
-    otherwise), so sep-balls around the net cover the member set."""
+    otherwise), so sep-balls around the net cover the member set.
+
+    Each kept point reads its closed sep-ball once.  Returns ``(kept,
+    nearest, distance)``: per point, the place in ``kept`` of its nearest
+    kept point within sep (the first in kept order on ties) and the distance
+    to it; -1 and inf where none is within sep, which no member is."""
     members = range(space.n) if members is None else np.sort(members)
     kept: list[int] = []
-    min_dist = np.full(space.n, np.inf)
+    nearest = np.full(space.n, -1, dtype=np.int64)
+    distance = np.full(space.n, np.inf)
     for p in members:
-        if min_dist[p] > sep if strict else min_dist[p] >= sep:
+        if distance[p] > sep if strict else distance[p] >= sep:
+            _, _, ball, dists = next(space.ball_chunks([p], sep))
+            closer = dists < distance[ball]
+            nearest[ball[closer]] = len(kept)
+            distance[ball[closer]] = dists[closer]
             kept.append(int(p))
-            np.minimum(min_dist, space.dist_row(p), out=min_dist)
-    return kept
+    return kept, nearest, distance
 
 
 def geometric_doubling_check(space: FiniteSpace, D0: int,
@@ -846,23 +855,24 @@ def geometric_doubling_check(space: FiniteSpace, D0: int,
     centers = list(centers)
     if small_radii is None:
         small_radii = [r for r in (r0, 2 * r0, 4 * r0)]
-    max_small = 0
-    for c in centers:
-        for r in small_radii:
-            if r > 4 * r0:
-                continue
-            net = greedy_net(space, r / 2, space.ball(c, r), strict=True)
-            max_small = max(max_small, len(net))
+
+    def cover(R: float, r: float) -> int:
+        """Largest greedy r-net of a ball B(c, R) over the centers."""
+        worst = 0
+        for _, indptr, balls, _ in space.ball_chunks(centers, R):
+            for ball in np.split(balls, indptr[1:-1]):
+                worst = max(worst, len(greedy_net(space, r, ball, strict=True)[0]))
+        return worst
+
+    max_small = max([cover(r, r / 2) for r in small_radii if r <= 4 * r0],
+                    default=0)
     D = max(float(D0), math.floor(9**eps * (K + 1)) + 1)
     checks = []
     if pairs:
         for R, r in pairs:
             if not 0 < r <= R:
                 raise ValueError("cover pairs need 0 < r <= R")
-            worst = 0
-            for c in centers:
-                net = greedy_net(space, r, space.ball(c, R), strict=True)
-                worst = max(worst, len(net))
+            worst = cover(R, r)
             bound = D ** (math.log2(math.floor(R / r)) + 1)
             checks.append(CoverCheck(R=float(R), r=float(r), count=worst,
                                      bound=bound, ok=worst <= bound))

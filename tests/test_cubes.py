@@ -63,10 +63,12 @@ def full_row_axioms(system: DyadicSystem) -> AxiomReport:
             viol.append(AxiomViolation(axiom, level, cube, detail))
 
     partition_ok = True
+    in_range = []
     for li, k in enumerate(system.levels):
         a = system.assign[li]
         m = len(system.centers[li])
-        if a.shape != (space.n,) or a.min() < 0 or a.max() >= m:
+        in_range.append(a.shape == (space.n,) and 0 <= a.min() and a.max() < m)
+        if not in_range[-1]:
             partition_ok = False
             add("i", k, -1, "assignment out of range")
             continue
@@ -76,6 +78,8 @@ def full_row_axioms(system: DyadicSystem) -> AxiomReport:
     nesting_ok = True
     for li in range(len(system.levels)):
         for lj in range(li + 1, len(system.levels)):
+            if not (in_range[li] and in_range[lj]):
+                continue
             fine, coarse = system.assign[li], system.assign[lj]
             m = len(system.centers[lj])
             fine_ids = np.unique(fine.astype(np.int64) * m + coarse) // m
@@ -86,6 +90,8 @@ def full_row_axioms(system: DyadicSystem) -> AxiomReport:
                     f"straddles two cubes at level {system.levels[lj]}")
     parent_ok = True
     for li in range(len(system.levels) - 1):
+        if not (in_range[li] and in_range[li + 1]):
+            continue
         expected = system.parents[li][system.assign[li]]
         mism = np.nonzero(expected != system.assign[li + 1])[0]
         if mism.size:
@@ -293,6 +299,28 @@ class TestSelectNets:
     def test_scale_above_diameter_single_center(self, z64):
         nets = select_nets(z64, HKParams())
         assert list(nets.centers[-1]) == [0]
+        assert np.array_equal(nets.nearest[-1], np.zeros(z64.n))
+        assert np.array_equal(nets.distance[-1], z64.dist_row(0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_group_space("zd", d=1, modulus=4096)[0],
+        lambda: build_group_space("zd", d=2, modulus=16)[0],
+        lambda: random_square_space(60, 40, seed=9),
+    ], ids=["z4096", "z2-16", "random-square"])
+    def test_reads_each_center_ball_once(self, make, monkeypatch):
+        space = make()
+        params = HKParams()
+        calls = []
+        real = space.ball_chunks
+        monkeypatch.setattr(space, "ball_chunks", lambda c, r: calls.append(
+            (np.asarray(c).tolist(), r)) or real(c, r))
+        nets = select_nets(space, params)
+        # levels at or below the resolution take every point, reading nothing
+        assert calls == [([int(c)], params.c0 * params.delta**k)
+                         for k, cents in zip(nets.levels, nets.centers)
+                         if params.c0 * params.delta**k > space.resolution()
+                         for c in cents]
+        assert len(calls) < sum(len(c) for c in nets.centers)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +362,11 @@ class TestBuildCubes:
                       [1000.0, 0.0, 1000.0],
                       [2000.0, 1000.0, 0.0]])
         space = MatrixSpace(d, label="spread")
+        # the one level-1 center is 1000 and 2000 away from the others,
+        # beyond C0*delta = 72
         nets = Nets(levels=(0, 1), centers=(np.arange(3), np.array([0])),
-                    notes=())
+                    nearest=(np.arange(3), np.zeros(3, dtype=np.int64)),
+                    distance=(np.zeros(3), d[0]), notes=())
         with pytest.raises(ConstructionError, match="covering"):
             build_cubes(space, HKParams(), nets)
 
@@ -448,9 +479,10 @@ class TestBuildCubes:
         real = space.dist_row
         monkeypatch.setattr(space, "dist_row",
                             lambda i: rows.append(i) or real(i))
-        build_cubes(space, HKParams(), nets)
-        # one row per coarser center, for the parent links only
-        assert len(rows) == sum(len(c) for c in nets.centers[1:])
+        system = build_cubes(space, HKParams(), nets)
+        # nearest centers and parents come from the nets' maps
+        assert rows == []
+        assert np.array_equal(system.assign[0], np.arange(space.n))
 
     def test_wrong_identity_assignment_is_caught(self, z64):
         system = build_cubes(z64, HKParams())
@@ -515,6 +547,28 @@ class TestLocalVerification:
         if how == "teleport":
             assert [v.detail for v in report.violations if v.axiom == "iv"] \
                 == ["inner sandwich violated", "outer sandwich violated"]
+
+    @pytest.mark.parametrize("cube", [14, 15])
+    def test_out_of_range_assignment_is_reported(self, z512_system, cube):
+        # (i) reports the level; (iii) must not index with it, and (ii) must
+        # not read point 0's cube 15 as a second level-1 cube of point 1
+        assign = [a.copy() for a in z512_system.assign]
+        assign[1][0] = cube
+        assert len(z512_system.centers[1]) == 14
+        broken = replace(z512_system, assign=tuple(assign))
+        report = verify_cube_axioms(broken)
+        assert not report.partition_ok and not report.all_pass
+        assert AxiomViolation("i", 1, -1, "assignment out of range") \
+            in report.violations
+        assert report == full_row_axioms(broken)
+
+    def test_short_parent_table_is_reported(self, z512_system):
+        parents = list(z512_system.parents)
+        parents[0] = parents[0][:-1]
+        report = verify_cube_axioms(replace(z512_system, parents=tuple(parents)))
+        assert not report.parent_ok and report.partition_ok
+        assert AxiomViolation("iii", z512_system.levels[0], -1,
+                              "parent out of range") in report.violations
 
     def test_covering_ball_is_open(self):
         # level-1 centers 0 and 144 on Z/288: the points 72 and 216 lie

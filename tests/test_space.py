@@ -416,16 +416,44 @@ class TestBallChunks:
 
     def test_kernel_choice(self):
         space, _ = build_group_space("zd", d=1, modulus=4096)
-        # |B(e, r)| = 2r + 1, so a block holds 8192 // (2r + 1) centers, and
-        # (r + 1) * 8192 <= 6 * 4096 * (8192 // (2r + 1)) up to r = 110
-        chosen = {r: next(space.ball_chunks([0], r)) for r in (110, 111)}
+        # |B(e, r)| = 2r + 1, so a block holds min(#centers, 8192 // (2r + 1))
+        # centers: with 37 of them (r + 1) * 8192 <= 6 * 4096 * 37 up to
+        # r = 110, and a lone center is searched only up to r = 2
         assert space._ball_kernel(110, 37) == space._search_balls
         assert space._ball_kernel(111, 36) == space._row_balls
-        assert chosen[110][3].dtype == np.int64      # search: layer numbers
-        assert chosen[111][3].dtype == float         # rows: distances
+        kinds = {(m, r): next(space.ball_chunks(np.arange(m), r))[3].dtype
+                 for m, r in ((37, 110), (36, 111), (1, 110), (1, 2), (1, 3))}
+        # the search yields layer numbers, rows yield float distances
+        assert kinds == {(37, 110): np.int64, (36, 111): float,
+                         (1, 110): float, (1, 2): np.int64, (1, 3): float}
         assert space._ball_kernel(space.diameter(), 2) == space._row_balls
         square = random_square_space(60, 40, seed=9)
         assert square._ball_kernel(0, 1) == square._row_balls
+
+
+def row_greedy_net(space, sep, members=None, *, strict):
+    """Reference greedy net with one full distance row per kept point, and
+    each point's nearest kept point over the whole net (the first in kept
+    order on ties)."""
+    members = range(space.n) if members is None else np.sort(members)
+    kept = []
+    nearest = np.zeros(space.n, dtype=np.int64)
+    distance = np.full(space.n, np.inf)
+    for p in members:
+        if distance[p] > sep if strict else distance[p] >= sep:
+            row = space.dist_row(int(p))
+            closer = row < distance
+            nearest[closer] = len(kept)
+            distance[closer] = row[closer]
+            kept.append(int(p))
+    return kept, nearest, distance
+
+
+NET_SPACES = {
+    "h3-ball6": lambda: build_group_space("h3", radius=6)[0],
+    "z2-16": lambda: build_group_space("zd", d=2, modulus=16)[0],
+    "random-square": lambda: random_square_space(60, 40, seed=9),
+}
 
 
 class TestGreedyNet:
@@ -433,18 +461,52 @@ class TestGreedyNet:
         # the points -4..4 of Z, scanned in canonical order 0, -1, 1, -2, ...
         space, _ = build_group_space("zd", d=1, radius=4)
         x = space.elements[:, 0]
-        loose = greedy_net(space, 2.0, strict=False)
-        tight = greedy_net(space, 2.0, strict=True)
+        loose, _, _ = greedy_net(space, 2.0, strict=False)
+        tight, _, _ = greedy_net(space, 2.0, strict=True)
         assert sorted(x[loose]) == [-4, -2, 0, 2, 4]
         assert sorted(x[tight]) == [-3, 0, 3]
 
     def test_members_subset(self):
         space, _ = build_group_space("zd", d=1, modulus=16)
         members = np.array([9, 3, 5, 12])
-        net = greedy_net(space, 2.0, members, strict=True)
+        net, _, _ = greedy_net(space, 2.0, members, strict=True)
         assert net == sorted(net) and net[0] == 3
         assert set(net) <= set(members.tolist())
         assert all(space.dist(i, j) > 2.0 for i in net for j in net if i != j)
+
+    @pytest.mark.parametrize("make", NET_SPACES.values(), ids=NET_SPACES.keys())
+    @pytest.mark.parametrize("pays", [0, 10**9], ids=["rows", "search"])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_matches_full_row_reference(self, make, pays, strict, subset,
+                                        monkeypatch):
+        # _SEARCH_PAYS = 0 sends every ball to rows, 10**9 to the search
+        monkeypatch.setattr(space_module, "_SEARCH_PAYS", pays)
+        space = make()
+        members = (np.random.default_rng(3).permutation(space.n)[:space.n // 3]
+                   if subset else None)
+        for sep in (1.0, 2.0, 3.5, 7.0):
+            kept, nearest, distance = greedy_net(space, sep, members,
+                                                 strict=strict)
+            ref_kept, ref_nearest, ref_distance = row_greedy_net(
+                space, sep, members, strict=strict)
+            assert kept == ref_kept
+            within = ref_distance <= sep
+            assert np.array_equal(nearest[within], ref_nearest[within])
+            assert np.array_equal(distance[within], ref_distance[within])
+            assert np.all(nearest[~within] == -1)
+            assert np.all(distance[~within] == np.inf)
+            # every member has a kept point within sep
+            assert within[np.arange(space.n) if members is None else members].all()
+
+    def test_reads_each_kept_ball_once(self, monkeypatch):
+        space, _ = build_group_space("zd", d=2, modulus=16)
+        calls = []
+        real = space.ball_chunks
+        monkeypatch.setattr(space, "ball_chunks", lambda c, r: calls.append(
+            (np.asarray(c).tolist(), r)) or real(c, r))
+        kept, _, _ = greedy_net(space, 3.0, strict=False)
+        assert calls == [([c], 3.0) for c in kept]
 
 
 class TestBallTable:
@@ -496,6 +558,16 @@ class TestMatrixSpace:
                       [1.0, 0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
             MatrixSpace(d)
+
+    def test_stored_metric_is_read_only(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        space = MatrixSpace(d)
+        d[0, 1] = 9.0           # the caller's array is not the stored one
+        with pytest.raises(ValueError, match="read-only"):
+            space.dist_row(0)[1] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            space.dist_matrix()[0, 1] = 9.0
+        assert space.dist(0, 1) == 1.0
 
     def test_single_point(self):
         space = MatrixSpace([[0.0]])
@@ -567,6 +639,34 @@ class TestDoubling:
         assert rep1.max_small_cover == 9
         assert rep2.max_small_cover == 12
         assert rep1.small_ok and rep2.small_ok
+
+    @pytest.mark.parametrize("pays", [0, 10**9], ids=["rows", "search"])
+    def test_matches_full_row_reference(self, pays, monkeypatch):
+        monkeypatch.setattr(space_module, "_SEARCH_PAYS", pays)
+        space, _ = build_group_space("h3", radius=6)
+        centers = list(range(0, space.n, space.n // 8))
+        pairs = [(2, 1), (4, 1), (6, 2), (12, 5)]
+
+        def cover(R, r):
+            return max(len(row_greedy_net(
+                space, r, np.flatnonzero(space.dist_row(c) <= R),
+                strict=True)[0]) for c in centers)
+
+        rep = geometric_doubling_check(space, 20, pairs=pairs)
+        assert rep.max_small_cover == max(cover(r, r / 2) for r in (1, 2, 4))
+        assert [p.count for p in rep.pairs] == [cover(R, r) for R, r in pairs]
+
+    def test_searched_balls_read_no_rows(self, monkeypatch):
+        # on Z^2/64 the search serves the balls B(c, r <= 4) of the eight
+        # centers and the nets' balls of radius <= 2 alike
+        space, _ = build_group_space("zd", d=2, modulus=64)
+        rows = []
+        real = space.dist_row
+        monkeypatch.setattr(space, "dist_row",
+                            lambda i: rows.append(i) or real(i))
+        rep = geometric_doubling_check(space, 9, pairs=[(4, 2)])
+        assert rep.max_small_cover == 9 and rep.all_ok
+        assert rows == []
 
     def test_rejects_bad_inputs(self):
         space, _ = build_group_space("zd", d=1, radius=8)
