@@ -24,8 +24,8 @@ import numpy as np
 
 from .cubes import BoundaryConstants, HKParams, build_cubes, verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
-from .dynamics import action_profile, build_system, convergence_probe, \
-    tail_experiment, transference_check
+from .dynamics import build_system, convergence_probe, tail_experiment, \
+    transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, _ENSEMBLES, _draw, domination_check, \
     norm_probe
@@ -519,6 +519,9 @@ def _suite_transference(space, system, cfg: dict) -> dict:
 
 def cmd_verify(cfg: dict, sha: str, outdir: Path,
                suites: Sequence[str]) -> int:
+    if "transference" in suites and cfg["space"]["modulus"] is None:
+        raise ConfigError("suite transference needs a finite quotient: set "
+                          "space.modulus instead of space.radius")
     space, _ = _build_space(cfg)
     params = _build_params(cfg)
     runners = {"axioms": _suite_axioms, "domination": _suite_domination,
@@ -602,9 +605,7 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     diffs = np.diff(np.asarray(tail.tails))
     if np.any(diffs > 0):
         failures.append("tail is not non-increasing")
-    base = float((system.mu * np.clip(values, -1, 1)).sum())
-    rows = action_profile(system, np.clip(values, -1, 1), list(tail.radii))
-    drift = float(np.abs(rows @ system.mu - base).max())
+    drift = tail.mean_drift
     if drift > 1e-12:
         failures.append(f"mean not preserved along radii (drift {drift:g})")
 

@@ -13,6 +13,11 @@ geometric ball averages on the same quotient coincide after identifying the
 point with the group element.  Both sides here go through the same shell
 sweep (`operators.shell_sweep`) with the same permutation tables, so the
 agreement is bitwise, not merely within rounding.
+
+Systems keep no permutations of their own: a regular system hands out the
+quotient's `GroupSpace.right_perm` arrays, and a rotation rolls the state
+grid on every request.  Orbits are labelled by min-label hooking with
+pointer jumping (Shiloach-Vishkin 1982), in O(log n) rounds.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class MPSystem:
     ``perm_for(j)`` must return, for the j-th group element u (in the
     quotient's canonical order), the state permutation x -> tau_{u^-1}(x);
     gathering f through it evaluates the Koopman translate T_u f.  The
-    constructor checks bijectivity and measure preservation on the
+    system stores no permutations: each `act_perm` call asks ``perm_for``.
+    The constructor checks bijectivity and measure preservation on the
     generators, the identity, and a sample of products (the homomorphism
     law composes as perm(uv) = perm(v)[perm(u)]).
     """
@@ -74,18 +80,15 @@ class MPSystem:
         self.mu = mu / mu.sum()
         self.label = label
         self._perm_for = perm_for
-        self._cache: dict[int, np.ndarray] = {}
         self._labels: np.ndarray | None = None
         self._validate(homomorphism_samples, seed)
 
     def act_perm(self, j: int) -> np.ndarray:
         """State permutation for group element index j (tau_{u_j^-1})."""
-        if j not in self._cache:
-            perm = np.asarray(self._perm_for(int(j)))
-            if perm.shape != (self.n_states,):
-                raise ActionError("action permutation has the wrong length")
-            self._cache[j] = perm
-        return self._cache[j]
+        perm = np.asarray(self._perm_for(int(j)))
+        if perm.shape != (self.n_states,):
+            raise ActionError("action permutation has the wrong length")
+        return perm
 
     def _generator_indices(self) -> np.ndarray:
         g = self.group
@@ -129,25 +132,25 @@ class MPSystem:
 
     def orbit_labels(self) -> np.ndarray:
         """Connected components of the action graph, labelled by their
-        smallest state index; computed once per system, read-only."""
+        smallest state index; computed once per system, read-only.
+
+        Each round pulls every label back along each generator (the
+        generator sets are symmetric, so along inverses too), then jumps
+        every label to its own label's label.  Labels only fall and stay
+        inside their orbit, so the fixpoint is the orbit minimum.
+        """
         if self._labels is not None:
             return self._labels
+        perms = [self.act_perm(int(j)) for j in self._generator_indices()]
         labels = np.arange(self.n_states)
-        perms = []
-        for j in self._generator_indices():
-            perms.append(self.act_perm(int(j)))
-        changed = True
-        while changed:
-            changed = False
+        while True:
+            new = labels
             for perm in perms:
-                # pull labels both ways along the edge x <-> perm[x]
-                m = np.minimum(labels, labels[perm])
-                scatter = labels.copy()
-                np.minimum.at(scatter, perm, labels)
-                m = np.minimum(m, scatter)
-                if not np.array_equal(m, labels):
-                    labels = m
-                    changed = True
+                new = np.minimum(new, new[perm])
+            new = new[new]
+            if np.array_equal(new, labels):
+                break
+            labels = new
         labels.flags.writeable = False
         self._labels = labels
         return labels
@@ -191,12 +194,17 @@ def build_system(kind: str, *, modulus: int | None = None,
 
     kinds:
       regular     -- a quotient (zd or h3) acting on itself
-      rotation    -- Z acting on Z_N by x -> x + step, modelled by the
-                     quotient Z_M (M = acting_modulus, default N; step*M
-                     must vanish mod N so the quotient action is defined)
-      rotation2d  -- Z^2 acting on Z_N^2 by two commuting shifts
-      heisenberg  -- H3 mod N acting on itself (regular)
+      heisenberg  -- the regular system of H3 mod N
+      rotation    -- Z acting on Z_N by x -> x + step
+      rotation2d  -- Z^2 acting on Z_N^2 by the shifts ``step`` and
+                     ``step2`` (default (0, 1)); a scalar step s means (s, 0)
+
+    Rotations are modelled by the quotient Z_M^d (M = acting_modulus,
+    default N); every step times M must vanish mod N so that the quotient
+    action is defined.
     """
+    if kind == "heisenberg":
+        kind, family = "regular", "h3"
     if kind == "regular":
         if group is None:
             if modulus is None:
@@ -205,63 +213,39 @@ def build_system(kind: str, *, modulus: int | None = None,
                 family, d=None if family == "h3" else d, modulus=modulus)
         return regular_system(group)
 
-    if kind == "heisenberg":
-        if modulus is None:
-            raise ValueError("heisenberg systems need a modulus")
-        group, _ = build_group_space("h3", d=3, modulus=modulus)
-        return regular_system(group)
-
-    if kind == "rotation":
-        if modulus is None:
-            raise ValueError("rotation systems need a modulus")
-        n = int(modulus)
-        a = int(step) if np.isscalar(step) else int(step[0])
-        m = n if acting_modulus is None else int(acting_modulus)
-        if (a * m) % n != 0:
+    if kind not in ("rotation", "rotation2d"):
+        raise ValueError(
+            f"unknown kind {kind!r}; expected one of regular, rotation, "
+            f"rotation2d, heisenberg")
+    if modulus is None:
+        raise ValueError(f"{kind} systems need a modulus")
+    n = int(modulus)
+    dim = 1 if kind == "rotation" else 2
+    first = (step,) + (0,) * (dim - 1) if np.isscalar(step) else step
+    rows = [first, (0, 1) if step2 is None else step2][:dim]
+    if any(np.shape(v) != (dim,) for v in rows):
+        raise ValueError(f"{kind} steps must have length {dim}")
+    steps = np.array(rows, dtype=np.int64)      # row i: the i-th shift
+    m = n if acting_modulus is None else int(acting_modulus)
+    for v in steps:
+        if np.any((v * m) % n != 0):
+            shown = int(v[0]) if dim == 1 else tuple(int(x) for x in v)
             raise ActionError(
-                f"acting modulus {m} incompatible with step {a} mod {n}: "
+                f"acting modulus {m} incompatible with step {shown} mod {n}: "
                 f"step*M must vanish mod N for the quotient action")
-        group, _ = build_group_space("zd", d=1, modulus=m)
-        if mu is None:
-            mu = np.ones(n) / n
+    group, _ = build_group_space("zd", d=dim, modulus=m)
+    if mu is None:
+        mu = np.ones(n ** dim) / n ** dim
+    grid = np.arange(n ** dim).reshape((n,) * dim)
 
-        def perm_for(j: int) -> np.ndarray:
-            e = int(group.elements[j, 0])
-            return (np.arange(n) + a * e) % n
+    def perm_for(j: int) -> np.ndarray:
+        # state x goes to x + e @ steps: roll the grid back by the shift
+        shift = (group.elements[j] @ steps) % n
+        return np.roll(grid, tuple(-shift), axis=tuple(range(dim))).ravel()
 
-        return MPSystem(group, mu, perm_for, label=f"rotation:{a}:Z_{n}")
-
-    if kind == "rotation2d":
-        if modulus is None:
-            raise ValueError("rotation2d systems need a modulus")
-        n = int(modulus)
-        v1 = np.asarray(step if not np.isscalar(step) else (1, 0),
-                        dtype=np.int64)
-        v2 = np.asarray(step2 if step2 is not None else (0, 1),
-                        dtype=np.int64)
-        if v1.shape != (2,) or v2.shape != (2,):
-            raise ValueError("rotation2d steps must be pairs")
-        m = n if acting_modulus is None else int(acting_modulus)
-        for v in (v1, v2):
-            if np.any((v * m) % n != 0):
-                raise ActionError(
-                    f"acting modulus {m} incompatible with step {tuple(v)} "
-                    f"mod {n}: step*M must vanish mod N")
-        group, _ = build_group_space("zd", d=2, modulus=m)
-        if mu is None:
-            mu = np.ones(n * n) / (n * n)
-        grid_i, grid_j = np.divmod(np.arange(n * n), n)
-
-        def perm_for(j: int) -> np.ndarray:
-            e = group.elements[j]
-            shift = (int(e[0]) * v1 + int(e[1]) * v2) % n
-            return ((grid_i + shift[0]) % n) * n + (grid_j + shift[1]) % n
-
-        return MPSystem(group, mu, perm_for, label=f"rotation2d:Z_{n}^2")
-
-    raise ValueError(
-        f"unknown kind {kind!r}; expected one of regular, rotation, "
-        f"rotation2d, heisenberg")
+    label = (f"rotation:{int(steps[0, 0])}:Z_{n}" if dim == 1
+             else f"rotation2d:Z_{n}^2")
+    return MPSystem(group, mu, perm_for, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +341,7 @@ class TailReport:
     c1: float | None               # exp(intercept)
     c2: float | None               # exp(slope); in (0,1) iff slope < 0
     r_squared: float | None
+    mean_drift: float              # max over radii of |mu(A_r f) - mu(f)|
     notes: tuple[str, ...]
 
     @property
@@ -400,7 +385,8 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
                     radii: Sequence[float], *, lam: float | None = None,
                     upcross: tuple[float, float] | None = None) -> TailReport:
     """Distribution of the jump (or upcrossing) count of the ergodic
-    averages over the radius grid, with a log-linear tail fit.
+    averages over the radius grid, with a log-linear tail fit, and the
+    largest drift of the averages' mean from the mean of f.
 
     The grid is capped at the acting group's safe radius; any capping is
     recorded in the report rather than applied silently.
@@ -428,6 +414,7 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
             f"all radii exceed the safe radius {safe} of the acting group")
 
     rows = action_profile(system, values, kept)
+    drift = float(np.abs(rows @ system.mu - (system.mu * values).sum()).max())
     if lam is not None:
         counts = jump_count_batch(rows, lam)
         kind, threshold = "jump", (float(lam),)
@@ -458,7 +445,7 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
                       radii=tuple(kept), ns=tuple(int(n) for n in ns),
                       tails=tuple(float(t) for t in tails), fitted=fitted,
                       slope=slope, c1=c1, c2=c2, r_squared=r2,
-                      notes=tuple(notes))
+                      mean_drift=drift, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

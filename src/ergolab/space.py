@@ -501,7 +501,10 @@ class GroupSpace(FiniteSpace):
             if np.any(perm < 0):
                 raise ValueError("translation left the space")
             # int32 halves the cache; n is far below the int32 range
-            self._perm_cache[j] = perm.astype(np.int32)
+            perm = perm.astype(np.int32)
+            # read-only: systems hand these very arrays to every caller
+            perm.flags.writeable = False
+            self._perm_cache[j] = perm
         return self._perm_cache[j]
 
 

@@ -118,6 +118,23 @@ class TestConfigValidation:
                    str(tmp_path / "run")) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_transference_on_truncation_refused_before_suites(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a suite ran before the config was refused")
+
+        monkeypatch.setattr(cli, "_suite_gundy", never)
+        monkeypatch.setattr(cli, "build_cubes", never)
+        cfg = write_config(tmp_path, {"space": {"family": "h3", "radius": 4,
+                                                "modulus": None}})
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "gundy,transference") == 2
+        err = capsys.readouterr().err
+        assert "space.modulus" in err
+        assert "Traceback" not in err
+        assert not (out / "verify.json").exists()
+
     def test_space_needs_exactly_one_extent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"modulus": None}})
         assert run("space", "--config", cfg, "--out",

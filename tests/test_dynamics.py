@@ -20,7 +20,7 @@ from ergolab.dynamics import (
     transference_check,
 )
 from ergolab.operators import avg_profile
-from ergolab.space import build_group_space
+from ergolab.space import MatrixSpace, build_group_space
 from ergolab.stats import upcrossing_count_batch, jump_count_batch
 
 RNG = np.random.default_rng
@@ -34,6 +34,54 @@ def z64():
 @pytest.fixture(scope="module")
 def rot8():
     return build_system("rotation", modulus=8, step=1)
+
+
+# (kind, N, steps, acting modulus): gcd(step, N) in {1, 3, 4}, an acting
+# modulus below N, and two-dimensional shifts that split Z_8^2 into orbits
+ROTATIONS = [
+    ("rotation", 12, [(1,)], None),
+    ("rotation", 12, [(3,)], None),
+    ("rotation", 12, [(4,)], None),
+    ("rotation", 16, [(4,)], 4),
+    ("rotation", 12, [(-5,)], None),
+    ("rotation2d", 8, [(1, 0), (0, 1)], None),
+    ("rotation2d", 8, [(2, 0), (0, 4)], None),
+    ("rotation2d", 8, [(2, 0), (0, 4)], 4),
+]
+
+
+def rotation(kind, n, steps, m):
+    step2 = steps[1] if kind == "rotation2d" else None
+    return build_system(kind, modulus=n, step=steps[0], step2=step2,
+                        acting_modulus=m)
+
+
+def modular_perm(kind, n, steps, e):
+    """x -> x + e @ steps on Z_n^d, written out coordinate by coordinate."""
+    if kind == "rotation":
+        return (np.arange(n) + steps[0][0] * int(e[0])) % n
+    shift = [sum(int(e[i]) * steps[i][c] for i in range(2)) % n
+             for c in range(2)]
+    grid_i, grid_j = np.divmod(np.arange(n * n), n)
+    return ((grid_i + shift[0]) % n) * n + (grid_j + shift[1]) % n
+
+
+def union_find_labels(system):
+    """Smallest state of each component of the generator graph, by a
+    plain union-find that always hangs the larger root below the smaller."""
+    parent = list(range(system.n_states))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for j in system._generator_indices():
+        for x, y in enumerate(system.act_perm(int(j)).tolist()):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return np.array([find(x) for x in range(system.n_states)])
 
 
 class TestConstruction:
@@ -53,6 +101,9 @@ class TestConstruction:
         system = build_system("heisenberg", modulus=4)
         assert system.group.n == 64
         assert system.n_states == 64
+        regular = build_system("regular", family="h3", modulus=4)
+        assert system.label == regular.label
+        assert np.array_equal(system.group.elements, regular.group.elements)
 
     def test_rotation2d(self):
         system = build_system("rotation2d", modulus=8)
@@ -62,6 +113,60 @@ class TestConstruction:
         perm = system.act_perm(gi)
         x = 3 * 8 + 5
         assert perm[x] == ((3 + 1) % 8) * 8 + 5
+
+    def test_rotation2d_scalar_step_moves_first_coordinate(self):
+        system = build_system("rotation2d", modulus=8, step=3)
+        gi = int(system.group.index_of([[1, 0]])[0])
+        perm = system.act_perm(gi)
+        x = 3 * 8 + 5
+        assert perm[x] == ((3 + 3) % 8) * 8 + 5
+        # the second shift keeps its default (0, 1)
+        gj = int(system.group.index_of([[0, 1]])[0])
+        assert system.act_perm(gj)[x] == 3 * 8 + 6
+
+    def test_rotation2d_scalar_step_checked_against_acting_modulus(self):
+        system = build_system("rotation2d", modulus=12, step=3, step2=(0, 3),
+                              acting_modulus=4)
+        assert system.group.n == 16
+        with pytest.raises(ActionError, match=r"step \(2, 0\)"):
+            build_system("rotation2d", modulus=12, step=2, step2=(0, 3),
+                         acting_modulus=4)
+
+    def test_steps_must_match_the_dimension(self):
+        with pytest.raises(ValueError, match="length 2"):
+            build_system("rotation2d", modulus=8, step=(1, 0, 0))
+        with pytest.raises(ValueError, match="length 2"):
+            build_system("rotation2d", modulus=8, step2=(1,))
+        with pytest.raises(ValueError, match="length 1"):
+            build_system("rotation", modulus=8, step=(1, 2))
+
+    @pytest.mark.parametrize("kind, n, steps, m", ROTATIONS)
+    def test_rotation_perms_match_modular_formula(self, kind, n, steps, m):
+        system = rotation(kind, n, steps, m)
+        for j in range(system.group.n):
+            perm = system.act_perm(j)
+            assert np.array_equal(perm, modular_perm(kind, n, steps,
+                                                     system.group.elements[j]))
+
+    def test_act_perm_builds_on_demand(self, rot8):
+        gi = int(rot8.group.index_of([[1]])[0])
+        first = rot8.act_perm(gi)
+        assert np.array_equal(rot8.act_perm(gi), first)
+        assert rot8.act_perm(gi) is not first
+        assert not hasattr(rot8, "_cache")
+
+    def test_act_perm_checks_the_length(self, z64):
+        system = regular_system(z64)
+        system._perm_for = lambda j: np.arange(63)
+        with pytest.raises(ActionError, match="wrong length"):
+            system.act_perm(1)
+
+    def test_shared_translation_tables_are_read_only(self):
+        space, _ = build_group_space("zd", d=1, modulus=16)
+        perm = regular_system(space).act_perm(5)
+        assert perm is space.right_perm(5)
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = 0
 
     def test_full_orbit_when_step_coprime(self):
         system = build_system("rotation", modulus=8, step=3)
@@ -207,6 +312,18 @@ class TestTransference:
         trans = avg_profile(f, z64, radii)
         assert np.array_equal(act, trans)
 
+    @pytest.mark.parametrize("family, d, modulus", [
+        ("zd", 1, 64), ("zd", 2, 8), ("h3", None, 4)])
+    def test_matches_distance_row_averages(self, family, d, modulus):
+        # an independent engine: sorted distance rows of a matrix copy,
+        # with no translation table on the geometric side
+        space, _ = build_group_space(family, d=d, modulus=modulus)
+        f = RNG(15).standard_normal(space.n)
+        radii = [1.0, 2.0, 3.0, 5.0]
+        act = action_profile(regular_system(space), f, radii)
+        rows = avg_profile(f, MatrixSpace(space.dist_matrix()), radii)
+        assert np.allclose(act, rows, rtol=1e-12, atol=1e-12)
+
     def test_report_json(self, z64):
         rng = RNG(14)
         f = rng.standard_normal(64)
@@ -287,6 +404,18 @@ class TestTailExperiment:
         n_j = jump_count_batch(rows, (b - a) / 2.0)
         assert np.all(n_ab <= 2 * n_j)
 
+    def test_mean_drift_read_from_the_clipped_profile(self, rot8):
+        f = RNG(25).uniform(-2, 2, 8)
+        radii = [1.0, 2.0]
+        with pytest.warns(UserWarning, match="clipped"):
+            rep = tail_experiment(rot8, f, radii, lam=0.1)
+        g = np.clip(f, -1, 1)
+        rows = action_profile(rot8, g, radii)
+        drift = float(np.abs(rows @ rot8.mu - (rot8.mu * g).sum()).max())
+        assert rep.mean_drift == drift
+        assert rep.mean_drift <= 1e-12
+        assert "mean_drift" not in rep.to_json()
+
     def test_csv_and_json(self, rot8):
         rng = RNG(24)
         f = rng.uniform(-1, 1, 8)
@@ -361,6 +490,17 @@ class TestConvergence:
         labels = system.orbit_labels()
         assert labels is system.orbit_labels()
         assert not labels.flags.writeable
+
+    @pytest.mark.parametrize("kind, n, steps, m", ROTATIONS)
+    def test_orbit_labels_match_union_find(self, kind, n, steps, m):
+        system = rotation(kind, n, steps, m)
+        assert np.array_equal(system.orbit_labels(), union_find_labels(system))
+
+    def test_orbit_labels_of_h3_match_union_find(self):
+        system = build_system("regular", family="h3", modulus=4)
+        labels = system.orbit_labels()
+        assert np.array_equal(labels, union_find_labels(system))
+        assert np.array_equal(labels, np.zeros(64))
 
     def test_regular_action_single_orbit(self, z64):
         system = regular_system(z64)

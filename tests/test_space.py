@@ -302,6 +302,13 @@ class TestWordMetric:
         moved = space.elements[perm]
         assert np.array_equal(moved, (space.elements + 3) % 10)
 
+    def test_right_perm_is_read_only(self):
+        space, _ = build_group_space("zd", d=1, modulus=10)
+        perm = space.right_perm(3)
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = 0
+        assert space.right_perm(3) is perm
+
     def test_right_perm_refused_on_truncation(self):
         space, _ = build_group_space("zd", d=1, radius=5)
         with pytest.raises(ValueError):
