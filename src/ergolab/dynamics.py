@@ -88,6 +88,9 @@ class MPSystem:
         perm = np.asarray(self._perm_for(int(j)))
         if perm.shape != (self.n_states,):
             raise ActionError("action permutation has the wrong length")
+        # the sweep's gather does not check its indices
+        if perm.min() < 0 or perm.max() >= self.n_states:
+            raise ActionError("action permutation leaves the states")
         return perm
 
     def _generator_indices(self) -> np.ndarray:

@@ -11,7 +11,12 @@ Ball averages over a group quotient are computed by one sweep over the
 spheres of the group, accumulating one right-translation at a time; the
 sweep engine is shared with the dynamics module so that averages along a
 measure-preserving action reproduce translation averages bit for bit when
-the action is the group acting on itself.
+the action is the group acting on itself (Calderon transference).  The
+sweep takes a block of functions, values of shape (n, T), and gathers each
+permutation once for all T columns; every column keeps the accumulation
+order of its own 1-D sweep, so blocking never changes a bit.  The norm
+probes push their trials through it in column blocks whose profile fits
+in `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ from .martingale import (SampleFunction, dyadic_maximal, expectation,
                          sharp_maximal_bmo, weighted_norm)
 from .space import FiniteSpace, GroupSpace
 from .stats import jump_count_batch, variation_batch
+
+# bytes of the (radii, n, T) profile of one block of `norm_probe` trials
+_SWEEP_BYTES = 8 * 2**20
 
 __all__ = [
     "BlockGrid",
@@ -143,36 +151,51 @@ class OperatorConfig:
 # ball averages
 # ---------------------------------------------------------------------------
 
+def _row_view(block: np.ndarray) -> np.ndarray:
+    """(n,) view of a C-contiguous (n, T) array, one opaque item per row, so
+    that `np.take` moves whole rows."""
+    return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
+
+
 def sweep_profile(values: np.ndarray, weights: np.ndarray,
                   shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                   radii: Sequence[float]) -> np.ndarray:
     """Ball-average profile from one pass over translation shells.
 
-    ``shells`` yields (distance, permutations at that distance) in strictly
+    ``values`` has shape (n,) or (n, T): a block of T functions swept
+    together, each permutation read once for all columns.  ``shells``
+    yields (distance, permutations at that distance) in strictly
     increasing distance order, distance >= 1; the identity is implicit.
-    Row i of the result is the average over the closed ball of radius
-    radii[i].  Keeping one accumulation order per shell makes two callers
-    with equal shells produce bitwise-equal output.
+    The permutations must hold indices in [0, n): the gather does not
+    check them.  The result has shape ``(len(radii),) + values.shape``;
+    entry i is the average over the closed ball of radius radii[i].  Each
+    column keeps one accumulation order per shell, so two callers with
+    equal shells produce bitwise-equal output, and every column equals the
+    1-D call on that column.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size and np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
+    values = np.asarray(values, dtype=float)
     n = len(values)
-    out = np.empty((len(radii), n))
+    block = np.ascontiguousarray(values).reshape(n, -1)
+    out = np.empty((len(radii),) + block.shape)
     uniform = bool(np.all(weights == weights[0]))
     if uniform:
-        acc = np.array(values, dtype=float)
+        src = block
         count = 1
     else:
-        vw = weights * values
-        num = vw.copy()
+        src = weights[:, None] * block
         den = np.array(weights, dtype=float)
+    acc = src.copy()
+    buf = np.empty_like(src)
+    src_rows, buf_rows = _row_view(src), _row_view(buf)
     ridx = 0
 
     def emit(limit: float) -> None:
         nonlocal ridx
         while ridx < len(radii) and radii[ridx] < limit:
-            out[ridx] = acc / count if uniform else num / den
+            np.divide(acc, count if uniform else den[:, None], out=out[ridx])
             ridx += 1
 
     for dist, perms in shells:
@@ -180,21 +203,22 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
         if ridx >= len(radii):
             break
         for perm in perms:
+            # "clip" skips the output buffering that "raise" does
+            np.take(src_rows, perm, out=buf_rows, mode="clip")
+            acc += buf
             if uniform:
-                acc += values[perm]
                 count += 1
             else:
-                num += vw[perm]
                 den += weights[perm]
     emit(np.inf)
-    return out
+    return out.reshape((len(radii),) + values.shape)
 
 
 def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
                 perm: Callable[[int], np.ndarray], radii: Sequence[float]) -> np.ndarray:
     """`sweep_profile` over the spheres of ``group`` up to min(max radius,
     diameter); ``perm(j)`` is called only as the sweep reaches element j."""
-    rmax = min(int(math.floor(max(radii))), int(group.diameter()))
+    rmax = min(int(math.floor(max(radii, default=0.0))), int(group.diameter()))
 
     def shells():
         for s in range(1, rmax + 1):
@@ -206,26 +230,32 @@ def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
 
 def avg_profile(values: np.ndarray, space: FiniteSpace,
                 radii: Sequence[float]) -> np.ndarray:
-    """(len(radii), n) ball averages; radii strictly increasing."""
+    """Ball averages of ``values``, shape (n,) or (n, T), over strictly
+    increasing radii; the result has shape ``(len(radii),) + values.shape``
+    and each column equals the 1-D call on that column, bit for bit."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (space.n,):
+    if values.ndim not in (1, 2) or values.shape[0] != space.n:
         raise ValueError("values must have one entry per point")
+    if values.size == 0:
+        raise ValueError("a block of values needs at least one column")
     if space.has_group_fastpath:
         return shell_sweep(values, space.weights, space, space.right_perm, radii)
     radii = np.asarray(radii, dtype=float)
     if radii.size and np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
-    out = np.empty((len(radii), space.n))
+    block = values.reshape(space.n, -1)
+    out = np.empty((len(radii),) + block.shape)
     w = space.weights
-    for x in range(space.n):
+    wv = w[:, None] * block
+    for x in range(space.n if radii.size else 0):
         row = space.dist_row(x)
         order = np.argsort(row, kind="stable")
         srow = row[order]
         cw = np.cumsum(w[order])
-        cvw = np.cumsum((w * values)[order])
+        cvw = np.cumsum(wv[order], axis=0)
         pos = np.searchsorted(srow, radii, side="right") - 1
-        out[:, x] = cvw[pos] / cw[pos]
-    return out
+        out[:, x] = cvw[pos] / cw[pos][:, None]
+    return out.reshape((len(radii),) + values.shape)
 
 
 def translation_average(f: SampleFunction, space: FiniteSpace,
@@ -247,40 +277,60 @@ def translation_average(f: SampleFunction, space: FiniteSpace,
 # square function and short variation
 # ---------------------------------------------------------------------------
 
-def square_function(f: SampleFunction, system: DyadicSystem,
-                    config: OperatorConfig) -> SampleFunction:
-    """l^2 size of (average at scale delta^n) - (expectation at level n)
-    over the levels n > n_r0."""
+def _square_block(values: np.ndarray, system: DyadicSystem,
+                  config: OperatorConfig) -> np.ndarray:
+    """`square_function` of each column of an (n, T) block."""
     levels = config.eligible_levels(system)
     if not levels:
         raise ValueError("no eligible levels above n_r0; the space is too "
                          "small for this delta")
-    radii = [config.anchor(n) for n in levels]
-    rows = avg_profile(f.values, system.space, radii)
-    acc = np.zeros(system.space.n)
+    space = system.space
+    rows = avg_profile(values, space, [config.anchor(n) for n in levels])
+    cols = [SampleFunction(space.label, np.ascontiguousarray(c))
+            for c in values.T]
+    acc = np.zeros(values.shape)
     for i, n in enumerate(levels):
-        diff = rows[i] - expectation(f, system, n).values
+        exp = np.stack([expectation(f, system, n).values for f in cols], axis=1)
+        diff = rows[i] - exp
         acc += diff * diff
-    return SampleFunction(f.space_label, np.sqrt(acc))
+    return np.sqrt(acc)
+
+
+def square_function(f: SampleFunction, system: DyadicSystem,
+                    config: OperatorConfig) -> SampleFunction:
+    """l^2 size of (average at scale delta^n) - (expectation at level n)
+    over the levels n > n_r0."""
+    return SampleFunction(
+        f.space_label, _square_block(f.values[:, None], system, config)[:, 0])
 
 
 def _block_variations(rows: np.ndarray, config: OperatorConfig) -> np.ndarray:
-    """Per-block V_2 of the profile rows; shape (n_blocks, n_points)."""
-    out = np.empty((len(config.blocks), rows.shape[1]))
+    """Per-block V_2 of profile rows of shape (radii,) + shape; the result
+    has shape (n_blocks,) + shape."""
+    shape = rows.shape[1:]
+    out = np.empty((len(config.blocks),) + shape)
     offset = 0
     for bi, block in enumerate(config.blocks):
-        sub = rows[offset:offset + len(block.radii)]
-        out[bi] = variation_batch(sub, 2.0)
-        offset += len(block.radii)
+        k = len(block.radii)
+        sub = rows[offset:offset + k].reshape(k, -1)
+        out[bi] = variation_batch(sub, 2.0).reshape(shape)
+        offset += k
     return out
+
+
+def _short_variation_block(values: np.ndarray, space: FiniteSpace,
+                           config: OperatorConfig) -> np.ndarray:
+    """`short_variation` of each column of an (n, T) block."""
+    rows = avg_profile(values, space, config.union_grid())
+    return np.sqrt((_block_variations(rows, config) ** 2).sum(axis=0))
 
 
 def short_variation(f: SampleFunction, space: FiniteSpace,
                     config: OperatorConfig) -> SampleFunction:
     """l^2 over blocks of the V_2 of r -> A'_r f within each block."""
-    rows = avg_profile(f.values, space, config.union_grid())
-    blocks = _block_variations(rows, config)
-    return SampleFunction(f.space_label, np.sqrt((blocks**2).sum(axis=0)))
+    return SampleFunction(
+        f.space_label,
+        _short_variation_block(f.values[:, None], space, config)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,48 +503,64 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     """Randomized size of one operator: strong-(p,p) ratios over three
     ensembles, weak-(1,1) ratios on a gamma grid, and (for averages) the
     comparison against D^(1/p) with the doubling constant D fitted from
-    the space.  Rerunning with the same seed reproduces every number."""
+    the space.  Rerunning with the same seed reproduces every number.
+
+    Trials run in blocks of columns: each block of trial vectors goes
+    through one sweep, sized so that its (radii, n, T) profile stays
+    within `_SWEEP_BYTES`.  Trial t draws from seed + t, and every column
+    equals its one-column run, so the blocking changes no number.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     space = system.space
     if operator == "average" and r is None:
         r = max(1.0, config.anchor(config.n_r0 + 1))
-
-    def apply(f: SampleFunction) -> np.ndarray:
-        if operator == "square":
-            return square_function(f, system, config).values
-        if operator == "variation":
-            return short_variation(f, space, config).values
-        if operator == "average":
-            return avg_profile(f.values, space, [r])[0]
-        if operator == "maximal":
-            return dyadic_maximal(f, system).values
+    if operator == "square":
+        width = len(config.eligible_levels(system))
+    elif operator == "variation":
+        width = len(config.union_grid())
+    elif operator in ("average", "maximal"):
+        width = 1
+    else:
         raise ValueError(f"unknown operator {operator!r}")
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        if operator == "square":
+            return _square_block(block, system, config)
+        if operator == "variation":
+            return _short_variation_block(block, space, config)
+        if operator == "average":
+            return avg_profile(block, space, [r])[0]
+        return np.stack([dyadic_maximal(SampleFunction(
+            space.label, np.ascontiguousarray(c)), system).values
+            for c in block.T], axis=1)
 
     w = space.weights
     rows: list[ProbeRow] = []
     weak: dict[float, float] = {g: 0.0 for g in gammas}
     bmo_max = 0.0 if compute_bmo else None
-    for t in range(trials):
-        seed_t = seed + t
-        rng = np.random.default_rng(seed_t)
-        ensemble = _ENSEMBLES[t % len(_ENSEMBLES)]
-        values = _draw(ensemble, rng, space.n)
-        f = SampleFunction(space.label, values)
-        out = apply(f)
-        fnorm = weighted_norm(values, w, p)
-        ratio = 0.0 if fnorm == 0 else weighted_norm(out, w, p) / fnorm
-        rows.append(ProbeRow(operator, p, seed_t, ensemble, float(ratio)))
-        l1 = weighted_norm(values, w, 1)
-        if l1 > 0:
-            for g in gammas:
-                weak[g] = max(weak[g], g * w[np.abs(out) > g].sum() / l1)
-        if compute_bmo:
-            sup = np.abs(values).max()
-            if sup > 0:
-                _, bmo = sharp_maximal_bmo(SampleFunction(space.label, out),
-                                           system)
-                bmo_max = max(bmo_max, bmo / sup)
+    step = max(1, _SWEEP_BYTES // (max(width, 1) * space.n * 8))
+    for first in range(0, trials, step):
+        ts = range(first, min(first + step, trials))
+        ensembles = [_ENSEMBLES[t % len(_ENSEMBLES)] for t in ts]
+        draws = [_draw(e, np.random.default_rng(seed + t), space.n)
+                 for e, t in zip(ensembles, ts)]
+        outs = apply(np.stack(draws, axis=1))
+        for t, ensemble, values, col in zip(ts, ensembles, draws, outs.T):
+            out = np.ascontiguousarray(col)
+            fnorm = weighted_norm(values, w, p)
+            ratio = 0.0 if fnorm == 0 else weighted_norm(out, w, p) / fnorm
+            rows.append(ProbeRow(operator, p, seed + t, ensemble, float(ratio)))
+            l1 = weighted_norm(values, w, 1)
+            if l1 > 0:
+                for g in gammas:
+                    weak[g] = max(weak[g], g * w[np.abs(out) > g].sum() / l1)
+            if compute_bmo:
+                sup = np.abs(values).max()
+                if sup > 0:
+                    _, bmo = sharp_maximal_bmo(
+                        SampleFunction(space.label, out), system)
+                    bmo_max = max(bmo_max, bmo / sup)
 
     ratios = np.array([row.ratio for row in rows])
     doubling = avg_ok = None

@@ -179,9 +179,10 @@ def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("expected a 2-d (scales x points) array")
+    return _by_columns(values, lambda vals: _jump_dp(vals, lam))
+
+
+def _jump_dp(vals: np.ndarray, lam: float) -> np.ndarray:
     width = vals.shape[1]
     lo = np.full((1, width), np.inf)
     hi = np.full((1, width), -np.inf)
@@ -231,9 +232,10 @@ def variation_batch(values: np.ndarray, q: float) -> np.ndarray:
     """
     if not q >= 1:
         raise ValueError("q must be >= 1")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("expected a 2-d (scales x points) array")
+    return _by_columns(values, lambda vals: _variation_dp(vals, q))
+
+
+def _variation_dp(vals: np.ndarray, q: float) -> np.ndarray:
     n, width = vals.shape
     if n < 2:
         return np.zeros(width)
@@ -241,6 +243,19 @@ def variation_batch(values: np.ndarray, q: float) -> np.ndarray:
     for i in range(1, n):
         best[i] = (best[:i] + np.abs(vals[i] - vals[:i]) ** q).max(axis=0)
     return np.max(best, axis=0) ** (1.0 / q)
+
+
+def _by_columns(values: np.ndarray, dp) -> np.ndarray:
+    """``dp`` down a (scales x points) array, run on blocks of at most 8192
+    columns so that its (scales x columns) temporaries stay bounded
+    whatever the width.  Columns are independent, so every column equals
+    its one-column run."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 2:
+        raise ValueError("expected a 2-d (scales x points) array")
+    cols = 8192
+    return np.concatenate([dp(vals[:, c:c + cols])
+                           for c in range(0, max(vals.shape[1], 1), cols)])
 
 
 def upcrossing_count_batch(values: np.ndarray, a: float, b: float) -> np.ndarray:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab import cli
+from ergolab import cli, operators
 from ergolab.cli import _radius_grid, main
+from ergolab.space import build_group_space
 
 SMALL = {
     "seed": 7,
@@ -288,6 +289,22 @@ class TestDeterminism:
         h2 = self._run_all(cfg, tmp_path / "b")
         assert h1.keys() == h2.keys()
         assert h1 == h2
+
+    def test_probe_bytes_independent_of_trial_blocks(self, tmp_path,
+                                                      monkeypatch):
+        cfg = write_config(tmp_path, {"space": {"modulus": 512}})
+
+        def probe_bytes(out: Path) -> dict[str, bytes]:
+            assert run("probe", "--config", cfg, "--out", str(out)) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        default = probe_bytes(tmp_path / "default")
+        space, _ = build_group_space("zd", d=1, modulus=512)
+        grid = operators.OperatorConfig.for_space(space).union_grid()
+        # one trial per sweep, then three variation trials per sweep
+        for budget in (1, 3 * len(grid) * space.n * 8):
+            monkeypatch.setattr(operators, "_SWEEP_BYTES", budget)
+            assert probe_bytes(tmp_path / f"blocks{budget}") == default
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

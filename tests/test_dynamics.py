@@ -212,6 +212,16 @@ class TestConstruction:
         with pytest.raises(ActionError, match="identity"):
             MPSystem(z64, np.ones(64), broken)
 
+    def test_out_of_range_permutation_refused_in_sweep(self, z64):
+        # element 9 escapes validation; the sweep's gather must not clip it
+        def broken(j):
+            perm = z64.right_perm(j)
+            return np.where(perm == 0, 64, perm) if j == 9 else perm
+
+        system = MPSystem(z64, np.ones(64), broken, homomorphism_samples=0)
+        with pytest.raises(ActionError, match="leaves the states"):
+            action_profile(system, np.ones(64), [8.0])
+
     def test_homomorphism_violation_detected(self, z64):
         rng = RNG(0)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergolab import operators
 from ergolab.cubes import HKParams, build_cubes
 from ergolab.martingale import SampleFunction, expectation, weighted_norm
 from ergolab.operators import (
@@ -150,6 +151,54 @@ class TestAvgProfile:
             mask = space.dist_row(x) <= r
             direct = (w[mask] * vals[mask]).sum() / w[mask].sum()
             assert prof[0, x] == pytest.approx(direct, rel=1e-12)
+
+
+def _weighted_matrix_space():
+    space, _ = build_group_space(family="zd", d=1, modulus=24)
+    matrix = np.stack([space.dist_row(x) for x in range(space.n)])
+    w = np.random.default_rng(4).uniform(0.5, 2.0, space.n)
+    return MatrixSpace(matrix, weights=w, label="z24-weighted-matrix")
+
+
+BATCH_SPACES = {
+    "z64": lambda: build_group_space("zd", d=1, modulus=64)[0],
+    "z2_8": lambda: build_group_space("zd", d=2, modulus=8)[0],
+    "h3_4": lambda: build_group_space("h3", modulus=4)[0],
+    "z64_weighted": lambda: build_group_space(
+        "zd", d=1, modulus=64,
+        weights=np.random.default_rng(3).uniform(0.5, 2.0, 64))[0],
+    "matrix_weighted": _weighted_matrix_space,
+}
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("name", sorted(BATCH_SPACES))
+    def test_columns_equal_one_dimensional_calls(self, name):
+        space = BATCH_SPACES[name]()
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((space.n, 5))
+        block[:, 2] = 1.5                     # a constant column
+        radii = [0.5, 1.0, 2.0, 3.0, 5.0, 100.0]
+        prof = avg_profile(block, space, radii)
+        assert prof.shape == (len(radii), space.n, 5)
+        for t in range(5):
+            one = avg_profile(block[:, t].copy(), space, radii)
+            assert np.array_equal(prof[:, :, t], one)
+
+    @pytest.mark.parametrize("name", ["z64", "matrix_weighted"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_empty_radii(self, name, columns):
+        space = BATCH_SPACES[name]()
+        shape = (space.n,) if columns is None else (space.n, columns)
+        assert avg_profile(np.ones(shape), space, []).shape == (0,) + shape
+
+    def test_three_dimensional_values_rejected(self, z64):
+        with pytest.raises(ValueError, match="one entry per point"):
+            avg_profile(np.zeros((64, 2, 2)), z64, [1.0])
+
+    def test_empty_block_rejected(self, z64):
+        with pytest.raises(ValueError, match="at least one column"):
+            avg_profile(np.zeros((64, 0)), z64, [1.0])
 
 
 class TestTranslationAverage:
@@ -362,6 +411,53 @@ class TestNormProbe:
     def test_trials_validated(self, z512_system, z512_config):
         with pytest.raises(ValueError):
             norm_probe(z512_system, z512_config, "square", trials=0)
+
+
+class TestProbeBlocks:
+    """Trials swept in blocks of columns give the numbers of one block."""
+
+    @staticmethod
+    def _width(operator, system, config):
+        if operator == "square":
+            return len(config.eligible_levels(system))
+        if operator == "variation":
+            return len(config.union_grid())
+        return 1
+
+    @pytest.mark.parametrize("operator",
+                             ["square", "variation", "average", "maximal"])
+    def test_forced_blocks_match_default(self, operator, z512_system,
+                                         z512_config, monkeypatch):
+        kwargs = dict(trials=7, seed=11, compute_bmo=True)
+        default = norm_probe(z512_system, z512_config, operator, **kwargs)
+        widths = []
+        swept = operators.avg_profile
+
+        def recording(values, space, radii):
+            widths.append(np.shape(values)[1])
+            return swept(values, space, radii)
+
+        monkeypatch.setattr(operators, "avg_profile", recording)
+        width = self._width(operator, z512_system, z512_config)
+        for per_block in (1, 3):
+            widths.clear()
+            monkeypatch.setattr(operators, "_SWEEP_BYTES",
+                                per_block * width * z512_system.space.n * 8)
+            rep = norm_probe(z512_system, z512_config, operator, **kwargs)
+            assert rep.rows == default.rows
+            assert rep.to_json() == default.to_json()
+            if operator != "maximal":
+                assert widths == ([1] * 7 if per_block == 1 else [3, 3, 1])
+
+    def test_default_sweeps_every_trial_at_once(self, z512_system,
+                                                z512_config, monkeypatch):
+        widths = []
+        swept = operators.avg_profile
+        monkeypatch.setattr(
+            operators, "avg_profile",
+            lambda v, s, r: widths.append(v.shape[1]) or swept(v, s, r))
+        norm_probe(z512_system, z512_config, "variation", trials=7, seed=0)
+        assert widths == [7]
 
 
 class TestDoublingFit:

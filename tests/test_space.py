@@ -309,6 +309,16 @@ class TestWordMetric:
             perm[0] = 0
         assert space.right_perm(3) is perm
 
+    @pytest.mark.parametrize("modulus, dtype", [(10, np.uint8),
+                                                 (256, np.uint8),
+                                                 (257, np.uint16),
+                                                 (4096, np.uint16)])
+    def test_right_perm_smallest_index_type(self, modulus, dtype):
+        space, _ = build_group_space("zd", d=1, modulus=modulus)
+        perm = space.right_perm(space.n - 1)
+        assert perm.dtype == dtype
+        assert np.array_equal(np.sort(perm), np.arange(space.n))
+
     def test_right_perm_refused_on_truncation(self):
         space, _ = build_group_space("zd", d=1, radius=5)
         with pytest.raises(ValueError):

@@ -190,6 +190,38 @@ class TestVariation:
             assert v[col] == pytest.approx(variation_oracle(mat[:, col], 2.0))
 
 
+class TestColumnBlocks:
+    """The DPs run on fixed blocks of columns; a width that is not a
+    multiple of the block must give every column its one-column result."""
+
+    WIDTH = 8192 + 37
+
+    def test_jump_count_blocks_match_columns(self):
+        rng = np.random.default_rng(21)
+        mat = np.cumsum(rng.normal(scale=0.4, size=(7, self.WIDTH)), axis=0)
+        mat[:, 5] = np.nan
+        mat[3, 8192] = np.nan
+        mat[:, -1] = np.nan
+        counts = jump_count_batch(mat, 0.3)
+        want = [jump_count_batch(mat[:, [c]], 0.3)[0]
+                for c in range(self.WIDTH)]
+        assert counts.tolist() == want
+        assert counts[5] == 0 and counts[-1] == 0
+
+    def test_variation_blocks_match_columns(self):
+        rng = np.random.default_rng(22)
+        mat = rng.normal(size=(6, self.WIDTH))
+        v = variation_batch(mat, 2.0)
+        want = np.array([variation_batch(mat[:, [c]], 2.0)[0]
+                         for c in range(self.WIDTH)])
+        assert v.shape == (self.WIDTH,)
+        assert np.array_equal(v, want)
+
+    def test_zero_width(self):
+        assert jump_count_batch(np.zeros((0, 0)), 1.0).shape == (0,)
+        assert variation_batch(np.zeros((3, 0)), 2.0).shape == (0,)
+
+
 class TestUpcrossings:
     def test_square_wave(self):
         assert upcrossing_count([0, 1, 0, 1, 0, 1], 0.25, 0.75) == 3
