@@ -428,8 +428,6 @@ class TestProbeBlocks:
                              ["square", "variation", "average", "maximal"])
     def test_forced_blocks_match_default(self, operator, z512_system,
                                          z512_config, monkeypatch):
-        kwargs = dict(trials=7, seed=11, compute_bmo=True)
-        default = norm_probe(z512_system, z512_config, operator, **kwargs)
         widths = []
         swept = operators.avg_profile
 
@@ -438,6 +436,10 @@ class TestProbeBlocks:
             return swept(values, space, radii)
 
         monkeypatch.setattr(operators, "avg_profile", recording)
+        kwargs = dict(trials=7, seed=11, compute_bmo=True)
+        default = norm_probe(z512_system, z512_config, operator, **kwargs)
+        sweeps = {1: [1] * 7, 3: [3, 3, 1]}
+        assert widths == ([] if operator == "maximal" else [7])
         width = self._width(operator, z512_system, z512_config)
         for per_block in (1, 3):
             widths.clear()
@@ -447,17 +449,7 @@ class TestProbeBlocks:
             assert rep.rows == default.rows
             assert rep.to_json() == default.to_json()
             if operator != "maximal":
-                assert widths == ([1] * 7 if per_block == 1 else [3, 3, 1])
-
-    def test_default_sweeps_every_trial_at_once(self, z512_system,
-                                                z512_config, monkeypatch):
-        widths = []
-        swept = operators.avg_profile
-        monkeypatch.setattr(
-            operators, "avg_profile",
-            lambda v, s, r: widths.append(v.shape[1]) or swept(v, s, r))
-        norm_probe(z512_system, z512_config, "variation", trials=7, seed=0)
-        assert widths == [7]
+                assert widths == sweeps[per_block]
 
 
 class TestDoublingFit:
