@@ -41,14 +41,20 @@ PROBE_OPERATORS = ("square", "variation", "average", "maximal")
 
 
 class ConfigError(Exception):
-    """Invalid configuration, anchored to a file line when one is known."""
+    """Invalid configuration, anchored to a file line when one is known.
+
+    A command that refuses a value after loading names its key path in
+    ``keys``, and `main` anchors the error at that key of the config file.
+    """
 
     def __init__(self, message: str, path: str | None = None,
-                 line: int | None = None) -> None:
+                 line: int | None = None, keys: tuple[str, ...] = ()) -> None:
         anchor = ""
         if path is not None:
             anchor = f"{path}:" if line is None else f"{path}:{line}:"
         super().__init__(f"{anchor} {message}".strip())
+        self.message = message
+        self.keys = keys
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +165,12 @@ _CHECKS = {
         lambda v: v is None or (_is_num_list(v) and len(v) == 2
                                 and v[0] < v[1])),
     ("experiment", "radii"): (
-        "a strictly increasing list or {start, stop, step}",
+        "a strictly increasing list or {start, stop, step} with stop >= start",
         lambda v: (_is_num_list(v) and len(v) >= 1
                    and all(b > a for a, b in zip(v, v[1:])))
         or (isinstance(v, dict) and set(v) == {"start", "stop", "step"}
-            and all(_is_num(x) and x > 0 for x in v.values()))),
+            and all(_is_num(x) and x > 0 for x in v.values())
+            and v["stop"] >= v["start"])),
     ("experiment", "ensemble"): (f"one of {_ENSEMBLES}",
                                  lambda v: v in _ENSEMBLES),
 }
@@ -504,8 +511,12 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
 def _suite_transference(space, system, cfg: dict) -> dict:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "transference"))
     values = rng.standard_normal(space.n)
-    radii = [r for r in cfg["transference"]["radii"]
-             if r <= space.diameter()] or [1.0]
+    # cmd_verify has refused a grid with no radius within the diameter
+    diam = space.diameter()
+    radii = [r for r in cfg["transference"]["radii"] if r <= diam]
+    dropped = [float(r) for r in cfg["transference"]["radii"] if r > diam]
+    notes = ([f"radii above the space diameter {diam:g} dropped: {dropped}"]
+             if dropped else [])
     rep = transference_check(space, values, radii,
                              lam=cfg["transference"]["lambda"])
     failures: list[str] = []
@@ -514,7 +525,7 @@ def _suite_transference(space, system, cfg: dict) -> dict:
     if not rep.jumps_equal:
         failures.append("jump counts differ between action and translation")
     return {"suite": "transference", "checks": 2 * space.n,
-            "failures": failures, "notes": []}
+            "failures": failures, "notes": notes}
 
 
 def cmd_verify(cfg: dict, sha: str, outdir: Path,
@@ -523,6 +534,11 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
         raise ConfigError("suite transference needs a finite quotient: set "
                           "space.modulus instead of space.radius")
     space, _ = _build_space(cfg)
+    if ("transference" in suites
+            and min(cfg["transference"]["radii"]) > space.diameter()):
+        raise ConfigError(
+            f"transference.radii: no radius within the space diameter "
+            f"{space.diameter():g}", keys=("transference", "radii"))
     params = _build_params(cfg)
     runners = {"axioms": _suite_axioms, "domination": _suite_domination,
                "gundy": _suite_gundy, "transference": _suite_transference}
@@ -594,6 +610,11 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "experiment"))
     values = _draw(e["ensemble"], rng, system.n_states)
     grid = _radius_grid(e["radii"])
+    safe = system.group.safe_radius
+    if min(grid) > safe:
+        raise ConfigError(
+            f"experiment.radii: no radius within the safe radius {safe:g} "
+            f"of the acting group", keys=("experiment", "radii"))
     if e["lambda"] is not None:
         tail = tail_experiment(system, values, grid, lam=e["lambda"])
     else:
@@ -778,6 +799,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_experiment(cfg, sha, outdir)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
+        if exc.keys:
+            raw = Path(args.config).read_text() if args.config else ""
+            exc = ConfigError(exc.message, args.config or "<defaults>",
+                              _line_of(raw, *exc.keys) if raw else None)
         print(f"ergolab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

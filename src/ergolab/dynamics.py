@@ -11,13 +11,15 @@ reached exactly instead of asymptotically.
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
 point with the group element.  Both sides here go through the same shell
-sweep (`operators.shell_sweep`) with the same permutation tables, so the
-agreement is bitwise, not merely within rounding.
+sweep (`operators.shell_sweep`) with the same translations, computed by the
+same `GroupSpace.right_perm`, so the agreement is bitwise, not merely within
+rounding.
 
-Systems keep no permutations of their own: a regular system hands out the
-quotient's `GroupSpace.right_perm` arrays, and a rotation rolls the state
-grid on every request.  Orbits are labelled by min-label hooking with
-pointer jumping (Shiloach-Vishkin 1982), in O(log n) rounds.
+Nothing stores permutations: a regular system asks `GroupSpace.right_perm`,
+which computes each translation from key digits on every call, and a
+rotation rolls the state grid on every request.  Orbits are labelled by
+min-label hooking with pointer jumping (Shiloach-Vishkin 1982), in O(log n)
+rounds.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class MPSystem:
     ``perm_for(j)`` must return, for the j-th group element u (in the
     quotient's canonical order), the state permutation x -> tau_{u^-1}(x);
     gathering f through it evaluates the Koopman translate T_u f.  The
-    system stores no permutations: each `act_perm` call asks ``perm_for``.
+    system stores no permutations: each `act_perm` call asks ``perm_for``
+    and checks the answer's length and range.
     The constructor checks bijectivity and measure preservation on the
     generators, the identity, and a sample of products (the homomorphism
     law composes as perm(uv) = perm(v)[perm(u)]).
@@ -179,8 +182,9 @@ class MPSystem:
 def regular_system(space: GroupSpace) -> MPSystem:
     """The quotient acting on itself by right translation.
 
-    The action permutations are the space's own translation tables, shared
-    object-for-object with the geometric side.
+    The action permutations are the space's own right translations,
+    computed by `GroupSpace.right_perm` on every call exactly as the
+    geometric side computes them.
     """
     mu = np.ones(space.n) / space.n
     return MPSystem(space, mu, space.right_perm,

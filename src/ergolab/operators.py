@@ -238,7 +238,7 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
         raise ValueError("values must have one entry per point")
     if values.size == 0:
         raise ValueError("a block of values needs at least one column")
-    if space.has_group_fastpath:
+    if space.is_quotient:
         return shell_sweep(values, space.weights, space, space.right_perm, radii)
     radii = np.asarray(radii, dtype=float)
     if radii.size and np.any(np.diff(radii) <= 0):

@@ -275,7 +275,9 @@ class FiniteSpace:
         return self.diameter()
 
     @property
-    def has_group_fastpath(self) -> bool:
+    def is_quotient(self) -> bool:
+        """Whether the space is a finite group quotient, whose averages
+        sweep right translations."""
         return False
 
     def dist_matrix(self) -> np.ndarray:
@@ -367,13 +369,14 @@ class GroupSpace(FiniteSpace):
             raise ValueError("duplicate elements in enumeration")
         if self._sorted_keys[0] < 0:
             raise ValueError("element outside the key box")
-        # distinct keys filling the whole key box (every full quotient):
-        # the sorted keys are arange(n), so _key_order maps a key straight
-        # to its index
-        self._dense_keys = bool(int(np.prod(self._box[1])) == self.n
-                                and self._sorted_keys[0] == 0
-                                and self._sorted_keys[-1] == self.n - 1)
-        self._perm_cache: dict[int, np.ndarray] = {}
+        if self.is_quotient:
+            # a full quotient fills its key box, so _key_order maps a key
+            # straight to its index; row c of _digits is the key digit
+            # (v mod N) * place_c of a column value v in [0, 2N)
+            N = group.modulus
+            self._digits = np.arange(2 * N) % N * self._box[2][:, None]
+            # index of x_k^-1 for every k, for the metric rows
+            self._inv = self.index_of(group.inv(elements))
         self._row_cache: dict[int, np.ndarray] = {}
         self._neighbors: np.ndarray | None = None
 
@@ -381,8 +384,6 @@ class GroupSpace(FiniteSpace):
         """Indices of the given coordinate rows; -1 where not enumerated."""
         elems = np.atleast_2d(np.asarray(elems, dtype=np.int64))
         keys = _encode(elems, self._box)
-        if self._dense_keys:
-            return np.where(keys >= 0, self._key_order[keys], -1)
         pos = np.clip(np.searchsorted(self._sorted_keys, keys), 0, self.n - 1)
         return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
 
@@ -393,9 +394,10 @@ class GroupSpace(FiniteSpace):
 
     def _dist_row(self, i: int) -> np.ndarray:
         if self.is_quotient:
-            # d(x, y) = |x^{-1} y| by left invariance
-            prods = self.group.mult(self.group.inv(self.elements[i]), self.elements)
-            return self.word_lengths[self.index_of(prods)].astype(float)
+            # d(x_i, x_k) = |x_k^-1 x_i| by left invariance and |g| = |g^-1|
+            # (generator sets are symmetric), and x_k^-1 x_i is the right
+            # translate of x_k^-1 by x_i
+            return self.word_lengths[self.right_perm(i)[self._inv]].astype(float)
         if self.group.family == "zd":
             # the l^1 formula is exact on truncated diamonds: a monotone
             # path that shrinks coordinates before growing them stays inside
@@ -481,10 +483,6 @@ class GroupSpace(FiniteSpace):
             return float(self.group.modulus // 4)
         return float(max(1, self.radius // 4))
 
-    @property
-    def has_group_fastpath(self) -> bool:
-        return self.is_quotient
-
     # -- translation machinery for the averaging operators ---------------------
     def shell_slice(self, r: int) -> slice:
         """Canonical-order slice of the sphere {|u| = r}."""
@@ -493,20 +491,21 @@ class GroupSpace(FiniteSpace):
         return slice(lo, hi)
 
     def right_perm(self, j: int) -> np.ndarray:
-        """Permutation i -> index(x_i * u_j) (quotients only)."""
+        """Permutation i -> index(x_i * u_j) (quotients only), computed on
+        every call from the key digits of the product's columns."""
         if not self.is_quotient:
             raise ValueError("right translations are total only on quotients")
-        if j not in self._perm_cache:
-            perm = self.index_of(self.group.mult(self.elements, self.elements[j]))
-            if np.any(perm < 0):
-                raise ValueError("translation left the space")
-            # the smallest unsigned type that holds n - 1 (uint16 up to
-            # 65,536 points) shrinks the cache; gathers run as fast
-            perm = perm.astype(np.min_scalar_type(self.n - 1))
-            # read-only: systems hand these very arrays to every caller
-            perm.flags.writeable = False
-            self._perm_cache[j] = perm
-        return self._perm_cache[j]
+        if not 0 <= j < self.n:
+            raise IndexError(f"element {j} out of range")
+        x, u = self.elements, self.elements[j]
+        keys = self._digits[0][x[:, 0] + u[0]]
+        for c in range(1, self.group.d):
+            shift = u[c]
+            if self.group.family == "h3" and c == 2:
+                # z picks up x * y': reduced first, so the column stays < 2N
+                shift = (shift + x[:, 0] * u[1]) % self.group.modulus
+            keys += self._digits[c][x[:, c] + shift]
+        return self._key_order[keys]
 
 
 # ---------------------------------------------------------------------------

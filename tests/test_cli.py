@@ -136,6 +136,44 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (out / "verify.json").exists()
 
+    @pytest.mark.parametrize("radii", [
+        {"start": 10, "stop": 5, "step": 1},     # an empty grid
+        [20, 30],                                # beyond the safe radius 16
+    ])
+    def test_experiment_grid_without_usable_radius_refused(
+            self, tmp_path, capsys, monkeypatch, radii):
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep ran before the grid was refused")
+
+        monkeypatch.setattr(cli, "tail_experiment", never)
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "experiment": {\n    "modulus": 64,\n'
+                        f'    "radii": {json.dumps(radii)}\n  }}\n}}\n')
+        assert run("experiment", "--config", str(path), "--out",
+                   str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4:" in err
+        assert "experiment.radii" in err
+        assert "Traceback" not in err
+
+    def test_transference_grid_beyond_the_diameter_refused(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a suite ran before the grid was refused")
+
+        monkeypatch.setattr(cli, "_suite_transference", never)
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "space": {"modulus": 16},\n'
+                        '  "transference": {\n    "radii": [9.0, 16.0]\n'
+                        '  }\n}\n')
+        out = tmp_path / "run"
+        assert run("verify", "--config", str(path), "--out", str(out),
+                   "--suite", "transference") == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4:" in err
+        assert "transference.radii" in err
+        assert not (out / "verify.json").exists()
+
     def test_space_needs_exactly_one_extent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"modulus": None}})
         assert run("space", "--config", cfg, "--out",
@@ -268,6 +306,19 @@ class TestCommands:
         assert any("capped at the safe radius" in n
                    for n in blob["tail"]["notes"])
         assert "capped at the safe radius" in (out / "summary.txt").read_text()
+
+    def test_transference_names_radii_beyond_the_diameter(self, tmp_path):
+        # Z/16 has diameter 8, so the default grid loses 16.0
+        cfg = write_config(tmp_path, {"space": {"modulus": 16}})
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "transference") == 0
+        suite, = json.loads((out / "verify.json").read_text())["suites"]
+        assert suite["failures"] == []
+        assert suite["notes"] == [
+            "radii above the space diameter 8 dropped: [16.0]"]
+        assert "note: radii above the space diameter 8 dropped: [16.0]" in (
+            out / "summary.txt").read_text()
 
     def test_radius_grid_does_not_accumulate_rounding(self):
         grid = _radius_grid({"start": 0.1, "stop": 1.0, "step": 0.1})

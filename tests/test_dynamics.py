@@ -94,8 +94,8 @@ class TestConstruction:
 
     def test_regular_action_is_right_translation(self, z64):
         system = regular_system(z64)
-        for j in (1, 5, 17):
-            assert system.act_perm(j) is z64.right_perm(j)
+        for j in range(z64.n):
+            assert np.array_equal(system.act_perm(j), z64.right_perm(j))
 
     def test_heisenberg_kind(self):
         system = build_system("heisenberg", modulus=4)
@@ -160,13 +160,6 @@ class TestConstruction:
         system._perm_for = lambda j: np.arange(63)
         with pytest.raises(ActionError, match="wrong length"):
             system.act_perm(1)
-
-    def test_shared_translation_tables_are_read_only(self):
-        space, _ = build_group_space("zd", d=1, modulus=16)
-        perm = regular_system(space).act_perm(5)
-        assert perm is space.right_perm(5)
-        with pytest.raises(ValueError, match="read-only"):
-            perm[0] = 0
 
     def test_full_orbit_when_step_coprime(self):
         system = build_system("rotation", modulus=8, step=3)

@@ -27,6 +27,8 @@ from ergolab.space import (
     word_metric_constants,
 )
 from ergolab import space as space_module
+from ergolab.dynamics import regular_system
+from ergolab.operators import avg_profile
 
 
 def identity_index(space: GroupSpace) -> int:
@@ -302,22 +304,32 @@ class TestWordMetric:
         moved = space.elements[perm]
         assert np.array_equal(moved, (space.elements + 3) % 10)
 
-    def test_right_perm_is_read_only(self):
-        space, _ = build_group_space("zd", d=1, modulus=10)
-        perm = space.right_perm(3)
-        with pytest.raises(ValueError, match="read-only"):
-            perm[0] = 0
-        assert space.right_perm(3) is perm
+    def test_right_perm_builds_on_demand(self):
+        space, _ = build_group_space("zd", d=1, modulus=512)
+        first = space.right_perm(3)
+        assert np.array_equal(space.right_perm(3), first)
+        assert space.right_perm(3) is not first
+        assert not hasattr(space, "_perm_cache")
 
-    @pytest.mark.parametrize("modulus, dtype", [(10, np.uint8),
-                                                 (256, np.uint8),
-                                                 (257, np.uint16),
-                                                 (4096, np.uint16)])
-    def test_right_perm_smallest_index_type(self, modulus, dtype):
-        space, _ = build_group_space("zd", d=1, modulus=modulus)
-        perm = space.right_perm(space.n - 1)
-        assert perm.dtype == dtype
-        assert np.array_equal(np.sort(perm), np.arange(space.n))
+        def held_bytes():
+            # every array the space holds, directly or in a dict
+            arrays = []
+            for value in vars(space).values():
+                arrays += value.values() if isinstance(value, dict) else [value]
+            return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+        before = held_bytes()
+        values = np.random.default_rng(0).standard_normal(space.n)
+        avg_profile(values, space, [space.diameter()])
+        assert held_bytes() == before
+
+    @pytest.mark.parametrize("j", [-1, 10])
+    def test_right_perm_refuses_elements_out_of_range(self, j):
+        space, _ = build_group_space("zd", d=1, modulus=10)
+        with pytest.raises(IndexError, match=f"element {j} out of range"):
+            space.right_perm(j)
+        with pytest.raises(IndexError, match=f"element {j} out of range"):
+            regular_system(space).act_perm(j)
 
     def test_right_perm_refused_on_truncation(self):
         space, _ = build_group_space("zd", d=1, radius=5)
@@ -351,7 +363,6 @@ class TestQuotientIndex:
         ("zd", 1, 64), ("zd", 2, 16), ("h3", 3, 8)])
     def test_direct_index_matches_searchsorted(self, family, d, modulus):
         space, _ = build_group_space(family, d=d, modulus=modulus)
-        assert space._dense_keys
         rng = np.random.default_rng(11)
         a = space.elements[rng.integers(0, space.n, size=200)]
         b = space.elements[rng.integers(0, space.n, size=200)]
@@ -367,9 +378,38 @@ class TestQuotientIndex:
 
     def test_truncations_keep_the_search(self):
         space, _ = build_group_space("h3", radius=4)
-        assert not space._dense_keys
         assert np.array_equal(space.index_of(space.elements),
                               np.arange(space.n))
+
+
+KERNEL_SPACES = {
+    "z64": lambda: build_group_space("zd", d=1, modulus=64)[0],
+    "z2-16": lambda: build_group_space("zd", d=2, modulus=16)[0],
+    "z3-6": lambda: build_group_space("zd", d=3, modulus=6)[0],
+    "h3-8": lambda: build_group_space("h3", modulus=8)[0],
+    "z8-gens-3-5": lambda: build_group_space(
+        "zd", d=1, modulus=8, generators=[[3], [5]])[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+class TestTranslationKernel:
+    def test_right_perm_matches_lookup(self, name):
+        space = KERNEL_SPACES[name]()
+        for j in range(space.n):
+            prods = space.group.mult(space.elements, space.elements[j])
+            assert np.array_equal(space.right_perm(j),
+                                  searchsorted_index(space, prods))
+
+    def test_quotient_row_matches_left_translation(self, name):
+        # the reference row: d(x, y) = |x^-1 y| by left invariance; H3 is
+        # where left and right translation differ
+        space = KERNEL_SPACES[name]()
+        g = space.group
+        for i in range(space.n):
+            prods = g.mult(g.inv(space.elements[i]), space.elements)
+            ref = space.word_lengths[space.index_of(prods)].astype(float)
+            assert np.array_equal(space.dist_row(i), ref)
 
 
 GROUP_BALL_SPACES = {
