@@ -24,8 +24,7 @@ import numpy as np
 
 from .cubes import BoundaryConstants, HKParams, build_cubes, verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
-from .dynamics import build_system, convergence_probe, tail_experiment, \
-    transference_check
+from .dynamics import build_system, tail_and_convergence, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, _ENSEMBLES, _draw, domination_check, \
     norm_probe
@@ -482,6 +481,8 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
     failures: list[str] = []
     checks = 0
     p = cfg["gundy"]["p"]
+    stops = dict.fromkeys(system.levels[:-1], 0)
+    decompositions = 0
     for t in range(cfg["gundy"]["trials"]):
         values = rng.standard_normal(space.n)
         w = space.weights
@@ -495,6 +496,9 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
                 failures.append(f"trial {t} gamma {gamma:g}: {exc}")
                 continue
             checks += 4
+            decompositions += 1
+            for level, count in res.stop_counts.items():
+                stops[level] += count
             scale = max(res.f_l1, 1.0)
             if res.reconstruction_gap > 1e-12:
                 failures.append(f"trial {t}: reconstruction gap "
@@ -504,8 +508,10 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
                                 f"{res.max_part_integral:g}")
             if not res.bounds_ok:
                 failures.append(f"trial {t}: norm bounds violated")
+    counts = ", ".join(f"level {k}: {c}" for k, c in stops.items())
     return {"suite": "gundy", "checks": checks, "failures": failures,
-            "notes": []}
+            "notes": [f"stopping cubes by level over {decompositions} "
+                      f"decompositions: {counts}"]}
 
 
 def _suite_transference(space, system, cfg: dict) -> dict:
@@ -615,12 +621,9 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
         raise ConfigError(
             f"experiment.radii: no radius within the safe radius {safe:g} "
             f"of the acting group", keys=("experiment", "radii"))
-    if e["lambda"] is not None:
-        tail = tail_experiment(system, values, grid, lam=e["lambda"])
-    else:
-        a, b = e["upcross"]
-        tail = tail_experiment(system, values, grid, upcross=(a, b))
-    conv = convergence_probe(system, values, list(tail.radii))
+    threshold = ({"lam": e["lambda"]} if e["lambda"] is not None
+                 else {"upcross": tuple(e["upcross"])})
+    tail, conv = tail_and_convergence(system, values, grid, **threshold)
 
     failures: list[str] = []
     diffs = np.diff(np.asarray(tail.tails))

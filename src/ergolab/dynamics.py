@@ -46,6 +46,7 @@ __all__ = [
     "transference_check",
     "TailReport",
     "tail_experiment",
+    "tail_and_convergence",
     "ConvergenceReport",
     "convergence_probe",
 ]
@@ -261,14 +262,16 @@ def build_system(kind: str, *, modulus: int | None = None,
 
 def action_profile(system: MPSystem, values: np.ndarray,
                    radii: Sequence[float]) -> np.ndarray:
-    """(len(radii), n_states) ergodic averages A_r f over the radius grid.
+    """(len(radii), n_states) ergodic averages A_r f over the radius grid;
+    for values of shape (n_states, T), shape (len(radii), n_states, T),
+    each column bitwise equal to its own profile.
 
     The ball average weights group elements by counting measure, so the
     sweep runs with unit weights regardless of mu; this is also what makes
     the regular action reproduce the geometric averages bitwise.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (system.n_states,):
+    if values.ndim not in (1, 2) or values.shape[0] != system.n_states:
         raise ValueError("values must have one entry per state")
     return shell_sweep(values, np.ones(system.n_states), system.group,
                        system.act_perm, radii)
@@ -395,9 +398,18 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     averages over the radius grid, with a log-linear tail fit, and the
     largest drift of the averages' mean from the mean of f.
 
-    The grid is capped at the acting group's safe radius; any capping is
-    recorded in the report rather than applied silently.
+    Values above sup-norm one are clipped, and the grid is capped at the
+    acting group's safe radius; both are recorded in the report rather
+    than applied silently.
     """
+    values, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
+    return _tail_report(system, values, kept, notes, lam, upcross,
+                        action_profile(system, values, kept))
+
+
+def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
+                 lam: float | None, upcross: tuple[float, float] | None):
+    """(values clipped to sup-norm one, radii up to the safe radius, notes)."""
     if (lam is None) == (upcross is None):
         raise ValueError("pass exactly one of lam or upcross=(a, b)")
     values = np.asarray(values, dtype=float)
@@ -405,7 +417,7 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
 
     sup = float(np.abs(values).max()) if values.size else 0.0
     if sup > 1.0:
-        warnings.warn("values clipped to sup-norm one", stacklevel=2)
+        warnings.warn("values clipped to sup-norm one", stacklevel=3)
         notes.append(f"values clipped to sup-norm one (was {sup:.6g})")
         values = np.clip(values, -1.0, 1.0)
 
@@ -419,8 +431,14 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     if not kept:
         raise ValueError(
             f"all radii exceed the safe radius {safe} of the acting group")
+    return values, kept, notes
 
-    rows = action_profile(system, values, kept)
+
+def _tail_report(system: MPSystem, values: np.ndarray, kept: list[float],
+                 notes: list[str], lam: float | None,
+                 upcross: tuple[float, float] | None,
+                 rows: np.ndarray) -> TailReport:
+    """The tail report of the (clipped) values from their profile rows."""
     drift = float(np.abs(rows @ system.mu - (system.mu * values).sum()).max())
     if lam is not None:
         counts = jump_count_batch(rows, lam)
@@ -483,6 +501,13 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
     orbit means exactly) but are named in the report.
     """
     values = np.asarray(values, dtype=float)
+    return _convergence_report(system, values, radii,
+                               action_profile(system, values, list(radii)))
+
+
+def _convergence_report(system: MPSystem, values: np.ndarray,
+                        radii: Sequence[float],
+                        rows: np.ndarray) -> ConvergenceReport:
     notes: list[str] = []
     safe = system.group.safe_radius
     beyond = [float(r) for r in radii if r > safe]
@@ -490,7 +515,6 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
         notes.append(
             f"radii beyond the safe radius {safe} of the acting group: "
             f"{beyond}")
-    rows = action_profile(system, values, list(radii))
     target = system.orbit_means(values)
     labels = system.orbit_labels()
     dists = np.abs(rows - target).max(axis=1)
@@ -499,3 +523,26 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
         distances=tuple(float(x) for x in dists),
         n_orbits=int(len(np.unique(labels))),
         notes=tuple(notes))
+
+
+def tail_and_convergence(system: MPSystem, values: np.ndarray,
+                         radii: Sequence[float], *, lam: float | None = None,
+                         upcross: tuple[float, float] | None = None
+                         ) -> tuple[TailReport, ConvergenceReport]:
+    """`tail_experiment` and `convergence_probe` over the tail's radii from
+    one sweep.  The probe reads the unclipped values, so it reuses the
+    tail's rows when nothing was clipped; otherwise the clipped and the
+    unclipped values are swept as one (n_states, 2) block.  Both reports
+    are bitwise those of the two separate calls."""
+    values = np.asarray(values, dtype=float)
+    clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
+    if clipped is values:
+        rows = raw_rows = action_profile(system, values, kept)
+    else:
+        both = action_profile(system, np.stack([clipped, values], axis=1),
+                              kept)
+        # the drift's matrix product reads a contiguous copy, as in the
+        # separate call
+        rows, raw_rows = np.ascontiguousarray(both[..., 0]), both[..., 1]
+    tail = _tail_report(system, clipped, kept, notes, lam, upcross, rows)
+    return tail, _convergence_report(system, values, kept, raw_rows)

@@ -607,10 +607,23 @@ def _bfs_enumerate(group: FinGroup, gens: np.ndarray,
     dist = _bfs_layers(int(np.prod(box[1])), int(_encode(group.identity, box)),
                        step, radius)
     keys = np.flatnonzero(dist >= 0)
-    elems = _decode(keys, box)
-    wl = dist[keys].astype(np.int64)
-    # canonical order: word length, then coordinates lexicographically
-    order = np.lexsort(tuple(elems[:, c] for c in reversed(range(group.d))) + (wl,))
+    return _canonical(_decode(keys, box), dist[keys].astype(np.int64))
+
+
+def _zd_quotient(d: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form enumeration of Z_N^d under the standard generators: the
+    word length of x is sum(min(x_c, N - x_c)).  Returns what
+    `_bfs_enumerate` returns for the same quotient."""
+    elems = np.indices((modulus,) * d, dtype=np.int64).reshape(d, -1).T
+    wl = np.minimum(elems, modulus - elems).sum(axis=1)
+    return _canonical(elems, wl)
+
+
+def _canonical(elems: np.ndarray, wl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elements and word lengths in canonical order: word length, then
+    coordinates lexicographically."""
+    order = np.lexsort(tuple(elems[:, c] for c in reversed(range(elems.shape[1])))
+                       + (wl,))
     return elems[order], wl[order]
 
 
@@ -657,7 +670,10 @@ def build_group_space(family: str, *, d: int | None = None,
         raise ValueError("truncated space with custom generators requires "
                          "explicit neighbor construction")
 
-    elems, wl = _bfs_enumerate(group, gens, radius)
+    if family == "zd" and modulus is not None and standard:
+        elems, wl = _zd_quotient(dim, modulus)
+    else:
+        elems, wl = _bfs_enumerate(group, gens, radius)
     if modulus is not None and elems.shape[0] != modulus ** dim:
         raise ValueError(
             f"generators do not generate the quotient: reached "

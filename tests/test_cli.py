@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab import cli, operators
+from ergolab import cli, dynamics, operators
 from ergolab.cli import _radius_grid, main
 from ergolab.space import build_group_space
 
@@ -145,7 +145,7 @@ class TestConfigValidation:
         def never(*args, **kwargs):
             raise AssertionError("a sweep ran before the grid was refused")
 
-        monkeypatch.setattr(cli, "tail_experiment", never)
+        monkeypatch.setattr(cli, "tail_and_convergence", never)
         path = tmp_path / "config.json"
         path.write_text('{\n  "experiment": {\n    "modulus": 64,\n'
                         f'    "radii": {json.dumps(radii)}\n  }}\n}}\n')
@@ -418,3 +418,67 @@ class TestReport:
             table, key, value = row.split(",", 2)
             if table == "probe":
                 assert float(value) == max(raw[key])
+
+
+class TestExperimentSweep:
+    """`experiment` sweeps the rotation once, and its experiment.json is
+    byte-identical to the one the separate tail and convergence calls
+    give."""
+
+    def run_counted(self, tmp_path, monkeypatch, experiment):
+        widths = []
+        sweep = dynamics.shell_sweep
+
+        def counted(values, *args):
+            widths.append(values.shape[1:])
+            return sweep(values, *args)
+
+        monkeypatch.setattr(dynamics, "shell_sweep", counted)
+        cfg = write_config(tmp_path, {"seed": 3, "experiment": experiment})
+        out = tmp_path / "run"
+        assert run("experiment", "--config", cfg, "--out", str(out)) == 0
+        monkeypatch.undo()
+        return out, widths
+
+    def separate_calls(self, tmp_path, out, experiment):
+        e = dict(cli._defaults()["experiment"], **experiment)
+        system = dynamics.build_system(e["kind"], modulus=e["modulus"],
+                                       step=e["step"])
+        rng = np.random.default_rng(cli._suite_seed(3, "experiment"))
+        values = operators._draw(e["ensemble"], rng, system.n_states)
+        tail = dynamics.tail_experiment(system, values,
+                                        _radius_grid(e["radii"]),
+                                        lam=e["lambda"])
+        conv = dynamics.convergence_probe(system, values, list(tail.radii))
+        sha = json.loads((out / "experiment.json").read_text())["config_sha256"]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        cli._write_json(ref, "experiment.json",
+                        {"tail": tail.to_json(), "convergence": conv.to_json(),
+                         "mean_drift": tail.mean_drift, "failures": []}, sha)
+        return (ref / "experiment.json").read_bytes()
+
+    def test_unclipped_values_reuse_the_tail_rows(self, tmp_path,
+                                                  monkeypatch):
+        # the ergodic-rot benchmark experiment
+        experiment = {"kind": "rotation", "modulus": 16384, "step": 1,
+                      "lambda": 0.25, "ensemble": "rademacher",
+                      "radii": {"start": 1, "stop": 256, "step": 1}}
+        out, widths = self.run_counted(tmp_path, monkeypatch, experiment)
+        assert widths == [()]
+        assert (out / "experiment.json").read_bytes() == self.separate_calls(
+            tmp_path, out, experiment)
+
+    def test_clipped_values_share_one_two_column_sweep(self, tmp_path,
+                                                       monkeypatch):
+        experiment = {"kind": "rotation", "modulus": 1024, "step": 1,
+                      "lambda": 0.25, "ensemble": "gaussian",
+                      "radii": {"start": 1, "stop": 64, "step": 1}}
+        with pytest.warns(UserWarning, match="clipped"):
+            out, widths = self.run_counted(tmp_path, monkeypatch, experiment)
+        assert widths == [(2,)]
+        blob = json.loads((out / "experiment.json").read_text())
+        assert any("clipped" in n for n in blob["tail"]["notes"])
+        with pytest.warns(UserWarning, match="clipped"):
+            assert (out / "experiment.json").read_bytes() == (
+                self.separate_calls(tmp_path, out, experiment))

@@ -322,3 +322,194 @@ class TestVitali:
                        for k in range(len(kept)))
         # exhaustive containment in the 3-dilates
         assert vitali_dilate_check(space, balls, kept)
+
+
+# ---------------------------------------------------------------------------
+# the cube-by-cube reference for the level-by-level decomposition
+# ---------------------------------------------------------------------------
+
+def reference_gundy(values, system, gamma, p=2.0):
+    """The decomposition scanned one stopping cube at a time, each part
+    expanded onto its support: the stopping tuple, the part tuples as
+    (level, cube, support, values, integral, l1), g and the scalars."""
+    from ergolab.decomposition import StoppingCube
+
+    space = system.space
+    w = space.weights
+    abs_avgs = [system.cube_averages(k, np.abs(values)) for k in system.levels]
+    mean_avgs = [system.cube_averages(k, values) for k in system.levels]
+    measures = [system.cube_measures(k) for k in system.levels]
+    top = len(system.levels) - 1
+    assert not np.any(abs_avgs[top] > gamma)
+
+    covered = np.zeros(space.n, dtype=bool)
+    stopping, b_parts, xi_parts = [], [], []
+    base = np.array(values, dtype=float)
+    lump = np.zeros(space.n)
+    for li in range(top - 1, -1, -1):
+        k = system.levels[li]
+        for cube in np.nonzero(abs_avgs[li] > gamma)[0]:
+            members = system.members(k, cube)
+            if covered[members[0]]:
+                continue
+            covered[members] = True
+            parent = int(system.parents[li][cube])
+            pmembers = system.members(system.levels[li + 1], parent)
+            mean = float(mean_avgs[li][cube])
+            pmean = float(mean_avgs[li + 1][parent])
+            mq = float(measures[li][cube])
+            mp = float(measures[li + 1][parent])
+            stopping.append(StoppingCube(
+                level=k, cube=int(cube), abs_average=float(abs_avgs[li][cube]),
+                mean=mean, parent_mean=pmean, measure=mq, parent_measure=mp))
+            bv = values[members] - mean
+            b_parts.append((k, int(cube), members, bv,
+                            float((w[members] * bv).sum()),
+                            weighted_norm(bv, w[members], 1)))
+            ratio = mq / mp
+            xv = np.full(len(pmembers), -(mean - pmean) * ratio)
+            xv[np.searchsorted(pmembers, members)] += mean - pmean
+            xi_parts.append((k, int(cube), pmembers, xv,
+                             float((w[pmembers] * xv).sum()),
+                             weighted_norm(xv, w[pmembers], 1)))
+            base[members] = pmean
+            lump[pmembers] += (mean - pmean) * ratio
+
+    g = base + lump
+    f_l1 = weighted_norm(values, w, 1)
+    recon = g.copy()
+    for part in b_parts + xi_parts:
+        recon[part[2]] += part[3]
+    gap = float(np.abs(recon - values).max())
+    return {
+        "stopping": tuple(stopping), "b_parts": b_parts, "xi_parts": xi_parts,
+        "g": g, "f_l1": f_l1,
+        "reconstruction_gap": gap / f_l1 if f_l1 > 0 else gap,
+        "b_l1": float(sum(part[5] for part in b_parts)),
+        "xi_l1": float(sum(part[5] for part in xi_parts)),
+        "g_p_power": float((w * np.abs(g) ** p).sum()),
+        "g_bound": g_norm_bound(gamma, f_l1, p),
+        "max_part_integral": max(
+            [abs(part[4]) for part in b_parts + xi_parts], default=0.0),
+    }
+
+
+def _oracle_spaces():
+    from ergolab.space import MatrixSpace
+
+    d = np.abs(np.subtract.outer(np.arange(6), np.arange(6))).astype(float)
+    weighted = MatrixSpace(d, r0=1.0, weights=np.array(
+        [1.0, 2.0, 0.5, 1.5, 1.0, 3.0]), label="w6")
+    return {
+        "Z/512": build_group_space("zd", d=1, modulus=512)[0],
+        "Z^2/16": build_group_space("zd", d=2, modulus=16)[0],
+        "H3/8": build_group_space("h3", modulus=8)[0],
+        "H3 R=6": build_group_space("h3", radius=6)[0],
+        "w6": weighted,
+    }
+
+
+class TestLevelScanMatchesCubeScan:
+    """The level-by-level decomposition against the cube-by-cube reference:
+    the same stopping cubes in the same order, the same part supports and
+    bitwise equal part values (both use the same arithmetic), and the
+    scalars to 1e-12.  The reconstruction gap and the part integrals are
+    rounding residues, so both sides must be below 1e-12 rather than close
+    to each other."""
+
+    @pytest.mark.parametrize("name", ["Z/512", "Z^2/16", "H3/8", "H3 R=6",
+                                      "w6"])
+    def test_against_reference(self, name):
+        space = _oracle_spaces()[name]
+        system = build_cubes(space, HKParams())
+        w = space.weights
+        rng = RNG(23)
+        stop_levels = set()
+        for trial in range(8):
+            if trial % 2:
+                f = np.zeros(space.n)
+                spots = rng.choice(space.n, size=min(5, space.n), replace=False)
+                f[spots] = rng.uniform(-40.0, 40.0, size=spots.size)
+            else:
+                f = rng.standard_normal(space.n)
+            mean_abs = (w * np.abs(f)).sum() / w.sum()
+            for factor in (1.1, 1.5, 3.0):
+                res = gundy_decompose(sample(space, f), system,
+                                      mean_abs * factor)
+                ref = reference_gundy(f, system, mean_abs * factor)
+                assert res.stopping == ref["stopping"]
+                stop_levels |= {s.level for s in res.stopping}
+                for got, want in ((res.b_parts, ref["b_parts"]),
+                                  (res.xi_parts, ref["xi_parts"])):
+                    assert len(got) == len(want)
+                    for part, (level, cube, support, vals, integral, l1) in zip(
+                            got, want):
+                        assert (part.level, part.cube) == (level, cube)
+                        assert np.array_equal(part.support, support)
+                        assert part.values.dtype == vals.dtype
+                        assert np.array_equal(part.values, vals)
+                        assert part.integral == pytest.approx(
+                            integral, rel=1e-12, abs=1e-12 * ref["f_l1"])
+                        assert part.l1 == pytest.approx(l1, rel=1e-12,
+                                                        abs=1e-300)
+                assert np.allclose(res.g.values, ref["g"], rtol=1e-12,
+                                   atol=1e-12 * ref["f_l1"])
+                for key in ("f_l1", "b_l1", "xi_l1", "g_p_power", "g_bound"):
+                    assert getattr(res, key) == pytest.approx(
+                        ref[key], rel=1e-12, abs=1e-300), key
+                for key in ("reconstruction_gap", "max_part_integral"):
+                    scale = 1.0 if key == "reconstruction_gap" else ref["f_l1"]
+                    assert ref[key] <= 1e-12 * scale
+                    assert getattr(res, key) <= 1e-12 * scale
+                counts = res.stop_counts
+                assert sum(counts.values()) == len(res.stopping)
+                for level, count in counts.items():
+                    assert count == sum(s.level == level for s in res.stopping)
+        assert stop_levels
+        if name == "Z/512":
+            # the 14 level-1 cubes stop too, which blocks their descendants
+            assert len(stop_levels) >= 2
+
+    def test_stop_blocks_through_a_level_that_does_not_stop(self):
+        # Z/2048 at delta 19 has levels 0..4 with 2048, 107, 5, 1, 1 cubes.
+        # A hot level-2 cube C has a cool child B2 holding one hot point x:
+        # the stop at C must block x through B2, which does not stop.
+        space, _ = build_group_space("zd", d=1, modulus=2048)
+        system = build_cubes(space, HKParams(delta=19.0, C0=1.05))
+        assert system.levels == (0, 1, 2, 3, 4)
+        cube = int(system.assign[2][0])
+        children = np.flatnonzero(system.parents[1] == cube)
+        b1, b2 = (system.members(1, c) for c in children[:2])
+        size_c = len(system.members(2, cube))
+        f = np.zeros(space.n)
+        f[b2[0]] = 0.9 * len(b2)                # b2 averages 0.9, x is hot
+        f[b1] = (2.0 * size_c - f[b2[0]]) / len(b1)   # C averages 2
+        res = gundy_decompose(sample(space, f), system, 1.0)
+        assert res.stop_counts == {0: 0, 1: 0, 2: 1, 3: 0}
+        assert res.stopping[0][:2] == (2, cube)
+        assert res.stopping == reference_gundy(f, system, 1.0)["stopping"]
+
+    def test_parts_built_once_on_demand(self, z512_system):
+        space, system = z512_system
+        f = RNG(4).standard_normal(space.n)
+        res = gundy_decompose(sample(space, f), system, np.abs(f).mean() * 1.5)
+        assert "b_parts" not in vars(res) and "xi_parts" not in vars(res)
+        assert res.b_parts is res.b_parts
+        assert res.xi_parts is res.xi_parts
+        assert res.stopping is res.stopping
+
+
+class TestNesting:
+    def test_cube_outside_its_parent_refused(self, z512_system):
+        import dataclasses
+
+        space, system = z512_system
+        assign = list(system.assign)
+        moved = assign[1].copy()
+        moved[0] = (moved[0] + 1) % system.n_cubes(system.levels[1])
+        assign[1] = moved
+        broken = dataclasses.replace(system, assign=tuple(assign))
+        f = sample(space, RNG(2).standard_normal(space.n))
+        with pytest.raises(GundyError, match=r"level 0 does not nest in level "
+                                             r"1: assign\[1\] != parents\[0\]"):
+            gundy_decompose(f, broken, 2.0)

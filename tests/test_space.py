@@ -172,6 +172,36 @@ class TestEnumeration:
         assert np.array_equal(space.elements, elems)
         assert np.array_equal(space.word_lengths, wl)
 
+    @pytest.mark.parametrize("d,modulus", [
+        (1, 16384), (1, 4096), (2, 64), (3, 6), (1, 5), (1, 4)])
+    def test_zd_closed_form_matches_bfs(self, d, modulus):
+        group = FinGroup("zd", d, modulus)
+        elems, wl = space_module._bfs_enumerate(
+            group, group.standard_generators(), None)
+        c_elems, c_wl = space_module._zd_quotient(d, modulus)
+        for got, want in ((c_elems, elems), (c_wl, wl)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_zd_standard_quotient_skips_the_bfs(self, no_enumeration):
+        space, _ = build_group_space("zd", d=2, modulus=16)
+        assert space.n == 256 and space.diameter() == 16
+
+    @pytest.mark.parametrize("kwargs", [
+        {"family": "h3", "modulus": 8}, {"family": "h3", "radius": 4},
+        {"family": "zd", "d": 2, "radius": 4},
+        {"family": "zd", "d": 1, "modulus": 8, "generators": [[3], [5]]}])
+    def test_other_spaces_enumerate_by_bfs(self, kwargs, monkeypatch):
+        calls = []
+        bfs = space_module._bfs_enumerate
+
+        def spy(*args):
+            calls.append(args)
+            return bfs(*args)
+        monkeypatch.setattr(space_module, "_bfs_enumerate", spy)
+        build_group_space(**kwargs)
+        assert len(calls) == 1
+
     def test_h3_key_box_z_range_is_tight(self):
         # |z| <= (#x-steps)(#y-steps) <= floor(R/2) ceil(R/2), attained
         for radius in range(1, 13):
