@@ -24,8 +24,9 @@ from ergolab.martingale import (SampleFunction, differences, dyadic_maximal,
                                 expectation, sharp_maximal_bmo, tower_check,
                                 weighted_norm)
 from ergolab.operators import (DominationReport, NormProbeReport,
-                               OperatorConfig, domination_check, norm_probe,
-                               square_function, translation_average)
+                               OperatorConfig, SpotCheckError,
+                               domination_check, norm_probe, square_function,
+                               translation_average)
 from ergolab.space import (BallTable, GroupSpace, MatrixSpace,
                            annular_decay_profile, build_group_space,
                            fit_growth_exponent, geometric_doubling_check,
@@ -51,6 +52,7 @@ __all__ = [
     "NormProbeReport",
     "OperatorConfig",
     "SampleFunction",
+    "SpotCheckError",
     "annular_decay_profile",
     "build_cubes",
     "build_group_space",

@@ -26,8 +26,8 @@ from .cubes import BoundaryConstants, HKParams, build_cubes, verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
 from .dynamics import build_system, tail_and_convergence, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
-from .operators import OperatorConfig, _ENSEMBLES, _draw, domination_check, \
-    norm_probe
+from .operators import OperatorConfig, SpotCheckError, _ENSEMBLES, _draw, \
+    domination_check, norm_probe
 from .space import build_group_space, fit_growth_exponent, \
     geometric_doubling_check
 
@@ -464,7 +464,11 @@ def _suite_domination(space, system, cfg: dict) -> dict:
         values = _draw(_ENSEMBLES[t % len(_ENSEMBLES)], rng, space.n)
         f = SampleFunction(space.label, values)
         for lam in cfg["domination"]["lambdas"]:
-            rep = domination_check(f, system, opcfg, lam)
+            try:
+                rep = domination_check(f, system, opcfg, lam)
+            except SpotCheckError as exc:
+                failures.append(f"trial {t} lambda {lam}: {exc}")
+                continue
             checks += 2 * space.n
             na = rep.violations_anchor.size
             nm = rep.violations_martingale.size
@@ -577,10 +581,14 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     reports = {}
     failures: list[str] = []
     for op in cfg["probe"]["operators"]:
-        rep = norm_probe(system, opcfg, op, p=cfg["probe"]["p"],
-                         trials=cfg["probe"]["trials"],
-                         seed=_suite_seed(cfg["seed"], f"probe:{op}"),
-                         gammas=tuple(cfg["probe"]["gammas"]))
+        try:
+            rep = norm_probe(system, opcfg, op, p=cfg["probe"]["p"],
+                             trials=cfg["probe"]["trials"],
+                             seed=_suite_seed(cfg["seed"], f"probe:{op}"),
+                             gammas=tuple(cfg["probe"]["gammas"]))
+        except SpotCheckError as exc:
+            failures.append(f"{op}: {exc}")
+            continue
         reports[op] = rep.to_json()
         for row in rep.rows:
             rows.append(f"{row.operator},{row.p},{row.seed},{row.ensemble},"
@@ -600,7 +608,7 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
                  "failures": failures}, sha)
     lines = [f"{op}: strong max {reports[op]['strong_max']:.6f} "
              f"mean {reports[op]['strong_mean']:.6f}"
-             for op in cfg["probe"]["operators"]]
+             for op in cfg["probe"]["operators"] if op in reports]
     lines.append(f"martingale jump probe: max ratio {jump['max_ratio']:.6f}")
     lines += [f"FAIL: {f}" for f in failures]
     _write_summary(outdir, sha, "probe", lines)

@@ -10,10 +10,12 @@ reached exactly instead of asymptotically.
 
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
-point with the group element.  Both sides here go through the same shell
-sweep (`operators.shell_sweep`) with the same translations, computed by the
-same `GroupSpace.right_perm`, so the agreement is bitwise, not merely within
-rounding.
+point with the group element.  Both sides of `transference_check` go
+through the same shell sweep (`operators.shell_sweep`) with the same
+translations, computed by the same `GroupSpace.right_perm`, so the
+agreement is bitwise, not merely within rounding.  (`operators.avg_profile`
+computes the same averages on Z^d quotients by FFT, which agrees with the
+sweep only to rounding on non-integer values; the check does not use it.)
 
 Nothing stores permutations: a regular system asks `GroupSpace.right_perm`,
 which computes each translation from key digits on every call, and a
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import avg_profile, shell_sweep
+from .operators import shell_sweep
 from .space import GroupSpace, build_group_space
 from .stats import jump_count_batch, upcrossing_count_batch
 
@@ -324,7 +326,10 @@ def transference_check(space: GroupSpace, values: np.ndarray,
     ball averages on the quotient, pointwise and through jump counts."""
     system = regular_system(space)
     act = action_profile(system, values, radii)
-    trans = avg_profile(np.asarray(values, dtype=float), space, radii)
+    # the geometric side stays on the sweep, whatever engine `avg_profile`
+    # uses on this quotient: both sides then share one accumulation order
+    trans = shell_sweep(np.asarray(values, dtype=float), space.weights, space,
+                        space.right_perm, radii)
     disc = float(np.abs(act - trans).max()) if act.size else 0.0
     return TransferenceReport(
         space_label=space.label,

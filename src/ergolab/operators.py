@@ -7,16 +7,28 @@ expectations), the short-variation operator (V_2 within each block), the
 two pointwise domination inequalities that transfer jump counts from the
 full radius grid to the martingale, and randomized operator-norm probes.
 
-Ball averages over a group quotient are computed by one sweep over the
-spheres of the group, accumulating one right-translation at a time; the
-sweep engine is shared with the dynamics module so that averages along a
-measure-preserving action reproduce translation averages bit for bit when
-the action is the group acting on itself (Calderon transference).  The
-sweep takes a block of functions, values of shape (n, T), and gathers each
-permutation once for all T columns; every column keeps the accumulation
-order of its own 1-D sweep, so blocking never changes a bit.  The norm
-probes push their trials through it in column blocks whose profile fits
-in `_SWEEP_BYTES`.
+Ball averages on a quotient of Z^d (standard or custom generators, any
+weights) are cyclic convolutions of f with the indicator of the identity
+ball B(e, r), so `avg_profile` computes them with `numpy.fft`: one forward
+transform of the block over the (N,)*d key grid, then one transform of the
+indicator, one product and one inverse transform per radius.  Columns of
+integer values (and integer weights) are rounded to their exact integer
+sums before the one division, so they equal the shell sweep bit for bit;
+other columns agree with it to rounding.  Every call recomputes its
+averages at a few fixed centers from direct sums over `ball_chunks` and
+raises `SpotCheckError` on any mismatch.
+
+Ball averages over other quotients (the Heisenberg family) are computed by
+one sweep over the spheres of the group, accumulating one right-translation
+at a time.  The sweep takes a block of functions, values of shape (n, T),
+and gathers each permutation once for all T columns; every column keeps the
+accumulation order of its own 1-D sweep, so blocking never changes a bit.
+The sweep is also the engine of the dynamics module, and the transference
+check runs it on both sides, so that averages along the regular action
+reproduce the translation averages bit for bit (Calderon transference); on
+Z^d the sweep is the oracle the FFT engine is tested against.  The norm
+probes push their trials through `avg_profile` in column blocks whose
+profile fits in `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -37,8 +49,15 @@ from .stats import jump_count_batch, variation_batch
 
 # bytes of the (radii, n, T) profile of one block of `norm_probe` trials
 _SWEEP_BYTES = 8 * 2**20
+# centers per `avg_profile` call on Z^d quotients whose averages are
+# recomputed by direct sums
+_SPOT_CENTERS = 3
+# integer columns with sum |f| below this are rounded to their exact ball
+# sums: the FFT error, about eps * sum |f| * log2(n), stays far below 1/2
+_EXACT_SUM = 2.0**40
 
 __all__ = [
+    "SpotCheckError",
     "BlockGrid",
     "OperatorConfig",
     "sweep_profile",
@@ -54,6 +73,10 @@ __all__ = [
     "norm_probe",
     "fit_doubling_constant",
 ]
+
+
+class SpotCheckError(RuntimeError):
+    """FFT ball averages disagree with direct sums over `ball_chunks`."""
 
 
 class BlockGrid(NamedTuple):
@@ -151,6 +174,13 @@ class OperatorConfig:
 # ball averages
 # ---------------------------------------------------------------------------
 
+def _increasing(radii: Sequence[float]) -> np.ndarray:
+    radii = np.asarray(radii, dtype=float)
+    if radii.size and np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    return radii
+
+
 def _row_view(block: np.ndarray) -> np.ndarray:
     """(n,) view of a C-contiguous (n, T) array, one opaque item per row, so
     that `np.take` moves whole rows."""
@@ -173,9 +203,7 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     equal shells produce bitwise-equal output, and every column equals the
     1-D call on that column.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size and np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+    radii = _increasing(radii)
     values = np.asarray(values, dtype=float)
     n = len(values)
     block = np.ascontiguousarray(values).reshape(n, -1)
@@ -228,22 +256,122 @@ def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
     return sweep_profile(values, weights, shells(), radii)
 
 
+def _fft_profile(block: np.ndarray, space: GroupSpace,
+                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ball averages of an (n, T) block on a Z_N^d quotient by cyclic
+    convolution over the key grid, shape (len(radii), n, T), and a (T,)
+    mask of the columns whose averages are exact quotients of exact sums.
+
+    The ball sum at x is sum_{|u| <= r} f(x + u), a correlation with the
+    indicator of B(e, r); generator sets are symmetric, so it is also the
+    convolution that the transforms compute.
+    """
+    n, T = block.shape
+    w = space.weights
+    uniform = bool(np.all(w == w[0]))
+    # sums of f over each ball, or of w f and w for weighted means
+    cols = block if uniform else np.column_stack([w[:, None] * block, w])
+    exact = (np.all(cols == np.rint(cols), axis=0)
+             & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
+    exact_out = exact if uniform else exact[:T] & exact[T]
+    out = np.empty((len(radii), n, T))
+    # ball sizes: the word lengths are in ascending order
+    sizes = np.searchsorted(space.word_lengths, radii, side="right")
+    shape = (space.group.modulus,) * space.group.d
+    axes = tuple(range(space.group.d))
+    lengths = space.word_lengths[space._key_order].reshape(shape)
+    spectrum = None
+    avg = np.empty((n, T))
+    for i, (r, size) in enumerate(zip(radii, sizes)):
+        if i and size == sizes[i - 1]:
+            out[i] = out[i - 1]             # the same ball
+            continue
+        if size <= 1:
+            out[i] = block                  # the center alone
+            continue
+        if spectrum is None:
+            grid = cols[space._key_order].reshape(shape + (cols.shape[1],))
+            spectrum = np.fft.rfftn(grid, axes=axes)
+        kernel = np.fft.rfftn(lengths <= r)[..., None]
+        sums = np.fft.irfftn(spectrum * kernel, s=shape, axes=axes)
+        sums = sums.reshape(n, -1)
+        sums[:, exact] = np.rint(sums[:, exact])
+        np.divide(sums[:, :T], size if uniform else sums[:, T:], out=avg)
+        # from key order back to point order
+        np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
+    return out, exact_out
+
+
+def _spot_check(out: np.ndarray, exact: np.ndarray, block: np.ndarray,
+                space: GroupSpace, radii: np.ndarray) -> None:
+    """Recompute the averages of `_fft_profile` at `_SPOT_CENTERS` fixed
+    centers from direct sums over `ball_chunks`: exact columns must match
+    bit for bit, the others to 1e-12 of the larger of the ball's and the
+    space's mean of |f|.  Raises `SpotCheckError` on a mismatch."""
+    if not radii.size:
+        return
+    n, T = block.shape
+    w = space.weights
+    uniform = bool(np.all(w == w[0]))
+    centers = np.unique(np.linspace(0, n - 1, _SPOT_CENTERS).astype(np.int64))
+    rmax = min(max(float(radii[-1]), 0.0), space.diameter())
+    # ball of radius r = shells 0..floor(r) around the center
+    shells = np.clip(np.floor(radii), 0, math.floor(rmax)).astype(np.int64)
+    width = math.floor(rmax) + 1
+    space_mean = (w @ np.abs(block)) / w.sum()
+
+    def by_shell(dists: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        # sums of the columns of vals per distance, accumulated into balls
+        k = vals.shape[1]
+        idx = (dists[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(idx, weights=vals.ravel(), minlength=width * k)
+        return np.cumsum(sums.reshape(width, k), axis=0)[shells]
+
+    for lo, indptr, members, dists in space.ball_chunks(centers, rmax):
+        for j in range(indptr.size - 1):
+            c = int(centers[lo + j])
+            m = members[indptr[j]:indptr[j + 1]]
+            d = dists[indptr[j]:indptr[j + 1]].astype(np.int64)
+            if uniform:
+                num, den = block[m], np.ones((m.size, 1))
+            else:
+                num, den = w[m, None] * block[m], w[m, None]
+            den = by_shell(d, den)
+            direct = by_shell(d, num) / den
+            scale = np.maximum(by_shell(d, np.abs(num)) / den, space_mean)
+            got = out[:, c]
+            bad = np.where(exact, got != direct,
+                           ~(np.abs(got - direct) <= 1e-12 * scale))
+            if bad.any():
+                ri, t = (int(k[0]) for k in np.nonzero(bad))
+                raise SpotCheckError(
+                    f"FFT ball average mismatch at point {c}, radius "
+                    f"{radii[ri]:g}, column {t}: {float(got[ri, t])!r} "
+                    f"against {float(direct[ri, t])!r} from direct sums")
+
+
 def avg_profile(values: np.ndarray, space: FiniteSpace,
                 radii: Sequence[float]) -> np.ndarray:
     """Ball averages of ``values``, shape (n,) or (n, T), over strictly
     increasing radii; the result has shape ``(len(radii),) + values.shape``
-    and each column equals the 1-D call on that column, bit for bit."""
+    and each column equals the 1-D call on that column, bit for bit.
+
+    Quotients of Z^d go through `_fft_profile` and its spot check, other
+    quotients through `shell_sweep`, and every other space through sorted
+    distance rows."""
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[0] != space.n:
         raise ValueError("values must have one entry per point")
     if values.size == 0:
         raise ValueError("a block of values needs at least one column")
-    if space.is_quotient:
+    if space.is_quotient and space.group.family != "zd":
         return shell_sweep(values, space.weights, space, space.right_perm, radii)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size and np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+    radii = _increasing(radii)
     block = values.reshape(space.n, -1)
+    if space.is_quotient:
+        out, exact = _fft_profile(block, space, radii)
+        _spot_check(out, exact, block, space, radii)
+        return out.reshape((len(radii),) + values.shape)
     out = np.empty((len(radii),) + block.shape)
     w = space.weights
     wv = w[:, None] * block
@@ -506,9 +634,13 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     the space.  Rerunning with the same seed reproduces every number.
 
     Trials run in blocks of columns: each block of trial vectors goes
-    through one sweep, sized so that its (radii, n, T) profile stays
-    within `_SWEEP_BYTES`.  Trial t draws from seed + t, and every column
-    equals its one-column run, so the blocking changes no number.
+    through one `avg_profile` call, sized so that its (radii, n, T)
+    profile stays within `_SWEEP_BYTES`.  The bound holds for both
+    engines: the FFT engine also returns the whole profile, and its
+    transforms hold a few more (n, T) arrays, none per radius.  Trial t
+    draws from seed + t, and every column equals its one-column run, so
+    the blocking changes no number.  A failed spot check of the FFT
+    engine raises `SpotCheckError`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

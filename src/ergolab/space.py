@@ -375,6 +375,9 @@ class GroupSpace(FiniteSpace):
             # (v mod N) * place_c of a column value v in [0, 2N)
             N = group.modulus
             self._digits = np.arange(2 * N) % N * self._box[2][:, None]
+            # one contiguous copy per coordinate column for right_perm
+            self._columns = [np.ascontiguousarray(elements[:, c])
+                             for c in range(group.d)]
             # index of x_k^-1 for every k, for the metric rows
             self._inv = self.index_of(group.inv(elements))
         self._row_cache: dict[int, np.ndarray] = {}
@@ -497,14 +500,14 @@ class GroupSpace(FiniteSpace):
             raise ValueError("right translations are total only on quotients")
         if not 0 <= j < self.n:
             raise IndexError(f"element {j} out of range")
-        x, u = self.elements, self.elements[j]
-        keys = self._digits[0][x[:, 0] + u[0]]
+        x, u = self._columns, self.elements[j]
+        keys = self._digits[0][x[0] + u[0]]
         for c in range(1, self.group.d):
             shift = u[c]
             if self.group.family == "h3" and c == 2:
                 # z picks up x * y': reduced first, so the column stays < 2N
-                shift = (shift + x[:, 0] * u[1]) % self.group.modulus
-            keys += self._digits[c][x[:, c] + shift]
+                shift = (shift + x[0] * u[1]) % self.group.modulus
+            keys += self._digits[c][x[c] + shift]
         return self._key_order[keys]
 
 

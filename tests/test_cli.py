@@ -36,6 +36,18 @@ def run(*argv: str) -> int:
     return main(list(argv))
 
 
+def _move_one_average(monkeypatch) -> None:
+    """Make every FFT profile wrong at point 0, a spot-checked center."""
+    real = operators._fft_profile
+
+    def one_entry_off(block, space, radii):
+        out, exact = real(block, space, radii)
+        out[-1, 0, 0] += 1e-6
+        return out, exact
+
+    monkeypatch.setattr(operators, "_fft_profile", one_entry_off)
+
+
 class TestConfigValidation:
     def test_minimal_config_runs_cubes(self, tmp_path):
         cfg = write_config(tmp_path, {"space": {"modulus": 64}})
@@ -266,6 +278,34 @@ class TestCommands:
         assert blob["passed"] is False
         assert blob["suites"][0]["failures"] == [
             "trial 0 lambda 0.5: 1 anchor / 0 martingale violations"]
+
+    def test_probe_reports_spot_check_mismatch(self, tmp_path, monkeypatch):
+        _move_one_average(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert run("probe", "--config", cfg, "--out", str(out)) == 1
+        failures = json.loads((out / "probe.json").read_text())["failures"]
+        # the maximal operator reads no ball averages
+        assert [f.split(":")[0] for f in failures] == [
+            "square", "variation", "average"]
+        assert all("FFT ball average mismatch at point 0" in f
+                   for f in failures)
+        summary = (out / "summary.txt").read_text()
+        assert "FAIL: average: FFT ball average mismatch at point 0" in summary
+        assert "maximal: strong max" in summary
+
+    def test_domination_reports_spot_check_mismatch(self, tmp_path,
+                                                    monkeypatch):
+        _move_one_average(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "domination") == 1
+        suite, = json.loads((out / "verify.json").read_text())["suites"]
+        failure, = suite["failures"]
+        assert failure.startswith(
+            "trial 0 lambda 0.5: FFT ball average mismatch at point 0")
+        assert "suite domination: FAIL" in (out / "summary.txt").read_text()
 
     def test_probe_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -19,7 +19,7 @@ from ergolab.dynamics import (
     tail_experiment,
     transference_check,
 )
-from ergolab.operators import avg_profile
+from ergolab.operators import avg_profile, shell_sweep
 from ergolab.space import MatrixSpace, build_group_space
 from ergolab.stats import upcrossing_count_batch, jump_count_batch
 
@@ -306,14 +306,18 @@ class TestTransference:
         assert np.array_equal(hist_a, hist_t)
 
     def test_bitwise_equality_of_rows(self, z64):
-        # not just within tolerance: the two pipelines share the sweep
+        # not just within tolerance: the two pipelines share the sweep,
+        # which is what transference_check runs on the geometric side
         rng = RNG(13)
         f = rng.standard_normal(64)
         radii = [1.0, 3.0, 7.0, 15.0]
         system = regular_system(z64)
         act = action_profile(system, f, radii)
-        trans = avg_profile(f, z64, radii)
+        trans = shell_sweep(f, z64.weights, z64, z64.right_perm, radii)
         assert np.array_equal(act, trans)
+        # avg_profile averages Z^d quotients by FFT: equal to rounding
+        assert np.allclose(avg_profile(f, z64, radii), act,
+                           rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("family, d, modulus", [
         ("zd", 1, 64), ("zd", 2, 8), ("h3", None, 4)])

@@ -7,6 +7,9 @@ from ergolab.cubes import HKParams, build_cubes
 from ergolab.martingale import SampleFunction, expectation, weighted_norm
 from ergolab.operators import (
     OperatorConfig,
+    SpotCheckError,
+    _ENSEMBLES,
+    _draw,
     avg_profile,
     domination_check,
     fit_doubling_constant,
@@ -199,6 +202,125 @@ class TestBatchedSweep:
     def test_empty_block_rejected(self, z64):
         with pytest.raises(ValueError, match="at least one column"):
             avg_profile(np.zeros((64, 0)), z64, [1.0])
+
+
+def _custom_generator_space():
+    gens = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    return build_group_space("zd", d=2, modulus=12, generators=gens)[0]
+
+
+FFT_SPACES = {
+    "z64": BATCH_SPACES["z64"],
+    "z2_16": lambda: build_group_space("zd", d=2, modulus=16)[0],
+    "z3_6": lambda: build_group_space("zd", d=3, modulus=6)[0],
+    "z2_12_custom": _custom_generator_space,
+    "z64_weighted": BATCH_SPACES["z64_weighted"],
+}
+
+
+def _ensemble_block(n):
+    return np.stack([_draw(e, np.random.default_rng(20 + t), n)
+                     for t, e in enumerate(_ENSEMBLES)], axis=1)
+
+
+class TestFFTEngine:
+    """Z^d quotients average by FFT; the shell sweep is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(FFT_SPACES))
+    def test_matches_shell_sweep(self, name):
+        space = FFT_SPACES[name]()
+        diam = int(space.diameter())
+        radii = [0.5] + [float(r) for r in range(1, diam + 1)] + [diam + 1.0]
+        block = _ensemble_block(space.n)
+        fft = avg_profile(block, space, radii)
+        sweep = operators.shell_sweep(block, space.weights, space,
+                                      space.right_perm, radii)
+        weighted = not np.all(space.weights == space.weights[0])
+        for t, ensemble in enumerate(_ENSEMBLES):
+            if ensemble == "gaussian" or weighted:
+                assert np.allclose(fft[..., t], sweep[..., t],
+                                   rtol=1e-12, atol=1e-12)
+            else:
+                assert np.array_equal(fft[..., t], sweep[..., t])
+
+    def test_integer_weights_stay_exact(self):
+        w = np.random.default_rng(5).integers(1, 4, 64).astype(float)
+        space, _ = build_group_space("zd", d=1, modulus=64, weights=w)
+        block = _ensemble_block(64)[:, 1:]
+        radii = [0.5, 1.0, 3.0, 17.0, 32.0]
+        fft = avg_profile(block, space, radii)
+        sweep = operators.shell_sweep(block, w, space, space.right_perm, radii)
+        assert np.array_equal(fft, sweep)
+
+    def test_engine_by_family(self, z64, monkeypatch):
+        calls = []
+        real = operators.shell_sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "shell_sweep", counted)
+        avg_profile(np.ones(64), z64, [1.0, 2.0])
+        assert calls == []
+        h3, _ = build_group_space("h3", modulus=4)
+        avg_profile(np.ones(h3.n), h3, [1.0, 2.0])
+        assert calls == [h3.label]
+
+    def test_radii_below_one_and_beyond_diameter(self, z64):
+        f = _ensemble_block(64)
+        prof = avg_profile(f, z64, [-1.0, 0.5, 32.0, 40.0])
+        assert np.array_equal(prof[0], f)
+        assert np.array_equal(prof[1], f)
+        assert np.array_equal(prof[2], prof[3])
+        assert np.allclose(prof[3], f.mean(axis=0), rtol=0, atol=1e-15)
+
+
+def _off_by(delta, point=0, radius_index=-1, column=0):
+    """`_fft_profile` with one averaged entry moved by ``delta``."""
+    real = operators._fft_profile
+
+    def patched(block, space, radii):
+        out, exact = real(block, space, radii)
+        if len(radii):
+            out[radius_index, point, column] += delta
+        return out, exact
+
+    return patched
+
+
+class TestSpotCheck:
+    def test_clean_runs_pass(self, z512):
+        avg_profile(_ensemble_block(512), z512, [0.5, 1.0, 36.0, 256.0])
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_one_entry_off_is_named(self, z512, monkeypatch, column):
+        # column 0 is gaussian (tolerance), 1 and 2 are exact: one ulp fails
+        block = _ensemble_block(512)
+        radii = [1.0, 36.0, 100.0]
+        good = avg_profile(block, z512, radii)
+        entry = good[1, 0, column]
+        delta = (np.spacing(entry) if column else 1e-9 * max(abs(entry), 1.0))
+        monkeypatch.setattr(operators, "_fft_profile",
+                            _off_by(delta, radius_index=1, column=column))
+        with pytest.raises(SpotCheckError,
+                           match=f"point 0, radius 36, column {column}"):
+            avg_profile(block, z512, radii)
+
+    def test_within_tolerance_passes(self, z512, monkeypatch):
+        block = _ensemble_block(512)[:, :1]      # gaussian
+        monkeypatch.setattr(operators, "_fft_profile", _off_by(1e-14))
+        avg_profile(block, z512, [1.0, 36.0])
+
+    @pytest.mark.parametrize("point", [0, 255, 511])
+    def test_every_checked_center(self, z512, monkeypatch, point):
+        monkeypatch.setattr(operators, "_fft_profile",
+                            _off_by(0.5, point=point))
+        with pytest.raises(SpotCheckError, match=f"point {point},"):
+            avg_profile(_ensemble_block(512), z512, [2.0, 9.0])
+
+    def test_is_a_runtime_error(self):
+        assert issubclass(SpotCheckError, RuntimeError)
 
 
 class TestTranslationAverage:
