@@ -221,13 +221,14 @@ class FiniteSpace:
     def ball_chunks(self, centers, radius: float):
         """Closed balls B(c, radius) around ``centers``, yielded in blocks
         ``(lo, indptr, members, dists)`` of consecutive centers: the ball of
-        ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]``, in
-        ascending index, at distances ``dists[indptr[j]:indptr[j + 1]]``.
-        A block holds one center at least and otherwise at most
-        _BALL_PAIRS (center, point) pairs, and is costed for the centers it
-        holds.  Group spaces search small balls over the generator graph;
-        larger ones, like every ball of other spaces, are thresholded
-        distance rows."""
+        ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]`` at
+        distances ``dists[indptr[j]:indptr[j + 1]]``; the order of the
+        members within a ball is unspecified.  A block holds one center at
+        least and otherwise at most _BALL_PAIRS (center, point) pairs, and
+        is costed for the centers it holds.  On quotients each ball is the
+        translate c * B(e, radius) of the identity ball; truncations search
+        small balls over the generator graph; larger ones, like every ball
+        of other spaces, are thresholded distance rows."""
         centers = np.asarray(centers, dtype=np.int64)
         step = max(1, min(centers.size, _BALL_PAIRS // self._ball_bound(radius)))
         balls = self._ball_kernel(radius, step)
@@ -375,11 +376,9 @@ class GroupSpace(FiniteSpace):
             # (v mod N) * place_c of a column value v in [0, 2N)
             N = group.modulus
             self._digits = np.arange(2 * N) % N * self._box[2][:, None]
-            # one contiguous copy per coordinate column for right_perm
+            # one contiguous copy per coordinate column for _product
             self._columns = [np.ascontiguousarray(elements[:, c])
                              for c in range(group.d)]
-            # index of x_k^-1 for every k, for the metric rows
-            self._inv = self.index_of(group.inv(elements))
         self._row_cache: dict[int, np.ndarray] = {}
         self._neighbors: np.ndarray | None = None
 
@@ -397,10 +396,9 @@ class GroupSpace(FiniteSpace):
 
     def _dist_row(self, i: int) -> np.ndarray:
         if self.is_quotient:
-            # d(x_i, x_k) = |x_k^-1 x_i| by left invariance and |g| = |g^-1|
-            # (generator sets are symmetric), and x_k^-1 x_i is the right
-            # translate of x_k^-1 by x_i
-            return self.word_lengths[self.right_perm(i)[self._inv]].astype(float)
+            # d(x_i, x_k) = |x_i^-1 x_k| by left invariance
+            inv = self.group.inv(self.elements[i])
+            return self.word_lengths[self._product(inv, self._columns)].astype(float)
         if self.group.family == "zd":
             # the l^1 formula is exact on truncated diamonds: a monotone
             # path that shrinks coordinates before growing them stays inside
@@ -431,19 +429,34 @@ class GroupSpace(FiniteSpace):
     def _ball_bound(self, radius: float) -> int:
         # every ball has at most the points of the identity ball B(e, r) of
         # the group: quotients are vertex-transitive, and a truncation's
-        # induced metric only lengthens distances
-        return int(np.searchsorted(self.word_lengths, radius, side="right"))
+        # induced metric only lengthens distances.  Word lengths are
+        # integers below n, and an integer key spares searchsorted a float
+        # copy of them on every block
+        return int(np.searchsorted(self.word_lengths,
+                                   math.floor(min(radius, self.n)), side="right"))
 
     def _ball_kernel(self, radius: float, step: int):
-        # per center, the search costs (layers + 1) / step layer steps of
+        if self.is_quotient:
+            return self._translated_balls
+        # a truncation's induced metric is not translation-invariant: per
+        # center, the search costs (layers + 1) / step layer steps of
         # about 120 us, and a thresholded row about 0.04-0.12 us per point;
         # they meet where (layers + 1) * _BALL_PAIRS / step is about 3n to
-        # 8n (measured on Z/4096, Z^2/64, Z^2/128, H3/16 and the Z^2 R=20
-        # and H3 R=10 balls, 2 cores)
+        # 8n (measured on the Z^2 R=20 and H3 R=10 balls, 2 cores)
         layers = min(int(radius), int(self.diameter()))
         if (layers + 1) * _BALL_PAIRS <= _SEARCH_PAYS * self.n * step:
             return self._search_balls
         return self._row_balls
+
+    def _translated_balls(self, block: np.ndarray,
+                          radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # B(c, r) = c * B(e, r) at distances d(c, c * g) = |g|, and B(e, r)
+        # is a prefix of the canonical order
+        m = self._ball_bound(radius)
+        members = self._product([col[block, None] for col in self._columns],
+                                [col[:m] for col in self._columns])
+        return (np.arange(block.size + 1) * m, members.ravel(),
+                np.tile(self.word_lengths[:m], block.size))
 
     def _search_balls(self, block: np.ndarray,
                       radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -495,12 +508,17 @@ class GroupSpace(FiniteSpace):
 
     def right_perm(self, j: int) -> np.ndarray:
         """Permutation i -> index(x_i * u_j) (quotients only), computed on
-        every call from the key digits of the product's columns."""
+        every call by `_product`."""
         if not self.is_quotient:
             raise ValueError("right translations are total only on quotients")
         if not 0 <= j < self.n:
             raise IndexError(f"element {j} out of range")
-        x, u = self._columns, self.elements[j]
+        return self._product(self._columns, self.elements[j])
+
+    def _product(self, x, u) -> np.ndarray:
+        """Indices of the quotient products x * u, broadcast over the
+        coordinate columns ``x[c]`` and ``u[c]``, from the key digits of
+        the product's columns."""
         keys = self._digits[0][x[0] + u[0]]
         for c in range(1, self.group.d):
             shift = u[c]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +34,6 @@ __all__ = [
     "variation_oracle",
     "upcrossing_count",
     "upcrossing_count_batch",
-    "jump_functional",
-    "default_lambda_grid",
 ]
 
 _ORACLE_MAX_LEN = 20
@@ -275,47 +273,3 @@ def upcrossing_count_batch(values: np.ndarray, a: float, b: float) -> np.ndarray
         count[went_high] += 1
         seeking_low = (seeking_low & ~went_low) | went_high
     return count
-
-
-class JumpFunctional(NamedTuple):
-    value: float
-    lam: float
-
-
-def jump_functional(seq, lam_grid, q: float = 2.0) -> JumpFunctional:
-    """max over the grid of lam * N_lam^{1/q}, with its maximizing lambda.
-
-    A finite grid under-approximates the supremum over lambda > 0; callers
-    (and reports) should say which grid was used.
-    """
-    grid = np.asarray(lam_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid must be nonempty")
-    if np.any(grid <= 0):
-        raise ValueError("lambda grid must be positive")
-    best = JumpFunctional(0.0, float(grid[0]))
-    for lam in grid:
-        n = jump_count(seq, float(lam))
-        val = float(lam) * n ** (1.0 / q)
-        if val > best.value:
-            best = JumpFunctional(val, float(lam))
-    return best
-
-
-def default_lambda_grid(seq, count: int = 8) -> np.ndarray:
-    """Log-spaced grid from the smallest positive gap to the full range.
-
-    Empty when the sequence has no positive gaps (e.g. constants).
-    """
-    a = _values_of(seq)
-    if a.size < 2:
-        return np.empty(0)
-    gaps = np.abs(np.diff(a))
-    gaps = gaps[gaps > 0]
-    if gaps.size == 0:
-        return np.empty(0)
-    lo = float(gaps.min())
-    hi = float(a.max() - a.min())
-    if hi <= lo:
-        return np.array([lo])
-    return np.geomspace(lo, hi, count)

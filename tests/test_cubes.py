@@ -24,7 +24,13 @@ from ergolab.cubes import (
     system_to_json,
     verify_cube_axioms,
 )
-from ergolab.space import MatrixSpace, build_group_space, random_square_space
+from ergolab.operators import avg_profile
+from ergolab.space import (
+    MatrixSpace,
+    build_group_space,
+    geometric_doubling_check,
+    random_square_space,
+)
 
 
 @pytest.fixture(scope="module")
@@ -502,9 +508,9 @@ class TestBuildCubes:
         monkeypatch.setattr(space, "dist_row",
                             lambda i: rows.append(i) or real(i))
         assert verify_cube_axioms(system).all_pass
-        # the 256 level-0 balls are searched; above level 0 the C1 ball is
-        # the whole space, and a row per center is cheaper than the search
-        assert rows == [int(c) for c in np.concatenate(system.centers[1:])]
+        # quotient balls, the whole space included, are translates of
+        # identity balls and read no rows
+        assert rows == []
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(5, 40), seed=st.integers(0, 2**20))
@@ -685,8 +691,8 @@ class TestBoundaryLayers:
             "random-square"])
     def test_matches_full_row_reference(self, make, constants):
         system = build_cubes(make(), HKParams())
-        # t = 1 and 36 take the search or the rows, t >= diameter the
-        # whole-space branch
+        # t = 1 and 36 take translated identity balls on quotients and the
+        # search or the rows elsewhere, t >= diameter the whole-space branch
         for level in system.levels:
             for L in (0, 1, 2):
                 rep = boundary_layer_report(system, system.space, constants,
@@ -719,6 +725,37 @@ class TestBoundaryLayers:
         for row in rep.rows:
             # a singleton cube at t = 1 is all boundary
             assert row.inner == row.measure
+
+
+# ---------------------------------------------------------------------------
+# quotient balls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: build_group_space("zd", d=2, modulus=16)[0],
+    lambda: build_group_space("h3", modulus=8)[0],
+], ids=["z2-16", "h3-8"])
+def test_quotient_balls_read_no_search_and_no_rows(make, monkeypatch):
+    # every quotient ball is a translate of an identity ball, so the cube
+    # layer, the doubling cover and the FFT spot check neither search the
+    # generator graph nor read distance rows
+    space = make()
+
+    def refuse(*args):
+        raise AssertionError("quotient ball left the translation kernel")
+
+    for name in ("_search_balls", "_row_balls", "dist_row"):
+        monkeypatch.setattr(space, name, refuse)
+    params = HKParams()
+    system = build_cubes(space, params, select_nets(space, params))
+    assert verify_cube_axioms(system).all_pass
+    constants = BoundaryConstants.derive(params, r0=1.0)
+    for level in system.levels:
+        for L in (0, 1):
+            boundary_layer_report(system, space, constants, level=level, L=L)
+    assert geometric_doubling_check(space, 9, pairs=[(4, 2)]).pairs[0].ok
+    values = np.random.default_rng(0).integers(-1, 2, (space.n, 2))
+    assert avg_profile(values, space, [0, 1, 2, 5]).shape == (4, space.n, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -452,8 +452,9 @@ GROUP_BALL_SPACES = {
                                            generators=[[3], [5]])[0],
 }
 BALL_SPACES = pytest.mark.parametrize(
-    "make", [*GROUP_BALL_SPACES.values(), lambda: random_square_space(60, 40, seed=9)],
-    ids=[*GROUP_BALL_SPACES, "random-square"])
+    "make", [*GROUP_BALL_SPACES.values(), KERNEL_SPACES["z3-6"],
+             lambda: random_square_space(60, 40, seed=9)],
+    ids=[*GROUP_BALL_SPACES, "z3-6", "random-square"])
 
 
 class TestBallChunks:
@@ -480,8 +481,10 @@ class TestBallChunks:
                 row = space.dist_row(int(c))
                 inside = np.flatnonzero(row <= radius)
                 assert members.size <= bound
-                assert np.array_equal(members, inside)
-                assert np.array_equal(dists, row[inside])
+                # the order of members within a ball is unspecified
+                order = np.argsort(members)
+                assert np.array_equal(members[order], inside)
+                assert np.array_equal(dists[order], row[inside])
 
     @pytest.mark.parametrize("make", GROUP_BALL_SPACES.values(),
                              ids=GROUP_BALL_SPACES.keys())
@@ -501,11 +504,23 @@ class TestBallChunks:
                     assert np.array_equal(members[p:q], inside)
                     assert np.array_equal(dists[p:q], row[inside])
 
+    @pytest.mark.parametrize("make", GROUP_BALL_SPACES.values(),
+                             ids=GROUP_BALL_SPACES.keys())
+    def test_ball_bound_counts_the_identity_ball(self, make):
+        # the bound searches word lengths with an integer key, for any
+        # real radius
+        space = make()
+        wl = space.word_lengths
+        for radius in (-0.5, 0, 1.5, 2, space.diameter(), math.inf):
+            assert space._ball_bound(radius) == np.count_nonzero(wl <= radius)
+
     def test_kernel_choice(self):
-        space, _ = build_group_space("zd", d=1, modulus=4096)
-        # |B(e, r)| = 2r + 1, so a block holds min(#centers, 8192 // (2r + 1))
-        # centers: with 37 of them (r + 1) * 8192 <= 6 * 4096 * 37 up to
-        # r = 110, and a lone center is searched only up to r = 2
+        # the cost rule serves truncations: on the 4097 points of Z ball
+        # R=2048, |B(e, r)| = 2r + 1, so a block holds min(#centers,
+        # 8192 // (2r + 1)) centers: with 37 of them (r + 1) * 8192 <=
+        # 6 * 4097 * 37 up to r = 110, and a lone center is searched only up
+        # to r = 2
+        space, _ = build_group_space("zd", d=1, radius=2048)
         assert space._ball_kernel(110, 37) == space._search_balls
         assert space._ball_kernel(111, 36) == space._row_balls
         kinds = {(m, r): next(space.ball_chunks(np.arange(m), r))[3].dtype
@@ -744,8 +759,8 @@ class TestDoubling:
         assert [p.count for p in rep.pairs] == [cover(R, r) for R, r in pairs]
 
     def test_searched_balls_read_no_rows(self, monkeypatch):
-        # on Z^2/64 the search serves the balls B(c, r <= 4) of the eight
-        # centers and the nets' balls of radius <= 2 alike
+        # on Z^2/64 the balls B(c, r <= 4) of the eight centers and the
+        # nets' balls of radius <= 2 are all translates of identity balls
         space, _ = build_group_space("zd", d=2, modulus=64)
         rows = []
         real = space.dist_row

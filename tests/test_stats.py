@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from ergolab.stats import (
     ScaleSequence,
-    default_lambda_grid,
     jump_count,
     jump_count_batch,
     jump_count_oracle,
-    jump_functional,
     upcrossing_count,
     upcrossing_count_batch,
     variation,
@@ -172,6 +170,20 @@ class TestVariation:
         n = jump_count(vals, lam)
         assert lam * n ** (1 / q) <= variation(vals, q) + 1e-9
 
+    @given(short_seqs)
+    @settings(max_examples=100, deadline=None)
+    def test_jump_value_below_variation(self, vals):
+        # sup over lam of lam * N_lam^{1/2} <= V_2: N_lam drops only where
+        # lam reaches a gap |a_i - a_j|, so the sup is approached just below
+        # the gaps
+        a = np.asarray(vals, dtype=float)
+        gaps = np.unique(np.abs(a[:, None] - a[None, :]))
+        v2 = variation(vals, 2.0)
+        for lam in gaps[gaps > 0]:
+            for lam in (lam, np.nextafter(lam, 0.0)):
+                n = jump_count(vals, float(lam))
+                assert lam * math.sqrt(n) <= v2 + 1e-9
+
     @given(short_seqs, st.floats(min_value=1, max_value=4))
     @settings(max_examples=150, deadline=None)
     def test_sup_bound(self, vals, q):
@@ -256,39 +268,3 @@ class TestUpcrossings:
         counts = upcrossing_count_batch(mat, -0.3, 0.4)
         for col in range(25):
             assert counts[col] == upcrossing_count(mat[:, col], -0.3, 0.4)
-
-
-class TestJumpFunctional:
-    def test_reports_maximizer(self):
-        res = jump_functional([0, 2, 0, 2], [0.5, 1.0, 1.9], q=2.0)
-        # N_0.5 = N_1.0 = N_1.9 = 3; largest lambda wins
-        assert res.lam == 1.9
-        assert res.value == pytest.approx(1.9 * math.sqrt(3))
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            jump_functional([0, 1], [])
-
-    def test_rejects_nonpositive_grid(self):
-        with pytest.raises(ValueError):
-            jump_functional([0, 1], [0.5, -1])
-
-    @given(short_seqs)
-    @settings(max_examples=100, deadline=None)
-    def test_grid_value_below_variation(self, vals):
-        grid = default_lambda_grid(vals)
-        if grid.size == 0:
-            return
-        res = jump_functional(vals, grid, q=2.0)
-        assert res.value <= variation(vals, 2.0) + 1e-9
-
-
-class TestDefaultLambdaGrid:
-    def test_constant_sequence_empty(self):
-        assert default_lambda_grid([2, 2, 2]).size == 0
-
-    def test_spans_gap_to_range(self):
-        g = default_lambda_grid([0, 0.1, 1.0])
-        assert g[0] == pytest.approx(0.1)
-        assert g[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(g) > 0)
