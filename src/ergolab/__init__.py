@@ -4,19 +4,19 @@ finite groups and finite metric measure spaces.
 The modules build on each other roughly bottom-up:
 
 - ``stats``: jump counts, q-variation, upcrossings, and their oracles
-- ``space``: finite metric measure spaces, group balls, growth/doubling
-- ``cubes``: dyadic cube systems and their axioms
+- ``space``: finite metric measure spaces, group balls, growth exponent,
+  annular decay and the doubling cover
+- ``cubes``: dyadic cube systems, their axioms and boundary constants
 - ``martingale``: conditional expectations, differences, maximal functions
 - ``operators``: averaging operators, square function, norm probes
-- ``decomposition``: Gundy-style splits and Vitali selection
+- ``decomposition``: Gundy-style splits over a cube system
 - ``dynamics``: measure-preserving actions, transference, tail experiments
 - ``cli``: JSON-configured runner producing deterministic artifacts
 """
 
 from ergolab.cubes import (AxiomReport, BoundaryConstants, DyadicSystem,
                            HKParams, build_cubes, verify_cube_axioms)
-from ergolab.decomposition import (GundyError, GundyResult, gundy_decompose,
-                                   vitali_select)
+from ergolab.decomposition import GundyError, GundyResult, gundy_decompose
 from ergolab.dynamics import (ActionError, MPSystem, build_system,
                               convergence_probe, regular_system,
                               tail_experiment, transference_check)
@@ -80,6 +80,5 @@ __all__ = [
     "variation",
     "variation_oracle",
     "verify_cube_axioms",
-    "vitali_select",
     "weighted_norm",
 ]

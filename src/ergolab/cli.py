@@ -783,6 +783,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_suites(spec: str) -> tuple[str, ...]:
+    """The suites named by ``--suite``, each once, in the order given."""
+    suites = tuple(s.strip() for s in spec.split(","))
+    if "" in suites:
+        raise ConfigError(f"empty suite name in --suite {spec!r}; "
+                          f"available: {VERIFY_SUITES}")
+    bad = [s for s in suites if s not in VERIFY_SUITES]
+    if bad:
+        raise ConfigError(
+            f"unknown suite(s) {bad}; available: {VERIFY_SUITES}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"suite(s) {repeated} named more than once in "
+                          f"--suite {spec!r}")
+    return suites
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "report":
@@ -790,12 +807,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg, sha = load_config(args.config, seed=args.seed, out=args.out)
         suites: Sequence[str] = VERIFY_SUITES
-        if args.command == "verify" and args.suite:
-            suites = tuple(s.strip() for s in args.suite.split(","))
-            bad = [s for s in suites if s not in VERIFY_SUITES]
-            if bad:
-                raise ConfigError(
-                    f"unknown suite(s) {bad}; available: {VERIFY_SUITES}")
+        if args.command == "verify" and args.suite is not None:
+            suites = _parse_suites(args.suite)
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "space":

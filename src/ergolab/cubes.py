@@ -7,8 +7,9 @@ upward to the nearest next-level center.  Axioms (partition, nesting, unique
 parent) then hold by construction and are verified rather than assumed; the
 ball sandwich B(z, a0 d^k) <= Q <= B(z, C1 d^k) is measured cube by cube.
 
-The boundary machinery (layer and halo measures with their derived
-constants L0..L3, eta, C2, C2') lives here too.
+The derived boundary-layer constants (L0..L3, eta, C2, C2') of the
+construction parameters are computed here and written into every cube
+document; the layers themselves are not measured.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .space import FiniteSpace, _sorted_unique, greedy_net
+from .space import FiniteSpace, greedy_net
 
 __all__ = [
     "HKParams",
@@ -33,8 +33,6 @@ __all__ = [
     "build_cubes",
     "verify_cube_axioms",
     "AxiomReport",
-    "boundary_layer_report",
-    "LayerReport",
     "system_to_json",
     "system_from_json",
     "save_system",
@@ -486,98 +484,6 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
         parent_ok=parent_ok, sandwich_checked=checked, sandwich_passed=passed,
         sandwich_ok_in_safe=sandwich_ok_in_safe, separation_ok=separation_ok,
         covering_ok=covering_ok, violations=tuple(viol))
-
-
-# ---------------------------------------------------------------------------
-# boundary layers and halos
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LayerRow:
-    level: int
-    cube: int
-    L: int
-    t: float
-    measure: float
-    inner: float
-    inner_bound: float
-    outer: float
-    outer_bound: float
-    halo_bound: float
-    layer_in_range: bool
-    halo_in_range: bool
-
-
-@dataclass(frozen=True)
-class LayerReport:
-    level: int
-    L: int
-    t: float
-    rows: tuple[LayerRow, ...]
-
-    @property
-    def in_range_ok(self) -> bool:
-        """Inner bound honored on every row inside the lemma hypotheses."""
-        return all(r.inner <= r.inner_bound + 1e-9
-                   for r in self.rows if r.layer_in_range)
-
-
-def boundary_layer_report(system: DyadicSystem, space: FiniteSpace,
-                          constants: BoundaryConstants, *, level: int, L: int,
-                          cubes: Sequence[int] | None = None) -> LayerReport:
-    """Layer and halo measures for the level-``level`` cubes at depth ``L``.
-
-    With t = delta^(level-L), the inner layer {x in Q : d(x, Q^c) <= t} is
-    exactly the halo of Q by t-balls, and the outer layer
-    {x not in Q : d(x, Q) <= t} is the mirrored halo; the rows carry both
-    bound values (C2 d^{-L eta} m(Q), and C2*C2' d^{-L eta} m(Q) for the
-    outer layer).  Out-of-hypothesis requests are computed but flagged.
-    """
-    li = system.level_index(level)
-    a = system.assign[li]
-    n_cubes = len(system.centers[li])
-    t = constants.delta ** (level - L)
-    wanted = np.arange(n_cubes) if cubes is None else np.asarray(list(cubes))
-    measures = system.cube_measures(level)
-
-    # x counts for every other cube that meets B(x, t) (outer) and, once,
-    # for its own cube when some other cube does (inner); np.add.at and
-    # np.cumsum add in ascending x, the order of a loop over the points
-    w = space.weights
-    inner_w = np.zeros(n_cubes)
-    outer_w = np.zeros(n_cubes)
-    if t >= space.diameter():
-        # every ball B(x, t) is the whole space and meets every cube
-        present = np.unique(a)
-        if present.size > 1:
-            np.add.at(inner_w, a, w)
-            for cube in present.tolist():
-                outer_w[cube] = np.cumsum(w[a != cube])[-1]
-    else:
-        for lo, indptr, members, _ in space.ball_chunks(np.arange(space.n), t):
-            x = np.repeat(np.arange(lo, lo + indptr.size - 1), np.diff(indptr))
-            foreign = a[members] != a[x]
-            hits = _sorted_unique(x[foreign] * n_cubes + a[members][foreign])
-            x_hit, cube_hit = np.divmod(hits, n_cubes)
-            np.add.at(outer_w, cube_hit, w[x_hit])
-            x_in = _sorted_unique(x_hit)
-            np.add.at(inner_w, a[x_in], w[x_in])
-
-    decay = constants.delta ** (-L * constants.eta)
-    layer_in = constants.L0 < L < level + constants.L0 - constants.L1
-    halo_in = (level - L) > constants.n0 and L > constants.L0
-    rows = []
-    for cube in wanted:
-        mq = float(measures[cube])
-        rows.append(LayerRow(
-            level=level, cube=int(cube), L=L, t=t, measure=mq,
-            inner=float(inner_w[cube]),
-            inner_bound=constants.C2 * decay * mq,
-            outer=float(outer_w[cube]),
-            outer_bound=constants.C2 * constants.C2_prime * decay * mq,
-            halo_bound=constants.C2 * decay * mq,
-            layer_in_range=bool(layer_in), halo_in_range=bool(halo_in)))
-    return LayerReport(level=level, L=L, t=t, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

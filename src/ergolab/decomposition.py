@@ -13,9 +13,6 @@ each part's integral and l1 norm is a segment sum over the cube index, so
 no part is expanded onto its support.  The result keeps the per-level
 masks and sums; its ``stopping``, ``b_parts`` and ``xi_parts`` tuples are
 built from them on first access.
-
-``vitali_select`` is the greedy disjoint-ball selector whose 3-dilates
-cover the input family.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +33,6 @@ __all__ = [
     "GundyPart",
     "GundyResult",
     "gundy_decompose",
-    "vitali_select",
-    "vitali_dilate_check",
 ]
 
 
@@ -291,44 +286,3 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
         abs_averages=abs_avgs, means=means, measures=measures,
         part_sums=part_sums)
 
-
-# ---------------------------------------------------------------------------
-# Vitali selection
-# ---------------------------------------------------------------------------
-
-def vitali_select(space, balls: Sequence[tuple[int, float]]) -> list[int]:
-    """Greedy disjoint subfamily: scan by descending radius (ties by input
-    order), keep a ball iff it misses every kept ball.
-
-    Every discarded ball then meets a kept ball of at least its radius, so
-    the triangle inequality puts it inside that ball's 3-dilate.
-    """
-    for center, radius in balls:
-        if radius <= 0:
-            raise ValueError("radii must be positive")
-        if not 0 <= center < space.n:
-            raise ValueError("ball center outside the space")
-    order = sorted(range(len(balls)), key=lambda i: (-balls[i][1], i))
-    kept: list[int] = []
-    union = np.zeros(space.n, dtype=bool)
-    for i in order:
-        center, radius = balls[i]
-        mask = space.dist_row(center) <= radius
-        if not np.any(mask & union):
-            kept.append(i)
-            union |= mask
-    kept.sort()
-    return kept
-
-
-def vitali_dilate_check(space, balls: Sequence[tuple[int, float]],
-                        kept: Sequence[int]) -> bool:
-    """Exhaustively check union(balls) is inside union of kept 3-dilates."""
-    covered = np.zeros(space.n, dtype=bool)
-    for i in kept:
-        center, radius = balls[i]
-        covered |= space.dist_row(center) <= 3.0 * radius
-    for center, radius in balls:
-        if np.any((space.dist_row(center) <= radius) & ~covered):
-            return False
-    return True

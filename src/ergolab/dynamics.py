@@ -198,8 +198,7 @@ def build_system(kind: str, *, modulus: int | None = None,
                  family: str = "zd", d: int = 1,
                  step: int | Sequence[int] = 1,
                  step2: Sequence[int] | None = None,
-                 acting_modulus: int | None = None,
-                 mu=None, group: GroupSpace | None = None) -> MPSystem:
+                 acting_modulus: int | None = None) -> MPSystem:
     """Construct one of the stock systems.
 
     kinds:
@@ -211,16 +210,15 @@ def build_system(kind: str, *, modulus: int | None = None,
 
     Rotations are modelled by the quotient Z_M^d (M = acting_modulus,
     default N); every step times M must vanish mod N so that the quotient
-    action is defined.
+    action is defined.  Every system carries the uniform measure.
     """
     if kind == "heisenberg":
         kind, family = "regular", "h3"
     if kind == "regular":
-        if group is None:
-            if modulus is None:
-                raise ValueError("regular systems need a modulus")
-            group, _ = build_group_space(
-                family, d=None if family == "h3" else d, modulus=modulus)
+        if modulus is None:
+            raise ValueError("regular systems need a modulus")
+        group, _ = build_group_space(
+            family, d=None if family == "h3" else d, modulus=modulus)
         return regular_system(group)
 
     if kind not in ("rotation", "rotation2d"):
@@ -244,8 +242,7 @@ def build_system(kind: str, *, modulus: int | None = None,
                 f"acting modulus {m} incompatible with step {shown} mod {n}: "
                 f"step*M must vanish mod N for the quotient action")
     group, _ = build_group_space("zd", d=dim, modulus=m)
-    if mu is None:
-        mu = np.ones(n ** dim) / n ** dim
+    mu = np.ones(n ** dim) / n ** dim
     grid = np.arange(n ** dim).reshape((n,) * dim)
 
     def perm_for(j: int) -> np.ndarray:

@@ -206,9 +206,9 @@ def sharp_maximal_bmo(f: SampleFunction,
 
 
 def martingale_jump_probe(system: DyadicSystem, *, trials: int = 200,
-                          seed: int = 0, p: float = 2.0,
-                          lambdas: Sequence[float] = (0.1, 0.5, 1.0)) -> dict:
-    """Empirical size of sup_lambda ||lambda sqrt(N_lambda(E.f))||_p / ||f||_p.
+                          seed: int = 0, p: float = 2.0) -> dict:
+    """Empirical size of sup_lambda ||lambda sqrt(N_lambda(E.f))||_p / ||f||_p
+    over lambda in (0.1, 0.5, 1.0).
 
     The martingale of each random f is read per point as a sequence over
     the levels (coarse to fine) and fed to the jump counter.  This probes
@@ -226,7 +226,7 @@ def martingale_jump_probe(system: DyadicSystem, *, trials: int = 200,
         if fnorm == 0.0:
             continue
         best = 0.0
-        for lam in lambdas:
+        for lam in (0.1, 0.5, 1.0):
             counts = jump_count_batch(rows, lam)
             best = max(best, weighted_norm(lam * np.sqrt(counts), w, p) / fnorm)
         ratios.append(best)

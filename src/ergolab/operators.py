@@ -468,7 +468,10 @@ def short_variation(f: SampleFunction, space: FiniteSpace,
 _GRID_NOTE = ("jump on the left evaluated over the finite union of block "
               "grids; suprema over a continuum of radii reduce to this set "
               "because averages on an integer-valued metric are constant "
-              "between consecutive integer radii")
+              "between consecutive integer radii; the anchor sequence on the "
+              "right of the first inequality holds every block's anchor, the "
+              "n_r0 block's included, since a chain of radii that crosses "
+              "blocks passes through each block's anchor")
 
 
 @dataclass(frozen=True)
@@ -476,9 +479,10 @@ class DominationReport:
     """Pointwise evaluation of the two jump-transfer inequalities.
 
     ``rhs_anchor`` bounds the full-grid jump by jumps of the delta-adic
-    anchor subsequence plus short variation; ``rhs_martingale`` pushes on
-    to the martingale: square function, short variation, and jumps of the
-    martingale itself.
+    anchor subsequence (one anchor per block, the n_r0 block included)
+    plus short variation; ``rhs_martingale`` pushes on to the martingale:
+    square function over the levels n > n_r0, short variation, and jumps
+    of the martingale itself.
     """
 
     lam: float
@@ -513,16 +517,19 @@ def domination_check(f: SampleFunction, system: DyadicSystem,
 
     sv = np.sqrt((_block_variations(rows, config) ** 2).sum(axis=0))
 
-    # anchor rows sit at the start of their blocks within the union grid
+    # anchor rows sit at the start of their blocks within the union grid;
+    # a chain that crosses blocks passes through every block's anchor, so
+    # the anchor sequence holds them all (Jones-Kaufman-Rosenblatt-Wierdl)
     offsets = np.cumsum([0] + [len(b.radii) for b in config.blocks[:-1]])
-    anchor_idx = [offsets[i] for i, b in enumerate(config.blocks)
-                  if b.n > config.n_r0]
-    anchor_rows = rows[anchor_idx]
+    anchor_rows = rows[offsets]
     anchor_jumps = jump_count_batch(anchor_rows, lam / 6.0)
     rhs_anchor = 2.0 * lam * np.sqrt(anchor_jumps) + 16.0 * sv
 
+    # the square function compares the anchors of the blocks n > n_r0 with
+    # the expectations at those levels
+    eligible = anchor_rows[[b.n > config.n_r0 for b in config.blocks]]
     exp_rows = np.stack([expectation(f, system, n).values for n in levels])
-    square = np.sqrt(((anchor_rows - exp_rows) ** 2).sum(axis=0))
+    square = np.sqrt(((eligible - exp_rows) ** 2).sum(axis=0))
     martingale_jumps = jump_count_batch(exp_rows, lam / 24.0)
     rhs_martingale = (96.0 * math.sqrt(2.0) * square + 16.0 * sv
                       + 2.0 * math.sqrt(2.0) * lam * np.sqrt(martingale_jumps))
@@ -540,10 +547,10 @@ def domination_check(f: SampleFunction, system: DyadicSystem,
 # norm probes
 # ---------------------------------------------------------------------------
 
-def fit_doubling_constant(space: FiniteSpace, max_centers: int = 32) -> float:
+def fit_doubling_constant(space: FiniteSpace) -> float:
     """Empirical doubling constant: max of m(B(x,2r))/m(B(x,r)) over
-    sampled centers and dyadic radii within the safe radius."""
-    step = max(1, space.n // max_centers)
+    32 evenly spaced centers and dyadic radii within the safe radius."""
+    step = max(1, space.n // 32)
     best = 1.0
     w = space.weights
     for x in range(0, space.n, step):
@@ -626,12 +633,12 @@ class NormProbeReport:
 def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
                p: float = 2.0, trials: int = 200, seed: int = 0,
                gammas: Sequence[float] = (0.5, 1.0, 2.0),
-               r: float | None = None,
                compute_bmo: bool = False) -> NormProbeReport:
     """Randomized size of one operator: strong-(p,p) ratios over three
-    ensembles, weak-(1,1) ratios on a gamma grid, and (for averages) the
-    comparison against D^(1/p) with the doubling constant D fitted from
-    the space.  Rerunning with the same seed reproduces every number.
+    ensembles, weak-(1,1) ratios on a gamma grid, and (for averages at the
+    radius r = max(1, delta^(n_r0+1))) the comparison against D^(1/p)
+    with the doubling constant D fitted from the space.  Rerunning with
+    the same seed reproduces every number.
 
     Trials run in blocks of columns: each block of trial vectors goes
     through one `avg_profile` call, sized so that its (radii, n, T)
@@ -645,8 +652,7 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     space = system.space
-    if operator == "average" and r is None:
-        r = max(1.0, config.anchor(config.n_r0 + 1))
+    r = max(1.0, config.anchor(config.n_r0 + 1))
     if operator == "square":
         width = len(config.eligible_levels(system))
     elif operator == "variation":

@@ -1,6 +1,7 @@
 """Finite metric measure spaces: Cayley-ball truncations, finite quotients,
-and explicit-matrix spaces, plus the geometric diagnostics (growth exponent,
-annular decay, geometric doubling) used by the rest of the package.
+and explicit-matrix spaces, plus the geometric diagnostics: the growth
+exponent and the doubling cover, which the ``space`` command reports, and
+the annular decay profile.
 
 Two ways to make an infinite group finite at desk scale:
 
@@ -25,7 +26,6 @@ __all__ = [
     "MatrixSpace",
     "GroupSpace",
     "BallTable",
-    "GrowthProfile",
     "AnnularReport",
     "DoublingReport",
     "build_group_space",
@@ -34,8 +34,6 @@ __all__ = [
     "geometric_doubling_check",
     "greedy_net",
     "fit_growth_exponent",
-    "word_metric_constants",
-    "growth_profile",
     "space_to_json",
     "space_from_json",
     "save_space",
@@ -731,28 +729,6 @@ def random_square_space(n: int, side: int, seed: int, r0: float = 1.0) -> Matrix
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GrowthProfile:
-    """Fitted geometric constants of a space."""
-
-    D_G: float
-    C_V: float
-    eps: float
-    K: float
-    K_eps: float
-    D0: int
-
-    def __post_init__(self) -> None:
-        if not self.D_G > 0:
-            raise ValueError("growth exponent must be positive")
-        if not self.C_V >= 1:
-            raise ValueError("volume constant must be >= 1")
-        if not 0 < self.eps <= 1:
-            raise ValueError("annular exponent must lie in (0, 1]")
-        if not self.K > 0:
-            raise ValueError("annular constant must be positive")
-
-
-@dataclass(frozen=True)
 class AnnularReport:
     """Result of scanning m(B(x, r+s)) - m(B(x, r)) against K (s/r)^eps m(B(x, r))."""
 
@@ -877,14 +853,15 @@ def geometric_doubling_check(space: FiniteSpace, D0: int,
                              r0: float | None = None,
                              centers: Iterable[int] | None = None,
                              small_radii: Iterable[float] | None = None,
-                             pairs: Iterable[tuple[float, float]] | None = None,
-                             eps: float = 1.0, K: float = 1.0) -> DoublingReport:
+                             pairs: Iterable[tuple[float, float]] | None = None
+                             ) -> DoublingReport:
     """Greedy-cover probe of the doubling hypothesis.
 
     For sampled balls with r <= 4 r0, builds a greedy (r/2)-net of B(c, r)
     (whose r/2-balls cover the ball) and reports the largest net size; each
     requested (R, r) pair is checked against D^(log2 [R/r] + 1) with
-    D = max(D0, [9^eps (K+1)] + 1).  Violations are reported, not raised.
+    D = max(D0, [9^eps (K+1)] + 1) = max(D0, 19) at the annular constants
+    eps = K = 1.  Violations are reported, not raised.
     """
     if D0 < 1:
         raise ValueError("D0 must be >= 1")
@@ -906,7 +883,7 @@ def geometric_doubling_check(space: FiniteSpace, D0: int,
 
     max_small = max([cover(r, r / 2) for r in small_radii if r <= 4 * r0],
                     default=0)
-    D = max(float(D0), math.floor(9**eps * (K + 1)) + 1)
+    D = max(float(D0), 19)
     checks = []
     if pairs:
         for R, r in pairs:
@@ -943,39 +920,6 @@ def fit_growth_exponent(table: BallTable) -> tuple[float, float]:
     ratios = vols / rs**D_hat
     C_hat = float(max(ratios.max(), (1.0 / ratios).max()))
     return D_hat, C_hat
-
-
-def word_metric_constants(C_V: float, D_G: float) -> tuple[float, float]:
-    """The closed-form annular constants of a (D_G, C_V)-polynomial-growth
-    word metric: theta = log2(1 + 1/(C_V^2 10^D_G)), c_V = (1 + same)^3."""
-    if not C_V >= 1:
-        raise ValueError("C_V must be >= 1")
-    if not D_G > 0:
-        raise ValueError("D_G must be positive")
-    bump = 1.0 + 1.0 / (C_V**2 * 10.0**D_G)
-    return math.log2(bump), bump**3
-
-
-def growth_profile(space: FiniteSpace, table: BallTable,
-                   centers: Iterable[int] | None = None,
-                   eps: float = 1.0, D0: int | None = None) -> GrowthProfile:
-    """Convenience assembly of the fitted geometric constants."""
-    D_hat, C_hat = fit_growth_exponent(table)
-    if centers is None:
-        step = max(1, space.n // 8)
-        centers = list(range(0, space.n, step))
-    hi = min(space.safe_radius, space.diameter() / 2)
-    rs = sorted({float(r) for r in np.linspace(space.r0 + 1, max(space.r0 + 1, hi), 6)
-                 if space.r0 < r <= space.diameter() / 2})
-    if not rs:
-        raise ValueError("space too small for a growth profile")
-    ss = sorted({float(s) for s in np.linspace(1, max(1.0, hi / 2), 4)})
-    ann = annular_decay_profile(space, centers, rs, ss, eps=eps)
-    dbl = geometric_doubling_check(space, D0 if D0 is not None else 1,
-                                   centers=centers, eps=eps, K=max(ann.K_hat, 1e-9))
-    d0 = D0 if D0 is not None else max(1, dbl.max_small_cover)
-    return GrowthProfile(D_G=D_hat, C_V=C_hat, eps=eps,
-                         K=max(ann.K_hat, 1e-9), K_eps=ann.K_eps_formula, D0=d0)
 
 
 # ---------------------------------------------------------------------------

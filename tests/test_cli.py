@@ -131,6 +131,18 @@ class TestConfigValidation:
                    str(tmp_path / "run")) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,named", [
+        ("", "empty suite name"), ("gundy,", "empty suite name"),
+        ("gundy,,axioms", "empty suite name"),
+        ("gundy,gundy", "['gundy'] named more than once"),
+        ("axioms,gundy, axioms", "['axioms'] named more than once")])
+    def test_empty_or_repeated_suite_refused(self, tmp_path, capsys, spec,
+                                             named):
+        out = tmp_path / "run"
+        assert run("verify", "--suite", spec, "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_transference_on_truncation_refused_before_suites(
             self, tmp_path, capsys, monkeypatch):
         def never(*args):
@@ -201,6 +213,8 @@ class TestCommands:
         assert blob["n"] == 64
         assert 0.8 < blob["growth"]["exponent"] < 1.2
         assert blob["doubling"]["small_ok"] is True
+        # D = max(D0, 19) with D0 = 3 on Z/64
+        assert blob["doubling"]["D"] == 19
 
     def test_rerun_into_same_out_matches_one_run(self, tmp_path):
         once, twice = tmp_path / "once", tmp_path / "twice"

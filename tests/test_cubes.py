@@ -15,7 +15,6 @@ from ergolab.cubes import (
     DyadicSystem,
     HKParams,
     Nets,
-    boundary_layer_report,
     build_cubes,
     load_system,
     save_system,
@@ -142,26 +141,6 @@ def full_row_axioms(system: DyadicSystem) -> AxiomReport:
         sandwich_passed=passed, sandwich_ok_in_safe=sandwich_ok_in_safe,
         separation_ok=separation_ok, covering_ok=covering_ok,
         violations=tuple(viol))
-
-
-def full_row_layers(system: DyadicSystem, level: int, t: float):
-    """Reference inner and outer layer weights of the level-``level`` cubes
-    at width t, one full distance row per point."""
-    space = system.space
-    a = system.assign[system.level_index(level)]
-    order, starts, measures = system.cube_index(level)
-    inner_w = np.zeros(len(measures))
-    outer_w = np.zeros(len(measures))
-    for x in range(space.n):
-        per_cube = np.minimum.reduceat(space.dist_row(x)[order], starts[:-1])
-        own = a[x]
-        near = per_cube <= t
-        near[own] = False
-        outer_w[near] += space.weights[x]
-        per_cube[own] = np.inf
-        if per_cube.min() <= t:
-            inner_w[own] += space.weights[x]
-    return inner_w, outer_w
 
 
 def tampered(system: DyadicSystem, how: str) -> DyadicSystem:
@@ -615,119 +594,6 @@ class TestLocalVerification:
 
 
 # ---------------------------------------------------------------------------
-# boundary layers
-# ---------------------------------------------------------------------------
-
-class TestBoundaryLayers:
-    @pytest.fixture
-    def constants(self):
-        return BoundaryConstants.derive(HKParams(), r0=1.0)
-
-    def test_cycle_arc_layers(self, z512, z512_system, constants):
-        report = boundary_layer_report(z512_system, z512, constants,
-                                       level=1, L=1)
-        assert report.t == 1.0
-        for row in report.rows:
-            # an arc of a cycle touches its complement at two endpoint cells
-            assert row.inner == 2.0
-            assert row.outer == 2.0
-
-    def test_full_cube_at_coarse_t(self, z512, z512_system, constants):
-        report = boundary_layer_report(z512_system, z512, constants,
-                                       level=1, L=0)
-        for row in report.rows:
-            assert row.inner == row.measure
-
-    def test_monotone_in_t(self, z512, z512_system, constants):
-        inner = {}
-        for L in (2, 1, 0):
-            rep = boundary_layer_report(z512_system, z512, constants,
-                                        level=1, L=L)
-            inner[L] = np.array([r.inner for r in rep.rows])
-        assert np.all(inner[2] <= inner[1])
-        assert np.all(inner[1] <= inner[0])
-
-    def test_bound_columns(self, z512, z512_system, constants):
-        rep = boundary_layer_report(z512_system, z512, constants, level=1, L=1)
-        decay = constants.delta ** (-1 * constants.eta)
-        for row in rep.rows:
-            assert row.inner_bound == pytest.approx(constants.C2 * decay * row.measure)
-            assert row.outer_bound == pytest.approx(
-                constants.C2 * constants.C2_prime * decay * row.measure)
-            assert row.halo_bound == row.inner_bound
-
-    def test_hypothesis_flags(self, z512, z512_system, constants):
-        rep = boundary_layer_report(z512_system, z512, constants, level=1, L=1)
-        # layer window is L0 < L < level + L0 - L1 = (1, 0): empty
-        assert not rep.rows[0].layer_in_range
-        # halo window needs level - L > n0 and L > L0
-        assert not rep.rows[0].halo_in_range
-        # flags follow the formulas; an in-range row needs level >= 4,
-        # i.e. diameter >= 36^3, beyond what fits in memory here
-        rep2 = boundary_layer_report(z512_system, z512, constants, level=3, L=2)
-        assert rep2.rows[0].layer_in_range == (1 < 2 < 3 + 1 - 2)
-        assert rep2.rows[0].halo_in_range == ((3 - 2) > 1 and 2 > 1)
-
-    def test_in_range_rows_respect_bound(self, z512, z512_system, constants):
-        for L in (0, 1, 2):
-            rep = boundary_layer_report(z512_system, z512, constants,
-                                        level=1, L=L)
-            assert rep.in_range_ok
-
-    def test_cube_subset(self, z512, z512_system, constants):
-        rep = boundary_layer_report(z512_system, z512, constants, level=1,
-                                    L=1, cubes=[2, 5])
-        assert [r.cube for r in rep.rows] == [2, 5]
-
-    @pytest.mark.parametrize("make", [
-        lambda: build_group_space("zd", d=1, modulus=512)[0],
-        lambda: build_group_space("zd", d=1, modulus=512, weights=np.random.
-                                  default_rng(1).uniform(0.1, 3.0, 512))[0],
-        lambda: build_group_space("h3", modulus=8, weights=np.random.
-                                  default_rng(2).uniform(0.1, 3.0, 512))[0],
-        lambda: build_group_space("h3", radius=6)[0],
-        lambda: random_square_space(60, 40, seed=9),
-    ], ids=["z512", "z512-weighted", "h3-8-weighted", "h3-ball6",
-            "random-square"])
-    def test_matches_full_row_reference(self, make, constants):
-        system = build_cubes(make(), HKParams())
-        # t = 1 and 36 take translated identity balls on quotients and the
-        # search or the rows elsewhere, t >= diameter the whole-space branch
-        for level in system.levels:
-            for L in (0, 1, 2):
-                rep = boundary_layer_report(system, system.space, constants,
-                                            level=level, L=L)
-                inner, outer = full_row_layers(system, level, rep.t)
-                assert np.array([r.inner for r in rep.rows]).tobytes() == \
-                    inner.tobytes()
-                assert np.array([r.outer for r in rep.rows]).tobytes() == \
-                    outer.tobytes()
-
-    def test_whole_space_layers_read_no_balls(self, monkeypatch):
-        # c0 = 0.5 leaves two level-1 cubes on Z/128, whose diameter 64 is
-        # below t = delta = 100: every ball is the whole space
-        space, _ = build_group_space("zd", d=1, modulus=128, weights=np.random.
-                                     default_rng(3).uniform(0.1, 3.0, 128))
-        params = HKParams(delta=100.0, c0=0.5)
-        system = build_cubes(space, params)
-        assert len(system.centers[system.level_index(1)]) == 2
-        monkeypatch.setattr(space, "ball_chunks", None)
-        rep = boundary_layer_report(system, space, BoundaryConstants.derive(
-            params, r0=1.0), level=1, L=0)
-        assert rep.t >= space.diameter()
-        inner, outer = full_row_layers(system, 1, rep.t)
-        assert np.array([r.inner for r in rep.rows]).tobytes() == inner.tobytes()
-        assert np.array([r.outer for r in rep.rows]).tobytes() == outer.tobytes()
-
-    def test_singleton_cubes_have_full_layers(self, z64, constants):
-        system = build_cubes(z64, HKParams())
-        rep = boundary_layer_report(system, z64, constants, level=0, L=0)
-        for row in rep.rows:
-            # a singleton cube at t = 1 is all boundary
-            assert row.inner == row.measure
-
-
-# ---------------------------------------------------------------------------
 # quotient balls
 # ---------------------------------------------------------------------------
 
@@ -749,10 +615,6 @@ def test_quotient_balls_read_no_search_and_no_rows(make, monkeypatch):
     params = HKParams()
     system = build_cubes(space, params, select_nets(space, params))
     assert verify_cube_axioms(system).all_pass
-    constants = BoundaryConstants.derive(params, r0=1.0)
-    for level in system.levels:
-        for L in (0, 1):
-            boundary_layer_report(system, space, constants, level=level, L=L)
     assert geometric_doubling_check(space, 9, pairs=[(4, 2)]).pairs[0].ok
     values = np.random.default_rng(0).integers(-1, 2, (space.n, 2))
     assert avg_profile(values, space, [0, 1, 2, 5]).shape == (4, space.n, 2)

@@ -1,4 +1,4 @@
-"""Tests for the height decomposition and the Vitali selector."""
+"""Tests for the height decomposition."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from ergolab.decomposition import (
     GundyError,
     g_norm_bound,
     gundy_decompose,
-    vitali_dilate_check,
-    vitali_select,
 )
 from ergolab.martingale import SampleFunction, weighted_norm
 from ergolab.space import build_group_space
@@ -264,64 +262,6 @@ class TestSerialization:
         import json
 
         json.dumps(blob)  # must be serializable as-is
-
-
-class TestVitali:
-    def test_identical_balls_keep_one(self):
-        space, _ = build_group_space("zd", d=1, modulus=64)
-        balls = [(3, 5.0)] * 7
-        kept = vitali_select(space, balls)
-        assert kept == [0]
-        assert vitali_dilate_check(space, balls, kept)
-
-    def test_disjoint_family_kept_whole(self):
-        space, _ = build_group_space("zd", d=1, modulus=64)
-        balls = [(0, 2.0), (10, 2.0), (20, 2.0), (30, 2.0)]
-        centers = [space.index_of([v]) for v in (0, 10, 20, 30)]
-        balls = [(c, 2.0) for c in centers]
-        kept = vitali_select(space, balls)
-        assert kept == [0, 1, 2, 3]
-        assert vitali_dilate_check(space, balls, kept)
-
-    def test_greedy_prefers_larger_radius(self):
-        space, _ = build_group_space("zd", d=1, modulus=64)
-        small = (space.index_of([0]), 1.0)
-        big = (space.index_of([1]), 4.0)  # overlaps the small ball
-        kept = vitali_select(space, [small, big])
-        assert kept == [1]
-
-    def test_radius_tie_prefers_first(self):
-        space, _ = build_group_space("zd", d=1, modulus=64)
-        a = (space.index_of([0]), 2.0)
-        b = (space.index_of([1]), 2.0)
-        assert vitali_select(space, [a, b]) == [0]
-        assert vitali_select(space, [b, a]) == [0]
-
-    def test_invalid_inputs(self):
-        space, _ = build_group_space("zd", d=1, modulus=64)
-        with pytest.raises(ValueError, match="radii must be positive"):
-            vitali_select(space, [(0, 0.0)])
-        with pytest.raises(ValueError, match="center outside"):
-            vitali_select(space, [(64, 1.0)])
-
-    def test_random_family_on_square_torus(self):
-        space, _ = build_group_space("zd", d=2, modulus=256)
-        rng = RNG(17)
-        balls = [(int(rng.integers(space.n)), float(rng.uniform(1.0, 20.0)))
-                 for _ in range(100)]
-        kept = vitali_select(space, balls)
-        # kept balls pairwise disjoint, checked directly
-        masks = [space.dist_row(balls[i][0]) <= balls[i][1] for i in kept]
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                assert not np.any(masks[i] & masks[j])
-        # every input ball meets a kept ball of at least its radius
-        for center, radius in balls:
-            mask = space.dist_row(center) <= radius
-            assert any(np.any(mask & masks[k]) and balls[kept[k]][1] >= radius
-                       for k in range(len(kept)))
-        # exhaustive containment in the 3-dilates
-        assert vitali_dilate_check(space, balls, kept)
 
 
 # ---------------------------------------------------------------------------

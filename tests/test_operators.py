@@ -19,7 +19,7 @@ from ergolab.operators import (
     translation_average,
 )
 from ergolab.space import MatrixSpace, build_group_space, random_square_space
-from ergolab.stats import variation_batch
+from ergolab.stats import jump_count_batch, variation_batch
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +482,28 @@ class TestDomination:
         sq = square_function(f, z512_system, z512_config).values
         assert np.abs(rep.square - sq).max() < 1e-12
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_jump_out_of_the_r0_block_is_covered_by_its_anchor(
+            self, z512_system, z512_config, lam):
+        # sparse draw 11 puts -1 at 65 and +1 at 67; at both points the jump
+        # from the bare n_r0 anchor (the ball is the point, the row is f) to
+        # A_1 f exceeds lam, and the n_r0 block has no short variation, so
+        # only that block's anchor in the anchor sequence covers the jump
+        assert z512_config.blocks[0].n == z512_config.n_r0 == -1
+        assert z512_config.blocks[0].radii == (1 / 36,)
+        f = SampleFunction("z", _draw("sparse", np.random.default_rng(11), 512))
+        rep = domination_check(f, z512_system, z512_config, lam)
+        assert rep.ok
+        pts = [65, 67]
+        assert np.all(rep.lhs[pts] >= lam)
+        # the anchors of the blocks n > n_r0 alone leave the jump uncovered
+        rows = avg_profile(f.values, z512_system.space,
+                           [b.radii[0] for b in z512_config.blocks[1:]])
+        later = (2.0 * lam * np.sqrt(jump_count_batch(rows, lam / 6.0))
+                 + 16.0 * rep.short_var)
+        assert np.all(rep.lhs[pts] > later[pts])
+        assert np.all(rep.rhs_anchor[pts] >= rep.lhs[pts])
+
     def test_lambda_validated(self, z512_system, z512_config):
         with pytest.raises(ValueError):
             domination_check(rand_f(z512_system.space, 0),
@@ -505,6 +527,16 @@ class TestNormProbe:
                          seed=1, p=2.0)
         assert rep.doubling_D is not None and rep.doubling_D >= 1.0
         assert rep.avg_bound_ok
+
+    @pytest.mark.parametrize("r0,radius", [(1.0, 1.0), (2.0, 36.0)])
+    def test_average_radius_is_first_anchor_above_r0(self, r0, radius):
+        # r = max(1, delta^(n_r0 + 1)): n_r0 is -1 at r0 = 1 and 0 at r0 = 2
+        space, _ = build_group_space(family="zd", d=1, modulus=4096, r0=r0)
+        config = OperatorConfig.for_space(space)
+        system = build_cubes(space, HKParams())
+        rep = norm_probe(system, config, "average", trials=3, seed=0)
+        assert rep.avg_radius == max(1.0, config.anchor(config.n_r0 + 1))
+        assert rep.avg_radius == radius
 
     def test_average_sup_norm(self, z512_system, z512_config):
         rep = norm_probe(z512_system, z512_config, "average", trials=9,
@@ -578,6 +610,14 @@ class TestDoublingFit:
     def test_cycle_near_two(self, z512):
         D = fit_doubling_constant(z512)
         assert 1.5 <= D <= 2.5
+
+    def test_reads_32_centers(self, z512, monkeypatch):
+        rows = []
+        real = z512.dist_row
+        monkeypatch.setattr(z512, "dist_row",
+                            lambda i: rows.append(i) or real(i))
+        fit_doubling_constant(z512)
+        assert rows == list(range(0, 512, 16))
 
     def test_at_least_one(self):
         space = MatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), label="pair")

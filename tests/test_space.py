@@ -11,20 +11,17 @@ from ergolab.space import (
     CapacityError,
     FinGroup,
     GroupSpace,
-    GrowthProfile,
     MatrixSpace,
     annular_decay_profile,
     build_group_space,
     fit_growth_exponent,
     geometric_doubling_check,
     greedy_net,
-    growth_profile,
     load_space,
     random_square_space,
     save_space,
     space_from_json,
     space_to_json,
-    word_metric_constants,
 )
 from ergolab import space as space_module
 from ergolab.dynamics import regular_system
@@ -770,6 +767,15 @@ class TestDoubling:
         assert rep.max_small_cover == 9 and rep.all_ok
         assert rows == []
 
+    def test_pair_bound_uses_annular_constants_one(self):
+        # D = max(D0, [9^eps (K+1)] + 1) at eps = K = 1 is max(D0, 19)
+        space, _ = build_group_space("zd", d=1, modulus=64)
+        rep = geometric_doubling_check(space, 3, pairs=[(4, 1), (6, 2)])
+        assert rep.D == 19
+        assert [p.bound for p in rep.pairs] == [19.0 ** 3, 19.0 ** (
+            math.log2(3) + 1)]
+        assert geometric_doubling_check(space, 25).D == 25
+
     def test_rejects_bad_inputs(self):
         space, _ = build_group_space("zd", d=1, radius=8)
         with pytest.raises(ValueError):
@@ -807,40 +813,6 @@ class TestGrowthFit:
         table = space.ball_table(identity_index(space), radii=[0, 1])
         with pytest.raises(ValueError):
             fit_growth_exponent(table)
-
-
-class TestWordMetricConstants:
-    def test_reference_point(self):
-        theta, c_v = word_metric_constants(1.0, 1.0)
-        assert theta == pytest.approx(math.log2(1.1))
-        assert c_v == pytest.approx(1.1**3)
-
-    def test_monotone_limits(self):
-        prev_theta, prev_cv = word_metric_constants(1.0, 1.0)
-        for cv_in in (2.0, 5.0, 20.0, 100.0):
-            theta, c_v = word_metric_constants(cv_in, 1.0)
-            assert 0 < theta < prev_theta
-            assert 1 < c_v < prev_cv
-            prev_theta, prev_cv = theta, c_v
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            word_metric_constants(0.5, 1.0)
-        with pytest.raises(ValueError):
-            word_metric_constants(1.0, 0.0)
-
-    def test_profile_invariants(self):
-        with pytest.raises(ValueError):
-            GrowthProfile(D_G=0.0, C_V=1.0, eps=1.0, K=1.0, K_eps=1.0, D0=1)
-        with pytest.raises(ValueError):
-            GrowthProfile(D_G=1.0, C_V=0.9, eps=1.0, K=1.0, K_eps=1.0, D0=1)
-
-    def test_growth_profile_assembly(self):
-        space, table = build_group_space("zd", d=1, radius=64)
-        prof = growth_profile(space, table)
-        assert 0.5 < prof.D_G < 1.5
-        assert prof.C_V >= 1
-        assert prof.K_eps == pytest.approx((2**prof.eps + 1) * prof.K + 2**prof.eps)
 
 
 class TestSerialization:
