@@ -390,21 +390,27 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
             add("i", k, int(cube), "empty cube")
 
     # (ii): each finer cube meets exactly one coarser cube; (ii) and (iii)
-    # read only the levels whose assignment (i) found in range
+    # read only the levels whose assignment (i) found in range.  Nesting
+    # composes, so when every level is valid and every consecutive pair
+    # nests, every pair nests; otherwise the all-pairs scan lists each
+    # violation
     nesting_ok = True
-    for li in range(len(system.levels)):
-        for lj in range(li + 1, len(system.levels)):
-            if not (valid[li] and valid[lj]):
-                continue
-            fine, coarse = system.assign[li], system.assign[lj]
-            m = len(system.centers[lj])
-            keys = fine.astype(np.int64) * m + coarse
-            fine_ids = np.unique(keys) // m
-            dup = fine_ids[:-1][fine_ids[:-1] == fine_ids[1:]]
-            for cube in np.unique(dup):
-                nesting_ok = False
-                add("ii", system.levels[li], int(cube),
-                    f"straddles two cubes at level {system.levels[lj]}")
+    consecutive_nest = all(valid) and all(
+        _nests(system.assign[li], system.assign[li + 1], cubes_at[li])
+        for li in range(len(system.levels) - 1))
+    pairs = [] if consecutive_nest else [
+        (li, lj) for li in range(len(system.levels))
+        for lj in range(li + 1, len(system.levels)) if valid[li] and valid[lj]]
+    for li, lj in pairs:
+        fine, coarse = system.assign[li], system.assign[lj]
+        m = len(system.centers[lj])
+        keys = fine.astype(np.int64) * m + coarse
+        fine_ids = np.unique(keys) // m
+        dup = fine_ids[:-1][fine_ids[:-1] == fine_ids[1:]]
+        for cube in np.unique(dup):
+            nesting_ok = False
+            add("ii", system.levels[li], int(cube),
+                f"straddles two cubes at level {system.levels[lj]}")
 
     # (iii): stored parent links agree with actual containment
     parent_ok = True
@@ -556,6 +562,15 @@ def system_from_json(doc: dict, space: FiniteSpace) -> DyadicSystem:
                              f"{sizes[li]} cubes to one of the {sizes[li + 1]} "
                              f"cubes at level {levels[li + 1]}")
     return system
+
+
+def _nests(fine: np.ndarray, coarse: np.ndarray, m_fine: int) -> bool:
+    """Every one of the ``m_fine`` cubes of ``fine`` lies inside one cube of
+    ``coarse``: writing each point's coarse cube at its fine cube and
+    reading it back returns ``coarse`` exactly then."""
+    image = np.empty(m_fine, dtype=coarse.dtype)
+    image[fine] = coarse
+    return bool(np.array_equal(image[fine], coarse))
 
 
 def _maps_into(table: np.ndarray, length: int, bound: int) -> bool:

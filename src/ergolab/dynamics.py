@@ -22,6 +22,16 @@ which computes each translation from key digits on every call, and a
 rotation rolls the state grid on every request.  Orbits are labelled by
 min-label hooking with pointer jumping (Shiloach-Vishkin 1982), in O(log n)
 rounds.
+
+The experiments never hold the (radii x states) profile.  The sweep emits
+one radius at a time (`operators.shell_rows`); the rows are stacked into
+chunks of consecutive radii, each at most `_SWEEP_BYTES` with room for two
+state vectors per radius, and every chunk is folded into the jump or
+upcrossing DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift
+and the convergence maxima before the next is swept.  Their memory is
+O(n_states * (levels + _SWEEP_BYTES / (16 * n_states))) whatever the number
+of radii, and every count, tail, distance and discrepancy is bitwise the
+one the whole profile gives.  `action_profile` is the collecting form.
 """
 
 from __future__ import annotations
@@ -29,13 +39,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import shell_sweep
+from .operators import _SWEEP_BYTES, shell_rows, shell_sweep
 from .space import GroupSpace, build_group_space
-from .stats import jump_count_batch, upcrossing_count_batch
+from .stats import JumpFold, UpcrossingFold
 
 __all__ = [
     "ActionError",
@@ -269,11 +279,51 @@ def action_profile(system: MPSystem, values: np.ndarray,
     sweep runs with unit weights regardless of mu; this is also what makes
     the regular action reproduce the geometric averages bitwise.
     """
+    return shell_sweep(_state_values(system, values),
+                       np.ones(system.n_states), system.group,
+                       system.act_perm, radii)
+
+
+def _state_values(system: MPSystem, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[0] != system.n_states:
         raise ValueError("values must have one entry per state")
-    return shell_sweep(values, np.ones(system.n_states), system.group,
-                       system.act_perm, radii)
+    return values
+
+
+def _chunk_rows(n_states: int, n_radii: int) -> int:
+    """Radii per chunk of a streamed experiment: two state vectors per
+    radius fit in `_SWEEP_BYTES`.  Every experiment cuts its radii at the
+    same rows, so the drift's matrix products see the same row blocks in
+    `tail_experiment` and `tail_and_convergence`."""
+    return max(1, min(n_radii, _SWEEP_BYTES // (16 * n_states)))
+
+
+def _chunks(rows: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Consecutive rows stacked in blocks of at most ``size`` rows, all in
+    one buffer: a block is valid until the next one is drawn."""
+    buf = None
+    k = 0
+    for row in rows:
+        if buf is None:
+            buf = np.empty((size,) + row.shape)
+        buf[k] = row
+        k += 1
+        if k == size:
+            yield buf
+            k = 0
+    if k:
+        yield buf[:k]
+
+
+def _action_chunks(system: MPSystem, values: np.ndarray,
+                   radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """The rows of `action_profile`, bitwise, in chunks of consecutive
+    radii (`_chunk_rows`)."""
+    rows = shell_rows(_state_values(system, values),
+                      np.ones(system.n_states), system.group,
+                      system.act_perm, radii)
+    return _chunks(rows, _chunk_rows(system.n_states, len(radii)))
 
 
 def action_average(system: MPSystem, values: np.ndarray, r: float) -> np.ndarray:
@@ -320,21 +370,31 @@ def transference_check(space: GroupSpace, values: np.ndarray,
                        radii: Sequence[float],
                        lam: float = 0.5) -> TransferenceReport:
     """Compare ergodic averages of the regular action against geometric
-    ball averages on the quotient, pointwise and through jump counts."""
+    ball averages on the quotient, pointwise and through jump counts.
+
+    The two sweeps run in lockstep, one chunk of consecutive radii at a
+    time, and each chunk pair feeds the discrepancy and two jump folds."""
     system = regular_system(space)
-    act = action_profile(system, values, radii)
+    values = _state_values(system, values)
     # the geometric side stays on the sweep, whatever engine `avg_profile`
     # uses on this quotient: both sides then share one accumulation order
-    trans = shell_sweep(np.asarray(values, dtype=float), space.weights, space,
-                        space.right_perm, radii)
-    disc = float(np.abs(act - trans).max()) if act.size else 0.0
+    trans = _chunks(shell_rows(values, space.weights, space, space.right_perm,
+                               radii),
+                    _chunk_rows(space.n, len(radii)))
+    jumps_act, jumps_trans = JumpFold(lam, space.n), JumpFold(lam, space.n)
+    discs = [0.0]
+    for act_rows, trans_rows in zip(_action_chunks(system, values, radii),
+                                    trans):
+        discs.append(np.abs(act_rows - trans_rows).max())
+        jumps_act.update(act_rows)
+        jumps_trans.update(trans_rows)
     return TransferenceReport(
         space_label=space.label,
         radii=tuple(float(r) for r in radii),
         lam=lam,
-        max_discrepancy=disc,
-        jumps_action=jump_count_batch(act, lam),
-        jumps_translation=jump_count_batch(trans, lam))
+        max_discrepancy=float(np.max(discs)),
+        jumps_action=jumps_act.counts(),
+        jumps_translation=jumps_trans.counts())
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +462,14 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
 
     Values above sup-norm one are clipped, and the grid is capped at the
     acting group's safe radius; both are recorded in the report rather
-    than applied silently.
+    than applied silently.  The profile is folded chunk by chunk as it is
+    swept, never held whole.
     """
     values, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
-    return _tail_report(system, values, kept, notes, lam, upcross,
-                        action_profile(system, values, kept))
+    tail = _TailFold(system, values, lam, upcross)
+    for rows in _action_chunks(system, values, kept):
+        tail.update(rows)
+    return _tail_report(system, kept, notes, lam, upcross, tail)
 
 
 def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
@@ -436,18 +499,39 @@ def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
     return values, kept, notes
 
 
-def _tail_report(system: MPSystem, values: np.ndarray, kept: list[float],
-                 notes: list[str], lam: float | None,
-                 upcross: tuple[float, float] | None,
-                 rows: np.ndarray) -> TailReport:
-    """The tail report of the (clipped) values from their profile rows."""
-    drift = float(np.abs(rows @ system.mu - (system.mu * values).sum()).max())
+class _TailFold:
+    """Jump (or upcrossing) counts and mean drift of the clipped values'
+    profile, fed chunks of consecutive radii."""
+
+    def __init__(self, system: MPSystem, values: np.ndarray,
+                 lam: float | None,
+                 upcross: tuple[float, float] | None) -> None:
+        n, self._mu = system.n_states, system.mu
+        self.counts = (JumpFold(lam, n) if lam is not None
+                       else UpcrossingFold(*upcross, n))
+        self._mean = (system.mu * values).sum()
+        self._drifts: list[np.ndarray] = []
+
+    def update(self, rows: np.ndarray) -> None:
+        # the drift's matrix product reads a contiguous block
+        rows = np.ascontiguousarray(rows)
+        self.counts.update(rows)
+        self._drifts.append(np.abs(rows @ self._mu - self._mean))
+
+    def drift(self) -> float:
+        return float(np.concatenate(self._drifts).max())
+
+
+def _tail_report(system: MPSystem, kept: list[float], notes: list[str],
+                 lam: float | None, upcross: tuple[float, float] | None,
+                 tail: _TailFold) -> TailReport:
+    """The tail report of the (clipped) values from their folded profile."""
+    drift = tail.drift()
+    counts = tail.counts.counts()
     if lam is not None:
-        counts = jump_count_batch(rows, lam)
         kind, threshold = "jump", (float(lam),)
     else:
         a, b = upcross
-        counts = upcrossing_count_batch(rows, a, b)
         kind, threshold = "upcrossing", (float(a), float(b))
 
     nmax = int(counts.max())
@@ -502,14 +586,32 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
     Radii past the safe radius are allowed (a full-group ball reaches the
     orbit means exactly) but are named in the report.
     """
-    values = np.asarray(values, dtype=float)
-    return _convergence_report(system, values, radii,
-                               action_profile(system, values, list(radii)))
+    radii = list(radii)
+    conv = _ConvergenceFold(system, values)
+    for rows in _action_chunks(system, values, radii):
+        conv.update(rows)
+    return _convergence_report(system, radii, conv.distances)
 
 
-def _convergence_report(system: MPSystem, values: np.ndarray,
-                        radii: Sequence[float],
-                        rows: np.ndarray) -> ConvergenceReport:
+class _ConvergenceFold:
+    """Per-radius sup distance of the averages from the orbit means, fed
+    chunks of consecutive radii; every row goes through one state-sized
+    buffer."""
+
+    def __init__(self, system: MPSystem, values: np.ndarray) -> None:
+        self._target = system.orbit_means(np.asarray(values, dtype=float))
+        self._diff = np.empty_like(self._target)
+        self.distances: list[float] = []
+
+    def update(self, rows: np.ndarray) -> None:
+        for row in rows:
+            np.subtract(row, self._target, out=self._diff)
+            np.abs(self._diff, out=self._diff)
+            self.distances.append(float(self._diff.max()))
+
+
+def _convergence_report(system: MPSystem, radii: Sequence[float],
+                        distances: list[float]) -> ConvergenceReport:
     notes: list[str] = []
     safe = system.group.safe_radius
     beyond = [float(r) for r in radii if r > safe]
@@ -517,12 +619,10 @@ def _convergence_report(system: MPSystem, values: np.ndarray,
         notes.append(
             f"radii beyond the safe radius {safe} of the acting group: "
             f"{beyond}")
-    target = system.orbit_means(values)
     labels = system.orbit_labels()
-    dists = np.abs(rows - target).max(axis=1)
     return ConvergenceReport(
         radii=tuple(float(r) for r in radii),
-        distances=tuple(float(x) for x in dists),
+        distances=tuple(distances),
         n_orbits=int(len(np.unique(labels))),
         notes=tuple(notes))
 
@@ -532,19 +632,25 @@ def tail_and_convergence(system: MPSystem, values: np.ndarray,
                          upcross: tuple[float, float] | None = None
                          ) -> tuple[TailReport, ConvergenceReport]:
     """`tail_experiment` and `convergence_probe` over the tail's radii from
-    one sweep.  The probe reads the unclipped values, so it reuses the
-    tail's rows when nothing was clipped; otherwise the clipped and the
-    unclipped values are swept as one (n_states, 2) block.  Both reports
-    are bitwise those of the two separate calls."""
+    one sweep, streamed: each chunk of consecutive radii updates the count
+    fold, the drift and the convergence maxima, and is then dropped, so
+    the memory stays O(n_states * (levels + chunk)) instead of
+    O(n_states * radii).  The probe reads the unclipped values, so it
+    reads the tail's rows when nothing was clipped; otherwise the clipped
+    and the unclipped values are swept as one (n_states, 2) block.  Both
+    reports are bitwise those of the two separate calls."""
     values = np.asarray(values, dtype=float)
     clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
+    tail = _TailFold(system, clipped, lam, upcross)
+    conv = _ConvergenceFold(system, values)
     if clipped is values:
-        rows = raw_rows = action_profile(system, values, kept)
+        for rows in _action_chunks(system, values, kept):
+            tail.update(rows)
+            conv.update(rows)
     else:
-        both = action_profile(system, np.stack([clipped, values], axis=1),
-                              kept)
-        # the drift's matrix product reads a contiguous copy, as in the
-        # separate call
-        rows, raw_rows = np.ascontiguousarray(both[..., 0]), both[..., 1]
-    tail = _tail_report(system, clipped, kept, notes, lam, upcross, rows)
-    return tail, _convergence_report(system, values, kept, raw_rows)
+        both = np.stack([clipped, values], axis=1)
+        for rows in _action_chunks(system, both, kept):
+            tail.update(rows[..., 0])
+            conv.update(rows[..., 1])
+    return (_tail_report(system, kept, notes, lam, upcross, tail),
+            _convergence_report(system, kept, conv.distances))

@@ -23,10 +23,14 @@ one sweep over the spheres of the group, accumulating one right-translation
 at a time.  The sweep takes a block of functions, values of shape (n, T),
 and gathers each permutation once for all T columns; every column keeps the
 accumulation order of its own 1-D sweep, so blocking never changes a bit.
-The sweep is also the engine of the dynamics module, and the transference
-check runs it on both sides, so that averages along the regular action
-reproduce the translation averages bit for bit (Calderon transference); on
-Z^d the sweep is the oracle the FFT engine is tested against.  The norm
+The sweep streams: `sweep_rows` (and `shell_rows` over a group's spheres)
+yields each radius's averages as soon as the sweep has passed it, with one
+division per row, and `sweep_profile`/`shell_sweep` collect those rows.
+The sweep is also the engine of the dynamics module, which folds the rows
+without holding the profile, and the transference check runs it on both
+sides, so that averages along the regular action reproduce the translation
+averages bit for bit (Calderon transference); on Z^d the sweep is the
+oracle the FFT engine is tested against.  The norm
 probes push their trials through `avg_profile` in column blocks whose
 profile fits in `_SWEEP_BYTES`.
 """
@@ -37,7 +41,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,7 +51,8 @@ from .martingale import (SampleFunction, dyadic_maximal, expectation,
 from .space import FiniteSpace, GroupSpace
 from .stats import jump_count_batch, variation_batch
 
-# bytes of the (radii, n, T) profile of one block of `norm_probe` trials
+# bytes of the (radii, n, T) profile of one block of `norm_probe` trials,
+# and of one chunk of consecutive radii of a streamed dynamics experiment
 _SWEEP_BYTES = 8 * 2**20
 # centers per `avg_profile` call on Z^d quotients whose averages are
 # recomputed by direct sums
@@ -61,7 +66,9 @@ __all__ = [
     "BlockGrid",
     "OperatorConfig",
     "sweep_profile",
+    "sweep_rows",
     "shell_sweep",
+    "shell_rows",
     "avg_profile",
     "translation_average",
     "square_function",
@@ -190,7 +197,8 @@ def _row_view(block: np.ndarray) -> np.ndarray:
 def sweep_profile(values: np.ndarray, weights: np.ndarray,
                   shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                   radii: Sequence[float]) -> np.ndarray:
-    """Ball-average profile from one pass over translation shells.
+    """Ball-average profile from one pass over translation shells: the rows
+    of `sweep_rows`, collected.
 
     ``values`` has shape (n,) or (n, T): a block of T functions swept
     together, each permutation read once for all columns.  ``shells``
@@ -205,9 +213,23 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     """
     radii = _increasing(radii)
     values = np.asarray(values, dtype=float)
+    out = np.empty((len(radii),) + values.shape)
+    for i, row in enumerate(sweep_rows(values, weights, shells, radii)):
+        out[i] = row
+    return out
+
+
+def sweep_rows(values: np.ndarray, weights: np.ndarray,
+               shells: Iterable[tuple[int, Sequence[np.ndarray]]],
+               radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """The sweep behind `sweep_profile`, yielding the average over the ball
+    of each radius, shape ``values.shape``, as soon as the sweep has passed
+    it; the shells past the last radius are never drawn.  Each row is a new
+    array, so a caller may keep it or fold it and let it go."""
+    radii = _increasing(radii)
+    values = np.asarray(values, dtype=float)
     n = len(values)
     block = np.ascontiguousarray(values).reshape(n, -1)
-    out = np.empty((len(radii),) + block.shape)
     uniform = bool(np.all(weights == weights[0]))
     if uniform:
         src = block
@@ -218,18 +240,18 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     acc = src.copy()
     buf = np.empty_like(src)
     src_rows, buf_rows = _row_view(src), _row_view(buf)
+
+    def average() -> np.ndarray:
+        return (acc / (count if uniform else den[:, None])).reshape(
+            values.shape)
+
     ridx = 0
-
-    def emit(limit: float) -> None:
-        nonlocal ridx
-        while ridx < len(radii) and radii[ridx] < limit:
-            np.divide(acc, count if uniform else den[:, None], out=out[ridx])
-            ridx += 1
-
     for dist, perms in shells:
-        emit(dist)
+        while ridx < len(radii) and radii[ridx] < dist:
+            yield average()
+            ridx += 1
         if ridx >= len(radii):
-            break
+            return
         for perm in perms:
             # "clip" skips the output buffering that "raise" does
             np.take(src_rows, perm, out=buf_rows, mode="clip")
@@ -238,22 +260,36 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
                 count += 1
             else:
                 den += weights[perm]
-    emit(np.inf)
-    return out.reshape((len(radii),) + values.shape)
+    for _ in range(ridx, len(radii)):
+        yield average()
+
+
+def _group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
+                  radii: Sequence[float]):
+    """The spheres of ``group`` up to min(max radius, diameter), each as
+    (distance, translations); ``perm(j)`` is called only as the sweep
+    reaches element j."""
+    rmax = min(int(math.floor(max(radii, default=0.0))), int(group.diameter()))
+    for s in range(1, rmax + 1):
+        sl = group.shell_slice(s)
+        yield s, [perm(j) for j in range(sl.start, sl.stop)]
 
 
 def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
                 perm: Callable[[int], np.ndarray], radii: Sequence[float]) -> np.ndarray:
     """`sweep_profile` over the spheres of ``group`` up to min(max radius,
     diameter); ``perm(j)`` is called only as the sweep reaches element j."""
-    rmax = min(int(math.floor(max(radii, default=0.0))), int(group.diameter()))
+    return sweep_profile(values, weights, _group_shells(group, perm, radii),
+                         radii)
 
-    def shells():
-        for s in range(1, rmax + 1):
-            sl = group.shell_slice(s)
-            yield s, [perm(j) for j in range(sl.start, sl.stop)]
 
-    return sweep_profile(values, weights, shells(), radii)
+def shell_rows(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
+               perm: Callable[[int], np.ndarray],
+               radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """`shell_sweep` one radius at a time: the rows of `sweep_rows` over the
+    same spheres, bitwise the rows of the profile."""
+    return sweep_rows(values, weights, _group_shells(group, perm, radii),
+                      radii)
 
 
 def _fft_profile(block: np.ndarray, space: GroupSpace,

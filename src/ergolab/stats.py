@@ -29,14 +29,18 @@ __all__ = [
     "jump_count",
     "jump_count_batch",
     "jump_count_oracle",
+    "JumpFold",
     "variation",
     "variation_batch",
     "variation_oracle",
     "upcrossing_count",
     "upcrossing_count_batch",
+    "UpcrossingFold",
 ]
 
 _ORACLE_MAX_LEN = 20
+# columns per block of the jump and variation DPs
+_COLS = 8192
 
 
 @dataclass(frozen=True)
@@ -166,40 +170,127 @@ def jump_count(seq, lam: float) -> int:
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
-    """`jump_count` down each column of a (scales x points) array.
+    """`jump_count` down each column of a (scales x points) array: a
+    `JumpFold` fed the whole array as one block.
 
     Exact chain DP (a greedy pass can undercount: an early jump may block
     two later ones).  lo[k]/hi[k] are the min/max of the earlier values
     whose longest chain has >= k jumps.  The sets are nested, so the test
     a_i - lo[k] > lam or hi[k] - a_i > lam passes on a prefix of levels,
     whose length is best[i]; rounding is monotone, so it makes exactly the
-    pairwise comparisons.  NaN joins no chain (fmin/fmax skip it).
+    pairwise comparisons.  a_i then joins levels 0..best[i]: plainly on the
+    levels every column joins, and on the rest through a row equal to a_i
+    up to each column's best and to the fmin (fmax) identity above it, so
+    no masked ufunc runs.  NaN joins no chain (fmin/fmax skip it).
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return _by_columns(values, lambda vals: _jump_dp(vals, lam))
+    vals = _scales_by_points(values)
+    fold = JumpFold(lam, vals.shape[1])
+    fold.update(vals)
+    return fold.counts()
 
 
-def _jump_dp(vals: np.ndarray, lam: float) -> np.ndarray:
-    width = vals.shape[1]
-    lo = np.full((1, width), np.inf)
-    hi = np.full((1, width), -np.inf)
-    used = 0
-    for vi in vals:
-        reach = vi - lo[:used] > lam
-        reach |= hi[:used] - vi > lam
-        best = reach.sum(axis=0)
-        top = int(best.max()) + 1
-        if top > len(lo):
-            # double the level capacity; empty envelopes never reach
-            lo = np.vstack([lo, np.full_like(lo, np.inf)])
-            hi = np.vstack([hi, np.full_like(hi, -np.inf)])
-        used = max(used, top)
-        fold = np.arange(top)[:, None] <= best
-        np.fmin(lo[:top], vi, out=lo[:top], where=fold)
-        np.fmax(hi[:top], vi, out=hi[:top], where=fold)
-    # a column's count is its highest nonempty level
-    return np.maximum((lo[:used] <= hi[:used]).sum(axis=0) - 1, 0)
+class JumpFold:
+    """The jump-count DP of ``width`` columns, fed consecutive scales in
+    blocks of rows.
+
+    ``update(rows)`` folds a (k, width) block of the next k scales into
+    every column's level envelopes; ``counts()`` reads the jump counts of
+    the scales seen so far.  The DP reads one scale at a time, so any split
+    of the rows into blocks gives bitwise the counts of one block.  It runs
+    on blocks of at most 8192 columns, each with its own envelopes; the
+    blocks share one set of scratch arrays, so the (levels x columns)
+    temporaries stay bounded whatever the width.
+    """
+
+    # fold-row padding by fold flag: levels above a column's best get the
+    # fmin (fmax) identity, levels at or below it vi itself (x + -0.0 == x)
+    _PAD_LO = np.array([np.inf, -0.0])
+    _PAD_HI = np.array([-np.inf, -0.0])
+
+    def __init__(self, lam: float, width: int) -> None:
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        self.lam = lam
+        self.width = width
+        # per column block: [lo, hi, levels in use]; every envelope array
+        # holds a capacity of levels that doubles when a chain outgrows it
+        self._envs = [[np.full((1, w), np.inf), np.full((1, w), -np.inf), 0]
+                      for w in (min(_COLS, width - c)
+                                for c in range(0, max(width, 1), _COLS))]
+        self._scratch_cap = 0
+        self._reserve(1)
+
+    def _reserve(self, cap: int) -> None:
+        """Flat scratch for ``cap`` levels of the widest block."""
+        if cap <= self._scratch_cap:
+            return
+        size = cap * min(_COLS, self.width)
+        self._diff, self._row = np.empty(size), np.empty(size)
+        self._reach, self._cmp, self._fold = (np.empty(size, dtype=bool)
+                                              for _ in range(3))
+        self._scratch_cap = cap
+
+    def update(self, rows: np.ndarray) -> None:
+        rows = _scales_by_points(rows)
+        if rows.shape[1] != self.width:
+            raise ValueError(f"expected {self.width} columns")
+        # inf + -inf in a fold row is NaN, which fmin/fmax skip as they
+        # skip every level above the fold
+        with np.errstate(invalid="ignore"):
+            for c, env in zip(range(0, self.width, _COLS), self._envs):
+                self._fold_block(env, rows[:, c:c + _COLS])
+
+    def _fold_block(self, env: list, vals: np.ndarray) -> None:
+        lo, hi, used = env
+        w = vals.shape[1]
+        diff, reach, cmp, flags, row = self._views(used, w)
+        for vi in vals:
+            np.subtract(vi, lo[:used], out=diff)
+            np.greater(diff, self.lam, out=reach)
+            np.subtract(hi[:used], vi, out=diff)
+            np.greater(diff, self.lam, out=cmp)
+            reach |= cmp
+            best, last = reach.sum(axis=0), reach
+            low, top = int(best.min()) + 1, int(best.max()) + 1
+            # a chain grows by at most one level per scale
+            if top > used:
+                used = top
+                if used > len(lo):
+                    # double the level capacity; empty envelopes never reach
+                    lo = np.vstack([lo, np.full_like(lo, np.inf)])
+                    hi = np.vstack([hi, np.full_like(hi, -np.inf)])
+                    self._reserve(len(lo))
+                diff, reach, cmp, flags, row = self._views(used, w)
+            # level k folds vi in iff k <= best: every column folds the
+            # levels below low, and on the levels from low to top the fold
+            # flags are reach shifted down by one (reach is a prefix)
+            np.fmin(lo[:low], vi, out=lo[:low])
+            np.fmax(hi[:low], vi, out=hi[:low])
+            if top > low:
+                part, pad = flags[low:top], row[low:top]
+                part[...] = last[low - 1:top - 1]
+                self._PAD_LO.take(part, out=pad, mode="clip")
+                pad += vi
+                np.fmin(lo[low:top], pad, out=lo[low:top])
+                self._PAD_HI.take(part, out=pad, mode="clip")
+                pad += vi
+                np.fmax(hi[low:top], pad, out=hi[low:top])
+        env[:] = lo, hi, used
+
+    def _views(self, levels: int, w: int) -> tuple[np.ndarray, ...]:
+        """(levels, w) views of the scratch: diff, reach, cmp, the fold
+        flags as int8 and the fold row."""
+        n = levels * w
+        diff, row = (b[:n].reshape(levels, w) for b in (self._diff, self._row))
+        reach, cmp, fold = (b[:n].reshape(levels, w)
+                            for b in (self._reach, self._cmp, self._fold))
+        return diff, reach, cmp, fold.view(np.int8), row
+
+    def counts(self) -> np.ndarray:
+        # a column's count is its highest nonempty level
+        return np.concatenate([
+            np.maximum((lo[:used] <= hi[:used]).sum(axis=0) - 1, 0)
+            for lo, hi, used in self._envs])
 
 
 def variation(seq, q: float) -> float:
@@ -238,8 +329,18 @@ def _variation_dp(vals: np.ndarray, q: float) -> np.ndarray:
     if n < 2:
         return np.zeros(width)
     best = np.zeros((n, width))
+    # one scratch buffer for the gaps of every step; d * d is |d|**2 exactly
+    gaps = np.empty((n - 1, width))
     for i in range(1, n):
-        best[i] = (best[:i] + np.abs(vals[i] - vals[:i]) ** q).max(axis=0)
+        d = gaps[:i]
+        np.subtract(vals[i], vals[:i], out=d)
+        if q == 2:
+            np.multiply(d, d, out=d)
+        else:
+            np.abs(d, out=d)
+            np.power(d, q, out=d)
+        d += best[:i]
+        np.max(d, axis=0, out=best[i])
     return np.max(best, axis=0) ** (1.0 / q)
 
 
@@ -248,28 +349,49 @@ def _by_columns(values: np.ndarray, dp) -> np.ndarray:
     columns so that its (scales x columns) temporaries stay bounded
     whatever the width.  Columns are independent, so every column equals
     its one-column run."""
+    vals = _scales_by_points(values)
+    return np.concatenate([dp(vals[:, c:c + _COLS])
+                           for c in range(0, max(vals.shape[1], 1), _COLS)])
+
+
+def _scales_by_points(values: np.ndarray) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValueError("expected a 2-d (scales x points) array")
-    cols = 8192
-    return np.concatenate([dp(vals[:, c:c + cols])
-                           for c in range(0, max(vals.shape[1], 1), cols)])
+    return vals
 
 
 def upcrossing_count_batch(values: np.ndarray, a: float, b: float) -> np.ndarray:
-    """`upcrossing_count` down each column of a (scales x points) array."""
-    if not b > a:
-        raise ValueError("need b > a")
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2:
-        raise ValueError("expected a 2-d (scales x points) array")
-    n, width = vals.shape
-    count = np.zeros(width, dtype=np.int64)
-    seeking_low = np.ones(width, dtype=bool)
-    for i in range(n):
-        row = vals[i]
-        went_low = seeking_low & (row < a)
-        went_high = ~seeking_low & (row > b)
-        count[went_high] += 1
-        seeking_low = (seeking_low & ~went_low) | went_high
-    return count
+    """`upcrossing_count` down each column of a (scales x points) array: an
+    `UpcrossingFold` fed the whole array as one block."""
+    vals = _scales_by_points(values)
+    fold = UpcrossingFold(a, b, vals.shape[1])
+    fold.update(vals)
+    return fold.counts()
+
+
+class UpcrossingFold:
+    """The upcrossing scan of ``width`` columns, fed consecutive scales in
+    blocks of rows; any split of the rows gives the counts of one block."""
+
+    def __init__(self, a: float, b: float, width: int) -> None:
+        if not b > a:
+            raise ValueError("need b > a")
+        self.a, self.b, self.width = a, b, width
+        self._count = np.zeros(width, dtype=np.int64)
+        self._seeking_low = np.ones(width, dtype=bool)
+
+    def update(self, rows: np.ndarray) -> None:
+        rows = _scales_by_points(rows)
+        if rows.shape[1] != self.width:
+            raise ValueError(f"expected {self.width} columns")
+        count, seeking_low = self._count, self._seeking_low
+        for row in rows:
+            went_low = seeking_low & (row < self.a)
+            went_high = ~seeking_low & (row > self.b)
+            count += went_high
+            seeking_low = (seeking_low & ~went_low) | went_high
+        self._seeking_low = seeking_low
+
+    def counts(self) -> np.ndarray:
+        return self._count.copy()

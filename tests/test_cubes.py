@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergolab.cubes import (
     _MAX_VIOLATIONS,
+    _nests,
     AxiomReport,
     AxiomViolation,
     BoundaryConstants,
@@ -591,6 +592,20 @@ class TestLocalVerification:
         report = verify_cube_axioms(broken)
         assert not report.nesting_ok
         assert report == full_row_axioms(broken)
+
+    def test_consecutive_nesting_matches_the_pair_scan(self):
+        # `_nests` decides a pair without sorting; the all-pairs scan of
+        # the oracle is the reference, on chains that nest and on chains
+        # with one moved point
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            fine = rng.integers(0, 30, 400)
+            m = int(fine.max()) + 1
+            coarse = rng.integers(0, 6, m)[fine]
+            if trial % 2:
+                coarse[rng.integers(400)] = rng.integers(6)
+            keys = np.unique(fine * 6 + coarse) // 6
+            assert _nests(fine, coarse, m) == (len(keys) == len(np.unique(fine)))
 
 
 # ---------------------------------------------------------------------------

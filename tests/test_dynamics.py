@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from ergolab import dynamics
 from ergolab.dynamics import (
     ActionError,
     MPSystem,
@@ -16,6 +19,7 @@ from ergolab.dynamics import (
     build_system,
     convergence_probe,
     regular_system,
+    tail_and_convergence,
     tail_experiment,
     transference_check,
 )
@@ -516,3 +520,85 @@ class TestConvergence:
     def test_json(self, rot8):
         rep = convergence_probe(rot8, np.arange(8.0), [1.0, 2.0])
         json.dumps(rep.to_json())
+
+
+class TestStreamedExperiments:
+    """The experiments fold their profile chunk by chunk.  With a budget of
+    a few state vectors per chunk, every count, tail, distance and
+    discrepancy is bitwise the one computed from the collected profile,
+    and the entry points agree with each other bit for bit."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        # five radii per chunk of a 1024-state system
+        monkeypatch.setattr(dynamics, "_SWEEP_BYTES", 16 * 1024 * 5 + 7)
+
+    @pytest.fixture(scope="class")
+    def rot1024(self):
+        return build_system("rotation", modulus=1024, step=1)
+
+    RADII = [float(r) for r in range(1, 70)]
+
+    @pytest.mark.parametrize("threshold", [{"lam": 0.2},
+                                           {"upcross": (-0.1, 0.2)}])
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_chunks_match_the_collected_profile(self, rot1024, small_chunks,
+                                                threshold, scale):
+        f = RNG(40).uniform(-scale, scale, 1024)
+        f[::7] = 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tail, conv = tail_and_convergence(rot1024, f, self.RADII,
+                                              **threshold)
+            alone = tail_experiment(rot1024, f, self.RADII, **threshold)
+        assert alone == tail
+        assert convergence_probe(rot1024, f, self.RADII) == conv
+        g = np.clip(f, -1, 1)
+        rows = action_profile(rot1024, g, self.RADII)
+        if "lam" in threshold:
+            counts = jump_count_batch(rows, threshold["lam"])
+        else:
+            counts = upcrossing_count_batch(rows, *threshold["upcross"])
+        want = [float(rot1024.mu[counts > n].sum())
+                for n in range(int(counts.max()) + 1)]
+        assert list(tail.tails) == want
+        drift = np.abs(rows @ rot1024.mu - (rot1024.mu * g).sum()).max()
+        assert tail.mean_drift == pytest.approx(drift, abs=1e-15)
+        raw = action_profile(rot1024, f, self.RADII)
+        dists = np.abs(raw - rot1024.orbit_means(f)).max(axis=1)
+        assert conv.distances == tuple(float(x) for x in dists)
+
+    @pytest.mark.parametrize("family, d, modulus", [("zd", 1, 96),
+                                                    ("h3", None, 4)])
+    def test_transference_chunks_match_the_profiles(self, monkeypatch,
+                                                    family, d, modulus):
+        space, _ = build_group_space(family, d=d, modulus=modulus)
+        monkeypatch.setattr(dynamics, "_SWEEP_BYTES", 16 * space.n * 3)
+        f = RNG(41).standard_normal(space.n)
+        f[3] = np.nan
+        radii = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0]
+        rep = transference_check(space, f, radii, lam=0.3)
+        act = action_profile(regular_system(space), f, radii)
+        trans = shell_sweep(f, space.weights, space, space.right_perm, radii)
+        assert np.array_equal(rep.jumps_action, jump_count_batch(act, 0.3))
+        assert np.array_equal(rep.jumps_translation,
+                              jump_count_batch(trans, 0.3))
+        assert np.isnan(rep.max_discrepancy)
+        g = np.where(np.isnan(f), 0.0, f)
+        clean = transference_check(space, g, radii, lam=0.3)
+        assert clean.max_discrepancy == 0.0 and clean.jumps_equal
+
+    def test_experiment_memory_is_bounded_by_the_chunk(self):
+        # the ergodic-rot experiment: 256 radii of 16384 states would be a
+        # 32 MiB profile, and collecting it peaked near 97 MiB
+        system = build_system("rotation", modulus=16384, step=1)
+        f = RNG(42).choice([-1.0, 1.0], 16384)
+        radii = [float(r) for r in range(1, 257)]
+        tracemalloc.start()
+        try:
+            tail, conv = tail_and_convergence(system, f, radii, lam=0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(conv.distances) == 256 and tail.fitted

@@ -204,6 +204,52 @@ class TestBatchedSweep:
             avg_profile(np.zeros((64, 0)), z64, [1.0])
 
 
+class TestSweepRows:
+    """`sweep_rows` yields the profile one radius at a time: every row,
+    however the rows are taken, is bitwise the profile's row, and the
+    sweep draws no shell past the one that closes the last radius."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_match_the_profile(self, weighted):
+        w = (np.random.default_rng(7).integers(1, 4, 64).astype(float)
+             if weighted else None)
+        space, _ = build_group_space("zd", d=1, modulus=64, weights=w)
+        block = np.random.default_rng(8).standard_normal((64, 3))
+        block[5, 0] = np.nan
+        block[:, 2] = 0.7
+        radii = [0.5, 1.0, 2.5, 3.0, 7.0]
+        profile = operators.shell_sweep(block, space.weights, space,
+                                        space.right_perm, radii)
+        drawn = []
+
+        def shells():
+            for s in range(1, int(space.diameter()) + 1):
+                drawn.append(s)
+                sl = space.shell_slice(s)
+                yield s, [space.right_perm(j) for j in range(sl.start, sl.stop)]
+
+        rows = operators.sweep_rows(block, space.weights, shells(), radii)
+        # uneven takes: one row, then two, then the rest
+        taken = [next(rows)]
+        taken += [next(rows), next(rows)]
+        taken += list(rows)
+        for row, want in zip(taken, profile, strict=True):
+            assert row.tobytes() == want.tobytes()
+        assert np.isnan(taken[-1][:, 0]).sum() == 15
+        assert drawn == list(range(1, 9))
+
+    def test_rows_are_new_arrays(self, z64):
+        f = np.random.default_rng(9).standard_normal(64)
+        radii = [1.0, 2.0, 3.0]
+        profile = operators.shell_sweep(f, z64.weights, z64, z64.right_perm,
+                                        radii)
+        for row, want in zip(operators.shell_rows(f, z64.weights, z64,
+                                                  z64.right_perm, radii),
+                             profile, strict=True):
+            assert np.array_equal(row, want)
+            row[:] = np.inf
+
+
 def _custom_generator_space():
     gens = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
     return build_group_space("zd", d=2, modulus=12, generators=gens)[0]

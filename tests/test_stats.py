@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.stats import (
+    JumpFold,
+    UpcrossingFold,
     ScaleSequence,
     jump_count,
     jump_count_batch,
@@ -268,3 +270,63 @@ class TestUpcrossings:
         counts = upcrossing_count_batch(mat, -0.3, 0.4)
         for col in range(25):
             assert counts[col] == upcrossing_count(mat[:, col], -0.3, 0.4)
+
+
+class TestFolds:
+    """A fold fed its scales in uneven blocks, empty ones included, reads
+    after every block bitwise the counts of one call on the rows so far."""
+
+    WIDTH = 8192 + 19
+
+    @staticmethod
+    def splits(mat, seed):
+        cuts = np.sort(np.random.default_rng(seed).integers(0, len(mat) + 1, 6))
+        return np.split(mat, cuts)
+
+    @staticmethod
+    def walk(seed):
+        rng = np.random.default_rng(seed)
+        mat = np.cumsum(rng.normal(scale=0.4, size=(40, TestFolds.WIDTH)),
+                        axis=0)
+        mat[:, 3] = np.nan
+        mat[7, 8200] = np.nan
+        mat[11:14, 50] = np.nan
+        return mat
+
+    def test_jump_fold_matches_one_block(self):
+        mat = self.walk(31)
+        for seed in range(3):
+            fold = JumpFold(0.3, self.WIDTH)
+            seen = 0
+            for block in self.splits(mat, seed):
+                fold.update(block)
+                seen += len(block)
+                assert np.array_equal(fold.counts(),
+                                      jump_count_batch(mat[:seen], 0.3))
+            assert seen == len(mat)
+        assert fold.counts()[3] == 0
+
+    def test_upcrossing_fold_matches_one_block(self):
+        mat = self.walk(32)
+        for seed in range(3):
+            fold = UpcrossingFold(-0.3, 0.4, self.WIDTH)
+            seen = 0
+            for block in self.splits(mat, seed):
+                fold.update(block)
+                seen += len(block)
+                assert np.array_equal(
+                    fold.counts(), upcrossing_count_batch(mat[:seen], -0.3, 0.4))
+        want = [upcrossing_count(mat[:, c], -0.3, 0.4) for c in range(64)]
+        assert fold.counts()[:64].tolist() == want
+
+    def test_folds_check_their_input(self):
+        with pytest.raises(ValueError):
+            JumpFold(0.0, 3)
+        with pytest.raises(ValueError):
+            UpcrossingFold(0.5, 0.5, 3)
+        for fold in (JumpFold(0.5, 3), UpcrossingFold(0.0, 1.0, 3)):
+            with pytest.raises(ValueError):
+                fold.update(np.zeros((2, 4)))
+            with pytest.raises(ValueError):
+                fold.update(np.zeros(3))
+            assert fold.counts().tolist() == [0, 0, 0]
