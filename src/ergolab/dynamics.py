@@ -23,15 +23,15 @@ rotation rolls the state grid on every request.  Orbits are labelled by
 min-label hooking with pointer jumping (Shiloach-Vishkin 1982), in O(log n)
 rounds.
 
-The experiments never hold the (radii x states) profile.  The sweep emits
-one radius at a time (`operators.shell_rows`); the rows are stacked into
-chunks of consecutive radii, each at most `_SWEEP_BYTES` with room for two
-state vectors per radius, and every chunk is folded into the jump or
-upcrossing DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift
-and the convergence maxima before the next is swept.  Their memory is
-O(n_states * (levels + _SWEEP_BYTES / (16 * n_states))) whatever the number
-of radii, and every count, tail, distance and discrepancy is bitwise the
-one the whole profile gives.  `action_profile` is the collecting form.
+The tail and convergence experiments never hold the (radii x states)
+profile.  The sweep emits chunks of consecutive radii
+(`operators.shell_chunks`, at most `_SWEEP_BYTES` with room for two state
+vectors per radius), and every chunk is folded into the jump or upcrossing
+DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift and the
+convergence maxima before the next is swept.  Their memory is
+O(n_states * levels + _SWEEP_BYTES) whatever the number of radii, and every
+count, tail and distance is bitwise the one the whole profile gives.
+`action_profile` and `transference_check` collect the profile.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import _SWEEP_BYTES, shell_rows, shell_sweep
+from .operators import shell_chunks, shell_sweep
 from .space import GroupSpace, build_group_space
-from .stats import JumpFold, UpcrossingFold
+from .stats import JumpFold, UpcrossingFold, jump_count_batch
 
 __all__ = [
     "ActionError",
@@ -291,39 +291,13 @@ def _state_values(system: MPSystem, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _chunk_rows(n_states: int, n_radii: int) -> int:
-    """Radii per chunk of a streamed experiment: two state vectors per
-    radius fit in `_SWEEP_BYTES`.  Every experiment cuts its radii at the
-    same rows, so the drift's matrix products see the same row blocks in
-    `tail_experiment` and `tail_and_convergence`."""
-    return max(1, min(n_radii, _SWEEP_BYTES // (16 * n_states)))
-
-
-def _chunks(rows: Iterator[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """Consecutive rows stacked in blocks of at most ``size`` rows, all in
-    one buffer: a block is valid until the next one is drawn."""
-    buf = None
-    k = 0
-    for row in rows:
-        if buf is None:
-            buf = np.empty((size,) + row.shape)
-        buf[k] = row
-        k += 1
-        if k == size:
-            yield buf
-            k = 0
-    if k:
-        yield buf[:k]
-
-
 def _action_chunks(system: MPSystem, values: np.ndarray,
                    radii: Sequence[float]) -> Iterator[np.ndarray]:
     """The rows of `action_profile`, bitwise, in chunks of consecutive
-    radii (`_chunk_rows`)."""
-    rows = shell_rows(_state_values(system, values),
-                      np.ones(system.n_states), system.group,
-                      system.act_perm, radii)
-    return _chunks(rows, _chunk_rows(system.n_states, len(radii)))
+    radii (`operators.shell_chunks`)."""
+    return shell_chunks(_state_values(system, values),
+                        np.ones(system.n_states), system.group,
+                        system.act_perm, radii)
 
 
 def action_average(system: MPSystem, values: np.ndarray, r: float) -> np.ndarray:
@@ -370,31 +344,21 @@ def transference_check(space: GroupSpace, values: np.ndarray,
                        radii: Sequence[float],
                        lam: float = 0.5) -> TransferenceReport:
     """Compare ergodic averages of the regular action against geometric
-    ball averages on the quotient, pointwise and through jump counts.
-
-    The two sweeps run in lockstep, one chunk of consecutive radii at a
-    time, and each chunk pair feeds the discrepancy and two jump folds."""
+    ball averages on the quotient, pointwise and through jump counts."""
     system = regular_system(space)
-    values = _state_values(system, values)
+    act = action_profile(system, values, radii)
     # the geometric side stays on the sweep, whatever engine `avg_profile`
     # uses on this quotient: both sides then share one accumulation order
-    trans = _chunks(shell_rows(values, space.weights, space, space.right_perm,
-                               radii),
-                    _chunk_rows(space.n, len(radii)))
-    jumps_act, jumps_trans = JumpFold(lam, space.n), JumpFold(lam, space.n)
-    discs = [0.0]
-    for act_rows, trans_rows in zip(_action_chunks(system, values, radii),
-                                    trans):
-        discs.append(np.abs(act_rows - trans_rows).max())
-        jumps_act.update(act_rows)
-        jumps_trans.update(trans_rows)
+    trans = shell_sweep(np.asarray(values, dtype=float), space.weights, space,
+                        space.right_perm, radii)
+    disc = float(np.abs(act - trans).max()) if act.size else 0.0
     return TransferenceReport(
         space_label=space.label,
         radii=tuple(float(r) for r in radii),
         lam=lam,
-        max_discrepancy=float(np.max(discs)),
-        jumps_action=jumps_act.counts(),
-        jumps_translation=jumps_trans.counts())
+        max_discrepancy=disc,
+        jumps_action=jump_count_batch(act, lam),
+        jumps_translation=jump_count_batch(trans, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -510,23 +474,21 @@ class _TailFold:
         self.counts = (JumpFold(lam, n) if lam is not None
                        else UpcrossingFold(*upcross, n))
         self._mean = (system.mu * values).sum()
-        self._drifts: list[np.ndarray] = []
+        self.drift = -np.inf
 
     def update(self, rows: np.ndarray) -> None:
         # the drift's matrix product reads a contiguous block
         rows = np.ascontiguousarray(rows)
         self.counts.update(rows)
-        self._drifts.append(np.abs(rows @ self._mu - self._mean))
-
-    def drift(self) -> float:
-        return float(np.concatenate(self._drifts).max())
+        drift = np.abs(rows @ self._mu - self._mean).max()
+        # np.maximum, unlike max(), keeps a NaN drift
+        self.drift = float(np.maximum(self.drift, drift))
 
 
 def _tail_report(system: MPSystem, kept: list[float], notes: list[str],
                  lam: float | None, upcross: tuple[float, float] | None,
                  tail: _TailFold) -> TailReport:
     """The tail report of the (clipped) values from their folded profile."""
-    drift = tail.drift()
     counts = tail.counts.counts()
     if lam is not None:
         kind, threshold = "jump", (float(lam),)
@@ -556,7 +518,7 @@ def _tail_report(system: MPSystem, kept: list[float], notes: list[str],
                       radii=tuple(kept), ns=tuple(int(n) for n in ns),
                       tails=tuple(float(t) for t in tails), fitted=fitted,
                       slope=slope, c1=c1, c2=c2, r_squared=r2,
-                      mean_drift=drift, notes=tuple(notes))
+                      mean_drift=tail.drift, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +595,13 @@ def tail_and_convergence(system: MPSystem, values: np.ndarray,
                          ) -> tuple[TailReport, ConvergenceReport]:
     """`tail_experiment` and `convergence_probe` over the tail's radii from
     one sweep, streamed: each chunk of consecutive radii updates the count
-    fold, the drift and the convergence maxima, and is then dropped, so
-    the memory stays O(n_states * (levels + chunk)) instead of
-    O(n_states * radii).  The probe reads the unclipped values, so it
-    reads the tail's rows when nothing was clipped; otherwise the clipped
-    and the unclipped values are swept as one (n_states, 2) block.  Both
-    reports are bitwise those of the two separate calls."""
+    fold, the drift and the convergence maxima before the sweep divides
+    the next chunk into the same buffer, so the memory stays
+    O(n_states * levels + _SWEEP_BYTES) instead of O(n_states * radii).
+    The probe reads the unclipped values, so it reads the tail's rows when
+    nothing was clipped; otherwise the clipped and the unclipped values are
+    swept as one (n_states, 2) block.  Both reports are bitwise those of
+    the two separate calls."""
     values = np.asarray(values, dtype=float)
     clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
     tail = _TailFold(system, clipped, lam, upcross)

@@ -23,16 +23,17 @@ one sweep over the spheres of the group, accumulating one right-translation
 at a time.  The sweep takes a block of functions, values of shape (n, T),
 and gathers each permutation once for all T columns; every column keeps the
 accumulation order of its own 1-D sweep, so blocking never changes a bit.
-The sweep streams: `sweep_rows` (and `shell_rows` over a group's spheres)
-yields each radius's averages as soon as the sweep has passed it, with one
-division per row, and `sweep_profile`/`shell_sweep` collect those rows.
-The sweep is also the engine of the dynamics module, which folds the rows
-without holding the profile, and the transference check runs it on both
-sides, so that averages along the regular action reproduce the translation
-averages bit for bit (Calderon transference); on Z^d the sweep is the
-oracle the FFT engine is tested against.  The norm
-probes push their trials through `avg_profile` in column blocks whose
-profile fits in `_SWEEP_BYTES`.
+The sweep streams: `sweep_chunks` (and `shell_chunks` over a group's
+spheres) divides the averages of consecutive radii into one chunk buffer
+and yields each chunk as soon as the sweep has passed it;
+`sweep_profile`/`shell_sweep` are that sweep with one chunk of all the
+radii.  The sweep is also the engine of the dynamics module, whose
+experiments fold the chunks without holding the profile, and the
+transference check runs it on both sides, so that averages along the
+regular action reproduce the translation averages bit for bit (Calderon
+transference); on Z^d the sweep is the oracle the FFT engine is tested
+against.  The norm probes push their trials through `avg_profile` in
+column blocks whose profile fits in `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .space import FiniteSpace, GroupSpace
 from .stats import jump_count_batch, variation_batch
 
 # bytes of the (radii, n, T) profile of one block of `norm_probe` trials,
-# and of one chunk of consecutive radii of a streamed dynamics experiment
+# and of one `shell_chunks` chunk of a two-column sweep
 _SWEEP_BYTES = 8 * 2**20
 # centers per `avg_profile` call on Z^d quotients whose averages are
 # recomputed by direct sums
@@ -66,9 +67,9 @@ __all__ = [
     "BlockGrid",
     "OperatorConfig",
     "sweep_profile",
-    "sweep_rows",
+    "sweep_chunks",
     "shell_sweep",
-    "shell_rows",
+    "shell_chunks",
     "avg_profile",
     "translation_average",
     "square_function",
@@ -197,8 +198,8 @@ def _row_view(block: np.ndarray) -> np.ndarray:
 def sweep_profile(values: np.ndarray, weights: np.ndarray,
                   shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                   radii: Sequence[float]) -> np.ndarray:
-    """Ball-average profile from one pass over translation shells: the rows
-    of `sweep_rows`, collected.
+    """Ball-average profile from one pass over translation shells: the
+    sweep of `sweep_chunks` as one chunk of all the radii.
 
     ``values`` has shape (n,) or (n, T): a block of T functions swept
     together, each permutation read once for all columns.  ``shells``
@@ -211,25 +212,26 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     equal shells produce bitwise-equal output, and every column equals the
     1-D call on that column.
     """
-    radii = _increasing(radii)
     values = np.asarray(values, dtype=float)
-    out = np.empty((len(radii),) + values.shape)
-    for i, row in enumerate(sweep_rows(values, weights, shells, radii)):
-        out[i] = row
-    return out
+    return next(sweep_chunks(values, weights, shells, radii, len(radii)),
+                np.empty((0,) + values.shape))
 
 
-def sweep_rows(values: np.ndarray, weights: np.ndarray,
-               shells: Iterable[tuple[int, Sequence[np.ndarray]]],
-               radii: Sequence[float]) -> Iterator[np.ndarray]:
-    """The sweep behind `sweep_profile`, yielding the average over the ball
-    of each radius, shape ``values.shape``, as soon as the sweep has passed
-    it; the shells past the last radius are never drawn.  Each row is a new
-    array, so a caller may keep it or fold it and let it go."""
+def sweep_chunks(values: np.ndarray, weights: np.ndarray,
+                 shells: Iterable[tuple[int, Sequence[np.ndarray]]],
+                 radii: Sequence[float], rows: int) -> Iterator[np.ndarray]:
+    """The sweep behind `sweep_profile`, yielding its rows in chunks of
+    ``rows`` consecutive radii (the last chunk may be shorter), each of
+    shape ``(k,) + values.shape``, as soon as the sweep has passed them.
+    Every chunk is divided into one buffer, so a chunk is valid only until
+    the next one is drawn.  The sweep draws no shell past the one that
+    closes the last radius."""
     radii = _increasing(radii)
     values = np.asarray(values, dtype=float)
     n = len(values)
     block = np.ascontiguousarray(values).reshape(n, -1)
+    out = np.empty((min(rows, len(radii)),) + block.shape)
+    chunk = out.reshape((len(out),) + values.shape)
     uniform = bool(np.all(weights == weights[0]))
     if uniform:
         src = block
@@ -240,18 +242,20 @@ def sweep_rows(values: np.ndarray, weights: np.ndarray,
     acc = src.copy()
     buf = np.empty_like(src)
     src_rows, buf_rows = _row_view(src), _row_view(buf)
-
-    def average() -> np.ndarray:
-        return (acc / (count if uniform else den[:, None])).reshape(
-            values.shape)
-
-    ridx = 0
-    for dist, perms in shells:
+    shells = iter(shells)
+    ridx = k = 0
+    while ridx < len(radii):
+        # past the last shell every remaining ball is the whole sweep
+        dist, perms = next(shells, (np.inf, ()))
         while ridx < len(radii) and radii[ridx] < dist:
-            yield average()
+            np.divide(acc, count if uniform else den[:, None], out=out[k])
             ridx += 1
-        if ridx >= len(radii):
-            return
+            k += 1
+            if k == len(out):
+                yield chunk
+                k = 0
+        if ridx == len(radii):
+            break
         for perm in perms:
             # "clip" skips the output buffering that "raise" does
             np.take(src_rows, perm, out=buf_rows, mode="clip")
@@ -260,8 +264,8 @@ def sweep_rows(values: np.ndarray, weights: np.ndarray,
                 count += 1
             else:
                 den += weights[perm]
-    for _ in range(ridx, len(radii)):
-        yield average()
+    if k:
+        yield chunk[:k]
 
 
 def _group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
@@ -283,13 +287,16 @@ def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
                          radii)
 
 
-def shell_rows(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
-               perm: Callable[[int], np.ndarray],
-               radii: Sequence[float]) -> Iterator[np.ndarray]:
-    """`shell_sweep` one radius at a time: the rows of `sweep_rows` over the
-    same spheres, bitwise the rows of the profile."""
-    return sweep_rows(values, weights, _group_shells(group, perm, radii),
-                      radii)
+def shell_chunks(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
+                 perm: Callable[[int], np.ndarray],
+                 radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """`shell_sweep` in chunks (`sweep_chunks`) of consecutive radii whose
+    rows for two state vectors fit in `_SWEEP_BYTES`.  The chunk rows
+    depend only on the number of states, so a one- and a two-column sweep
+    cut the radii at the same rows."""
+    rows = max(1, _SWEEP_BYTES // (16 * len(values)))
+    return sweep_chunks(values, weights, _group_shells(group, perm, radii),
+                        radii, rows)
 
 
 def _fft_profile(block: np.ndarray, space: GroupSpace,

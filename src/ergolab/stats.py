@@ -217,18 +217,18 @@ class JumpFold:
         self._envs = [[np.full((1, w), np.inf), np.full((1, w), -np.inf), 0]
                       for w in (min(_COLS, width - c)
                                 for c in range(0, max(width, 1), _COLS))]
-        self._scratch_cap = 0
+        self._scratch = ()
         self._reserve(1)
 
     def _reserve(self, cap: int) -> None:
-        """Flat scratch for ``cap`` levels of the widest block."""
-        if cap <= self._scratch_cap:
+        """Scratch for ``cap`` levels of the widest block: diff, reach,
+        cmp, the fold flags and the fold row."""
+        if self._scratch and cap <= len(self._scratch[0]):
             return
-        size = cap * min(_COLS, self.width)
-        self._diff, self._row = np.empty(size), np.empty(size)
-        self._reach, self._cmp, self._fold = (np.empty(size, dtype=bool)
-                                              for _ in range(3))
-        self._scratch_cap = cap
+        shape = (cap, min(_COLS, self.width))
+        self._scratch = (np.empty(shape), np.empty(shape, dtype=bool),
+                         np.empty(shape, dtype=bool),
+                         np.empty(shape, dtype=np.int8), np.empty(shape))
 
     def update(self, rows: np.ndarray) -> None:
         rows = _scales_by_points(rows)
@@ -243,7 +243,7 @@ class JumpFold:
     def _fold_block(self, env: list, vals: np.ndarray) -> None:
         lo, hi, used = env
         w = vals.shape[1]
-        diff, reach, cmp, flags, row = self._views(used, w)
+        diff, reach, cmp, flags, row = (b[:used, :w] for b in self._scratch)
         for vi in vals:
             np.subtract(vi, lo[:used], out=diff)
             np.greater(diff, self.lam, out=reach)
@@ -260,7 +260,8 @@ class JumpFold:
                     lo = np.vstack([lo, np.full_like(lo, np.inf)])
                     hi = np.vstack([hi, np.full_like(hi, -np.inf)])
                     self._reserve(len(lo))
-                diff, reach, cmp, flags, row = self._views(used, w)
+                diff, reach, cmp, flags, row = (b[:used, :w]
+                                                for b in self._scratch)
             # level k folds vi in iff k <= best: every column folds the
             # levels below low, and on the levels from low to top the fold
             # flags are reach shifted down by one (reach is a prefix)
@@ -276,15 +277,6 @@ class JumpFold:
                 pad += vi
                 np.fmax(hi[low:top], pad, out=hi[low:top])
         env[:] = lo, hi, used
-
-    def _views(self, levels: int, w: int) -> tuple[np.ndarray, ...]:
-        """(levels, w) views of the scratch: diff, reach, cmp, the fold
-        flags as int8 and the fold row."""
-        n = levels * w
-        diff, row = (b[:n].reshape(levels, w) for b in (self._diff, self._row))
-        reach, cmp, fold = (b[:n].reshape(levels, w)
-                            for b in (self._reach, self._cmp, self._fold))
-        return diff, reach, cmp, fold.view(np.int8), row
 
     def counts(self) -> np.ndarray:
         # a column's count is its highest nonempty level

@@ -480,15 +480,15 @@ class TestExperimentSweep:
     give."""
 
     def run_counted(self, tmp_path, monkeypatch, experiment):
-        # the experiment streams the sweep's rows, so it calls shell_rows
+        # the experiment streams the sweep in chunks through shell_chunks
         widths = []
-        sweep = dynamics.shell_rows
+        sweep = dynamics.shell_chunks
 
         def counted(values, *args):
             widths.append(values.shape[1:])
             return sweep(values, *args)
 
-        monkeypatch.setattr(dynamics, "shell_rows", counted)
+        monkeypatch.setattr(dynamics, "shell_chunks", counted)
         cfg = write_config(tmp_path, {"seed": 3, "experiment": experiment})
         out = tmp_path / "run"
         assert run("experiment", "--config", cfg, "--out", str(out)) == 0

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ergolab import dynamics
+from ergolab import operators
 from ergolab.dynamics import (
     ActionError,
     MPSystem,
@@ -524,14 +524,14 @@ class TestConvergence:
 
 class TestStreamedExperiments:
     """The experiments fold their profile chunk by chunk.  With a budget of
-    a few state vectors per chunk, every count, tail, distance and
-    discrepancy is bitwise the one computed from the collected profile,
-    and the entry points agree with each other bit for bit."""
+    a few state vectors per chunk, every count, tail and distance is
+    bitwise the one computed from the collected profile, and the entry
+    points agree with each other bit for bit."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
         # five radii per chunk of a 1024-state system
-        monkeypatch.setattr(dynamics, "_SWEEP_BYTES", 16 * 1024 * 5 + 7)
+        monkeypatch.setattr(operators, "_SWEEP_BYTES", 16 * 1024 * 5 + 7)
 
     @pytest.fixture(scope="class")
     def rot1024(self):
@@ -567,26 +567,6 @@ class TestStreamedExperiments:
         raw = action_profile(rot1024, f, self.RADII)
         dists = np.abs(raw - rot1024.orbit_means(f)).max(axis=1)
         assert conv.distances == tuple(float(x) for x in dists)
-
-    @pytest.mark.parametrize("family, d, modulus", [("zd", 1, 96),
-                                                    ("h3", None, 4)])
-    def test_transference_chunks_match_the_profiles(self, monkeypatch,
-                                                    family, d, modulus):
-        space, _ = build_group_space(family, d=d, modulus=modulus)
-        monkeypatch.setattr(dynamics, "_SWEEP_BYTES", 16 * space.n * 3)
-        f = RNG(41).standard_normal(space.n)
-        f[3] = np.nan
-        radii = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0]
-        rep = transference_check(space, f, radii, lam=0.3)
-        act = action_profile(regular_system(space), f, radii)
-        trans = shell_sweep(f, space.weights, space, space.right_perm, radii)
-        assert np.array_equal(rep.jumps_action, jump_count_batch(act, 0.3))
-        assert np.array_equal(rep.jumps_translation,
-                              jump_count_batch(trans, 0.3))
-        assert np.isnan(rep.max_discrepancy)
-        g = np.where(np.isnan(f), 0.0, f)
-        clean = transference_check(space, g, radii, lam=0.3)
-        assert clean.max_discrepancy == 0.0 and clean.jumps_equal
 
     def test_experiment_memory_is_bounded_by_the_chunk(self):
         # the ergodic-rot experiment: 256 radii of 16384 states would be a

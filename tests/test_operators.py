@@ -204,13 +204,15 @@ class TestBatchedSweep:
             avg_profile(np.zeros((64, 0)), z64, [1.0])
 
 
-class TestSweepRows:
-    """`sweep_rows` yields the profile one radius at a time: every row,
-    however the rows are taken, is bitwise the profile's row, and the
-    sweep draws no shell past the one that closes the last radius."""
+class TestSweepChunks:
+    """`sweep_chunks` yields the profile in chunks of consecutive radii:
+    whatever the chunk length, the chunks are bitwise the profile's rows,
+    and the sweep draws no shell past the one that closes the last
+    radius."""
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_rows_match_the_profile(self, weighted):
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 9])
+    def test_chunks_match_the_profile(self, weighted, rows):
         w = (np.random.default_rng(7).integers(1, 4, 64).astype(float)
              if weighted else None)
         space, _ = build_group_space("zd", d=1, modulus=64, weights=w)
@@ -228,26 +230,35 @@ class TestSweepRows:
                 sl = space.shell_slice(s)
                 yield s, [space.right_perm(j) for j in range(sl.start, sl.stop)]
 
-        rows = operators.sweep_rows(block, space.weights, shells(), radii)
-        # uneven takes: one row, then two, then the rest
-        taken = [next(rows)]
-        taken += [next(rows), next(rows)]
-        taken += list(rows)
-        for row, want in zip(taken, profile, strict=True):
-            assert row.tobytes() == want.tobytes()
-        assert np.isnan(taken[-1][:, 0]).sum() == 15
+        # a chunk lives until the next is drawn: copy each one
+        chunks = [c.copy() for c in operators.sweep_chunks(
+            block, space.weights, shells(), radii, rows)]
+        assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        got = np.concatenate(chunks)
+        assert got.shape == profile.shape
+        assert got.tobytes() == profile.tobytes()
+        assert np.isnan(got[-1, :, 0]).sum() == 15
         assert drawn == list(range(1, 9))
 
-    def test_rows_are_new_arrays(self, z64):
-        f = np.random.default_rng(9).standard_normal(64)
-        radii = [1.0, 2.0, 3.0]
+    def test_shell_chunks_cut_at_the_byte_budget(self, z64, monkeypatch):
+        # three radii of two 64-state columns per chunk
+        monkeypatch.setattr(operators, "_SWEEP_BYTES", 16 * 64 * 3 + 5)
+        f = np.random.default_rng(9).standard_normal((64, 2))
+        radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         profile = operators.shell_sweep(f, z64.weights, z64, z64.right_perm,
                                         radii)
-        for row, want in zip(operators.shell_rows(f, z64.weights, z64,
-                                                  z64.right_perm, radii),
-                             profile, strict=True):
-            assert np.array_equal(row, want)
-            row[:] = np.inf
+        for column in (f[:, 0], f):
+            chunks = [c.copy() for c in operators.shell_chunks(
+                column, z64.weights, z64, z64.right_perm, radii)]
+            assert [len(c) for c in chunks] == [3, 3, 1]
+            assert np.array_equal(np.concatenate(chunks),
+                                  profile[..., 0] if column.ndim == 1
+                                  else profile)
+
+    def test_no_radii(self, z64):
+        out = operators.shell_sweep(np.ones((64, 2)), z64.weights, z64,
+                                    z64.right_perm, [])
+        assert out.shape == (0, 64, 2)
 
 
 def _custom_generator_space():
