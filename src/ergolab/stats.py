@@ -41,6 +41,9 @@ __all__ = [
 _ORACLE_MAX_LEN = 20
 # columns per block of the jump and variation DPs
 _COLS = 8192
+# most levels a narrow jump fold starts with, so that short sequences
+# rarely double its capacity
+_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -213,12 +216,15 @@ class JumpFold:
         self.lam = lam
         self.width = width
         # per column block: [lo, hi, levels in use]; every envelope array
-        # holds a capacity of levels that doubles when a chain outgrows it
-        self._envs = [[np.full((1, w), np.inf), np.full((1, w), -np.inf), 0]
+        # holds a capacity of levels that doubles when a chain outgrows it,
+        # starting at up to _LEVELS levels of _COLS cells in all
+        cap = min(_LEVELS, max(1, _COLS // max(width, 1)))
+        self._envs = [[np.full((cap, w), np.inf), np.full((cap, w), -np.inf),
+                       0]
                       for w in (min(_COLS, width - c)
                                 for c in range(0, max(width, 1), _COLS))]
         self._scratch = ()
-        self._reserve(1)
+        self._reserve(cap)
 
     def _reserve(self, cap: int) -> None:
         """Scratch for ``cap`` levels of the widest block: diff, reach,
