@@ -290,10 +290,6 @@ class DyadicSystem:
     def finest(self) -> int:
         return self.levels[0]
 
-    @property
-    def coarsest(self) -> int:
-        return self.levels[-1]
-
 
 def build_cubes(space: FiniteSpace, params: HKParams,
                 nets: Nets | None = None) -> DyadicSystem:

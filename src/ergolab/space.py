@@ -176,7 +176,10 @@ def _encode(elems: np.ndarray, box: tuple[np.ndarray, ...]) -> np.ndarray:
 def _decode(keys: np.ndarray, box: tuple[np.ndarray, ...]) -> np.ndarray:
     """Coordinate rows of in-box keys (inverse of `_encode`)."""
     low, size, place = box
-    return keys[:, None] // place % size + low
+    elems = keys[:, None] // place
+    elems %= size
+    elems += low
+    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +346,16 @@ class MatrixSpace(FiniteSpace):
 class GroupSpace(FiniteSpace):
     """Points of a group family — a full finite quotient or a truncated
     Cayley ball — under the word metric, enumerated in a canonical order
-    (word length, then lexicographic coordinates)."""
+    (word length, then key order, which is lexicographic coordinate order).
+
+    ``neighbors`` is the (n, #generators) table of the indices of x * g
+    that `build_group_space` takes from the enumeration of a truncation;
+    without it, `_neighbor_table` computes the table on first use."""
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
                  radius: int | None, weights=None, r0: float = 1.0,
-                 label: str = "group", generators=None) -> None:
+                 label: str = "group", generators=None,
+                 neighbors: np.ndarray | None = None) -> None:
         if radius is not None and generators is not None:
             raise ValueError("truncated space with custom generators requires "
                              "explicit neighbor construction")
@@ -377,8 +385,11 @@ class GroupSpace(FiniteSpace):
             # one contiguous copy per coordinate column for _product
             self._columns = [np.ascontiguousarray(elements[:, c])
                              for c in range(group.d)]
+        if neighbors is not None and neighbors.shape != (self.n, len(self.generators)):
+            raise ValueError("neighbor table must have one row per element "
+                             "and one column per generator")
         self._row_cache: dict[int, np.ndarray] = {}
-        self._neighbors: np.ndarray | None = None
+        self._neighbors = neighbors
 
     def index_of(self, elems: np.ndarray) -> np.ndarray:
         """Indices of the given coordinate rows; -1 where not enumerated."""
@@ -410,7 +421,8 @@ class GroupSpace(FiniteSpace):
         return row.astype(float)
 
     def _neighbor_table(self) -> np.ndarray:
-        """(n, #generators) indices of x * g; -1 outside a truncation."""
+        """(n, #generators) indices of x * g; -1 outside a truncation.
+        Computed here on first use unless the enumeration handed it over."""
         if self._neighbors is None:
             self._neighbors = self.index_of(self.group.mult(
                 self.elements[:, None, :], self.generators))
@@ -418,7 +430,7 @@ class GroupSpace(FiniteSpace):
 
     def _bfs_row(self, i: int) -> np.ndarray:
         nbrs = self._neighbor_table()
-        dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())
+        dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())[0]
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
         # distances are at most the diameter 2R <= 2 * _H3_MAX_RADIUS
@@ -546,8 +558,15 @@ class BallTable:
                    radii: Sequence[int] | None = None) -> "BallTable":
         row = space.dist_row(center)
         order = np.argsort(row, kind="stable")
-        dists = row[order]
-        cumw = np.cumsum(space.weights[order])
+        return cls.from_sorted(center, order, row[order], space.weights[order], radii)
+
+    @classmethod
+    def from_sorted(cls, center: int, order: np.ndarray, dists: np.ndarray,
+                    weights: np.ndarray, radii: Sequence[int] | None = None
+                    ) -> "BallTable":
+        """The table of the points ``order`` at the ascending distances
+        ``dists`` from ``center``, with their ``weights``."""
+        cumw = np.cumsum(weights)
         if radii is None:
             radii = range(int(math.ceil(dists[-1])) + 1)
         radii = tuple(int(r) for r in radii)
@@ -591,58 +610,83 @@ def _in_sorted(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return ref[pos] == a
 
 
-def _bfs_layers(n: int, start: int, step, radius: int | None = None) -> np.ndarray:
-    """Breadth-first layers over the ids 0..n-1 from ``start``: entry v is
-    the distance of id v (-1 where unreached), stopping after layer
-    ``radius``.  ``step(frontier)`` gives the ids adjacent to the frontier
+def _bfs_layers(n: int, start: int, step,
+                radius: int | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Breadth-first layers over the ids 0..n-1 from ``start``, stopping
+    after layer ``radius``: returns the distances (entry v is the distance
+    of id v, -1 where unreached) and the layers, each the ascending ids at
+    one distance.  ``step(frontier)`` gives the ids adjacent to the frontier
     ids, -1 for a neighbor outside the id range.  The reached count is
     checked against _MAX_POINTS after every layer."""
     dist = np.full(n + 1, -1, dtype=np.int32)
     dist[n] = 0         # the neighbor id -1 reads this entry: never unreached
     dist[start] = 0
-    frontier = np.array([start])
-    reached = layer = 1
-    while frontier.size and (radius is None or layer <= radius):
-        cand = step(frontier)
+    layers = [np.array([start])]
+    reached = 1
+    while layers[-1].size and (radius is None or len(layers) <= radius):
+        cand = step(layers[-1])
         frontier = _sorted_unique(cand[dist[cand] < 0])
-        dist[frontier] = layer
+        dist[frontier] = len(layers)
         reached += frontier.size
         if reached > _MAX_POINTS:
             raise CapacityError(f"enumeration exceeded {_MAX_POINTS} elements")
-        layer += 1
-    return dist[:n]
+        layers.append(frontier)
+    if not layers[-1].size:
+        layers.pop()
+    return dist[:n], layers
 
 
-def _bfs_enumerate(group: FinGroup, gens: np.ndarray,
-                   radius: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _bfs_enumerate(group: FinGroup, gens: np.ndarray, radius: int | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Breadth-first enumeration from the identity over the keys of the key
-    box; returns (elements, word lengths) in canonical order."""
+    box.  Returns (elements, word lengths, neighbors) in canonical order:
+    the layers in turn, each in ascending key order, which is lexicographic
+    coordinate order.  On a truncation, neighbors is the (n, #generators)
+    table of the indices of x * g, -1 outside the ball, mapped from the
+    products the search computes anyway, with the last layer expanded once
+    more; a quotient gets None, since `GroupSpace._product` serves it."""
     box = _key_box(group, radius)
+    products: list[np.ndarray] = []     # per layer, the keys of x * g
 
     def step(frontier: np.ndarray) -> np.ndarray:
-        prods = group.mult(_decode(frontier, box)[:, None, :], gens)
-        return _encode(prods, box).ravel()
+        prods = _encode(group.mult(_decode(frontier, box)[:, None, :], gens), box)
+        if radius is not None:
+            products.append(prods)
+        return prods.ravel()
 
-    dist = _bfs_layers(int(np.prod(box[1])), int(_encode(group.identity, box)),
-                       step, radius)
-    keys = np.flatnonzero(dist >= 0)
-    return _canonical(_decode(keys, box), dist[keys].astype(np.int64))
+    size = int(np.prod(box[1]))
+    layers = _bfs_layers(size, int(_encode(group.identity, box)), step, radius)[1]
+    keys = np.concatenate(layers)
+    wl = np.repeat(np.arange(len(layers), dtype=np.int64),
+                   [layer.size for layer in layers])
+    neighbors = None
+    if radius is not None:
+        step(layers[-1])
+        del layers
+        # key -> canonical index, -1 off the ball; the key -1 (outside the
+        # box) reads the last entry
+        index = np.full(size + 1, -1, dtype=np.int32)
+        index[keys] = np.arange(keys.size, dtype=np.int32)
+        neighbors = np.empty((keys.size, gens.shape[0]), dtype=np.int64)
+        lo = 0
+        for prods in products:
+            neighbors[lo:lo + len(prods)] = index[prods]
+            lo += len(prods)
+        # freed before the decode: the peak RSS of `space` on the H3 ball
+        # R = 28 is about 4 MiB lower
+        del index
+        products.clear()
+    return _decode(keys, box), wl, neighbors
 
 
 def _zd_quotient(d: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form enumeration of Z_N^d under the standard generators: the
-    word length of x is sum(min(x_c, N - x_c)).  Returns what
-    `_bfs_enumerate` returns for the same quotient."""
+    word length of x is sum(min(x_c, N - x_c)).  Returns the elements and
+    word lengths that `_bfs_enumerate` returns for the same quotient."""
     elems = np.indices((modulus,) * d, dtype=np.int64).reshape(d, -1).T
     wl = np.minimum(elems, modulus - elems).sum(axis=1)
-    return _canonical(elems, wl)
-
-
-def _canonical(elems: np.ndarray, wl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elements and word lengths in canonical order: word length, then
-    coordinates lexicographically."""
-    order = np.lexsort(tuple(elems[:, c] for c in reversed(range(elems.shape[1])))
-                       + (wl,))
+    # the rows are in key order; canonical order sorts them stably by length
+    order = np.argsort(wl, kind="stable")
     return elems[order], wl[order]
 
 
@@ -655,6 +699,10 @@ def build_group_space(family: str, *, d: int | None = None,
     family "zd" needs ``d``; family "h3" is the discrete Heisenberg group.
     Exactly one of ``radius`` (Cayley-ball truncation) and ``modulus``
     (finite quotient) must be given.
+
+    One breadth-first pass (a closed form for the standard Z^d quotients)
+    yields the canonical order and the word lengths, and on a truncation
+    the neighbor table too; the ball table is read off the word lengths.
     """
     if family not in ("zd", "h3"):
         raise ValueError(f"unknown family {family!r} (use 'zd' or 'h3')")
@@ -691,8 +739,9 @@ def build_group_space(family: str, *, d: int | None = None,
 
     if family == "zd" and modulus is not None and standard:
         elems, wl = _zd_quotient(dim, modulus)
+        neighbors = None
     else:
-        elems, wl = _bfs_enumerate(group, gens, radius)
+        elems, wl, neighbors = _bfs_enumerate(group, gens, radius)
     if modulus is not None and elems.shape[0] != modulus ** dim:
         raise ValueError(
             f"generators do not generate the quotient: reached "
@@ -705,8 +754,13 @@ def build_group_space(family: str, *, d: int | None = None,
             base = "H3"
         label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
     space = GroupSpace(group, elems, wl, radius, weights=weights, r0=r0,
-                       label=label, generators=None if standard else gens)
-    table = BallTable.from_space(space, int(np.nonzero(wl == 0)[0][0]))
+                       label=label, generators=None if standard else gens,
+                       neighbors=neighbors)
+    # d(e, x) = |x| on quotients and truncations alike, since the prefixes
+    # of a geodesic stay in the ball; canonical order starts at e and is
+    # sorted by word length
+    table = BallTable.from_sorted(0, np.arange(space.n), wl.astype(float),
+                                  space.weights)
     return space, table
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -173,7 +174,7 @@ class TestEnumeration:
         (1, 16384), (1, 4096), (2, 64), (3, 6), (1, 5), (1, 4)])
     def test_zd_closed_form_matches_bfs(self, d, modulus):
         group = FinGroup("zd", d, modulus)
-        elems, wl = space_module._bfs_enumerate(
+        elems, wl, _ = space_module._bfs_enumerate(
             group, group.standard_generators(), None)
         c_elems, c_wl = space_module._zd_quotient(d, modulus)
         for got, want in ((c_elems, elems), (c_wl, wl)):
@@ -211,6 +212,28 @@ class TestEnumeration:
         space, _ = build_group_space("h3", radius=20)
         assert space.n == 68_079
 
+    def test_h3_ball_r20_build_peak_memory(self):
+        # the neighbor table comes from the enumeration, not from one
+        # (n, #generators, 3) product array after it
+        tracemalloc.start()
+        try:
+            build_group_space("h3", radius=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("family,d,radius", [
+        ("h3", 3, 6), ("h3", 3, 7), ("h3", 3, 20), ("zd", 2, 10), ("zd", 3, 4)])
+    def test_bfs_neighbor_table_matches_products(self, family, d, radius):
+        space, _ = build_group_space(family, d=d, radius=radius)
+        assert space._neighbors is not None     # handed over by the enumeration
+        want = space.index_of(space.group.mult(space.elements[:, None, :],
+                                               space.generators))
+        got = space._neighbor_table()
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
     def test_h3_largest_ball_under_the_cap_builds(self):
         space, _ = build_group_space("h3", radius=28)
         assert space.n == 261_815
@@ -219,7 +242,7 @@ class TestEnumeration:
         group = FinGroup("h3", 3, None)
         gens = group.standard_generators()
         cap = space_module._H3_MAX_RADIUS
-        elems, _ = space_module._bfs_enumerate(group, gens, cap)
+        elems, _, _ = space_module._bfs_enumerate(group, gens, cap)
         assert elems.shape[0] <= space_module._MAX_POINTS
         with pytest.raises(CapacityError, match="enumeration exceeded"):
             space_module._bfs_enumerate(group, gens, cap + 1)
@@ -243,6 +266,29 @@ class TestEnumeration:
         x = space.elements[:, 0]
         assert np.array_equal(space.elements[space._neighbor_table()[:, 0], 0],
                               (x + 3) % 8)
+
+
+def assert_table_from_row(table: BallTable, space: GroupSpace,
+                          row: np.ndarray) -> None:
+    """``table`` is the ball table sorted out of the distance row."""
+    order = np.argsort(row, kind="stable")
+    want = (order, row[order], np.cumsum(space.weights[order]))
+    for got, ref in zip((table._order, table._dists, table._cum_weight), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert table.center == 0
+    assert table.radii == tuple(range(int(row.max()) + 1))
+
+
+class TestIdentityBallTable:
+    def test_truncation_table_matches_bfs_row(self):
+        space, table = build_group_space("h3", radius=7)
+        assert_table_from_row(table, space, space._bfs_row(0).astype(float))
+
+    def test_quotient_table_matches_dist_row(self):
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, size=8 ** 3)
+        space, table = build_group_space("h3", modulus=8, weights=weights)
+        assert_table_from_row(table, space, space.dist_row(0))
 
 
 class TestWordMetric:

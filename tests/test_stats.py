@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergolab.stats import (
@@ -173,16 +173,20 @@ class TestVariation:
         assert lam * n ** (1 / q) <= variation(vals, q) + 1e-9
 
     @given(short_seqs)
+    @example([0.0, 5e-324])
     @settings(max_examples=100, deadline=None)
     def test_jump_value_below_variation(self, vals):
         # sup over lam of lam * N_lam^{1/2} <= V_2: N_lam drops only where
         # lam reaches a gap |a_i - a_j|, so the sup is approached just below
-        # the gaps
+        # the gaps; below the smallest subnormal gap that is 0, which
+        # jump_count refuses (see test_rejects_nonpositive_lambda)
         a = np.asarray(vals, dtype=float)
         gaps = np.unique(np.abs(a[:, None] - a[None, :]))
         v2 = variation(vals, 2.0)
         for lam in gaps[gaps > 0]:
             for lam in (lam, np.nextafter(lam, 0.0)):
+                if lam <= 0:
+                    continue
                 n = jump_count(vals, float(lam))
                 assert lam * math.sqrt(n) <= v2 + 1e-9
 
