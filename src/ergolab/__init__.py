@@ -25,8 +25,7 @@ from ergolab.martingale import (SampleFunction, differences, dyadic_maximal,
                                 weighted_norm)
 from ergolab.operators import (DominationReport, NormProbeReport,
                                OperatorConfig, SpotCheckError,
-                               domination_check, norm_probe, square_function,
-                               translation_average)
+                               domination_check, norm_probe, square_function)
 from ergolab.space import (BallTable, GroupSpace, MatrixSpace,
                            annular_decay_profile, build_group_space,
                            fit_growth_exponent, geometric_doubling_check,
@@ -75,7 +74,6 @@ __all__ = [
     "tail_experiment",
     "tower_check",
     "transference_check",
-    "translation_average",
     "upcrossing_count",
     "variation",
     "variation_oracle",

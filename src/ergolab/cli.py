@@ -103,6 +103,11 @@ def _is_num_list(v: Any) -> bool:
     return isinstance(v, list) and all(_is_num(x) for x in v)
 
 
+def _distinct(v: list) -> bool:
+    # a repeated entry would rerun the same check and count it twice
+    return len(set(v)) == len(v)
+
+
 _CHECKS = {
     ("seed",): ("a non-negative integer below 2^64",
                 lambda v: _is_int(v) and 0 <= v < 2**64),
@@ -128,22 +133,25 @@ _CHECKS = {
     ("probe", "trials"): ("a positive integer",
                           lambda v: _is_int(v) and v >= 1),
     ("probe", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
-    ("probe", "gammas"): ("a list of positive numbers",
-                          lambda v: _is_num_list(v) and all(x > 0 for x in v)),
+    ("probe", "gammas"): ("a list of distinct positive numbers",
+                          lambda v: _is_num_list(v) and all(x > 0 for x in v)
+                          and _distinct(v)),
     ("probe", "operators"): (
-        f"a non-empty sublist of {PROBE_OPERATORS}",
+        f"a non-empty list of distinct entries of {PROBE_OPERATORS}",
         lambda v: isinstance(v, list) and len(v) >= 1
-        and all(x in PROBE_OPERATORS for x in v)),
+        and all(x in PROBE_OPERATORS for x in v) and _distinct(v)),
     ("domination", "trials"): ("a positive integer",
                                lambda v: _is_int(v) and v >= 1),
     ("domination", "lambdas"): (
-        "a list of positive numbers",
-        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 0 for x in v)),
+        "a non-empty list of distinct positive numbers",
+        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 0 for x in v)
+        and _distinct(v)),
     ("gundy", "trials"): ("a positive integer",
                           lambda v: _is_int(v) and v >= 1),
     ("gundy", "gamma_factors"): (
-        "a list of numbers > 1",
-        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 1 for x in v)),
+        "a non-empty list of distinct numbers > 1",
+        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 1 for x in v)
+        and _distinct(v)),
     ("gundy", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
     ("transference", "radii"): (
         "a strictly increasing list of positive numbers",

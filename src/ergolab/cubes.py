@@ -8,13 +8,12 @@ parent) then hold by construction and are verified rather than assumed; the
 ball sandwich B(z, a0 d^k) <= Q <= B(z, C1 d^k) is measured cube by cube.
 
 The derived boundary-layer constants (L0..L3, eta, C2, C2') of the
-construction parameters are computed here and written into every cube
-document; the layers themselves are not measured.
+construction parameters are computed here, and the ``cubes`` command
+writes them into ``cubes.json``; the layers themselves are not measured.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -33,10 +32,6 @@ __all__ = [
     "build_cubes",
     "verify_cube_axioms",
     "AxiomReport",
-    "system_to_json",
-    "system_from_json",
-    "save_system",
-    "load_system",
 ]
 
 
@@ -489,76 +484,8 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# index-table checks
 # ---------------------------------------------------------------------------
-
-_FORMAT = "ergolab-cubes"
-_VERSION = 1
-
-
-def system_to_json(system: DyadicSystem,
-                   constants: BoundaryConstants | None = None) -> dict:
-    if constants is None:
-        constants = BoundaryConstants.derive(system.params, system.space.r0)
-    p = system.params
-    return {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "space_label": system.space.label,
-        "n": system.space.n,
-        "params": {"delta": p.delta, "c0": p.c0, "C0": p.C0,
-                   "k_min": p.k_min, "k_max": p.k_max},
-        "constants": constants.to_json(),
-        "levels": list(system.levels),
-        "centers": [[int(c) for c in cs] for cs in system.centers],
-        "assign": [[int(v) for v in a] for a in system.assign],
-        "parents": [[int(v) for v in pr] for pr in system.parents],
-        "notes": list(system.notes),
-    }
-
-
-def system_from_json(doc: dict, space: FiniteSpace) -> DyadicSystem:
-    if doc.get("format") != _FORMAT:
-        raise ValueError("not a cube-system document")
-    if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported cube document version {doc.get('version')}")
-    if doc["n"] != space.n:
-        raise ValueError("document was built for a different space size")
-    p = doc["params"]
-    params = HKParams(delta=p["delta"], c0=p["c0"], C0=p["C0"],
-                      k_min=p["k_min"], k_max=p["k_max"])
-    names = ("centers", "assign", "parents")
-    raw = {name: [np.asarray(t) for t in doc[name]] for name in names}
-    system = DyadicSystem(
-        space, params, tuple(doc["levels"]),
-        *(tuple(t.astype(np.int64) for t in raw[name]) for name in names),
-        tuple(doc.get("notes", ())))
-    # recheck the loaded tables with integer comparisons only
-    levels, assign, parents = system.levels, system.assign, system.parents
-    sizes = [len(c) for c in system.centers]
-    for li, k in enumerate(levels):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"level {k!r}: levels must be integers")
-        # the coarsest level has no parent table
-        for name in names[:2 + (li + 1 < len(levels))]:
-            if raw[name][li].size and raw[name][li].dtype.kind not in "iu":
-                raise ValueError(f"level {k}: {name} entries must be integers")
-        if not _maps_into(system.centers[li], sizes[li], space.n):
-            raise ValueError(f"level {k}: centers must be points of the space")
-        if not _maps_into(assign[li], space.n, sizes[li]):
-            raise ValueError(f"level {k}: assign must send each of the "
-                             f"{space.n} points to one of {sizes[li]} cubes")
-        if li and not np.array_equal(parents[li - 1][assign[li - 1]],
-                                     assign[li]):
-            raise ValueError(f"level {levels[li - 1]}: parent links disagree "
-                             f"with the level-{k} assignment")
-        if li + 1 < len(levels) and not _maps_into(parents[li], sizes[li],
-                                                   sizes[li + 1]):
-            raise ValueError(f"level {k}: parents must send each of its "
-                             f"{sizes[li]} cubes to one of the {sizes[li + 1]} "
-                             f"cubes at level {levels[li + 1]}")
-    return system
-
 
 def _nests(fine: np.ndarray, coarse: np.ndarray, m_fine: int) -> bool:
     """Every one of the ``m_fine`` cubes of ``fine`` lies inside one cube of
@@ -573,15 +500,3 @@ def _maps_into(table: np.ndarray, length: int, bound: int) -> bool:
     """``table`` is a length-``length`` vector of indices below ``bound``."""
     return table.shape == (length,) and (
         length == 0 or (table.min() >= 0 and table.max() < bound))
-
-
-def save_system(system: DyadicSystem, path,
-                constants: BoundaryConstants | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_json(system, constants), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_system(path, space: FiniteSpace) -> DyadicSystem:
-    with open(path) as fh:
-        return system_from_json(json.load(fh), space)

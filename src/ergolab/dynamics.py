@@ -53,7 +53,6 @@ __all__ = [
     "regular_system",
     "build_system",
     "action_profile",
-    "action_average",
     "TransferenceReport",
     "transference_check",
     "TailReport",
@@ -300,16 +299,6 @@ def _action_chunks(system: MPSystem, values: np.ndarray,
                         system.act_perm, radii)
 
 
-def action_average(system: MPSystem, values: np.ndarray, r: float) -> np.ndarray:
-    """Mean of f(tau_{g^-1} x) over the acting ball |g| <= r."""
-    safe = system.group.safe_radius
-    if r > safe:
-        warnings.warn(
-            f"radius {r} exceeds the safe radius {safe} of the acting group",
-            stacklevel=2)
-    return action_profile(system, values, [float(r)])[0]
-
-
 # ---------------------------------------------------------------------------
 # Transference
 # ---------------------------------------------------------------------------
@@ -326,18 +315,6 @@ class TransferenceReport:
     @property
     def jumps_equal(self) -> bool:
         return bool(np.array_equal(self.jumps_action, self.jumps_translation))
-
-    def to_json(self) -> dict:
-        counts = np.bincount(self.jumps_action)
-        return {
-            "space": self.space_label,
-            "radii": list(self.radii),
-            "lambda": self.lam,
-            "max_discrepancy": self.max_discrepancy,
-            "jumps_equal": self.jumps_equal,
-            "jump_histogram": {str(n): int(c) for n, c in enumerate(counts)
-                               if c > 0},
-        }
 
 
 def transference_check(space: GroupSpace, values: np.ndarray,
@@ -383,12 +360,6 @@ class TailReport:
     @property
     def decay_claimed(self) -> bool:
         return bool(self.fitted and self.slope is not None and self.slope < 0)
-
-    def to_csv(self) -> str:
-        lines = ["n,tail"]
-        for n, t in zip(self.ns, self.tails):
-            lines.append(f"{n},{t!r}")
-        return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {

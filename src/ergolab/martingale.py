@@ -11,7 +11,6 @@ float path there is a rational path (floats are dyadic rationals) used by
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,26 +51,6 @@ class SampleFunction:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["point", "value"])
-            for i, v in enumerate(self.values):
-                writer.writerow([i, repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path, space_label: str = "") -> "SampleFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["point", "value"]:
-                raise ValueError("expected 'point,value' header")
-            pairs = [(int(i), float(v)) for i, v in reader]
-        pairs.sort()
-        if [i for i, _ in pairs] != list(range(len(pairs))):
-            raise ValueError("point ids must cover 0..n-1")
-        return cls(space_label, np.array([v for _, v in pairs]))
 
 
 def weighted_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:

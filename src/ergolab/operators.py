@@ -38,9 +38,7 @@ column blocks whose profile fits in `_SWEEP_BYTES`.
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,7 +69,6 @@ __all__ = [
     "shell_sweep",
     "shell_chunks",
     "avg_profile",
-    "translation_average",
     "square_function",
     "short_variation",
     "DominationReport",
@@ -429,21 +426,6 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     return out.reshape((len(radii),) + values.shape)
 
 
-def translation_average(f: SampleFunction, space: FiniteSpace,
-                        r: float) -> SampleFunction:
-    """Average of f over the closed r-ball around each point.
-
-    Radii beyond the safe radius are allowed but warned about: on
-    truncations the balls touch the artificial boundary, on quotients they
-    wrap around.
-    """
-    if r > space.safe_radius:
-        warnings.warn(
-            f"radius {r} exceeds the safe radius {space.safe_radius} of "
-            f"{space.label}; averages are contaminated by the boundary")
-    return SampleFunction(f.space_label, avg_profile(f.values, space, [r])[0])
-
-
 # ---------------------------------------------------------------------------
 # square function and short variation
 # ---------------------------------------------------------------------------
@@ -663,14 +645,6 @@ class NormProbeReport:
             "doubling_D": self.doubling_D,
             "avg_bound_ok": self.avg_bound_ok,
         }
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["operator", "p", "seed", "ensemble", "ratio"])
-            for row in self.rows:
-                writer.writerow([row.operator, row.p, row.seed,
-                                 row.ensemble, repr(row.ratio)])
 
 
 def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,

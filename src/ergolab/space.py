@@ -13,7 +13,6 @@ Two ways to make an infinite group finite at desk scale:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,10 +33,6 @@ __all__ = [
     "geometric_doubling_check",
     "greedy_net",
     "fit_growth_exponent",
-    "space_to_json",
-    "space_from_json",
-    "save_space",
-    "load_space",
 ]
 
 _MAX_POINTS = 300_000          # hard cap on enumerated group elements
@@ -260,9 +255,6 @@ class FiniteSpace:
     def ball_table(self, center: int, radii: Sequence[int] | None = None) -> "BallTable":
         return BallTable.from_space(self, center, radii)
 
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def diameter(self) -> float:
         raise NotImplementedError
 
@@ -300,7 +292,7 @@ class MatrixSpace(FiniteSpace):
     """A space given by an explicit distance matrix (at most 4096 points)."""
 
     def __init__(self, matrix, weights=None, r0: float = 1.0,
-                 label: str = "matrix", provenance: dict | None = None) -> None:
+                 label: str = "matrix") -> None:
         # a private read-only copy: rows handed out are views of it
         matrix = np.array(matrix, dtype=float)
         matrix.flags.writeable = False
@@ -323,7 +315,6 @@ class MatrixSpace(FiniteSpace):
                              f"so the matrix is a pseudometric, not a metric")
         super().__init__(n, weights, r0, label)
         self._matrix = matrix
-        self.provenance = provenance or {}
 
     def _dist_row(self, i: int) -> np.ndarray:
         return self._matrix[i]
@@ -334,13 +325,6 @@ class MatrixSpace(FiniteSpace):
     def resolution(self) -> float:
         pos = self._matrix[self._matrix > 0]
         return float(pos.min()) if pos.size else 1.0
-
-    def triangle_check(self, rng=None, samples: int = 2000) -> bool:
-        rng = np.random.default_rng(0) if rng is None else rng
-        m = self._matrix
-        idx = rng.integers(0, self.n, size=(samples, 3))
-        i, j, k = idx.T
-        return bool(np.all(m[i, k] <= m[i, j] + m[j, k] + 1e-9))
 
 
 class GroupSpace(FiniteSpace):
@@ -364,7 +348,6 @@ class GroupSpace(FiniteSpace):
         self.elements = elements
         self.word_lengths = wl
         self.radius = radius            # truncation radius, None for quotients
-        self._standard_gens = generators is None
         # the word metric's generators, checked symmetric: x ~ x * g
         self.generators = (group.standard_generators() if generators is None
                            else _check_generators(group, generators))
@@ -773,9 +756,7 @@ def random_square_space(n: int, side: int, seed: int, r0: float = 1.0) -> Matrix
     pts = np.stack([flat // side, flat % side], axis=1).astype(np.int64)
     diff = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     return MatrixSpace(diff.astype(float), r0=r0,
-                       label=f"random-square n={n} side={side}",
-                       provenance={"builder": "random_square_space",
-                                   "n": n, "side": side, "seed": seed})
+                       label=f"random-square n={n} side={side}")
 
 
 # ---------------------------------------------------------------------------
@@ -974,85 +955,3 @@ def fit_growth_exponent(table: BallTable) -> tuple[float, float]:
     ratios = vols / rs**D_hat
     C_hat = float(max(ratios.max(), (1.0 / ratios).max()))
     return D_hat, C_hat
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_FORMAT = "ergolab-space"
-_VERSION = 1
-
-
-def space_to_json(space: FiniteSpace) -> dict:
-    doc: dict = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "label": space.label,
-        "n": space.n,
-        "r0": space.r0,
-    }
-    if np.all(space.weights == 1.0):
-        doc["weights"] = "uniform"
-    else:
-        doc["weights"] = [float(w) for w in space.weights]
-    if isinstance(space, GroupSpace):
-        doc["metric"] = {
-            "kind": "group",
-            "family": space.group.family,
-            "d": space.group.d,
-            "modulus": space.group.modulus,
-            "radius": space.radius,
-            "standard_generators": space._standard_gens,
-        }
-        if not space._standard_gens:
-            raise ValueError("custom-generator spaces are not serializable")
-    elif isinstance(space, MatrixSpace):
-        doc["metric"] = {
-            "kind": "matrix",
-            "rows": [[float(v) for v in row] for row in space.dist_matrix()],
-        }
-        doc["provenance"] = space.provenance
-    else:
-        raise TypeError(f"cannot serialize {type(space).__name__}")
-    return doc
-
-
-def space_from_json(doc: dict) -> FiniteSpace:
-    if doc.get("format") != _FORMAT:
-        raise ValueError("not a space document")
-    if doc.get("version") != _VERSION:
-        raise ValueError(f"unsupported space document version {doc.get('version')}")
-    weights = doc["weights"]
-    weights = None if weights == "uniform" else np.asarray(weights, dtype=float)
-    metric = doc["metric"]
-    if metric["kind"] == "group":
-        family = metric["family"]
-        space, _ = build_group_space(
-            family,
-            d=metric["d"] if family == "zd" else None,
-            radius=metric["radius"],
-            modulus=metric["modulus"],
-            r0=doc["r0"],
-            weights=weights,
-            label=doc["label"],
-        )
-        if space.n != doc["n"]:
-            raise ValueError("rebuilt space size does not match document")
-        return space
-    if metric["kind"] == "matrix":
-        return MatrixSpace(np.asarray(metric["rows"], dtype=float),
-                           weights=weights, r0=doc["r0"], label=doc["label"],
-                           provenance=doc.get("provenance"))
-    raise ValueError(f"unknown metric kind {metric['kind']!r}")
-
-
-def save_space(space: FiniteSpace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_json(space), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_space(path) -> FiniteSpace:
-    with open(path) as fh:
-        return space_from_json(json.load(fh))

@@ -19,13 +19,10 @@ random ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "ScaleSequence",
     "jump_count",
     "jump_count_batch",
     "jump_count_oracle",
@@ -46,38 +43,6 @@ _COLS = 8192
 _LEVELS = 8
 
 
-@dataclass(frozen=True)
-class ScaleSequence:
-    """Real values attached to a strictly increasing finite set of radii."""
-
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.radii) != len(self.values):
-            raise ValueError("radii and values must have equal length")
-        r = np.asarray(self.radii, dtype=float)
-        if r.size >= 2 and not np.all(np.diff(r) > 0):
-            raise ValueError("radii must be strictly increasing")
-        v = np.asarray(self.values, dtype=float)
-        if v.size and not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "ScaleSequence":
-        vals = tuple(float(v) for v in values)
-        return cls(tuple(float(i + 1) for i in range(len(vals))), vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def _values_of(seq) -> np.ndarray:
-    if isinstance(seq, ScaleSequence):
-        return np.asarray(seq.values, dtype=float)
-    return np.asarray(seq, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # oracles (exhaustive, independent of the fast implementations)
 # ---------------------------------------------------------------------------
@@ -92,7 +57,7 @@ def jump_count_oracle(seq, lam: float) -> int:
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    a = _values_of(seq)
+    a = np.asarray(seq, dtype=float)
     n = a.size
     if n > _ORACLE_MAX_LEN:
         raise ValueError(f"oracle refuses length {n} > {_ORACLE_MAX_LEN}")
@@ -121,7 +86,7 @@ def variation_oracle(seq, q: float) -> float:
     (subsequences), then take the 1/q power.  Refuses length > 16."""
     if not (q >= 1):
         raise ValueError("q must be >= 1")
-    a = _values_of(seq)
+    a = np.asarray(seq, dtype=float)
     n = a.size
     if n > 16:
         raise ValueError(f"oracle refuses length {n} > 16")
@@ -149,7 +114,7 @@ def upcrossing_count(seq, a: float, b: float) -> int:
     """
     if not b > a:
         raise ValueError("need b > a")
-    vals = _values_of(seq)
+    vals = np.asarray(seq, dtype=float)
     count = 0
     seeking_low = True
     for v in vals:
@@ -169,7 +134,8 @@ def upcrossing_count(seq, a: float, b: float) -> int:
 def jump_count(seq, lam: float) -> int:
     """Largest N admitting scales r_0 < ... < r_N with all gaps > ``lam``:
     `jump_count_batch` on a single column."""
-    return int(jump_count_batch(_values_of(seq).reshape(-1, 1), lam)[0])
+    a = np.asarray(seq, dtype=float)
+    return int(jump_count_batch(a.reshape(-1, 1), lam)[0])
 
 
 def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
@@ -298,7 +264,7 @@ def variation(seq, q: float) -> float:
     (the partition supremum is still defined there but is not what the
     program computes).
     """
-    a = _values_of(seq)
+    a = np.asarray(seq, dtype=float)
     if a.size < 2:
         return 0.0
     if math.isinf(q):

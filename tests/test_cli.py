@@ -56,6 +56,9 @@ class TestConfigValidation:
         blob = json.loads((out / "cubes.json").read_text())
         assert blob["axioms"]["all_pass"] is True
         assert len(blob["config_sha256"]) == 64
+        # the derived boundary-layer constants of the default parameters
+        assert blob["constants"]["C2"] == 331776.0
+        assert blob["constants"]["L3"] == 165890
 
     def test_defaults_without_config_file(self, tmp_path):
         assert run("cubes", "--out", str(tmp_path / "run")) == 0
@@ -119,6 +122,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "unknown key space.p" in err
         assert f"{path}:6:" in err
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("probe", "probe", "operators", '["average", "average"]'),
+        ("probe", "probe", "gammas", "[0.5, 1.0, 0.5]"),
+        ("verify", "domination", "lambdas", "[0.5, 0.5]"),
+        ("verify", "gundy", "gamma_factors", "[1.5, 3.0, 1.5]"),
+    ])
+    def test_repeated_list_entry_refused(self, tmp_path, capsys, command,
+                                         section, key, value):
+        # a repeat would run the same check twice and count it twice
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{\n  "{section}": {{\n    "{key}": {value}\n'
+                        f'  }}\n}}\n')
+        out = tmp_path / "run"
+        assert run(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: {section}.{key} must be" in err
+        assert "distinct" in err
+        assert not (out / "summary.txt").exists()
 
     def test_bad_value_reports_expectation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": -1})

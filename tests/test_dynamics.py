@@ -14,7 +14,6 @@ from ergolab import operators
 from ergolab.dynamics import (
     ActionError,
     MPSystem,
-    action_average,
     action_profile,
     build_system,
     convergence_probe,
@@ -252,7 +251,7 @@ class TestMeasurePreservation:
 class TestAveraging:
     def test_constant_function_fixed(self, rot8):
         f = np.full(8, 2.5)
-        out = action_average(rot8, f, 2.0)
+        out = action_profile(rot8, f, [2.0])[0]
         assert np.array_equal(out, f)
 
     def test_rotation_average_by_hand(self):
@@ -260,7 +259,7 @@ class TestAveraging:
         f = np.zeros(8)
         f[0] = 1.0
         # ball of radius 1 in Z_8 = {-1, 0, 1}: average of three translates
-        out = action_average(system, f, 1.0)
+        out = action_profile(system, f, [1.0])[0]
         expected = np.zeros(8)
         expected[[7, 0, 1]] = 1.0 / 3.0
         assert np.allclose(out, expected, atol=1e-15)
@@ -268,7 +267,7 @@ class TestAveraging:
     def test_l1_contraction(self, rot8):
         rng = RNG(9)
         f = rng.standard_normal(8)
-        out = action_average(rot8, f, 2.0)
+        out = action_profile(rot8, f, [2.0])[0]
         assert (rot8.mu * np.abs(out)).sum() <= (
             rot8.mu * np.abs(f)).sum() + 1e-12
 
@@ -276,13 +275,8 @@ class TestAveraging:
         system = build_system("rotation", modulus=9, step=1)
         rng = RNG(2)
         f = rng.standard_normal(9)
-        with pytest.warns(UserWarning, match="safe radius"):
-            out = action_average(system, f, 9.0)
+        out = action_profile(system, f, [9.0])[0]
         assert np.abs(out - f.mean()).max() <= 1e-12
-
-    def test_safe_radius_warning(self, rot8):
-        with pytest.warns(UserWarning, match="exceeds the safe radius"):
-            action_average(rot8, np.ones(8), 5.0)
 
     def test_wrong_length_rejected(self, rot8):
         with pytest.raises(ValueError, match="one entry per state"):
@@ -334,15 +328,6 @@ class TestTransference:
         act = action_profile(regular_system(space), f, radii)
         rows = avg_profile(f, MatrixSpace(space.dist_matrix()), radii)
         assert np.allclose(act, rows, rtol=1e-12, atol=1e-12)
-
-    def test_report_json(self, z64):
-        rng = RNG(14)
-        f = rng.standard_normal(64)
-        rep = transference_check(z64, f, [1.0, 2.0, 4.0])
-        blob = rep.to_json()
-        json.dumps(blob)
-        assert blob["max_discrepancy"] == 0.0
-        assert sum(blob["jump_histogram"].values()) == 64
 
 
 class TestTailExperiment:
@@ -427,14 +412,10 @@ class TestTailExperiment:
         assert rep.mean_drift <= 1e-12
         assert "mean_drift" not in rep.to_json()
 
-    def test_csv_and_json(self, rot8):
+    def test_to_json(self, rot8):
         rng = RNG(24)
         f = rng.uniform(-1, 1, 8)
         rep = tail_experiment(rot8, f, [1.0, 2.0], lam=0.1)
-        csv = rep.to_csv()
-        lines = csv.strip().split("\n")
-        assert lines[0] == "n,tail"
-        assert len(lines) == 1 + len(rep.ns)
         blob = rep.to_json()
         json.dumps(blob)
         assert blob["kind"] == "jump"

@@ -44,25 +44,6 @@ class TestSampleFunction:
         with pytest.raises(ValueError, match="one-dimensional"):
             SampleFunction("x", np.zeros((2, 2)))
 
-    def test_csv_round_trip(self, tmp_path):
-        f = SampleFunction("x", np.array([0.1, -2.5, 3.000000001, 1e-17]))
-        path = tmp_path / "f.csv"
-        f.to_csv(path)
-        g = SampleFunction.from_csv(path, "x")
-        assert np.array_equal(f.values, g.values)
-
-    def test_csv_rejects_gaps(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("point,value\n0,1.0\n2,2.0\n")
-        with pytest.raises(ValueError, match="cover"):
-            SampleFunction.from_csv(path)
-
-    def test_csv_rejects_header(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("idx,val\n0,1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            SampleFunction.from_csv(path)
-
 
 class TestExpectation:
     def test_constant_fixed(self, z64_system):

@@ -16,7 +16,6 @@ from ergolab.operators import (
     norm_probe,
     short_variation,
     square_function,
-    translation_average,
 )
 from ergolab.space import MatrixSpace, build_group_space, random_square_space
 from ergolab.stats import jump_count_batch, variation_batch
@@ -132,6 +131,18 @@ class TestAvgProfile:
     def test_constant_preserved(self, z512):
         prof = avg_profile(np.full(512, 3.25), z512, [1.0, 36.0, 100.0])
         assert np.abs(prof - 3.25).max() < 1e-12
+
+    def test_sup_norm_contraction(self, z512):
+        f = rand_f(z512, 3)
+        prof = avg_profile(f.values, z512, [7.0])
+        assert np.abs(prof).max() <= np.abs(f.values).max() + 1e-12
+
+    def test_linear(self, z512):
+        f, g = rand_f(z512, 5), rand_f(z512, 6)
+        lhs = avg_profile(2.0 * f.values - 3.0 * g.values, z512, [9.0])
+        rhs = (2.0 * avg_profile(f.values, z512, [9.0])
+               - 3.0 * avg_profile(g.values, z512, [9.0]))
+        assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_unsorted_radii_rejected(self, z512):
         with pytest.raises(ValueError, match="increasing"):
@@ -380,36 +391,6 @@ class TestSpotCheck:
         assert issubclass(SpotCheckError, RuntimeError)
 
 
-class TestTranslationAverage:
-    def test_indicator_on_cycle(self):
-        space, _ = build_group_space(family="zd", d=1, modulus=8)
-        pos = int(space.index_of(np.array([[3]]))[0])
-        values = np.zeros(8)
-        values[pos] = 1.0
-        out = translation_average(SampleFunction("z8", values), space, 1)
-        ball = space.dist_row(pos) <= 1
-        assert out.values[ball] == pytest.approx([1 / 3] * 3)
-        assert np.all(out.values[~ball] == 0.0)
-
-    def test_sup_norm_contraction(self, z512):
-        f = rand_f(z512, 3)
-        out = translation_average(f, z512, 7)
-        assert np.abs(out.values).max() <= np.abs(f.values).max() + 1e-12
-
-    def test_warns_beyond_safe_radius(self, z512):
-        f = rand_f(z512, 4)
-        with pytest.warns(UserWarning, match="safe radius"):
-            translation_average(f, z512, z512.safe_radius + 1)
-
-    def test_linear(self, z512):
-        f, g = rand_f(z512, 5), rand_f(z512, 6)
-        combo = SampleFunction("z", 2.0 * f.values - 3.0 * g.values)
-        lhs = translation_average(combo, z512, 9).values
-        rhs = (2.0 * translation_average(f, z512, 9).values
-               - 3.0 * translation_average(g, z512, 9).values)
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-
 class TestSquareFunction:
     def test_constant_vanishes(self, z512_system, z512_config):
         f = SampleFunction("z", np.full(512, -4.0))
@@ -606,14 +587,6 @@ class TestNormProbe:
         gammas = [g for g, _ in rep.weak_max]
         assert gammas == [0.25, 1.0]
         assert all(ratio >= 0.0 for _, ratio in rep.weak_max)
-
-    def test_csv_rows(self, z512_system, z512_config, tmp_path):
-        rep = norm_probe(z512_system, z512_config, "square", trials=4, seed=0)
-        path = tmp_path / "probe.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "operator,p,seed,ensemble,ratio"
-        assert len(lines) == 5
 
     def test_unknown_operator(self, z512_system, z512_config):
         with pytest.raises(ValueError, match="unknown operator"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ergolab.stats import (
     JumpFold,
     UpcrossingFold,
-    ScaleSequence,
     jump_count,
     jump_count_batch,
     jump_count_oracle,
@@ -21,24 +20,6 @@ from ergolab.stats import (
 
 finite_vals = st.floats(min_value=-10, max_value=10, allow_nan=False)
 short_seqs = st.lists(finite_vals, min_size=0, max_size=10)
-
-
-class TestScaleSequence:
-    def test_from_values_radii(self):
-        s = ScaleSequence.from_values([3.0, 1.0, 4.0])
-        assert s.radii == (1.0, 2.0, 3.0)
-
-    def test_rejects_nonincreasing_radii(self):
-        with pytest.raises(ValueError):
-            ScaleSequence((1.0, 1.0), (0.0, 1.0))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            ScaleSequence((1.0, 2.0), (0.0, float("nan")))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ScaleSequence((1.0,), (0.0, 1.0))
 
 
 class TestJumpCount:
@@ -69,10 +50,6 @@ class TestJumpCount:
         # gaps exactly equal to lambda do not count
         assert jump_count([0, 1, 0], 1.0) == 0
         assert jump_count([0, 1 + 1e-9, 0], 1.0) == 2
-
-    def test_accepts_scale_sequence(self):
-        s = ScaleSequence.from_values([0, 2, 0, 2])
-        assert jump_count(s, 1.0) == 3
 
     @given(short_seqs, st.floats(min_value=0.01, max_value=5))
     @settings(max_examples=300, deadline=None)
