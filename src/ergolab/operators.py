@@ -9,7 +9,7 @@ full radius grid to the martingale, and randomized operator-norm probes.
 
 Ball averages on a quotient of Z^d (standard or custom generators, any
 weights) are cyclic convolutions of f with the indicator of the identity
-ball B(e, r), so `avg_profile` computes them with `numpy.fft`: one forward
+ball B(e, r), so they are computed with `numpy.fft`: one forward
 transform of the block over the (N,)*d key grid, then one transform of the
 indicator, one product and one inverse transform per radius.  Columns of
 integer values (and integer weights) are rounded to their exact integer
@@ -23,17 +23,21 @@ one sweep over the spheres of the group, accumulating one right-translation
 at a time.  The sweep takes a block of functions, values of shape (n, T),
 and gathers each permutation once for all T columns; every column keeps the
 accumulation order of its own 1-D sweep, so blocking never changes a bit.
-The sweep streams: `sweep_chunks` (and `shell_chunks` over a group's
-spheres) divides the averages of consecutive radii into one chunk buffer
-and yields each chunk as soon as the sweep has passed it;
-`sweep_profile`/`shell_sweep` are that sweep with one chunk of all the
-radii.  The sweep is also the engine of the dynamics module, whose
-experiments fold the chunks without holding the profile, and the
-transference check runs it on both sides, so that averages along the
-regular action reproduce the translation averages bit for bit (Calderon
-transference); on Z^d the sweep is the oracle the FFT engine is tested
-against.  The norm probes push their trials through `avg_profile` in
-column blocks whose profile fits in `_SWEEP_BYTES`.
+
+Both engines stream: `_fft_chunks` (over one forward transform) and
+`sweep_chunks` (over one pass of the spheres; `shell_chunks` over a
+group's) divide the averages of consecutive radii into one chunk buffer
+and yield each chunk as soon as it is done; `avg_profile` and
+`sweep_profile`/`shell_sweep` are the streams with one chunk of all the
+radii.  The short variation and the domination check read the union grid
+one delta-adic block at a time (`_block_profiles`), so they hold one
+block's rows, never every radius.  The sweep is also the engine of the
+dynamics module, whose experiments fold the chunks without holding the
+profile, and the transference check runs it on both sides, so that
+averages along the regular action reproduce the translation averages bit
+for bit (Calderon transference); on Z^d the sweep is the oracle the FFT
+engine is tested against.  The norm probes push their trials through the
+operators in column blocks sized by `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -48,12 +52,13 @@ from .cubes import DyadicSystem
 from .martingale import (SampleFunction, dyadic_maximal, expectation,
                          sharp_maximal_bmo, weighted_norm)
 from .space import FiniteSpace, GroupSpace
-from .stats import jump_count_batch, variation_batch
+from .stats import JumpFold, jump_count_batch, variation_batch
 
-# bytes of the (radii, n, T) profile of one block of `norm_probe` trials,
-# and of one `shell_chunks` chunk of a two-column sweep
+# bytes of the (radii, n, T) profile that sizes a block of `norm_probe`
+# trials (a block holds at least one trial, whatever its profile), and of
+# one `shell_chunks` chunk of a two-column sweep
 _SWEEP_BYTES = 8 * 2**20
-# centers per `avg_profile` call on Z^d quotients whose averages are
+# centers per `_fft_chunks` call on Z^d quotients whose averages are
 # recomputed by direct sums
 _SPOT_CENTERS = 3
 # integer columns with sum |f| below this are rounded to their exact ball
@@ -210,24 +215,28 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     1-D call on that column.
     """
     values = np.asarray(values, dtype=float)
-    return next(sweep_chunks(values, weights, shells, radii, len(radii)),
+    return next(sweep_chunks(values, weights, shells, radii,
+                             max(1, len(radii))),
                 np.empty((0,) + values.shape))
 
 
 def sweep_chunks(values: np.ndarray, weights: np.ndarray,
                  shells: Iterable[tuple[int, Sequence[np.ndarray]]],
-                 radii: Sequence[float], rows: int) -> Iterator[np.ndarray]:
+                 radii: Sequence[float],
+                 rows: int | Sequence[int]) -> Iterator[np.ndarray]:
     """The sweep behind `sweep_profile`, yielding its rows in chunks of
-    ``rows`` consecutive radii (the last chunk may be shorter), each of
-    shape ``(k,) + values.shape``, as soon as the sweep has passed them.
-    Every chunk is divided into one buffer, so a chunk is valid only until
-    the next one is drawn.  The sweep draws no shell past the one that
-    closes the last radius."""
+    consecutive radii, each of shape ``(k,) + values.shape``, as soon as
+    the sweep has passed them.  ``rows`` is the chunk length (the last
+    chunk may be shorter) or the sequence of chunk lengths.  Every chunk
+    is divided into one buffer, so a chunk is valid only until the next
+    one is drawn.  The sweep draws no shell past the one that closes the
+    last radius."""
     radii = _increasing(radii)
+    lengths = _chunk_lengths(rows, len(radii))
     values = np.asarray(values, dtype=float)
     n = len(values)
     block = np.ascontiguousarray(values).reshape(n, -1)
-    out = np.empty((min(rows, len(radii)),) + block.shape)
+    out = np.empty((max(lengths, default=0),) + block.shape)
     chunk = out.reshape((len(out),) + values.shape)
     uniform = bool(np.all(weights == weights[0]))
     if uniform:
@@ -240,7 +249,7 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
     buf = np.empty_like(src)
     src_rows, buf_rows = _row_view(src), _row_view(buf)
     shells = iter(shells)
-    ridx = k = 0
+    ridx = k = c = 0
     while ridx < len(radii):
         # past the last shell every remaining ball is the whole sweep
         dist, perms = next(shells, (np.inf, ()))
@@ -248,9 +257,10 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
             np.divide(acc, count if uniform else den[:, None], out=out[k])
             ridx += 1
             k += 1
-            if k == len(out):
-                yield chunk
+            if k == lengths[c]:
+                yield chunk[:k]
                 k = 0
+                c += 1
         if ridx == len(radii):
             break
         for perm in perms:
@@ -261,8 +271,20 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
                 count += 1
             else:
                 den += weights[perm]
-    if k:
-        yield chunk[:k]
+
+
+def _chunk_lengths(rows: int | Sequence[int], total: int) -> list[int]:
+    """Lengths of the chunks of ``total`` consecutive radii: runs of
+    ``rows`` (the last may be shorter), or the given lengths, which must
+    be positive and add up to ``total``."""
+    if isinstance(rows, int):
+        if rows < 1:
+            raise ValueError("a chunk needs at least one row")
+        return [min(rows, total - lo) for lo in range(0, total, rows)]
+    lengths = [int(k) for k in rows]
+    if any(k < 1 for k in lengths) or sum(lengths) != total:
+        raise ValueError(f"chunk lengths {lengths} do not cover {total} radii")
+    return lengths
 
 
 def _group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
@@ -296,11 +318,30 @@ def shell_chunks(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
                         radii, rows)
 
 
-def _fft_profile(block: np.ndarray, space: GroupSpace,
-                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Transform(NamedTuple):
+    """What `_fft_chunks` takes once per call, for `_fft_profile`."""
+
+    block: np.ndarray               # the (n, T) values
+    uniform: bool                   # uniform weights: sums divide by size
+    exact: np.ndarray               # summed columns rounded to exact sums
+    spectrum: np.ndarray | None     # their transform over the key grid
+    lengths: np.ndarray             # the word lengths over the key grid
+    avg: np.ndarray                 # (n, T) averages in key order
+    buf: np.ndarray                 # (rows, n, T) buffer of every chunk
+
+
+def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
+                lengths: Sequence[int]) -> Iterator[np.ndarray]:
     """Ball averages of an (n, T) block on a Z_N^d quotient by cyclic
-    convolution over the key grid, shape (len(radii), n, T), and a (T,)
-    mask of the columns whose averages are exact quotients of exact sums.
+    convolution over the key grid, yielded in chunks of consecutive radii
+    of the given lengths, each of shape (k, n, T).
+
+    Once per call it takes the forward transform of the block, the mask of
+    the columns whose averages are exact quotients of exact sums, the
+    word-length grid and the direct sums of the spot check.  Each chunk is
+    then divided into one reused buffer by `_fft_profile`, so it is valid
+    only until the next one is drawn, and is spot-checked (`_spot_check`)
+    before it is yielded.
 
     The ball sum at x is sum_{|u| <= r} f(x + u), a correlation with the
     indicator of B(e, r); generator sets are symmetric, so it is also the
@@ -313,15 +354,40 @@ def _fft_profile(block: np.ndarray, space: GroupSpace,
     cols = block if uniform else np.column_stack([w[:, None] * block, w])
     exact = (np.all(cols == np.rint(cols), axis=0)
              & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
-    exact_out = exact if uniform else exact[:T] & exact[T]
-    out = np.empty((len(radii), n, T))
+    shape = (space.group.modulus,) * space.group.d
+    spectrum = None
+    # ball sizes grow with the radius: only a ball beyond the center needs
+    # the transform
+    if radii.size and np.searchsorted(space.word_lengths, radii[-1],
+                                      side="right") > 1:
+        spectrum = np.fft.rfftn(
+            cols[space._key_order].reshape(shape + (cols.shape[1],)),
+            axes=tuple(range(space.group.d)))
+    transform = _Transform(
+        block, uniform, exact, spectrum,
+        space.word_lengths[space._key_order].reshape(shape),
+        np.empty((n, T)), np.empty((max(lengths, default=0), n, T)))
+    spot = _spot_sums(block, space, radii)
+    lo = 0
+    for k in lengths:
+        out, exact_out = _fft_profile(transform, space, radii[lo:lo + k])
+        _spot_check(out, exact_out, spot, radii, lo)
+        yield out
+        lo += k
+
+
+def _fft_profile(transform: _Transform, space: GroupSpace,
+                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ball averages of the transformed block at consecutive radii, shape
+    (len(radii), n, T), divided into the transform's buffer, and a (T,)
+    mask of the columns whose averages are exact quotients of exact sums.
+    """
+    block, uniform, exact, spectrum, lengths, avg, buf = transform
+    n, T = block.shape
+    out = buf[:len(radii)]
     # ball sizes: the word lengths are in ascending order
     sizes = np.searchsorted(space.word_lengths, radii, side="right")
-    shape = (space.group.modulus,) * space.group.d
-    axes = tuple(range(space.group.d))
-    lengths = space.word_lengths[space._key_order].reshape(shape)
-    spectrum = None
-    avg = np.empty((n, T))
+    axes = tuple(range(lengths.ndim))
     for i, (r, size) in enumerate(zip(radii, sizes)):
         if i and size == sizes[i - 1]:
             out[i] = out[i - 1]             # the same ball
@@ -329,31 +395,30 @@ def _fft_profile(block: np.ndarray, space: GroupSpace,
         if size <= 1:
             out[i] = block                  # the center alone
             continue
-        if spectrum is None:
-            grid = cols[space._key_order].reshape(shape + (cols.shape[1],))
-            spectrum = np.fft.rfftn(grid, axes=axes)
         kernel = np.fft.rfftn(lengths <= r)[..., None]
-        sums = np.fft.irfftn(spectrum * kernel, s=shape, axes=axes)
+        sums = np.fft.irfftn(spectrum * kernel, s=lengths.shape, axes=axes)
         sums = sums.reshape(n, -1)
         sums[:, exact] = np.rint(sums[:, exact])
         np.divide(sums[:, :T], size if uniform else sums[:, T:], out=avg)
         # from key order back to point order
         np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
-    return out, exact_out
+    return out, exact if uniform else exact[:T] & exact[T]
 
 
-def _spot_check(out: np.ndarray, exact: np.ndarray, block: np.ndarray,
-                space: GroupSpace, radii: np.ndarray) -> None:
-    """Recompute the averages of `_fft_profile` at `_SPOT_CENTERS` fixed
-    centers from direct sums over `ball_chunks`: exact columns must match
-    bit for bit, the others to 1e-12 of the larger of the ball's and the
-    space's mean of |f|.  Raises `SpotCheckError` on a mismatch."""
-    if not radii.size:
-        return
+def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The averages of ``block`` at `_SPOT_CENTERS` fixed centers from
+    direct sums over `ball_chunks`, and the tolerance scale of each: the
+    larger of the ball's and the space's mean of |f|.  Returns (centers,
+    averages, scales), the last two of shape (centers, len(radii), T)."""
     n, T = block.shape
     w = space.weights
     uniform = bool(np.all(w == w[0]))
     centers = np.unique(np.linspace(0, n - 1, _SPOT_CENTERS).astype(np.int64))
+    direct = np.empty((centers.size, len(radii), T))
+    scale = np.empty_like(direct)
+    if not radii.size:
+        return centers, direct, scale
     rmax = min(max(float(radii[-1]), 0.0), space.diameter())
     # ball of radius r = shells 0..floor(r) around the center
     shells = np.clip(np.floor(radii), 0, math.floor(rmax)).astype(np.int64)
@@ -369,7 +434,6 @@ def _spot_check(out: np.ndarray, exact: np.ndarray, block: np.ndarray,
 
     for lo, indptr, members, dists in space.ball_chunks(centers, rmax):
         for j in range(indptr.size - 1):
-            c = int(centers[lo + j])
             m = members[indptr[j]:indptr[j + 1]]
             d = dists[indptr[j]:indptr[j + 1]].astype(np.int64)
             if uniform:
@@ -377,41 +441,73 @@ def _spot_check(out: np.ndarray, exact: np.ndarray, block: np.ndarray,
             else:
                 num, den = w[m, None] * block[m], w[m, None]
             den = by_shell(d, den)
-            direct = by_shell(d, num) / den
-            scale = np.maximum(by_shell(d, np.abs(num)) / den, space_mean)
-            got = out[:, c]
-            bad = np.where(exact, got != direct,
-                           ~(np.abs(got - direct) <= 1e-12 * scale))
-            if bad.any():
-                ri, t = (int(k[0]) for k in np.nonzero(bad))
-                raise SpotCheckError(
-                    f"FFT ball average mismatch at point {c}, radius "
-                    f"{radii[ri]:g}, column {t}: {float(got[ri, t])!r} "
-                    f"against {float(direct[ri, t])!r} from direct sums")
+            direct[lo + j] = by_shell(d, num) / den
+            scale[lo + j] = np.maximum(by_shell(d, np.abs(num)) / den,
+                                       space_mean)
+    return centers, direct, scale
 
 
-def avg_profile(values: np.ndarray, space: FiniteSpace,
-                radii: Sequence[float]) -> np.ndarray:
-    """Ball averages of ``values``, shape (n,) or (n, T), over strictly
-    increasing radii; the result has shape ``(len(radii),) + values.shape``
-    and each column equals the 1-D call on that column, bit for bit.
+def _spot_check(out: np.ndarray, exact: np.ndarray,
+                spot: tuple[np.ndarray, np.ndarray, np.ndarray],
+                radii: np.ndarray, lo: int) -> None:
+    """Compare the chunk ``out`` of radii[lo:] with the direct sums of
+    `_spot_sums` at its centers: exact columns must match bit for bit, the
+    others to 1e-12 of the scale.  Raises `SpotCheckError` on a mismatch,
+    naming the first center that has one."""
+    centers, direct, scale = spot
+    got = out[:, centers].transpose(1, 0, 2)
+    want = direct[:, lo:lo + len(out)]
+    tol = 1e-12 * scale[:, lo:lo + len(out)]
+    bad = np.where(exact, got != want, ~(np.abs(got - want) <= tol))
+    if bad.any():
+        c, ri, t = (int(k[0]) for k in np.nonzero(bad))
+        raise SpotCheckError(
+            f"FFT ball average mismatch at point {centers[c]}, radius "
+            f"{radii[lo + ri]:g}, column {t}: {float(got[c, ri, t])!r} "
+            f"against {float(want[c, ri, t])!r} from direct sums")
 
-    Quotients of Z^d go through `_fft_profile` and its spot check, other
-    quotients through `shell_sweep`, and every other space through sorted
-    distance rows."""
+
+def _point_values(values: np.ndarray, space: FiniteSpace) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or values.shape[0] != space.n:
         raise ValueError("values must have one entry per point")
     if values.size == 0:
         raise ValueError("a block of values needs at least one column")
-    if space.is_quotient and space.group.family != "zd":
-        return shell_sweep(values, space.weights, space, space.right_perm, radii)
+    return values
+
+
+def _profile_chunks(values: np.ndarray, space: FiniteSpace,
+                    radii: Sequence[float],
+                    rows: int | Sequence[int]) -> Iterator[np.ndarray]:
+    """`avg_profile` in chunks of consecutive radii, each of shape
+    ``(k,) + values.shape`` and valid only until the next one is drawn;
+    ``rows`` is the chunk length or the sequence of chunk lengths, as in
+    `sweep_chunks`.  Quotients of Z^d stream through `_fft_chunks`, other
+    quotients through one shell sweep (`sweep_chunks`), and every other
+    space computes its profile in one pass of sorted distance rows and
+    yields it in slices.  Every chunk is bitwise the rows of the one-chunk
+    call."""
+    values = _point_values(values, space)
     radii = _increasing(radii)
+    lengths = _chunk_lengths(rows, len(radii))
+    if space.is_quotient and space.group.family != "zd":
+        return sweep_chunks(values, space.weights,
+                            _group_shells(space, space.right_perm, radii),
+                            radii, lengths)
     block = values.reshape(space.n, -1)
     if space.is_quotient:
-        out, exact = _fft_profile(block, space, radii)
-        _spot_check(out, exact, block, space, radii)
-        return out.reshape((len(radii),) + values.shape)
+        chunks = _fft_chunks(block, space, radii, lengths)
+    else:
+        profile = _row_profile(block, space, radii)
+        ends = np.cumsum(lengths)
+        chunks = (profile[end - k:end] for k, end in zip(lengths, ends))
+    return (c.reshape((len(c),) + values.shape) for c in chunks)
+
+
+def _row_profile(block: np.ndarray, space: FiniteSpace,
+                 radii: np.ndarray) -> np.ndarray:
+    """Ball averages of an (n, T) block from one sorted distance row per
+    point, shape (len(radii), n, T)."""
     out = np.empty((len(radii),) + block.shape)
     w = space.weights
     wv = w[:, None] * block
@@ -423,7 +519,23 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
         cvw = np.cumsum(wv[order], axis=0)
         pos = np.searchsorted(srow, radii, side="right") - 1
         out[:, x] = cvw[pos] / cw[pos][:, None]
-    return out.reshape((len(radii),) + values.shape)
+    return out
+
+
+def avg_profile(values: np.ndarray, space: FiniteSpace,
+                radii: Sequence[float]) -> np.ndarray:
+    """Ball averages of ``values``, shape (n,) or (n, T), over strictly
+    increasing radii; the result has shape ``(len(radii),) + values.shape``
+    and each column equals the 1-D call on that column, bit for bit.
+
+    This is `_profile_chunks` with one chunk: quotients of Z^d go through
+    `_fft_chunks` and its spot check, other quotients through
+    `shell_sweep`, and every other space through sorted distance rows."""
+    values = _point_values(values, space)
+    if space.is_quotient and space.group.family != "zd":
+        return shell_sweep(values, space.weights, space, space.right_perm, radii)
+    return next(_profile_chunks(values, space, radii, max(1, len(radii))),
+                np.empty((0,) + values.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +569,23 @@ def square_function(f: SampleFunction, system: DyadicSystem,
         f.space_label, _square_block(f.values[:, None], system, config)[:, 0])
 
 
-def _block_variations(rows: np.ndarray, config: OperatorConfig) -> np.ndarray:
-    """Per-block V_2 of profile rows of shape (radii,) + shape; the result
-    has shape (n_blocks,) + shape."""
-    shape = rows.shape[1:]
-    out = np.empty((len(config.blocks),) + shape)
-    offset = 0
-    for bi, block in enumerate(config.blocks):
-        k = len(block.radii)
-        sub = rows[offset:offset + k].reshape(k, -1)
-        out[bi] = variation_batch(sub, 2.0).reshape(shape)
-        offset += k
-    return out
+def _block_profiles(values: np.ndarray, space: FiniteSpace,
+                    config: OperatorConfig) -> Iterator[np.ndarray]:
+    """The profile of ``values`` over the union grid, one delta-adic block
+    of rows at a time, each valid only until the next is drawn."""
+    return _profile_chunks(values, space, config.union_grid(),
+                           [len(b.radii) for b in config.blocks])
 
 
 def _short_variation_block(values: np.ndarray, space: FiniteSpace,
                            config: OperatorConfig) -> np.ndarray:
-    """`short_variation` of each column of an (n, T) block."""
-    rows = avg_profile(values, space, config.union_grid())
-    return np.sqrt((_block_variations(rows, config) ** 2).sum(axis=0))
+    """`short_variation` of each column of an (n, T) block: the squares of
+    the blocks' V_2 summed as the blocks stream by."""
+    total = np.zeros(values.shape)
+    for rows in _block_profiles(values, space, config):
+        sub = rows.reshape(len(rows), -1)
+        total += variation_batch(sub, 2.0).reshape(values.shape) ** 2
+    return np.sqrt(total)
 
 
 def short_variation(f: SampleFunction, space: FiniteSpace,
@@ -529,6 +639,23 @@ class DominationReport:
                 and self.violations_martingale.size == 0)
 
 
+def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
+               lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the union-grid profile of ``values``, one delta-adic
+    block at a time: the lam-jump counts over the full grid (a `JumpFold`
+    fed block by block), the short variation (the blocks' V_2 summed as
+    squares) and the anchor rows (each block's first row).  The block
+    buffer and the fold's envelopes are freed on return."""
+    jumps = JumpFold(lam, space.n)
+    sv = np.zeros(space.n)
+    anchors = np.empty((len(config.blocks), space.n))
+    for i, rows in enumerate(_block_profiles(values, space, config)):
+        jumps.update(rows)
+        sv += variation_batch(rows, 2.0) ** 2
+        anchors[i] = rows[0]
+    return jumps.counts(), np.sqrt(sv), anchors
+
+
 def domination_check(f: SampleFunction, system: DyadicSystem,
                      config: OperatorConfig, lam: float) -> DominationReport:
     if lam <= 0:
@@ -536,17 +663,11 @@ def domination_check(f: SampleFunction, system: DyadicSystem,
     space = system.space
     levels = config.eligible_levels(system)
     grid = config.union_grid()
-    rows = avg_profile(f.values, space, grid)
+    jumps, sv, anchor_rows = _grid_pass(f.values, space, config, lam)
+    lhs = lam * np.sqrt(jumps)
 
-    lhs = lam * np.sqrt(jump_count_batch(rows, lam))
-
-    sv = np.sqrt((_block_variations(rows, config) ** 2).sum(axis=0))
-
-    # anchor rows sit at the start of their blocks within the union grid;
     # a chain that crosses blocks passes through every block's anchor, so
     # the anchor sequence holds them all (Jones-Kaufman-Rosenblatt-Wierdl)
-    offsets = np.cumsum([0] + [len(b.radii) for b in config.blocks[:-1]])
-    anchor_rows = rows[offsets]
     anchor_jumps = jump_count_batch(anchor_rows, lam / 6.0)
     rhs_anchor = 2.0 * lam * np.sqrt(anchor_jumps) + 16.0 * sv
 
@@ -657,14 +778,18 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     with the doubling constant D fitted from the space.  Rerunning with
     the same seed reproduces every number.
 
-    Trials run in blocks of columns: each block of trial vectors goes
-    through one `avg_profile` call, sized so that its (radii, n, T)
-    profile stays within `_SWEEP_BYTES`.  The bound holds for both
-    engines: the FFT engine also returns the whole profile, and its
-    transforms hold a few more (n, T) arrays, none per radius.  Trial t
+    Trials run in blocks of columns, each block through one operator
+    call.  A block holds max(1, `_SWEEP_BYTES` // (width * n * 8)) trials,
+    the width being the radii the operator reads (the union grid for the
+    variation operator); since the step floors at one trial, the whole
+    grid of one trial may exceed `_SWEEP_BYTES` (31.5 MiB on Z/65536).
+    The variation operator streams that grid one delta-adic block at a
+    time, so it holds one block's rows (at most `block_cap` radii) for one
+    block of trials; the other operators hold their whole profile, and the
+    FFT transforms a few more (n, T) arrays, none per radius.  Trial t
     draws from seed + t, and every column equals its one-column run, so
-    the blocking changes no number.  A failed spot check of the FFT
-    engine raises `SpotCheckError`.
+    the blocking changes no number.  A failed spot check of the FFT engine
+    raises `SpotCheckError`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

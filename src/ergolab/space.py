@@ -354,10 +354,10 @@ class GroupSpace(FiniteSpace):
         self._box = _key_box(group, radius)
         self._keys = _encode(elements, self._box)
         self._key_order = np.argsort(self._keys)
-        self._sorted_keys = self._keys[self._key_order]
-        if np.any(np.diff(self._sorted_keys) == 0):
+        sorted_keys = self._keys[self._key_order]
+        if np.any(np.diff(sorted_keys) == 0):
             raise ValueError("duplicate elements in enumeration")
-        if self._sorted_keys[0] < 0:
+        if sorted_keys[0] < 0:
             raise ValueError("element outside the key box")
         if self.is_quotient:
             # a full quotient fills its key box, so _key_order maps a key
@@ -368,6 +368,10 @@ class GroupSpace(FiniteSpace):
             # one contiguous copy per coordinate column for _product
             self._columns = [np.ascontiguousarray(elements[:, c])
                              for c in range(group.d)]
+        else:
+            # a truncation's keys are sparse in their box: index_of
+            # searches them
+            self._sorted_keys = sorted_keys
         if neighbors is not None and neighbors.shape != (self.n, len(self.generators)):
             raise ValueError("neighbor table must have one row per element "
                              "and one column per generator")
@@ -378,6 +382,8 @@ class GroupSpace(FiniteSpace):
         """Indices of the given coordinate rows; -1 where not enumerated."""
         elems = np.atleast_2d(np.asarray(elems, dtype=np.int64))
         keys = _encode(elems, self._box)
+        if self.is_quotient:
+            return np.where(keys >= 0, self._key_order[keys], -1)
         pos = np.clip(np.searchsorted(self._sorted_keys, keys), 0, self.n - 1)
         return np.where(self._sorted_keys[pos] == keys, self._key_order[pos], -1)
 

@@ -390,6 +390,140 @@ class TestSpotCheck:
     def test_is_a_runtime_error(self):
         assert issubclass(SpotCheckError, RuntimeError)
 
+    def test_corrupted_later_chunk_is_named(self, z512, monkeypatch):
+        # the first chunk is clean; the second is off at a checked center
+        real = operators._fft_profile
+        calls = []
+
+        def second_off(transform, space, radii):
+            out, exact = real(transform, space, radii)
+            calls.append(len(radii))
+            if len(calls) == 2:
+                out[0, 511, 1] += 1.0
+            return out, exact
+
+        monkeypatch.setattr(operators, "_fft_profile", second_off)
+        chunks = operators._profile_chunks(_ensemble_block(512), z512,
+                                           [1.0, 2.0, 9.0, 36.0], [2, 2])
+        next(chunks)
+        with pytest.raises(SpotCheckError, match="point 511, radius 9, column 1"):
+            next(chunks)
+        assert calls == [2, 2]
+
+
+def _stream_spaces():
+    """(space, cube system, operator config) with several nontrivial
+    radius blocks on each engine: FFT, shell sweep and distance rows."""
+    square = random_square_space(48, 12, 3)
+    cases = [(build_group_space("zd", d=1, modulus=512)[0], 6.0),
+             (build_group_space("zd", d=2, modulus=16)[0], 3.0),
+             (build_group_space("h3", modulus=8)[0], 3.0),
+             (square, 3.0)]
+    return {space.label: (space, build_cubes(space, HKParams(k_min=0)),
+                          OperatorConfig.for_space(space, delta=delta))
+            for space, delta in cases}
+
+
+STREAM_CASES = _stream_spaces()
+
+
+def _collected(values, space, config):
+    """The union-grid profile held whole, as the operators once read it,
+    and the block offsets of the grid."""
+    rows = avg_profile(values, space, config.union_grid())
+    offsets = np.cumsum([0] + [len(b.radii) for b in config.blocks])
+    return rows, offsets
+
+
+class TestBlockStream:
+    """The union grid streams one delta-adic block at a time, and every
+    operator that reads it gives bitwise the numbers of the collected
+    profile."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 5, [3, 1, 4, 2], [10]])
+    def test_any_split_concatenates_to_the_profile(self, weighted, rows):
+        if weighted:
+            w = np.random.default_rng(6).integers(1, 4, 256).astype(float)
+            space, _ = build_group_space("zd", d=2, modulus=16, weights=w)
+        else:
+            space, _ = build_group_space("zd", d=1, modulus=512)
+        block = _ensemble_block(space.n)     # gaussian, rademacher, sparse
+        radii = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 300.0]
+        whole = avg_profile(block, space, radii)
+        for values in (block, block[:, 1]):
+            chunks = [c.copy() for c in operators._profile_chunks(
+                values, space, radii, rows)]
+            got = np.concatenate(chunks)
+            want = whole if values.ndim == 2 else whole[..., 1]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_chunk_lengths_must_cover_the_radii(self, z64):
+        for rows in ([1, 1], [2, 0, 1], 0):
+            with pytest.raises(ValueError):
+                next(operators._profile_chunks(np.ones(64), z64,
+                                               [1.0, 2.0, 3.0], rows))
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_short_variation_matches_the_collected_profile(self, name):
+        space, _, config = STREAM_CASES[name]
+        block = _ensemble_block(space.n)
+        rows, offsets = _collected(block, space, config)
+        want = np.sqrt((np.stack([
+            variation_batch(rows[a:b].reshape(b - a, -1), 2.0)
+            for a, b in zip(offsets, offsets[1:])]) ** 2).sum(axis=0))
+        got = operators._short_variation_block(block, space, config)
+        assert got.tobytes() == want.reshape(block.shape).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_domination_matches_the_collected_profile(self, name):
+        space, system, config = STREAM_CASES[name]
+        for t, ensemble in enumerate(_ENSEMBLES):
+            f = SampleFunction(space.label, _draw(
+                ensemble, np.random.default_rng(40 + t), space.n))
+            rows, offsets = _collected(f.values, space, config)
+            sv = np.sqrt((np.stack([
+                variation_batch(rows[a:b], 2.0)
+                for a, b in zip(offsets, offsets[1:])]) ** 2).sum(axis=0))
+            anchors = rows[offsets[:-1]]
+            for lam in (0.1, 0.5, 1.0):
+                rep = domination_check(f, system, config, lam)
+                lhs = lam * np.sqrt(jump_count_batch(rows, lam))
+                anchor_jumps = jump_count_batch(anchors, lam / 6.0)
+                assert rep.lhs.tobytes() == lhs.tobytes()
+                assert rep.short_var.tobytes() == sv.tobytes()
+                assert np.array_equal(rep.anchor_jumps, anchor_jumps)
+                assert rep.rhs_anchor.tobytes() == (
+                    2.0 * lam * np.sqrt(anchor_jumps) + 16.0 * sv).tobytes()
+
+    def test_no_chunk_holds_more_than_a_block(self, monkeypatch):
+        space, _ = build_group_space("zd", d=1, modulus=4096)
+        system = build_cubes(space, HKParams())
+        config = OperatorConfig.for_space(space)
+        largest = max(len(b.radii) for b in config.blocks)
+        assert largest <= config.block_cap < len(config.union_grid())
+        handed, computed = [], []
+        streamed, real = operators._profile_chunks, operators._fft_profile
+
+        def recording_stream(values, space, radii, rows):
+            for chunk in streamed(values, space, radii, rows):
+                handed.append(len(chunk))
+                yield chunk
+
+        def recording_fft(transform, space, radii):
+            computed.append(len(radii))
+            return real(transform, space, radii)
+
+        monkeypatch.setattr(operators, "_profile_chunks", recording_stream)
+        monkeypatch.setattr(operators, "_fft_profile", recording_fft)
+        f = rand_f(space, 3)
+        short_variation(f, space, config)
+        domination_check(f, system, config, 0.5)
+        blocks = [len(b.radii) for b in config.blocks]
+        assert handed == blocks * 2
+        assert computed == blocks * 2
+
 
 class TestSquareFunction:
     def test_constant_vanishes(self, z512_system, z512_config):
@@ -612,14 +746,16 @@ class TestProbeBlocks:
                              ["square", "variation", "average", "maximal"])
     def test_forced_blocks_match_default(self, operator, z512_system,
                                          z512_config, monkeypatch):
+        # every operator reads its averages through the stream, the
+        # variation operator one block of radii at a time
         widths = []
-        swept = operators.avg_profile
+        streamed = operators._profile_chunks
 
-        def recording(values, space, radii):
+        def recording(values, space, radii, rows):
             widths.append(np.shape(values)[1])
-            return swept(values, space, radii)
+            return streamed(values, space, radii, rows)
 
-        monkeypatch.setattr(operators, "avg_profile", recording)
+        monkeypatch.setattr(operators, "_profile_chunks", recording)
         kwargs = dict(trials=7, seed=11, compute_bmo=True)
         default = norm_probe(z512_system, z512_config, operator, **kwargs)
         sweeps = {1: [1] * 7, 3: [3, 3, 1]}

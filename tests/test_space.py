@@ -444,6 +444,25 @@ class TestQuotientIndex:
         assert np.array_equal(got[:space.n], np.arange(space.n))
         assert np.all(got[-100:] == -1)
 
+    @pytest.mark.parametrize("family,d,modulus", [("zd", 2, 16), ("h3", 3, 8)])
+    def test_quotients_hold_no_sorted_keys(self, family, d, modulus):
+        # a quotient's sorted keys are 0..n-1, so it keeps none; every
+        # coordinate outside [0, N), however far, still maps to -1
+        space, _ = build_group_space(family, d=d, modulus=modulus)
+        assert not hasattr(space, "_sorted_keys")
+        queries = []
+        for c in range(d):
+            for shift in (-2 * modulus, -modulus, modulus, 2 * modulus):
+                rows = space.elements.copy()
+                rows[:, c] += shift
+                queries.append(rows)
+        queries = np.concatenate(queries)
+        got = space.index_of(queries)
+        assert np.array_equal(got, searchsorted_index(space, queries))
+        assert np.all(got == -1)
+        assert np.array_equal(space.index_of(space.elements),
+                              np.arange(space.n))
+
     def test_truncations_keep_the_search(self):
         space, _ = build_group_space("h3", radius=4)
         assert np.array_equal(space.index_of(space.elements),
