@@ -149,28 +149,6 @@ class GundyResult:
                                    float(row[2]), float(row[3])))
         return tuple(parts)
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "p": self.p,
-            "f_l1": self.f_l1,
-            "stopping_cubes": [
-                {"level": s.level, "cube": s.cube,
-                 "abs_average": s.abs_average, "mean": s.mean,
-                 "parent_mean": s.parent_mean, "measure": s.measure,
-                 "parent_measure": s.parent_measure}
-                for s in self.stopping],
-            "b_l1": self.b_l1,
-            "b_bound": 2.0 * self.f_l1,
-            "xi_l1": self.xi_l1,
-            "xi_bound": 4.0 * self.f_l1,
-            "g_p_power": self.g_p_power,
-            "g_bound": self.g_bound,
-            "reconstruction_gap": self.reconstruction_gap,
-            "max_part_integral": self.max_part_integral,
-            "bounds_ok": self.bounds_ok,
-        }
-
 
 def g_norm_bound(gamma: float, f_l1: float, p: float) -> float:
     """The stated bound on ||g||_p^p: 3*2^p*(m!)^((p-1)/(m-1))*gamma^(p-1)*||f||_1

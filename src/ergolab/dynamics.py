@@ -11,9 +11,10 @@ reached exactly instead of asymptotically.
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
 point with the group element.  Both sides of `transference_check` go
-through the same shell sweep (`operators.shell_sweep`) with the same
-translations, computed by the same `GroupSpace.right_perm`, so the
-agreement is bitwise, not merely within rounding.  (`operators.avg_profile`
+through the same sweep (`operators.sweep_profile` over
+`operators.group_shells`) with the same translations, computed by the same
+`GroupSpace.right_perm`, so the agreement is bitwise, not merely within
+rounding.  (`operators.avg_profile`
 computes the same averages on Z^d quotients by FFT, which agrees with the
 sweep only to rounding on non-integer values; the check does not use it.)
 
@@ -25,8 +26,8 @@ rounds.
 
 The tail and convergence experiments never hold the (radii x states)
 profile.  The sweep emits chunks of consecutive radii
-(`operators.shell_chunks`, at most `_SWEEP_BYTES` with room for two state
-vectors per radius), and every chunk is folded into the jump or upcrossing
+(`operators.sweep_chunks` in `_action_chunks`, at most `_SWEEP_BYTES` with
+room for two state vectors per radius), and every chunk is folded into the jump or upcrossing
 DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift and the
 convergence maxima before the next is swept.  Their memory is
 O(n_states * levels + _SWEEP_BYTES) whatever the number of radii, and every
@@ -43,7 +44,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import shell_chunks, shell_sweep
+from . import operators
+from .operators import group_shells, sweep_chunks, sweep_profile
 from .space import GroupSpace, build_group_space
 from .stats import JumpFold, UpcrossingFold, jump_count_batch
 
@@ -278,9 +280,10 @@ def action_profile(system: MPSystem, values: np.ndarray,
     sweep runs with unit weights regardless of mu; this is also what makes
     the regular action reproduce the geometric averages bitwise.
     """
-    return shell_sweep(_state_values(system, values),
-                       np.ones(system.n_states), system.group,
-                       system.act_perm, radii)
+    return sweep_profile(_state_values(system, values),
+                         np.ones(system.n_states),
+                         group_shells(system.group, system.act_perm, radii),
+                         radii)
 
 
 def _state_values(system: MPSystem, values: np.ndarray) -> np.ndarray:
@@ -293,10 +296,15 @@ def _state_values(system: MPSystem, values: np.ndarray) -> np.ndarray:
 def _action_chunks(system: MPSystem, values: np.ndarray,
                    radii: Sequence[float]) -> Iterator[np.ndarray]:
     """The rows of `action_profile`, bitwise, in chunks of consecutive
-    radii (`operators.shell_chunks`)."""
-    return shell_chunks(_state_values(system, values),
-                        np.ones(system.n_states), system.group,
-                        system.act_perm, radii)
+    radii (`operators.sweep_chunks`) whose rows for two state vectors fit
+    in `operators._SWEEP_BYTES`, read at each call.  The chunk rows depend
+    only on the number of states, so a one- and a two-column sweep cut the
+    radii at the same rows."""
+    rows = max(1, operators._SWEEP_BYTES // (16 * system.n_states))
+    return sweep_chunks(_state_values(system, values),
+                        np.ones(system.n_states),
+                        group_shells(system.group, system.act_perm, radii),
+                        radii, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +334,8 @@ def transference_check(space: GroupSpace, values: np.ndarray,
     act = action_profile(system, values, radii)
     # the geometric side stays on the sweep, whatever engine `avg_profile`
     # uses on this quotient: both sides then share one accumulation order
-    trans = shell_sweep(np.asarray(values, dtype=float), space.weights, space,
-                        space.right_perm, radii)
+    trans = sweep_profile(np.asarray(values, dtype=float), space.weights,
+                          group_shells(space, space.right_perm, radii), radii)
     disc = float(np.abs(act - trans).max()) if act.size else 0.0
     return TransferenceReport(
         space_label=space.label,

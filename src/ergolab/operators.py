@@ -13,27 +13,32 @@ ball B(e, r), so they are computed with `numpy.fft`: one forward
 transform of the block over the (N,)*d key grid, then one transform of the
 indicator, one product and one inverse transform per radius.  Columns of
 integer values (and integer weights) are rounded to their exact integer
-sums before the one division, so they equal the shell sweep bit for bit;
-other columns agree with it to rounding.  Every call recomputes its
-averages at a few fixed centers from direct sums over `ball_chunks` and
-raises `SpotCheckError` on any mismatch.
+sums before the one division, so they equal the sweep bit for bit; other
+columns agree with it to rounding.  Every call recomputes its averages at
+a few fixed centers by direct sums (`_spot_sums`) and raises
+`SpotCheckError` on any mismatch.
 
 Ball averages over other quotients (the Heisenberg family) are computed by
-one sweep over the spheres of the group, accumulating one right-translation
-at a time.  The sweep takes a block of functions, values of shape (n, T),
-and gathers each permutation once for all T columns; every column keeps the
-accumulation order of its own 1-D sweep, so blocking never changes a bit.
+one sweep over the spheres of the group (`group_shells`), accumulating one
+right-translation at a time.  The sweep takes a block of functions, values
+of shape (n, T), and gathers each permutation once for all T columns;
+every column keeps the accumulation order of its own 1-D sweep, so
+blocking never changes a bit.
 
-Both engines stream: `_fft_chunks` (over one forward transform) and
-`sweep_chunks` (over one pass of the spheres; `shell_chunks` over a
-group's) divide the averages of consecutive radii into one chunk buffer
-and yield each chunk as soon as it is done; `avg_profile` and
-`sweep_profile`/`shell_sweep` are the streams with one chunk of all the
-radii.  The short variation and the domination check read the union grid
-one delta-adic block at a time (`_block_profiles`), so they hold one
-block's rows, never every radius.  The sweep is also the engine of the
-dynamics module, whose experiments fold the chunks without holding the
-profile, and the transference check runs it on both sides, so that
+Every other space, and the spot check, sums f directly over the closed
+balls of `FiniteSpace.ball_chunks`, each stably sorted by distance
+(`_row_profile`); the doubling fit reads its ball masses from the same
+sorted balls.
+
+Both group engines stream: `_fft_chunks` (over one forward transform) and
+`sweep_chunks` (over one pass of the spheres) divide the averages of
+consecutive radii into one chunk buffer and yield each chunk as soon as it
+is done; `avg_profile` and `sweep_profile` are the streams with one chunk
+of all the radii.  The short variation and the domination check read the
+union grid one delta-adic block at a time (`_block_profiles`), so they
+hold one block's rows, never every radius.  The sweep is also the engine
+of the dynamics module, whose experiments fold the chunks without holding
+the profile, and the transference check runs it on both sides, so that
 averages along the regular action reproduce the translation averages bit
 for bit (Calderon transference); on Z^d the sweep is the oracle the FFT
 engine is tested against.  The norm probes push their trials through the
@@ -56,7 +61,8 @@ from .stats import JumpFold, jump_count_batch, variation_batch
 
 # bytes of the (radii, n, T) profile that sizes a block of `norm_probe`
 # trials (a block holds at least one trial, whatever its profile), and of
-# one `shell_chunks` chunk of a two-column sweep
+# one chunk of the dynamics sweep with room for two state vectors
+# (`dynamics._action_chunks`)
 _SWEEP_BYTES = 8 * 2**20
 # centers per `_fft_chunks` call on Z^d quotients whose averages are
 # recomputed by direct sums
@@ -71,8 +77,7 @@ __all__ = [
     "OperatorConfig",
     "sweep_profile",
     "sweep_chunks",
-    "shell_sweep",
-    "shell_chunks",
+    "group_shells",
     "avg_profile",
     "square_function",
     "short_variation",
@@ -287,35 +292,15 @@ def _chunk_lengths(rows: int | Sequence[int], total: int) -> list[int]:
     return lengths
 
 
-def _group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
-                  radii: Sequence[float]):
+def group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
+                 radii: Sequence[float]):
     """The spheres of ``group`` up to min(max radius, diameter), each as
-    (distance, translations); ``perm(j)`` is called only as the sweep
-    reaches element j."""
+    (distance, translations), for `sweep_profile` and `sweep_chunks`;
+    ``perm(j)`` is called only as the sweep reaches element j."""
     rmax = min(int(math.floor(max(radii, default=0.0))), int(group.diameter()))
     for s in range(1, rmax + 1):
         sl = group.shell_slice(s)
         yield s, [perm(j) for j in range(sl.start, sl.stop)]
-
-
-def shell_sweep(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
-                perm: Callable[[int], np.ndarray], radii: Sequence[float]) -> np.ndarray:
-    """`sweep_profile` over the spheres of ``group`` up to min(max radius,
-    diameter); ``perm(j)`` is called only as the sweep reaches element j."""
-    return sweep_profile(values, weights, _group_shells(group, perm, radii),
-                         radii)
-
-
-def shell_chunks(values: np.ndarray, weights: np.ndarray, group: GroupSpace,
-                 perm: Callable[[int], np.ndarray],
-                 radii: Sequence[float]) -> Iterator[np.ndarray]:
-    """`shell_sweep` in chunks (`sweep_chunks`) of consecutive radii whose
-    rows for two state vectors fit in `_SWEEP_BYTES`.  The chunk rows
-    depend only on the number of states, so a one- and a two-column sweep
-    cut the radii at the same rows."""
-    rows = max(1, _SWEEP_BYTES // (16 * len(values)))
-    return sweep_chunks(values, weights, _group_shells(group, perm, radii),
-                        radii, rows)
 
 
 class _Transform(NamedTuple):
@@ -407,43 +392,19 @@ def _fft_profile(transform: _Transform, space: GroupSpace,
 
 def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The averages of ``block`` at `_SPOT_CENTERS` fixed centers from
-    direct sums over `ball_chunks`, and the tolerance scale of each: the
-    larger of the ball's and the space's mean of |f|.  Returns (centers,
-    averages, scales), the last two of shape (centers, len(radii), T)."""
-    n, T = block.shape
+    """The averages of ``block`` at `_SPOT_CENTERS` fixed centers by direct
+    sums (`_row_profile`), and the tolerance scale of each: the larger of
+    the ball's and the space's mean of |f|.  Returns (centers, averages,
+    scales), the last two of shape (centers, len(radii), T)."""
     w = space.weights
-    uniform = bool(np.all(w == w[0]))
-    centers = np.unique(np.linspace(0, n - 1, _SPOT_CENTERS).astype(np.int64))
-    direct = np.empty((centers.size, len(radii), T))
-    scale = np.empty_like(direct)
-    if not radii.size:
-        return centers, direct, scale
-    rmax = min(max(float(radii[-1]), 0.0), space.diameter())
-    # ball of radius r = shells 0..floor(r) around the center
-    shells = np.clip(np.floor(radii), 0, math.floor(rmax)).astype(np.int64)
-    width = math.floor(rmax) + 1
-    space_mean = (w @ np.abs(block)) / w.sum()
-
-    def by_shell(dists: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        # sums of the columns of vals per distance, accumulated into balls
-        k = vals.shape[1]
-        idx = (dists[:, None] * k + np.arange(k)).ravel()
-        sums = np.bincount(idx, weights=vals.ravel(), minlength=width * k)
-        return np.cumsum(sums.reshape(width, k), axis=0)[shells]
-
-    for lo, indptr, members, dists in space.ball_chunks(centers, rmax):
-        for j in range(indptr.size - 1):
-            m = members[indptr[j]:indptr[j + 1]]
-            d = dists[indptr[j]:indptr[j + 1]].astype(np.int64)
-            if uniform:
-                num, den = block[m], np.ones((m.size, 1))
-            else:
-                num, den = w[m, None] * block[m], w[m, None]
-            den = by_shell(d, den)
-            direct[lo + j] = by_shell(d, num) / den
-            scale[lo + j] = np.maximum(by_shell(d, np.abs(num)) / den,
-                                       space_mean)
+    centers = np.unique(np.linspace(0, space.n - 1,
+                                    _SPOT_CENTERS).astype(np.int64))
+    direct = _row_profile(block, space, radii, centers).transpose(1, 0, 2)
+    # |f| in a pass of its own: one block of twice the columns would hold
+    # twice the members' values at once
+    scale = np.maximum(
+        _row_profile(np.abs(block), space, radii, centers).transpose(1, 0, 2),
+        (w @ np.abs(block)) / w.sum())
     return centers, direct, scale
 
 
@@ -483,16 +444,16 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
     ``(k,) + values.shape`` and valid only until the next one is drawn;
     ``rows`` is the chunk length or the sequence of chunk lengths, as in
     `sweep_chunks`.  Quotients of Z^d stream through `_fft_chunks`, other
-    quotients through one shell sweep (`sweep_chunks`), and every other
-    space computes its profile in one pass of sorted distance rows and
-    yields it in slices.  Every chunk is bitwise the rows of the one-chunk
-    call."""
+    quotients through one sweep of their spheres (`sweep_chunks`), and
+    every other space computes its profile in one pass of direct ball sums
+    (`_row_profile`) and yields it in slices.  Every chunk is bitwise the
+    rows of the one-chunk call."""
     values = _point_values(values, space)
     radii = _increasing(radii)
     lengths = _chunk_lengths(rows, len(radii))
     if space.is_quotient and space.group.family != "zd":
         return sweep_chunks(values, space.weights,
-                            _group_shells(space, space.right_perm, radii),
+                            group_shells(space, space.right_perm, radii),
                             radii, lengths)
     block = values.reshape(space.n, -1)
     if space.is_quotient:
@@ -504,21 +465,42 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
     return (c.reshape((len(c),) + values.shape) for c in chunks)
 
 
-def _row_profile(block: np.ndarray, space: FiniteSpace,
-                 radii: np.ndarray) -> np.ndarray:
-    """Ball averages of an (n, T) block from one sorted distance row per
-    point, shape (len(radii), n, T)."""
-    out = np.empty((len(radii),) + block.shape)
+def _sorted_balls(space: FiniteSpace, points: np.ndarray, radius: float
+                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The closed balls of `FiniteSpace.ball_chunks` around ``points`` as
+    ``(k, members, dists)`` for ``points[k]``, each stably sorted by
+    distance.  Row and search balls list their members in ascending index
+    order, so ties keep index order: a sorted ball is the prefix of the
+    stably sorted distance row."""
+    for lo, indptr, members, dists in space.ball_chunks(points, radius):
+        for j, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
+            order = np.argsort(dists[a:b], kind="stable")
+            yield lo + j, members[a:b][order], dists[a:b][order]
+
+
+def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
+                 points: np.ndarray | None = None) -> np.ndarray:
+    """Ball averages of an (n, T) block at ``points`` (every point by
+    default), shape (len(radii), len(points), T), from running sums over
+    each point's sorted ball (`_sorted_balls`) at the largest radius it
+    needs.  A radius below 0 reads the center alone, like one below the
+    smallest distance; uniform weights count points, as the FFT and the
+    sweep do."""
+    points = (np.arange(space.n) if points is None
+              else np.asarray(points, dtype=np.int64))
+    out = np.empty((len(radii), points.size, block.shape[1]))
+    if not radii.size:
+        return out
     w = space.weights
-    wv = w[:, None] * block
-    for x in range(space.n if radii.size else 0):
-        row = space.dist_row(x)
-        order = np.argsort(row, kind="stable")
-        srow = row[order]
-        cw = np.cumsum(w[order])
-        cvw = np.cumsum(wv[order], axis=0)
-        pos = np.searchsorted(srow, radii, side="right") - 1
-        out[:, x] = cvw[pos] / cw[pos][:, None]
+    # under uniform weights the running mass at position k is the count k + 1
+    uniform = bool(np.all(w == w[0]))
+    wv = block if uniform else w[:, None] * block
+    rmax = min(max(float(radii[-1]), 0.0), space.diameter())
+    for k, members, dists in _sorted_balls(space, points, rmax):
+        pos = np.searchsorted(dists, radii, side="right") - 1
+        np.maximum(pos, 0, out=pos)
+        mass = pos + 1.0 if uniform else np.cumsum(w[members])[pos]
+        out[:, k] = np.cumsum(wv[members], axis=0)[pos] / mass[:, None]
     return out
 
 
@@ -529,11 +511,9 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     and each column equals the 1-D call on that column, bit for bit.
 
     This is `_profile_chunks` with one chunk: quotients of Z^d go through
-    `_fft_chunks` and its spot check, other quotients through
-    `shell_sweep`, and every other space through sorted distance rows."""
+    `_fft_chunks` and its spot check, other quotients through the sweep of
+    their spheres, and every other space through direct ball sums."""
     values = _point_values(values, space)
-    if space.is_quotient and space.group.family != "zd":
-        return shell_sweep(values, space.weights, space, space.right_perm, radii)
     return next(_profile_chunks(values, space, radii, max(1, len(radii))),
                 np.empty((0,) + values.shape))
 
@@ -695,18 +675,25 @@ def domination_check(f: SampleFunction, system: DyadicSystem,
 
 def fit_doubling_constant(space: FiniteSpace) -> float:
     """Empirical doubling constant: max of m(B(x,2r))/m(B(x,r)) over
-    32 evenly spaced centers and dyadic radii within the safe radius."""
-    step = max(1, space.n // 32)
+    32 evenly spaced centers and dyadic radii within the safe radius, the
+    masses read from each center's sorted ball (`_sorted_balls`) at the
+    largest 2r."""
+    radii = []
+    r = space.resolution()
+    while 2 * r <= space.safe_radius:
+        radii.append(r)
+        r *= 2
+    if not radii:
+        return 1.0
+    radii = np.array(radii)
+    centers = np.arange(0, space.n, max(1, space.n // 32))
     best = 1.0
     w = space.weights
-    for x in range(0, space.n, step):
-        row = space.dist_row(x)
-        r = space.resolution()
-        while 2 * r <= space.safe_radius:
-            small = w[row <= r].sum()
-            big = w[row <= 2 * r].sum()
-            best = max(best, big / small)
-            r *= 2
+    for _, members, dists in _sorted_balls(space, centers, 2 * radii[-1]):
+        mass = np.cumsum(w[members])
+        small = mass[np.searchsorted(dists, radii, side="right") - 1]
+        big = mass[np.searchsorted(dists, 2 * radii, side="right") - 1]
+        best = max(best, float((big / small).max()))
     return float(best)
 
 

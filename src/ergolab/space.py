@@ -218,8 +218,10 @@ class FiniteSpace:
         """Closed balls B(c, radius) around ``centers``, yielded in blocks
         ``(lo, indptr, members, dists)`` of consecutive centers: the ball of
         ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]`` at
-        distances ``dists[indptr[j]:indptr[j + 1]]``; the order of the
-        members within a ball is unspecified.  A block holds one center at
+        distances ``dists[indptr[j]:indptr[j + 1]]``.  Distance rows and
+        searched balls list their members in ascending index order, which
+        `operators._sorted_balls` relies on; translated balls follow the
+        identity ball's canonical order.  A block holds one center at
         least and otherwise at most _BALL_PAIRS (center, point) pairs, and
         is costed for the centers it holds.  On quotients each ball is the
         translate c * B(e, radius) of the identity ball; truncations search
@@ -241,7 +243,12 @@ class FiniteSpace:
 
     def _row_balls(self, block: np.ndarray,
                    radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # one thresholded distance row per center, one row held at a time
+        # one thresholded distance row per center, one row held at a time;
+        # at the diameter every row is whole and needs no threshold
+        if radius >= self.diameter():
+            return (np.arange(block.size + 1) * self.n,
+                    np.tile(np.arange(self.n), block.size),
+                    np.concatenate([self.dist_row(c) for c in block.tolist()]))
         members, dists = [], []
         for c in block.tolist():
             row = self.dist_row(c)
@@ -315,12 +322,13 @@ class MatrixSpace(FiniteSpace):
                              f"so the matrix is a pseudometric, not a metric")
         super().__init__(n, weights, r0, label)
         self._matrix = matrix
+        self._diameter = float(matrix.max())
 
     def _dist_row(self, i: int) -> np.ndarray:
         return self._matrix[i]
 
     def diameter(self) -> float:
-        return float(self._matrix.max())
+        return self._diameter
 
     def resolution(self) -> float:
         pos = self._matrix[self._matrix > 0]
@@ -572,10 +580,6 @@ class BallTable:
     def volume(self, r: float) -> float:
         k = self._cut(r)
         return float(self._cum_weight[k - 1]) if k else 0.0
-
-    @property
-    def volumes(self) -> np.ndarray:
-        return np.array([self.volume(r) for r in self.radii])
 
 
 # ---------------------------------------------------------------------------

@@ -502,15 +502,15 @@ class TestExperimentSweep:
     give."""
 
     def run_counted(self, tmp_path, monkeypatch, experiment):
-        # the experiment streams the sweep in chunks through shell_chunks
+        # the experiment streams the sweep in chunks through sweep_chunks
         widths = []
-        sweep = dynamics.shell_chunks
+        sweep = dynamics.sweep_chunks
 
         def counted(values, *args):
             widths.append(values.shape[1:])
             return sweep(values, *args)
 
-        monkeypatch.setattr(dynamics, "shell_chunks", counted)
+        monkeypatch.setattr(dynamics, "sweep_chunks", counted)
         cfg = write_config(tmp_path, {"seed": 3, "experiment": experiment})
         out = tmp_path / "run"
         assert run("experiment", "--config", cfg, "--out", str(out)) == 0

@@ -19,7 +19,7 @@ from ergolab.cubes import (
     select_nets,
     verify_cube_axioms,
 )
-from ergolab.operators import avg_profile
+from ergolab.operators import avg_profile, fit_doubling_constant
 from ergolab.space import (
     MatrixSpace,
     build_group_space,
@@ -613,8 +613,8 @@ class TestLocalVerification:
 ], ids=["z2-16", "h3-8"])
 def test_quotient_balls_read_no_search_and_no_rows(make, monkeypatch):
     # every quotient ball is a translate of an identity ball, so the cube
-    # layer, the doubling cover and the FFT spot check neither search the
-    # generator graph nor read distance rows
+    # layer, the doubling cover and fit, and the FFT spot check neither
+    # search the generator graph nor read distance rows
     space = make()
 
     def refuse(*args):
@@ -628,3 +628,4 @@ def test_quotient_balls_read_no_search_and_no_rows(make, monkeypatch):
     assert geometric_doubling_check(space, 9, pairs=[(4, 2)]).pairs[0].ok
     values = np.random.default_rng(0).integers(-1, 2, (space.n, 2))
     assert avg_profile(values, space, [0, 1, 2, 5]).shape == (4, space.n, 2)
+    assert fit_doubling_constant(space) >= 1.0

@@ -244,26 +244,6 @@ class TestGBound:
             3.0 * 8.0 * 24.0 ** (2.0 / 3.0), rel=1e-15)
 
 
-class TestSerialization:
-    def test_json_fields(self, z512_system):
-        space, system = z512_system
-        rng = RNG(1)
-        f = rng.standard_normal(space.n)
-        res = gundy_decompose(sample(space, f), system,
-                              np.abs(f).mean() * 1.5)
-        blob = res.to_json()
-        assert blob["b_bound"] == 2.0 * res.f_l1
-        assert blob["xi_bound"] == 4.0 * res.f_l1
-        assert blob["bounds_ok"] is True
-        assert len(blob["stopping_cubes"]) == len(res.stopping)
-        for row, stop in zip(blob["stopping_cubes"], res.stopping):
-            assert row["level"] == stop.level
-            assert row["cube"] == stop.cube
-        import json
-
-        json.dumps(blob)  # must be serializable as-is
-
-
 # ---------------------------------------------------------------------------
 # the cube-by-cube reference for the level-by-level decomposition
 # ---------------------------------------------------------------------------

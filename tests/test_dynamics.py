@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ergolab import operators
+from ergolab import dynamics, operators
 from ergolab.dynamics import (
     ActionError,
     MPSystem,
@@ -22,7 +22,7 @@ from ergolab.dynamics import (
     tail_experiment,
     transference_check,
 )
-from ergolab.operators import avg_profile, shell_sweep
+from ergolab.operators import avg_profile, group_shells, sweep_profile
 from ergolab.space import MatrixSpace, build_group_space
 from ergolab.stats import upcrossing_count_batch, jump_count_batch
 
@@ -311,7 +311,8 @@ class TestTransference:
         radii = [1.0, 3.0, 7.0, 15.0]
         system = regular_system(z64)
         act = action_profile(system, f, radii)
-        trans = shell_sweep(f, z64.weights, z64, z64.right_perm, radii)
+        trans = sweep_profile(f, z64.weights,
+                              group_shells(z64, z64.right_perm, radii), radii)
         assert np.array_equal(act, trans)
         # avg_profile averages Z^d quotients by FFT: equal to rounding
         assert np.allclose(avg_profile(f, z64, radii), act,
@@ -536,6 +537,9 @@ class TestStreamedExperiments:
         assert convergence_probe(rot1024, f, self.RADII) == conv
         g = np.clip(f, -1, 1)
         rows = action_profile(rot1024, g, self.RADII)
+        chunks = [len(c) for c in dynamics._action_chunks(rot1024, g,
+                                                         self.RADII)]
+        assert chunks == [5] * 13 + [4]
         if "lam" in threshold:
             counts = jump_count_batch(rows, threshold["lam"])
         else:

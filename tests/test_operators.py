@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergolab import operators
+from ergolab import dynamics, operators
 from ergolab.cubes import HKParams, build_cubes
 from ergolab.martingale import SampleFunction, expectation, weighted_norm
 from ergolab.operators import (
@@ -185,6 +185,65 @@ BATCH_SPACES = {
 }
 
 
+def _sorted_row_profile(block, space, radii):
+    """Ball averages from one stably sorted full distance row per point and
+    running sums over it: the reference for the direct ball-sum engine."""
+    w = space.weights
+    wv = w[:, None] * block
+    out = np.empty((len(radii), space.n, block.shape[1]))
+    for x in range(space.n):
+        row = space.dist_row(x)
+        order = np.argsort(row, kind="stable")
+        pos = np.searchsorted(row[order], radii, side="right") - 1
+        cw = np.cumsum(w[order])
+        out[:, x] = np.cumsum(wv[order], axis=0)[pos] / cw[pos][:, None]
+    return out
+
+
+def _weighted_square_space():
+    square = random_square_space(60, 40, 9)
+    w = np.random.default_rng(10).uniform(0.5, 2.0, square.n)
+    return MatrixSpace(square.dist_matrix(), weights=w, label="square-weighted")
+
+
+ROW_SPACES = {
+    "h3_ball_6": lambda: build_group_space("h3", radius=6)[0],
+    "square_60": lambda: random_square_space(60, 40, 9),
+    "square_60_weighted": _weighted_square_space,
+}
+
+
+class TestRowProfile:
+    """Spaces that are not quotients average by direct sums over the sorted
+    balls of `ball_chunks`, bitwise equal to sorted full distance rows."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPACES))
+    def test_matches_sorted_distance_rows(self, name):
+        space = ROW_SPACES[name]()
+        rng = np.random.default_rng(11)
+        block = np.column_stack([rng.standard_normal(space.n),
+                                 rng.integers(-3, 4, space.n).astype(float)])
+        diam = space.diameter()
+        # the short grid takes the breadth-first search on the truncation,
+        # the long one its thresholded rows
+        for radii in ([0.0, 1.0, 2.0],
+                      sorted({0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, diam - 1.0,
+                              diam, diam + 3.0})):
+            want = _sorted_row_profile(block, space, np.array(radii))
+            got = avg_profile(block, space, radii)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ROW_SPACES))
+    def test_points_are_rows_of_the_full_profile(self, name):
+        space = ROW_SPACES[name]()
+        block = np.random.default_rng(12).standard_normal((space.n, 3))
+        radii = np.array([-2.0, 0.0, 1.0, 2.5, 4.0, space.diameter()])
+        points = np.array([space.n - 1, 0, 7, 7, space.n // 2])
+        full = operators._row_profile(block, space, radii)
+        some = operators._row_profile(block, space, radii, points)
+        assert some.tobytes() == full[:, points].tobytes()
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("name", sorted(BATCH_SPACES))
     def test_columns_equal_one_dimensional_calls(self, name):
@@ -231,8 +290,9 @@ class TestSweepChunks:
         block[5, 0] = np.nan
         block[:, 2] = 0.7
         radii = [0.5, 1.0, 2.5, 3.0, 7.0]
-        profile = operators.shell_sweep(block, space.weights, space,
-                                        space.right_perm, radii)
+        profile = operators.sweep_profile(
+            block, space.weights,
+            operators.group_shells(space, space.right_perm, radii), radii)
         drawn = []
 
         def shells():
@@ -252,23 +312,24 @@ class TestSweepChunks:
         assert drawn == list(range(1, 9))
 
     def test_shell_chunks_cut_at_the_byte_budget(self, z64, monkeypatch):
-        # three radii of two 64-state columns per chunk
+        # three radii of two 64-state columns per chunk of the dynamics sweep
         monkeypatch.setattr(operators, "_SWEEP_BYTES", 16 * 64 * 3 + 5)
         f = np.random.default_rng(9).standard_normal((64, 2))
         radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
-        profile = operators.shell_sweep(f, z64.weights, z64, z64.right_perm,
-                                        radii)
+        system = dynamics.regular_system(z64)
+        profile = dynamics.action_profile(system, f, radii)
         for column in (f[:, 0], f):
-            chunks = [c.copy() for c in operators.shell_chunks(
-                column, z64.weights, z64, z64.right_perm, radii)]
+            chunks = [c.copy() for c in dynamics._action_chunks(
+                system, column, radii)]
             assert [len(c) for c in chunks] == [3, 3, 1]
             assert np.array_equal(np.concatenate(chunks),
                                   profile[..., 0] if column.ndim == 1
                                   else profile)
 
     def test_no_radii(self, z64):
-        out = operators.shell_sweep(np.ones((64, 2)), z64.weights, z64,
-                                    z64.right_perm, [])
+        out = operators.sweep_profile(
+            np.ones((64, 2)), z64.weights,
+            operators.group_shells(z64, z64.right_perm, []), [])
         assert out.shape == (0, 64, 2)
 
 
@@ -301,8 +362,9 @@ class TestFFTEngine:
         radii = [0.5] + [float(r) for r in range(1, diam + 1)] + [diam + 1.0]
         block = _ensemble_block(space.n)
         fft = avg_profile(block, space, radii)
-        sweep = operators.shell_sweep(block, space.weights, space,
-                                      space.right_perm, radii)
+        sweep = operators.sweep_profile(
+            block, space.weights,
+            operators.group_shells(space, space.right_perm, radii), radii)
         weighted = not np.all(space.weights == space.weights[0])
         for t, ensemble in enumerate(_ENSEMBLES):
             if ensemble == "gaussian" or weighted:
@@ -317,31 +379,38 @@ class TestFFTEngine:
         block = _ensemble_block(64)[:, 1:]
         radii = [0.5, 1.0, 3.0, 17.0, 32.0]
         fft = avg_profile(block, space, radii)
-        sweep = operators.shell_sweep(block, w, space, space.right_perm, radii)
+        sweep = operators.sweep_profile(
+            block, w, operators.group_shells(space, space.right_perm, radii),
+            radii)
         assert np.array_equal(fft, sweep)
 
     def test_engine_by_family(self, z64, monkeypatch):
         calls = []
-        real = operators.shell_sweep
+        real = operators.sweep_chunks
 
-        def counted(*args, **kwargs):
-            calls.append(args[2].label)
-            return real(*args, **kwargs)
+        def counted(values, *args, **kwargs):
+            calls.append(len(values))
+            return real(values, *args, **kwargs)
 
-        monkeypatch.setattr(operators, "shell_sweep", counted)
+        monkeypatch.setattr(operators, "sweep_chunks", counted)
         avg_profile(np.ones(64), z64, [1.0, 2.0])
         assert calls == []
         h3, _ = build_group_space("h3", modulus=4)
         avg_profile(np.ones(h3.n), h3, [1.0, 2.0])
-        assert calls == [h3.label]
+        assert calls == [h3.n]
 
     def test_radii_below_one_and_beyond_diameter(self, z64):
-        f = _ensemble_block(64)
-        prof = avg_profile(f, z64, [-1.0, 0.5, 32.0, 40.0])
-        assert np.array_equal(prof[0], f)
-        assert np.array_equal(prof[1], f)
-        assert np.array_equal(prof[2], prof[3])
-        assert np.allclose(prof[3], f.mean(axis=0), rtol=0, atol=1e-15)
+        # a negative radius reads the center alone on every engine: FFT,
+        # searched truncation balls and matrix distance rows
+        for space in (z64, build_group_space("zd", d=1, radius=5)[0],
+                      random_square_space(11, 8, 1)):
+            f = _ensemble_block(space.n)
+            diam = space.diameter()
+            prof = avg_profile(f, space, [-1.0, 0.5, diam, diam + 8.0])
+            assert np.array_equal(prof[0], f)
+            assert np.array_equal(prof[1], f)
+            assert np.array_equal(prof[2], prof[3])
+            assert np.allclose(prof[3], f.mean(axis=0), rtol=0, atol=1e-15)
 
 
 def _off_by(delta, point=0, radius_index=-1, column=0):
@@ -778,12 +847,16 @@ class TestDoublingFit:
         assert 1.5 <= D <= 2.5
 
     def test_reads_32_centers(self, z512, monkeypatch):
-        rows = []
-        real = z512.dist_row
-        monkeypatch.setattr(z512, "dist_row",
-                            lambda i: rows.append(i) or real(i))
+        centers = []
+        real = z512.ball_chunks
+
+        def recorded(points, radius):
+            centers.extend(int(c) for c in points)
+            return real(points, radius)
+
+        monkeypatch.setattr(z512, "ball_chunks", recorded)
         fit_doubling_constant(z512)
-        assert rows == list(range(0, 512, 16))
+        assert centers == list(range(0, 512, 16))
 
     def test_at_least_one(self):
         space = MatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), label="pair")
