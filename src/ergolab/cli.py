@@ -27,7 +27,7 @@ from .decomposition import GundyError, gundy_decompose
 from .dynamics import build_system, tail_and_convergence, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, SpotCheckError, _ENSEMBLES, _draw, \
-    domination_check, norm_probe
+    domination_checks, norm_probe
 from .space import build_group_space, fit_growth_exponent, \
     geometric_doubling_check
 
@@ -465,15 +465,17 @@ def _suite_domination(space, system, cfg: dict) -> dict:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "domination"))
     failures: list[str] = []
     checks = 0
+    lambdas = cfg["domination"]["lambdas"]
     for t in range(cfg["domination"]["trials"]):
         values = _draw(_ENSEMBLES[t % len(_ENSEMBLES)], rng, space.n)
         f = SampleFunction(space.label, values)
-        for lam in cfg["domination"]["lambdas"]:
-            try:
-                rep = domination_check(f, system, opcfg, lam)
-            except SpotCheckError as exc:
-                failures.append(f"trial {t} lambda {lam}: {exc}")
-                continue
+        # one pass over the trial's profile serves every lambda
+        try:
+            reports = domination_checks(f, system, opcfg, lambdas)
+        except SpotCheckError as exc:
+            failures += [f"trial {t} lambda {lam}: {exc}" for lam in lambdas]
+            continue
+        for lam, rep in zip(lambdas, reports):
             checks += 2 * space.n
             na = rep.violations_anchor.size
             nm = rep.violations_martingale.size

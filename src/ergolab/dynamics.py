@@ -30,8 +30,10 @@ profile.  The sweep emits chunks of consecutive radii
 room for two state vectors per radius), and every chunk is folded into the jump or upcrossing
 DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift and the
 convergence maxima before the next is swept.  Their memory is
-O(n_states * levels + _SWEEP_BYTES) whatever the number of radii, and every
-count, tail and distance is bitwise the one the whole profile gives.
+O(n_states * levels + _SWEEP_BYTES) whatever the number of radii (the jump
+fold holds two floats per state and level, and two more per state for its
+quiet intervals), and every count, tail and distance is bitwise the one
+the whole profile gives.
 `action_profile` and `transference_check` collect the profile.
 """
 

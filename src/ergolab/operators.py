@@ -36,7 +36,8 @@ consecutive radii into one chunk buffer and yield each chunk as soon as it
 is done; `avg_profile` and `sweep_profile` are the streams with one chunk
 of all the radii.  The short variation and the domination check read the
 union grid one delta-adic block at a time (`_block_profiles`), so they
-hold one block's rows, never every radius.  The sweep is also the engine
+hold one block's rows, never every radius; the domination check feeds one
+jump fold per lambda from the same pass.  The sweep is also the engine
 of the dynamics module, whose experiments fold the chunks without holding
 the profile, and the transference check runs it on both sides, so that
 averages along the regular action reproduce the translation averages bit
@@ -83,6 +84,7 @@ __all__ = [
     "short_variation",
     "DominationReport",
     "domination_check",
+    "domination_checks",
     "ProbeRow",
     "NormProbeReport",
     "norm_probe",
@@ -620,53 +622,72 @@ class DominationReport:
 
 
 def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
-               lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               lams: Sequence[float]
+               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """One pass over the union-grid profile of ``values``, one delta-adic
-    block at a time: the lam-jump counts over the full grid (a `JumpFold`
-    fed block by block), the short variation (the blocks' V_2 summed as
-    squares) and the anchor rows (each block's first row).  The block
-    buffer and the fold's envelopes are freed on return."""
-    jumps = JumpFold(lam, space.n)
+    block at a time: the full-grid jump counts at each lam (one `JumpFold`
+    per lam, all fed from the same blocks), the short variation (the
+    blocks' V_2 summed as squares) and the anchor rows (each block's first
+    row).  The block buffer and the folds' envelopes are freed on
+    return."""
+    folds = [JumpFold(lam, space.n) for lam in lams]
     sv = np.zeros(space.n)
     anchors = np.empty((len(config.blocks), space.n))
     for i, rows in enumerate(_block_profiles(values, space, config)):
-        jumps.update(rows)
+        for fold in folds:
+            fold.update(rows)
         sv += variation_batch(rows, 2.0) ** 2
         anchors[i] = rows[0]
-    return jumps.counts(), np.sqrt(sv), anchors
+    return [fold.counts() for fold in folds], np.sqrt(sv), anchors
 
 
 def domination_check(f: SampleFunction, system: DyadicSystem,
                      config: OperatorConfig, lam: float) -> DominationReport:
-    if lam <= 0:
+    """`domination_checks` at one lam."""
+    return domination_checks(f, system, config, (lam,))[0]
+
+
+def domination_checks(f: SampleFunction, system: DyadicSystem,
+                      config: OperatorConfig,
+                      lams: Sequence[float]) -> list[DominationReport]:
+    """The domination report of ``f`` at each of ``lams``, from one pass
+    over its union-grid profile: the profile, the short variation, the
+    anchors, the expectations and the square function do not depend on
+    lam, so only the jump counts are taken once per lam."""
+    # `not lam > 0` also refuses NaN, whose left side is never larger
+    if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
     space = system.space
     levels = config.eligible_levels(system)
     grid = config.union_grid()
-    jumps, sv, anchor_rows = _grid_pass(f.values, space, config, lam)
-    lhs = lam * np.sqrt(jumps)
-
-    # a chain that crosses blocks passes through every block's anchor, so
-    # the anchor sequence holds them all (Jones-Kaufman-Rosenblatt-Wierdl)
-    anchor_jumps = jump_count_batch(anchor_rows, lam / 6.0)
-    rhs_anchor = 2.0 * lam * np.sqrt(anchor_jumps) + 16.0 * sv
+    jumps, sv, anchor_rows = _grid_pass(f.values, space, config, lams)
 
     # the square function compares the anchors of the blocks n > n_r0 with
     # the expectations at those levels
     eligible = anchor_rows[[b.n > config.n_r0 for b in config.blocks]]
     exp_rows = np.stack([expectation(f, system, n).values for n in levels])
     square = np.sqrt(((eligible - exp_rows) ** 2).sum(axis=0))
-    martingale_jumps = jump_count_batch(exp_rows, lam / 24.0)
-    rhs_martingale = (96.0 * math.sqrt(2.0) * square + 16.0 * sv
-                      + 2.0 * math.sqrt(2.0) * lam * np.sqrt(martingale_jumps))
 
-    return DominationReport(
-        lam=lam, grid=grid, lhs=lhs,
-        rhs_anchor=rhs_anchor, rhs_martingale=rhs_martingale,
-        square=square, short_var=sv,
-        anchor_jumps=anchor_jumps, martingale_jumps=martingale_jumps,
-        violations_anchor=np.nonzero(lhs > rhs_anchor)[0],
-        violations_martingale=np.nonzero(lhs > rhs_martingale)[0])
+    reports = []
+    for lam, lam_jumps in zip(lams, jumps):
+        lhs = lam * np.sqrt(lam_jumps)
+        # a chain that crosses blocks passes through every block's anchor,
+        # so the anchor sequence holds them all
+        # (Jones-Kaufman-Rosenblatt-Wierdl)
+        anchor_jumps = jump_count_batch(anchor_rows, lam / 6.0)
+        rhs_anchor = 2.0 * lam * np.sqrt(anchor_jumps) + 16.0 * sv
+        martingale_jumps = jump_count_batch(exp_rows, lam / 24.0)
+        rhs_martingale = (96.0 * math.sqrt(2.0) * square + 16.0 * sv
+                          + 2.0 * math.sqrt(2.0) * lam
+                          * np.sqrt(martingale_jumps))
+        reports.append(DominationReport(
+            lam=lam, grid=grid, lhs=lhs,
+            rhs_anchor=rhs_anchor, rhs_martingale=rhs_martingale,
+            square=square, short_var=sv,
+            anchor_jumps=anchor_jumps, martingale_jumps=martingale_jumps,
+            violations_anchor=np.nonzero(lhs > rhs_anchor)[0],
+            violations_martingale=np.nonzero(lhs > rhs_martingale)[0]))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ _COLS = 8192
 # most levels a narrow jump fold starts with, so that short sequences
 # rarely double its capacity
 _LEVELS = 8
+# a jump fold gathers a row's active columns when they are at most this
+# share of the block, and folds the whole block in place above it
+_DENSE = 0.4
+# longest run of dense rows a jump fold folds without a quiet test
+_BLIND = 8
+# 2**-52, the relative float spacing (see JumpFold._quiet)
+_ULP = 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +62,7 @@ def jump_count_oracle(seq, lam: float) -> int:
     (exponential cost).  This is the ground truth `jump_count` is tested
     against.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     a = np.asarray(seq, dtype=float)
     n = a.size
@@ -151,11 +158,36 @@ def jump_count_batch(values: np.ndarray, lam: float) -> np.ndarray:
     levels every column joins, and on the rest through a row equal to a_i
     up to each column's best and to the fmin (fmax) identity above it, so
     no masked ufunc runs.  NaN joins no chain (fmin/fmax skip it).
+
+    Each column skips the values of its quiet interval: those in the
+    envelope of the level b where its last value stopped and within lam
+    of both its ends.  Level b is out of their reach, so they would join
+    levels 0..b, whose nested envelopes hold them already, and no count
+    can change.  A row sends its other (active) columns through the level
+    DP, gathered when they are at most 40% of a column block and the
+    whole block in place otherwise (see `JumpFold`).
     """
     vals = _scales_by_points(values)
     fold = JumpFold(lam, vals.shape[1])
     fold.update(vals)
     return fold.counts()
+
+
+class _Block:
+    """The state of one column block of a `JumpFold`: the level envelopes
+    (``lo``, ``hi``, ``used`` levels of a doubling capacity), each
+    column's quiet interval [``qlo``, ``qhi``], and the dense-run state:
+    ``best`` (the last dense row's levels, while the quiet intervals are
+    stale), ``run`` (the length of the last untested run) and ``blind``
+    (the rows of it still to fold)."""
+
+    __slots__ = ("lo", "hi", "used", "qlo", "qhi", "best", "run", "blind")
+
+    def __init__(self, cap: int, qlo: np.ndarray, qhi: np.ndarray) -> None:
+        w = len(qlo)
+        self.lo, self.hi = np.full((cap, w), np.inf), np.full((cap, w), -np.inf)
+        self.used, self.qlo, self.qhi = 0, qlo, qhi
+        self.best, self.run, self.blind = None, 0, 0
 
 
 class JumpFold:
@@ -169,6 +201,25 @@ class JumpFold:
     on blocks of at most 8192 columns, each with its own envelopes; the
     blocks share one set of scratch arrays, so the (levels x columns)
     temporaries stay bounded whatever the width.
+
+    Most values of a converging sequence change nothing, so each column
+    keeps a quiet interval, two floats: the values v of the envelope
+    [lo_b, hi_b] of the level b at which its last folded value stopped
+    that have v - lo_b <= lam and hi_b - v <= lam, in the float
+    expressions of the reach test (each end moved inward past the
+    rounding of lo_b + lam and hi_b - lam, see `_quiet`).  Level b is out
+    of reach of such a v, so v would join only levels 0..best(v) <= b,
+    whose nested envelopes all hold it already: a skipped fmin/fmax could
+    only flip the sign of a zero, which no comparison sees.  NaN is never
+    outside an interval, and joins no chain.  So a row costs two
+    comparisons per column, and only its active columns (outside their
+    intervals) reach the level DP: gathered, folded and scattered back
+    with fresh intervals when they are at most 40% of the block, the
+    whole block in place otherwise.  A dense row leaves the intervals
+    stale; the rows after it fold in place untested, 2 after the first
+    dense test in a row, then 4, then 8, and the next test refreshes the
+    intervals from the last row's levels.  A block's first row puts every
+    column's one value at level 0, which is its quiet interval.
     """
 
     # fold-row padding by fold flag: levels above a column's best get the
@@ -177,43 +228,141 @@ class JumpFold:
     _PAD_HI = np.array([-np.inf, -0.0])
 
     def __init__(self, lam: float, width: int) -> None:
-        if lam <= 0:
+        # `not lam > 0` also refuses NaN, which would count no jumps
+        if not lam > 0:
             raise ValueError("lambda must be positive")
         self.lam = lam
         self.width = width
-        # per column block: [lo, hi, levels in use]; every envelope array
-        # holds a capacity of levels that doubles when a chain outgrows it,
-        # starting at up to _LEVELS levels of _COLS cells in all
+        # each envelope array holds a capacity of levels that doubles when
+        # a chain outgrows it, starting at up to _LEVELS levels of _COLS
+        # cells in all; a block's first row sets its quiet intervals
         cap = min(_LEVELS, max(1, _COLS // max(width, 1)))
-        self._envs = [[np.full((cap, w), np.inf), np.full((cap, w), -np.inf),
-                       0]
-                      for w in (min(_COLS, width - c)
-                                for c in range(0, max(width, 1), _COLS))]
+        quiet = np.empty((2, width))
+        self._blocks = [_Block(cap, quiet[0, c:c + _COLS],
+                               quiet[1, c:c + _COLS])
+                        for c in range(0, max(width, 1), _COLS)]
         self._scratch = ()
         self._reserve(cap)
+        self._masks = np.empty((2, min(_COLS, width)), dtype=bool)
 
     def _reserve(self, cap: int) -> None:
-        """Scratch for ``cap`` levels of the widest block: diff, reach,
-        cmp, the fold flags and the fold row."""
+        """Scratch for ``cap`` levels of the widest block: diff, reach and
+        cmp, the fold flags (on cmp's bytes) and the fold row (on diff's);
+        each is dead before its alias is written."""
         if self._scratch and cap <= len(self._scratch[0]):
             return
         shape = (cap, min(_COLS, self.width))
-        self._scratch = (np.empty(shape), np.empty(shape, dtype=bool),
-                         np.empty(shape, dtype=bool),
-                         np.empty(shape, dtype=np.int8), np.empty(shape))
+        diff, cmp = np.empty(shape), np.empty(shape, dtype=bool)
+        self._scratch = (diff, np.empty(shape, dtype=bool), cmp,
+                         cmp.view(np.int8), diff)
 
     def update(self, rows: np.ndarray) -> None:
         rows = _scales_by_points(rows)
         if rows.shape[1] != self.width:
             raise ValueError(f"expected {self.width} columns")
         # inf + -inf in a fold row is NaN, which fmin/fmax skip as they
-        # skip every level above the fold
-        with np.errstate(invalid="ignore"):
-            for c, env in zip(range(0, self.width, _COLS), self._envs):
-                self._fold_block(env, rows[:, c:c + _COLS])
+        # skip every level above the fold; infinite envelopes give NaN or
+        # infinite interval ends, which _quiet resolves
+        with np.errstate(invalid="ignore", over="ignore"):
+            for c, block in zip(range(0, self.width, _COLS), self._blocks):
+                self._fold_rows(block, rows[:, c:c + _COLS])
 
-    def _fold_block(self, env: list, vals: np.ndarray) -> None:
-        lo, hi, used = env
+    def _fold_rows(self, block: _Block, vals: np.ndarray) -> None:
+        w = vals.shape[1]
+        active, above = (m[:w] for m in self._masks)
+        i = 0
+        while i < len(vals):
+            if block.blind:
+                k = min(block.blind, len(vals) - i)
+                block.blind -= k
+                self._fold_dense(block, vals[i:i + k])
+                i += k
+                continue
+            vi = vals[i]
+            i += 1
+            if not block.used:
+                # a fresh block: every column joins level 0, whose one
+                # value is its quiet interval
+                block.lo, block.hi, block.used, _ = self._fold_levels(
+                    block.lo, block.hi, 0, vi[None])
+                block.qlo[:], block.qhi[:] = block.lo[0], block.hi[0]
+                continue
+            if block.best is not None:
+                block.qlo[:], block.qhi[:] = self._quiet(block.lo, block.hi,
+                                                         block.best)
+                block.best = None
+            np.less(vi, block.qlo, out=active)
+            np.greater(vi, block.qhi, out=above)
+            active |= above
+            n = np.count_nonzero(active)
+            if n > _DENSE * w:
+                self._fold_dense(block, vi[None])
+                block.run = block.blind = min(max(2 * block.run, 2), _BLIND)
+                continue
+            block.run = 0
+            if n:
+                self._fold_sparse(block, vi, np.flatnonzero(active))
+
+    def _fold_dense(self, block: _Block, vals: np.ndarray) -> None:
+        """Fold ``vals`` into every column of ``block``; the quiet
+        intervals go stale until the next test."""
+        block.lo, block.hi, block.used, best = self._fold_levels(
+            block.lo, block.hi, block.used, vals)
+        block.best = best.astype(np.min_scalar_type(block.used))
+
+    def _fold_sparse(self, block: _Block, vi: np.ndarray,
+                     cols: np.ndarray) -> None:
+        """Fold the values ``vi[cols]`` into the envelopes of those columns
+        of ``block``, gathered, and scatter them back with fresh quiet
+        intervals."""
+        lo, hi, used = block.lo, block.hi, block.used
+        # a chain grows by at most one level per scale
+        top = min(used + 1, len(lo))
+        glo, ghi, used, best = self._fold_levels(
+            lo[:top].take(cols, axis=1), hi[:top].take(cols, axis=1), used,
+            vi[cols][None])
+        if used > len(lo):
+            block.lo = lo = np.vstack([lo, np.full_like(lo, np.inf)])
+            block.hi = hi = np.vstack([hi, np.full_like(hi, -np.inf)])
+        lo[:used, cols] = glo[:used]
+        hi[:used, cols] = ghi[:used]
+        block.used = used
+        block.qlo[cols], block.qhi[cols] = self._quiet(glo, ghi, best)
+
+    def _quiet(self, lo: np.ndarray, hi: np.ndarray,
+               best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Quiet intervals of the columns of C-ordered (levels x columns)
+        envelopes at the levels ``best``.  For a normal a, |a| * 2**-52 is
+        at least the spacing of floats at a, and a sum with a subnormal
+        result is exact; so every v at or above start = (hi_b - lam)
+        moved up by that much has hi_b - v <= lam, and likewise below
+        stop for v - lo_b.  An end that comes out NaN (inf - inf) drops
+        out of fmax/fmin and leaves lo_b (hi_b): either the envelope is
+        empty or holds one infinite value, which the reach test's own NaN
+        leaves unreached, or hi_b - lam (lo_b + lam) overflowed, which
+        puts the whole envelope within lam."""
+        w = lo.shape[1]
+        at = np.multiply(best, w, dtype=np.intp)
+        at += np.arange(w)
+        elo, ehi = lo.take(at), hi.take(at)
+        start = ehi - self.lam
+        step = np.abs(start)
+        step *= _ULP
+        start += step
+        np.fmax(start, elo, out=start)
+        stop = elo + self.lam
+        np.abs(stop, out=step)
+        step *= _ULP
+        stop -= step
+        np.fmin(stop, ehi, out=stop)
+        return start, stop
+
+    def _fold_levels(self, lo: np.ndarray, hi: np.ndarray, used: int,
+                     vals: np.ndarray):
+        """The level DP: fold the rows ``vals`` into the envelopes ``lo``,
+        ``hi`` (``used`` levels in use) in place; returns the envelopes
+        (new arrays when the capacity doubled), the levels in use and the
+        last row's best."""
         w = vals.shape[1]
         diff, reach, cmp, flags, row = (b[:used, :w] for b in self._scratch)
         for vi in vals:
@@ -248,13 +397,13 @@ class JumpFold:
                 self._PAD_HI.take(part, out=pad, mode="clip")
                 pad += vi
                 np.fmax(hi[low:top], pad, out=hi[low:top])
-        env[:] = lo, hi, used
+        return lo, hi, used, best
 
     def counts(self) -> np.ndarray:
         # a column's count is its highest nonempty level
         return np.concatenate([
-            np.maximum((lo[:used] <= hi[:used]).sum(axis=0) - 1, 0)
-            for lo, hi, used in self._envs])
+            np.maximum((b.lo[:b.used] <= b.hi[:b.used]).sum(axis=0) - 1, 0)
+            for b in self._blocks])
 
 
 def variation(seq, q: float) -> float:

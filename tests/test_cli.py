@@ -297,15 +297,15 @@ class TestCommands:
 
     def test_domination_violation_at_point_zero_fails(self, tmp_path,
                                                       monkeypatch):
-        real = cli.domination_check
+        real = cli.domination_checks
 
         def one_violation(*args, **kwargs):
-            rep = real(*args, **kwargs)
-            return dataclasses.replace(
+            return [dataclasses.replace(
                 rep, violations_anchor=np.array([0]),
                 violations_martingale=np.array([], dtype=np.int64))
+                for rep in real(*args, **kwargs)]
 
-        monkeypatch.setattr(cli, "domination_check", one_violation)
+        monkeypatch.setattr(cli, "domination_checks", one_violation)
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
         assert run("verify", "--config", cfg, "--out", str(out),

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from ergolab.operators import (
     _draw,
     avg_profile,
     domination_check,
+    domination_checks,
     fit_doubling_constant,
     norm_probe,
     short_variation,
@@ -746,9 +750,41 @@ class TestDomination:
         assert np.all(rep.rhs_anchor[pts] >= rep.lhs[pts])
 
     def test_lambda_validated(self, z512_system, z512_config):
-        with pytest.raises(ValueError):
-            domination_check(rand_f(z512_system.space, 0),
-                             z512_system, z512_config, 0.0)
+        f = rand_f(z512_system.space, 0)
+        # NaN passes a `lam <= 0` guard, and a NaN left side is never larger
+        for lam in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                domination_check(f, z512_system, z512_config, lam)
+            with pytest.raises(ValueError):
+                domination_checks(f, z512_system, z512_config, (0.5, lam))
+
+    def test_every_lambda_from_one_pass(self, z512_system, z512_config,
+                                        monkeypatch):
+        lams = (0.1, 0.5, 1.0)
+        for seed, ensemble in enumerate(_ENSEMBLES):
+            f = SampleFunction("z", _draw(
+                ensemble, np.random.default_rng(300 + seed), 512))
+            singles = [domination_check(f, z512_system, z512_config, lam)
+                       for lam in lams]
+            streams = []
+            real = operators._block_profiles
+
+            def counted(*args):
+                streams.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(operators, "_block_profiles", counted)
+            reports = domination_checks(f, z512_system, z512_config, lams)
+            monkeypatch.undo()
+            assert len(streams) == 1
+            for one, rep in zip(singles, reports):
+                for field in dataclasses.fields(rep):
+                    a, b = (getattr(r, field.name) for r in (one, rep))
+                    if isinstance(a, np.ndarray):
+                        assert a.dtype == b.dtype
+                        assert a.tobytes() == b.tobytes(), field.name
+                    else:
+                        assert a == b, field.name
 
 
 class TestNormProbe:

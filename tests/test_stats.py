@@ -43,13 +43,25 @@ class TestJumpCount:
         assert jump_count([0, 1.5, 1.2, 2.4], 1.0) == 2
 
     def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            jump_count([0, 1], 0.0)
+        # NaN passes a `lam <= 0` guard and would count no jumps
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                jump_count([0, 1], lam)
+            with pytest.raises(ValueError):
+                jump_count_batch(np.array([[0.0], [5.0], [0.0]]), lam)
+            with pytest.raises(ValueError):
+                jump_count_oracle([0.0, 5.0, 0.0], lam)
 
     def test_strict_inequality(self):
         # gaps exactly equal to lambda do not count
         assert jump_count([0, 1, 0], 1.0) == 0
         assert jump_count([0, 1 + 1e-9, 0], 1.0) == 2
+        # 1.3 - 0.3 rounds to 1.0, yet 1.3 - 1.0 rounds to just above 0.3:
+        # the quiet interval of the envelope [0.9, 1.3] must leave out 1.0,
+        # which reaches that level (and likewise for -1.3 + 0.3)
+        seq = [0.9, 1.3, 1.1, 1.1, 1.0, 1.35]
+        for s in (seq, [-x for x in seq]):
+            assert jump_count(s, 0.3) == jump_count_oracle(s, 0.3) == 3
 
     @given(short_seqs, st.floats(min_value=0.01, max_value=5))
     @settings(max_examples=300, deadline=None)
@@ -84,6 +96,18 @@ class TestJumpCount:
         odd = rng.normal(scale=2.0, size=n)
         odd[[2, 5, 9]] = [np.nan, np.inf, -np.inf]
         cols.append(odd)
+        # cases of the quiet-interval skip: signed zeros, values exactly
+        # lambda from both ends of an envelope, long quiet runs that end in
+        # one jump, infinities and NaN runs inside a quiet run
+        cols += [np.where(np.arange(n) % 2 == 0, 0.0, -0.0),
+                 np.r_[np.zeros(n - 2), -0.0, 1.5],
+                 np.tile([0.0, lam, 2 * lam, lam], n // 4),
+                 np.tile([0.5, 0.5 - lam, 0.5 + lam], n // 3),
+                 np.r_[rng.uniform(0.0, 0.9 * lam, n - 1), 2.0 * lam],
+                 np.r_[np.full(n - 1, 0.25), 0.25 - 1.25 * lam],
+                 np.r_[np.full(4, 1.0), np.nan, np.nan, np.full(5, 1.0), 3.0],
+                 np.r_[np.inf, np.inf, 0.0, -np.inf, 0.0, np.full(7, np.inf)],
+                 np.r_[np.full(6, -np.inf), 0.0, np.full(5, -np.inf)]]
         mat = np.column_stack(cols)
         with np.errstate(invalid="ignore"):     # inf - inf in both paths
             counts = jump_count_batch(mat, lam)
@@ -258,6 +282,7 @@ class TestFolds:
     after every block bitwise the counts of one call on the rows so far."""
 
     WIDTH = 8192 + 19
+    NARROW = 300
 
     @staticmethod
     def splits(mat, seed):
@@ -274,10 +299,47 @@ class TestFolds:
         mat[11:14, 50] = np.nan
         return mat
 
+    @staticmethod
+    def settle(seed, width):
+        """Averages that settle, so that later rows leave most columns in
+        their quiet intervals, mixed with noisy (dense) columns, constant
+        and signed-zero columns, a NaN row, infinities and lattice values
+        exactly lambda = 0.3 apart."""
+        rng = np.random.default_rng(seed)
+        n = 40
+        mat = (rng.normal(size=(n, width))
+               / np.arange(1, n + 1)[:, None] ** rng.uniform(0.3, 1.5, width))
+        noisy = rng.random(width) < 0.2
+        mat[:, noisy] = rng.normal(size=(n, noisy.sum()))
+        mat[:, 1] = 0.7
+        mat[:, 2] = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        mat[:, 4] = rng.integers(0, 3, n) * 0.3
+        mat[5:9, 6] = np.inf
+        mat[20, 7] = -np.inf
+        mat[25] = np.nan
+        # late single jumps out of long quiet runs
+        mat[30:, 8:width:97] += 2.0
+        return mat
+
     def test_jump_fold_matches_one_block(self):
-        mat = self.walk(31)
+        for maker, width in (("walk", self.WIDTH), ("walk", self.NARROW),
+                             ("settle", self.WIDTH), ("settle", self.NARROW)):
+            self.check_jump_fold(maker, width)
+
+    def check_jump_fold(self, maker, width):
+        mat = (self.walk(31) if maker == "walk"
+               else self.settle(31, self.WIDTH))[:, :width]
+        with np.errstate(invalid="ignore"):     # inf - inf in the oracle
+            # sampled columns equal the oracle on 12 scales (its cost
+            # doubles per scale), and the one-column fold on all of them
+            short = jump_count_batch(mat[:12], 0.3)
+            for c in range(0, width, 263):
+                assert short[c] == jump_count_oracle(mat[:12, c], 0.3)
+        want = jump_count_batch(mat, 0.3)
+        for c in range(0, width, 7):
+            assert want[c] == jump_count_batch(mat[:, [c]], 0.3)[0]
         for seed in range(3):
-            fold = JumpFold(0.3, self.WIDTH)
+            fold = JumpFold(0.3, width)
             seen = 0
             for block in self.splits(mat, seed):
                 fold.update(block)
@@ -285,7 +347,49 @@ class TestFolds:
                 assert np.array_equal(fold.counts(),
                                       jump_count_batch(mat[:seen], 0.3))
             assert seen == len(mat)
-        assert fold.counts()[3] == 0
+        assert np.array_equal(fold.counts(), want)
+        if maker == "walk":
+            assert fold.counts()[3] == 0
+
+    def test_jump_fold_split_at_every_row(self):
+        mat = self.settle(33, self.WIDTH)[:12]
+        want = jump_count_batch(mat, 0.3)
+        with np.errstate(invalid="ignore"):
+            for c in range(0, self.WIDTH, 263):
+                assert want[c] == jump_count_oracle(mat[:, c], 0.3)
+        for cut in range(len(mat) + 1):
+            fold = JumpFold(0.3, self.WIDTH)
+            fold.update(mat[:cut])
+            fold.update(mat[cut:])
+            assert np.array_equal(fold.counts(), want)
+        fold = JumpFold(0.3, self.WIDTH)
+        for row in mat:
+            fold.update(row[None])
+        assert np.array_equal(fold.counts(), want)
+
+    def test_quiet_rows_reach_no_level(self, monkeypatch):
+        # the skip itself: after each block's first row, a row inside every
+        # quiet interval (equal values, a zero of the other sign) calls the
+        # level DP on no column, and a row with one active column on that
+        # column only
+        calls = []
+        real = JumpFold._fold_levels
+
+        def spy(self, lo, hi, used, vals):
+            calls.append(vals.shape)
+            return real(self, lo, hi, used, vals)
+
+        monkeypatch.setattr(JumpFold, "_fold_levels", spy)
+        row = np.linspace(-1.0, 1.0, self.WIDTH)
+        row[100] = 0.0
+        mat = np.repeat(row[None], 6, axis=0)
+        mat[2:, 100] = -0.0
+        mat[4, 8200] += 0.5
+        fold = JumpFold(0.3, self.WIDTH)
+        fold.update(mat)
+        # the column jumps out at row 4 and back at row 5
+        assert calls == [(1, 8192), (1, 19), (1, 1), (1, 1)]
+        assert fold.counts().tolist() == [0] * 8200 + [2] + [0] * 10
 
     def test_upcrossing_fold_matches_one_block(self):
         mat = self.walk(32)
@@ -301,8 +405,9 @@ class TestFolds:
         assert fold.counts()[:64].tolist() == want
 
     def test_folds_check_their_input(self):
-        with pytest.raises(ValueError):
-            JumpFold(0.0, 3)
+        for lam in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                JumpFold(lam, 3)
         with pytest.raises(ValueError):
             UpcrossingFold(0.5, 0.5, 3)
         for fold in (JumpFold(0.5, 3), UpcrossingFold(0.0, 1.0, 3)):
