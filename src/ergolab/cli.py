@@ -12,13 +12,14 @@ for byte.  Exit codes: 0 all checks passed, 1 an exact invariant failed,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
 import re
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
-VERIFY_SUITES = ("axioms", "domination", "gundy", "transference")
 PROBE_OPERATORS = ("square", "variation", "average", "maximal")
 
 
@@ -60,36 +60,6 @@ class ConfigError(Exception):
 # Config schema
 # ---------------------------------------------------------------------------
 
-def _defaults() -> dict:
-    return {
-        "seed": 0,
-        "out": "results",
-        "space": {
-            "family": "zd", "d": 1, "modulus": 64, "radius": None,
-            "r0": 1.0, "doubling_D0": None,
-        },
-        "cubes": {
-            "delta": 36.0, "c0": 1.0, "C0": 2.0, "k_min": None, "k_max": None,
-        },
-        "operators": {"block_cap": 24},
-        "probe": {
-            "trials": 20, "p": 2.0, "gammas": [0.5, 1.0, 2.0],
-            "operators": list(PROBE_OPERATORS),
-        },
-        "domination": {"trials": 4, "lambdas": [0.1, 0.5, 1.0]},
-        "gundy": {"trials": 20, "gamma_factors": [1.1, 1.5, 3.0], "p": 2.0},
-        "transference": {
-            "radii": [1.0, 2.0, 4.0, 8.0, 16.0], "lambda": 0.5,
-        },
-        "experiment": {
-            "kind": "rotation", "modulus": 1024, "step": 1,
-            "lambda": 0.5, "upcross": None,
-            "radii": {"start": 1.0, "stop": 256.0, "step": 1.0},
-            "ensemble": "rademacher",
-        },
-    }
-
-
 def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -108,79 +78,103 @@ def _distinct(v: list) -> bool:
     return len(set(v)) == len(v)
 
 
-_CHECKS = {
-    ("seed",): ("a non-negative integer below 2^64",
+def _increasing(v: Any) -> bool:
+    return (_is_num_list(v) and len(v) >= 1
+            and all(b > a for a, b in zip(v, v[1:])))
+
+
+def _int_from(lo: int) -> Callable[[Any], bool]:
+    return lambda v: _is_int(v) and v >= lo
+
+
+def _num_above(lo: float) -> Callable[[Any], bool]:
+    return lambda v: _is_num(v) and v > lo
+
+
+def _distinct_above(lo: float, min_len: int = 1) -> Callable[[Any], bool]:
+    return lambda v: (_is_num_list(v) and len(v) >= min_len
+                      and all(x > lo for x in v) and _distinct(v))
+
+
+def _or_null(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: v is None or ok(v)
+
+
+# key path -> (default, what a value must be, its check); `_defaults` nests
+# each two-key path into the section named by its first key
+_SCHEMA = {
+    ("seed",): (0, "a non-negative integer below 2^64",
                 lambda v: _is_int(v) and 0 <= v < 2**64),
-    ("out",): ("a string", lambda v: isinstance(v, str)),
-    ("space", "family"): ("'zd' or 'h3'", lambda v: v in ("zd", "h3")),
-    ("space", "d"): ("a positive integer", lambda v: _is_int(v) and v >= 1),
-    ("space", "modulus"): ("a positive integer or null",
-                           lambda v: v is None or (_is_int(v) and v >= 1)),
-    ("space", "radius"): ("a positive integer or null",
-                          lambda v: v is None or (_is_int(v) and v >= 1)),
-    ("space", "r0"): ("a positive number", lambda v: _is_num(v) and v > 0),
-    ("space", "doubling_D0"): ("a positive integer or null",
-                               lambda v: v is None or (_is_int(v) and v >= 1)),
-    ("cubes", "delta"): ("a number > 1", lambda v: _is_num(v) and v > 1),
-    ("cubes", "c0"): ("a positive number", lambda v: _is_num(v) and v > 0),
-    ("cubes", "C0"): ("a positive number", lambda v: _is_num(v) and v > 0),
-    ("cubes", "k_min"): ("an integer or null",
-                         lambda v: v is None or _is_int(v)),
-    ("cubes", "k_max"): ("an integer or null",
-                         lambda v: v is None or _is_int(v)),
-    ("operators", "block_cap"): ("an integer >= 2",
-                                 lambda v: _is_int(v) and v >= 2),
-    ("probe", "trials"): ("a positive integer",
-                          lambda v: _is_int(v) and v >= 1),
-    ("probe", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
-    ("probe", "gammas"): ("a list of distinct positive numbers",
-                          lambda v: _is_num_list(v) and all(x > 0 for x in v)
-                          and _distinct(v)),
+    ("out",): ("results", "a string", lambda v: isinstance(v, str)),
+    ("space", "family"): ("zd", "'zd' or 'h3'", lambda v: v in ("zd", "h3")),
+    ("space", "d"): (1, "a positive integer", _int_from(1)),
+    ("space", "modulus"): (64, "an integer >= 4 or null",
+                           _or_null(_int_from(4))),
+    ("space", "radius"): (None, "a positive integer or null",
+                          _or_null(_int_from(1))),
+    ("space", "r0"): (1.0, "a positive number", _num_above(0)),
+    ("space", "doubling_D0"): (None, "a positive integer or null",
+                               _or_null(_int_from(1))),
+    ("cubes", "delta"): (36.0, "a number > 1", _num_above(1)),
+    ("cubes", "c0"): (1.0, "a positive number", _num_above(0)),
+    ("cubes", "C0"): (2.0, "a positive number", _num_above(0)),
+    ("cubes", "k_min"): (None, "an integer or null", _or_null(_is_int)),
+    ("cubes", "k_max"): (None, "an integer or null", _or_null(_is_int)),
+    ("operators", "block_cap"): (24, "an integer >= 2", _int_from(2)),
+    ("probe", "trials"): (20, "a positive integer", _int_from(1)),
+    ("probe", "p"): (2.0, "a number >= 1", lambda v: _is_num(v) and v >= 1),
+    ("probe", "gammas"): ([0.5, 1.0, 2.0],
+                          "a list of distinct positive numbers",
+                          _distinct_above(0, min_len=0)),
     ("probe", "operators"): (
+        list(PROBE_OPERATORS),
         f"a non-empty list of distinct entries of {PROBE_OPERATORS}",
         lambda v: isinstance(v, list) and len(v) >= 1
         and all(x in PROBE_OPERATORS for x in v) and _distinct(v)),
-    ("domination", "trials"): ("a positive integer",
-                               lambda v: _is_int(v) and v >= 1),
+    ("domination", "trials"): (4, "a positive integer", _int_from(1)),
     ("domination", "lambdas"): (
-        "a non-empty list of distinct positive numbers",
-        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 0 for x in v)
-        and _distinct(v)),
-    ("gundy", "trials"): ("a positive integer",
-                          lambda v: _is_int(v) and v >= 1),
+        [0.1, 0.5, 1.0], "a non-empty list of distinct positive numbers",
+        _distinct_above(0)),
+    ("gundy", "trials"): (20, "a positive integer", _int_from(1)),
     ("gundy", "gamma_factors"): (
-        "a non-empty list of distinct numbers > 1",
-        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 1 for x in v)
-        and _distinct(v)),
-    ("gundy", "p"): ("a number >= 1", lambda v: _is_num(v) and v >= 1),
+        [1.1, 1.5, 3.0], "a non-empty list of distinct numbers > 1",
+        _distinct_above(1)),
+    ("gundy", "p"): (2.0, "a number >= 1", lambda v: _is_num(v) and v >= 1),
     ("transference", "radii"): (
+        [1.0, 2.0, 4.0, 8.0, 16.0],
         "a strictly increasing list of positive numbers",
-        lambda v: _is_num_list(v) and len(v) >= 1 and all(x > 0 for x in v)
-        and all(b > a for a, b in zip(v, v[1:]))),
-    ("transference", "lambda"): ("a positive number",
-                                 lambda v: _is_num(v) and v > 0),
+        lambda v: _increasing(v) and v[0] > 0),
+    ("transference", "lambda"): (0.5, "a positive number", _num_above(0)),
     ("experiment", "kind"): (
-        "one of regular, rotation, rotation2d, heisenberg",
+        "rotation", "one of regular, rotation, rotation2d, heisenberg",
         lambda v: v in ("regular", "rotation", "rotation2d", "heisenberg")),
-    ("experiment", "modulus"): ("a positive integer",
-                                lambda v: _is_int(v) and v >= 1),
-    ("experiment", "step"): ("an integer", _is_int),
-    ("experiment", "lambda"): ("a positive number or null",
-                               lambda v: v is None or (_is_num(v) and v > 0)),
+    ("experiment", "modulus"): (1024, "an integer >= 4", _int_from(4)),
+    ("experiment", "step"): (1, "an integer", _is_int),
+    ("experiment", "lambda"): (0.5, "a positive number or null",
+                               _or_null(_num_above(0))),
     ("experiment", "upcross"): (
-        "a pair [a, b] with a < b, or null",
-        lambda v: v is None or (_is_num_list(v) and len(v) == 2
-                                and v[0] < v[1])),
+        None, "a pair [a, b] with a < b, or null",
+        _or_null(lambda v: _is_num_list(v) and len(v) == 2 and v[0] < v[1])),
     ("experiment", "radii"): (
+        {"start": 1.0, "stop": 256.0, "step": 1.0},
         "a strictly increasing list or {start, stop, step} with stop >= start",
-        lambda v: (_is_num_list(v) and len(v) >= 1
-                   and all(b > a for a, b in zip(v, v[1:])))
+        lambda v: _increasing(v)
         or (isinstance(v, dict) and set(v) == {"start", "stop", "step"}
             and all(_is_num(x) and x > 0 for x in v.values())
             and v["stop"] >= v["start"])),
-    ("experiment", "ensemble"): (f"one of {_ENSEMBLES}",
+    ("experiment", "ensemble"): ("rademacher", f"one of {_ENSEMBLES}",
                                  lambda v: v in _ENSEMBLES),
 }
+
+
+def _defaults() -> dict:
+    cfg: dict = {}
+    for keys, (default, _, _) in _SCHEMA.items():
+        node = cfg
+        for k in keys[:-1]:
+            node = node.setdefault(k, {})
+        node[keys[-1]] = copy.deepcopy(default)
+    return cfg
 
 
 # a JSON string (a key when the colon follows) or a bracket
@@ -248,7 +242,7 @@ def load_config(path: str | None, *, seed: int | None = None,
     if out is not None:
         cfg["out"] = out
 
-    for keys, (want, ok) in _CHECKS.items():
+    for keys, (_, want, ok) in _SCHEMA.items():
         node: Any = cfg
         for k in keys:
             node = node[k]
@@ -279,27 +273,19 @@ def _suite_seed(base: int, name: str) -> int:
 # Artifact writing
 # ---------------------------------------------------------------------------
 
-def _py(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays for json serialization."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+def _json_default(obj: Any) -> Any:
+    """numpy arrays and scalars as lists and numbers, for `json.dumps`
+    (a numpy float64 is a float and is written directly)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(outdir: Path, name: str, payload: dict, sha: str) -> None:
     body = {"config_sha256": sha}
     body.update(payload)
-    text = json.dumps(_py(body), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(body, sort_keys=True, indent=2,
+                      default=_json_default) + "\n"
     (outdir / name).write_text(text)
 
 
@@ -343,7 +329,7 @@ def _build_space(cfg: dict):
     try:
         return build_group_space(s["family"], **kwargs)
     except Exception as exc:
-        raise ConfigError(f"space: {exc}")
+        raise ConfigError(f"space: {exc}", keys=("space",))
 
 
 def _build_params(cfg: dict) -> HKParams:
@@ -352,7 +338,7 @@ def _build_params(cfg: dict) -> HKParams:
         return HKParams(delta=c["delta"], c0=c["c0"], C0=c["C0"],
                         k_min=c["k_min"], k_max=c["k_max"])
     except ValueError as exc:
-        raise ConfigError(f"cubes: {exc}")
+        raise ConfigError(f"cubes: {exc}", keys=("cubes",))
 
 
 def _radius_grid(spec) -> list[float]:
@@ -545,11 +531,20 @@ def _suite_transference(space, system, cfg: dict) -> dict:
             "failures": failures, "notes": notes}
 
 
+# suite -> (runner, whether it reads the cube system)
+_SUITES = {"axioms": (_suite_axioms, True),
+           "domination": (_suite_domination, True),
+           "gundy": (_suite_gundy, True),
+           "transference": (_suite_transference, False)}
+VERIFY_SUITES = tuple(_SUITES)
+
+
 def cmd_verify(cfg: dict, sha: str, outdir: Path,
                suites: Sequence[str]) -> int:
     if "transference" in suites and cfg["space"]["modulus"] is None:
         raise ConfigError("suite transference needs a finite quotient: set "
-                          "space.modulus instead of space.radius")
+                          "space.modulus instead of space.radius",
+                          keys=("space", "radius"))
     space, _ = _build_space(cfg)
     if ("transference" in suites
             and min(cfg["transference"]["radii"]) > space.diameter()):
@@ -557,14 +552,10 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
             f"transference.radii: no radius within the space diameter "
             f"{space.diameter():g}", keys=("transference", "radii"))
     params = _build_params(cfg)
-    runners = {"axioms": _suite_axioms, "domination": _suite_domination,
-               "gundy": _suite_gundy, "transference": _suite_transference}
     # one cube system serves every suite that reads cubes
     system = (build_cubes(space, params)
-              if set(suites) - {"transference"} else None)
-    results = []
-    for name in suites:
-        results.append(runners[name](space, system, cfg))
+              if any(_SUITES[name][1] for name in suites) else None)
+    results = [_SUITES[name][0](space, system, cfg) for name in suites]
     passed = all(not r["failures"] for r in results)
     _write_json(outdir, "verify.json",
                 {"suites": results, "passed": passed}, sha)
@@ -627,7 +618,7 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     try:
         system = build_system(e["kind"], modulus=e["modulus"], step=e["step"])
     except ValueError as exc:
-        raise ConfigError(f"experiment: {exc}")
+        raise ConfigError(f"experiment: {exc}", keys=("experiment",))
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "experiment"))
     values = _draw(e["ensemble"], rng, system.n_states)
     grid = _radius_grid(e["radii"])

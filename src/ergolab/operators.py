@@ -212,8 +212,8 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
 
     ``values`` has shape (n,) or (n, T): a block of T functions swept
     together, each permutation read once for all columns.  ``shells``
-    yields (distance, permutations at that distance) in strictly
-    increasing distance order, distance >= 1; the identity is implicit.
+    yields (distance, permutations at that distance) in non-decreasing
+    distance order, distance >= 1; the identity is implicit.
     The permutations must hold indices in [0, n): the gather does not
     check them.  The result has shape ``(len(radii),) + values.shape``;
     entry i is the average over the closed ball of radius radii[i].  Each
@@ -236,8 +236,9 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
     the sweep has passed them.  ``rows`` is the chunk length (the last
     chunk may be shorter) or the sequence of chunk lengths.  Every chunk
     is divided into one buffer, so a chunk is valid only until the next
-    one is drawn.  The sweep draws no shell past the one that closes the
-    last radius."""
+    one is drawn.  ``shells`` yields (distance, permutations) in
+    non-decreasing distance order, as for `sweep_profile`; the sweep draws
+    no shell past the one that closes the last radius."""
     radii = _increasing(radii)
     lengths = _chunk_lengths(rows, len(radii))
     values = np.asarray(values, dtype=float)
@@ -296,13 +297,15 @@ def _chunk_lengths(rows: int | Sequence[int], total: int) -> list[int]:
 
 def group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
                  radii: Sequence[float]):
-    """The spheres of ``group`` up to min(max radius, diameter), each as
-    (distance, translations), for `sweep_profile` and `sweep_chunks`;
-    ``perm(j)`` is called only as the sweep reaches element j."""
+    """The sphere elements of ``group`` up to min(max radius, diameter),
+    each as (distance, [its translation]), for `sweep_profile` and
+    `sweep_chunks`; ``perm(j)`` is called only as the sweep reaches
+    element j, so one translation is held at a time."""
     rmax = min(int(math.floor(max(radii, default=0.0))), int(group.diameter()))
     for s in range(1, rmax + 1):
         sl = group.shell_slice(s)
-        yield s, [perm(j) for j in range(sl.start, sl.stop)]
+        for j in range(sl.start, sl.stop):
+            yield s, [perm(j)]
 
 
 class _Transform(NamedTuple):

@@ -68,6 +68,7 @@ class TestConfigValidation:
         assert run("cubes", "--config", cfg, "--out",
                    str(tmp_path / "run")) == 2
         err = capsys.readouterr().err
+        assert f"{cfg}:2: cubes:" in err
         assert "18*C0/delta <= c0" in err
 
     def test_invalid_json_is_line_anchored(self, tmp_path, capsys):
@@ -170,7 +171,7 @@ class TestConfigValidation:
         def never(*args):
             raise AssertionError("a suite ran before the config was refused")
 
-        monkeypatch.setattr(cli, "_suite_gundy", never)
+        monkeypatch.setitem(cli._SUITES, "gundy", (never, True))
         monkeypatch.setattr(cli, "build_cubes", never)
         cfg = write_config(tmp_path, {"space": {"family": "h3", "radius": 4,
                                                 "modulus": None}})
@@ -207,7 +208,7 @@ class TestConfigValidation:
         def never(*args):
             raise AssertionError("a suite ran before the grid was refused")
 
-        monkeypatch.setattr(cli, "_suite_transference", never)
+        monkeypatch.setitem(cli._SUITES, "transference", (never, False))
         path = tmp_path / "config.json"
         path.write_text('{\n  "space": {"modulus": 16},\n'
                         '  "transference": {\n    "radii": [9.0, 16.0]\n'
@@ -219,6 +220,26 @@ class TestConfigValidation:
         assert f"{path}:4:" in err
         assert "transference.radii" in err
         assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("command,body,line,named", [
+        ("space", '{\n  "space": {\n    "modulus": 2\n  }\n}\n', 3,
+         "space.modulus must be an integer >= 4"),
+        ("experiment", '{\n  "experiment": {\n    "modulus": 3\n  }\n}\n',
+         3, "experiment.modulus must be an integer >= 4"),
+        # the H3 truncation is refused by the space builder, past the schema
+        ("space", '{\n  "space": {\n    "family": "h3",\n'
+         '    "radius": 40,\n    "modulus": null\n  }\n}\n', 2,
+         "space: h3 truncations are capped"),
+    ])
+    def test_refused_space_is_anchored(self, tmp_path, capsys, command, body,
+                                       line, named):
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        assert run(command, "--config", str(path), "--out",
+                   str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: {named}" in err
+        assert "Traceback" not in err
 
     def test_space_needs_exactly_one_extent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"modulus": None}})
@@ -432,6 +453,17 @@ class TestDeterminism:
         for budget in (1, 3 * len(grid) * space.n * 8):
             monkeypatch.setattr(operators, "_SWEEP_BYTES", budget)
             assert probe_bytes(tmp_path / f"blocks{budget}") == default
+
+    def test_config_hash_is_pinned(self, tmp_path):
+        # a schema change that moves the hash of an unchanged config fails
+        assert cli.load_config(None)[1] == (
+            "af0d70f67cba18f7fcfc90d142c357e5fbd91d54cc063dae354e5926c85ca434")
+        assert cli.load_config(write_config(tmp_path, SMALL))[1] == (
+            "568e6d0183fed4092d6a76ca85143e1c5a168af5ab56c601bda76e9d15d15f52")
+
+    def test_defaults_are_fresh_copies(self):
+        cli._defaults()["probe"]["gammas"].append(9.0)
+        assert cli._defaults()["probe"]["gammas"] == [0.5, 1.0, 2.0]
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

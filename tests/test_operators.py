@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,20 @@ class TestSweepChunks:
             np.ones((64, 2)), z64.weights,
             operators.group_shells(z64, z64.right_perm, []), [])
         assert out.shape == (0, 64, 2)
+
+    def test_group_sweep_holds_one_translation_at_a_time(self):
+        # a whole sphere of translations of H3/16 held at once peaks near
+        # 47 MiB; one at a time, the (16, 4096) profile dominates
+        space, _ = build_group_space("h3", modulus=16)
+        f = np.random.default_rng(3).standard_normal(space.n)
+        radii = [float(r) for r in range(1, 17)]
+        tracemalloc.start()
+        try:
+            avg_profile(f, space, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def _custom_generator_space():
