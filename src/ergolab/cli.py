@@ -23,7 +23,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .cubes import BoundaryConstants, HKParams, build_cubes, verify_cube_axioms
+from .cubes import BoundaryConstants, DyadicSystem, HKParams, build_cubes, \
+    verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
 from .dynamics import build_system, tail_and_convergence, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
@@ -332,6 +333,12 @@ def _build_space(cfg: dict):
         raise ConfigError(f"space: {exc}", keys=("space",))
 
 
+def _operator_config(space, cfg: dict) -> OperatorConfig:
+    return OperatorConfig.for_space(space, delta=cfg["cubes"]["delta"],
+                                    r0=space.r0,
+                                    block_cap=cfg["operators"]["block_cap"])
+
+
 def _build_params(cfg: dict) -> HKParams:
     c = cfg["cubes"]
     try:
@@ -339,6 +346,29 @@ def _build_params(cfg: dict) -> HKParams:
                         k_min=c["k_min"], k_max=c["k_max"])
     except ValueError as exc:
         raise ConfigError(f"cubes: {exc}", keys=("cubes",))
+
+
+def _build_system(space, params: HKParams, cfg: dict, *,
+                  operators: bool = False,
+                  gundy: bool = False) -> DyadicSystem:
+    """The run's cube system.  A level range that is empty, lacks a radius
+    block level the operators read (``operators``) or the two levels of
+    the Gundy decomposition (``gundy``) is a config error at `cubes`,
+    raised before any suite runs."""
+    try:
+        params.resolve_levels(space)
+    except ValueError as exc:
+        raise ConfigError(f"cubes: {exc}", keys=("cubes",))
+    system = build_cubes(space, params)
+    try:
+        if operators:
+            _operator_config(space, cfg).eligible_levels(system)
+        if gundy and len(system.levels) < 2:
+            raise ValueError(f"suite gundy needs at least two levels "
+                             f"(system has {list(system.levels)})")
+    except ValueError as exc:
+        raise ConfigError(f"cubes: {exc}", keys=("cubes",))
+    return system
 
 
 def _radius_grid(spec) -> list[float]:
@@ -393,7 +423,7 @@ def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
 def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     params = _build_params(cfg)
-    system = build_cubes(space, params)
+    system = _build_system(space, params, cfg)
     report = verify_cube_axioms(system)
     constants = BoundaryConstants.derive(params, r0=space.r0)
     payload = {
@@ -445,9 +475,7 @@ def _suite_axioms(space, system, cfg: dict) -> dict:
 
 
 def _suite_domination(space, system, cfg: dict) -> dict:
-    opcfg = OperatorConfig.for_space(space, delta=system.params.delta,
-                                     r0=space.r0,
-                                     block_cap=cfg["operators"]["block_cap"])
+    opcfg = _operator_config(space, cfg)
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "domination"))
     failures: list[str] = []
     checks = 0
@@ -553,7 +581,9 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
             f"{space.diameter():g}", keys=("transference", "radii"))
     params = _build_params(cfg)
     # one cube system serves every suite that reads cubes
-    system = (build_cubes(space, params)
+    system = (_build_system(space, params, cfg,
+                            operators="domination" in suites,
+                            gundy="gundy" in suites)
               if any(_SUITES[name][1] for name in suites) else None)
     results = [_SUITES[name][0](space, system, cfg) for name in suites]
     passed = all(not r["failures"] for r in results)
@@ -572,9 +602,9 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
 def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     params = _build_params(cfg)
-    system = build_cubes(space, params)
-    opcfg = OperatorConfig.for_space(space, delta=params.delta, r0=space.r0,
-                                     block_cap=cfg["operators"]["block_cap"])
+    system = _build_system(space, params, cfg,
+                           operators="square" in cfg["probe"]["operators"])
+    opcfg = _operator_config(space, cfg)
     rows: list[str] = []
     reports = {}
     failures: list[str] = []

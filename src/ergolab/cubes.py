@@ -275,11 +275,17 @@ class DyadicSystem:
         return self.cube_index(k)[2]
 
     def cube_averages(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Weighted average of ``values`` over each level-k cube."""
+        """Weighted average of ``values``, shape (n,) or (n, T), over each
+        level-k cube: shape (cubes,) or (cubes, T), one `bincount` per
+        column, so every column equals its one-column call bit for bit."""
         a = self.assign[self.level_index(k)]
         measures = self.cube_measures(k)
-        return np.bincount(a, weights=self.space.weights * values,
-                           minlength=len(measures)) / measures
+        w = self.space.weights
+        sums = np.column_stack([
+            np.bincount(a, weights=w * col, minlength=len(measures))
+            for col in np.reshape(values, (len(a), -1)).T])
+        return (sums / measures[:, None]).reshape(
+            measures.shape + np.shape(values)[1:])
 
     @property
     def finest(self) -> int:

@@ -24,10 +24,12 @@ __all__ = [
     "SampleFunction",
     "MartingaleParts",
     "expectation",
+    "expectation_block",
     "expectation_exact",
     "tower_check",
     "differences",
     "dyadic_maximal",
+    "maximal_block",
     "sharp_maximal_bmo",
     "martingale_jump_probe",
     "weighted_norm",
@@ -72,9 +74,16 @@ def _check_function(f: SampleFunction, system: DyadicSystem) -> np.ndarray:
 
 def expectation(f: SampleFunction, system: DyadicSystem, k: int) -> SampleFunction:
     """Conditional expectation onto the level-k cubes (weighted averages)."""
-    means = system.cube_averages(k, _check_function(f, system))
-    return SampleFunction(f.space_label,
-                          means[system.assign[system.level_index(k)]])
+    return SampleFunction(f.space_label, expectation_block(
+        _check_function(f, system), system, k))
+
+
+def expectation_block(values: np.ndarray, system: DyadicSystem,
+                      k: int) -> np.ndarray:
+    """`expectation` of every column of an (n,) or (n, T) array, in point
+    order; each column equals its one-column call bit for bit."""
+    means = system.cube_averages(k, values)
+    return means[system.assign[system.level_index(k)]]
 
 
 def expectation_exact(values: Sequence, system: DyadicSystem,
@@ -143,11 +152,18 @@ def differences(f: SampleFunction, system: DyadicSystem) -> MartingaleParts:
 
 def dyadic_maximal(f: SampleFunction, system: DyadicSystem) -> SampleFunction:
     """Pointwise maximum of E_k|f| over the system's levels."""
-    absf = SampleFunction(f.space_label, np.abs(_check_function(f, system)))
-    best = np.zeros(system.space.n)
+    return SampleFunction(f.space_label,
+                          maximal_block(_check_function(f, system), system))
+
+
+def maximal_block(values: np.ndarray, system: DyadicSystem) -> np.ndarray:
+    """`dyadic_maximal` of every column of an (n,) or (n, T) array, one
+    level at a time for all the columns."""
+    absf = np.abs(values)
+    best = np.zeros(absf.shape)
     for k in system.levels:
-        np.maximum(best, expectation(absf, system, k).values, out=best)
-    return SampleFunction(f.space_label, best)
+        np.maximum(best, expectation_block(absf, system, k), out=best)
+    return best
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:

@@ -1,11 +1,12 @@
 """Ball averaging operators and the jump-domination machinery.
 
 The radius axis is organized into delta-adic blocks [delta^n, delta^(n+1));
-OperatorConfig fixes the finite radius grid inside each block.  On top of
-the averages sit the square function (averages against martingale
-expectations), the short-variation operator (V_2 within each block), the
-two pointwise domination inequalities that transfer jump counts from the
-full radius grid to the martingale, and randomized operator-norm probes.
+OperatorConfig fixes the finite radius grid inside each block, headed by
+the anchor delta^n for any delta.  On top of the averages sit the square
+function (averages against martingale expectations), the short-variation
+operator (V_2 within each block), the two pointwise domination
+inequalities that transfer jump counts from the full radius grid to the
+martingale, and randomized operator-norm probes.
 
 Ball averages on a quotient of Z^d (standard or custom generators, any
 weights) are cyclic convolutions of f with the indicator of the identity
@@ -30,20 +31,24 @@ balls of `FiniteSpace.ball_chunks`, each stably sorted by distance
 (`_row_profile`); the doubling fit reads its ball masses from the same
 sorted balls.
 
+All three engines sum the columns of `_summed_columns`, one weighting
+rule: f under uniform weights, else w f and w, divided by `_divide`.
+
 Both group engines stream: `_fft_chunks` (over one forward transform) and
 `sweep_chunks` (over one pass of the spheres) divide the averages of
 consecutive radii into one chunk buffer and yield each chunk as soon as it
 is done; `avg_profile` and `sweep_profile` are the streams with one chunk
-of all the radii.  The short variation and the domination check read the
-union grid one delta-adic block at a time (`_block_profiles`), so they
-hold one block's rows, never every radius; the domination check feeds one
-jump fold per lambda from the same pass.  The sweep is also the engine
-of the dynamics module, whose experiments fold the chunks without holding
-the profile, and the transference check runs it on both sides, so that
-averages along the regular action reproduce the translation averages bit
-for bit (Calderon transference); on Z^d the sweep is the oracle the FFT
-engine is tested against.  The norm probes push their trials through the
-operators in column blocks sized by `_SWEEP_BYTES`.
+of all the radii.  The one union-grid pass, `_grid_pass`, reads the grid
+one delta-adic block at a time, so it never holds every radius, and
+serves the short variation, the variation probe and the domination check;
+one `_square` serves the square function, the square probe and the
+domination check.  The sweep is also the engine of the dynamics module,
+whose experiments fold the chunks without holding the profile, and the
+transference check runs it on both sides, so that averages along the
+regular action reproduce the translation averages bit for bit (Calderon
+transference); on Z^d the sweep is the oracle the FFT engine is tested
+against.  The norm probes push their trials through the operators in
+column blocks sized by `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .cubes import DyadicSystem
-from .martingale import (SampleFunction, dyadic_maximal, expectation,
+from .martingale import (SampleFunction, expectation_block, maximal_block,
                          sharp_maximal_bmo, weighted_norm)
 from .space import FiniteSpace, GroupSpace
 from .stats import JumpFold, jump_count_batch, variation_batch
@@ -106,11 +111,11 @@ class OperatorConfig:
     """Radius bookkeeping shared by the averaging operators.
 
     n_r0 is the unique integer with delta^n_r0 < r0 <= delta^(n_r0+1).
-    Each block n >= n_r0 carries the integer radii of
-    [delta^n, delta^(n+1)) up to the space diameter (word metrics take
-    integer values, so these are exactly the distinct balls), subsampled
-    to at most block_cap radii; the first entry of a block is always the
-    anchor delta^n.  A block containing no integer keeps the bare anchor.
+    Each block n >= n_r0 carries its anchor delta^n, for any delta, then
+    the integer radii of (delta^n, delta^(n+1)) up to the space diameter
+    (word metrics take integer values, so these are exactly the distinct
+    balls), subsampled to at most block_cap radii; the anchor always
+    stays.  A block containing no integer keeps the bare anchor.
     """
 
     delta: float
@@ -123,6 +128,7 @@ class OperatorConfig:
     @classmethod
     def for_space(cls, space: FiniteSpace, *, delta: float = 36.0,
                   r0: float | None = None, block_cap: int = 24) -> "OperatorConfig":
+        delta = float(delta)
         if delta <= 1:
             raise ValueError("delta must exceed 1")
         if block_cap < 2:
@@ -142,18 +148,19 @@ class OperatorConfig:
         n = n_r0
         while delta**n <= diam or n == n_r0:
             lo, hi = delta**n, delta ** (n + 1)
-            first = int(math.ceil(lo))
-            last = int(min(math.ceil(hi) - 1, math.floor(diam)))
-            radii = [float(r) for r in range(first, last + 1) if lo <= r < hi]
-            if not radii:
-                radii = [lo]
+            # the anchor, then the integers above it, below hi and within
+            # the diameter
+            last = min(math.ceil(hi) - 1, math.floor(diam))
+            radii = [lo] + [float(r)
+                            for r in range(math.floor(lo) + 1, last + 1)]
             if len(radii) > block_cap:
+                # index 0 is always kept: the anchor survives subsampling
                 idx = np.unique(np.round(
                     np.geomspace(1, len(radii), block_cap)).astype(int) - 1)
-                radii = [radii[i] for i in idx]
                 notes.append(
-                    f"block n={n} subsampled to {len(radii)} of "
-                    f"{last - first + 1} integer radii")
+                    f"block n={n} subsampled to {len(idx)} of "
+                    f"{len(radii)} radii")
+                radii = [radii[i] for i in idx]
             blocks.append(BlockGrid(n, tuple(radii)))
             n += 1
         notes.append(
@@ -204,6 +211,23 @@ def _row_view(block: np.ndarray) -> np.ndarray:
     return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
 
 
+def _summed_columns(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The columns every ball engine sums for the averages of an (n, T)
+    block: the block itself under uniform weights, else the T columns w f
+    followed by the column w, as one C-contiguous (n, T + 1) array."""
+    if np.all(weights == weights[0]):
+        return block
+    return np.column_stack([weights[:, None] * block, weights])
+
+
+def _divide(sums: np.ndarray, T: int, count, out: np.ndarray | None = None
+            ) -> np.ndarray:
+    """Averages from the ball sums of `_summed_columns`: over ``count``,
+    the ball's points, if there are T columns, else over the sum of w."""
+    return np.divide(sums[..., :T],
+                     count if sums.shape[-1] == T else sums[..., T:], out=out)
+
+
 def sweep_profile(values: np.ndarray, weights: np.ndarray,
                   shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                   radii: Sequence[float]) -> np.ndarray:
@@ -246,23 +270,18 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
     block = np.ascontiguousarray(values).reshape(n, -1)
     out = np.empty((max(lengths, default=0),) + block.shape)
     chunk = out.reshape((len(out),) + values.shape)
-    uniform = bool(np.all(weights == weights[0]))
-    if uniform:
-        src = block
-        count = 1
-    else:
-        src = weights[:, None] * block
-        den = np.array(weights, dtype=float)
+    src = _summed_columns(block, weights)
     acc = src.copy()
     buf = np.empty_like(src)
     src_rows, buf_rows = _row_view(src), _row_view(buf)
     shells = iter(shells)
     ridx = k = c = 0
+    count = 1
     while ridx < len(radii):
         # past the last shell every remaining ball is the whole sweep
         dist, perms = next(shells, (np.inf, ()))
         while ridx < len(radii) and radii[ridx] < dist:
-            np.divide(acc, count if uniform else den[:, None], out=out[k])
+            _divide(acc, block.shape[1], count, out=out[k])
             ridx += 1
             k += 1
             if k == lengths[c]:
@@ -275,10 +294,7 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
             # "clip" skips the output buffering that "raise" does
             np.take(src_rows, perm, out=buf_rows, mode="clip")
             acc += buf
-            if uniform:
-                count += 1
-            else:
-                den += weights[perm]
+            count += 1
 
 
 def _chunk_lengths(rows: int | Sequence[int], total: int) -> list[int]:
@@ -312,7 +328,6 @@ class _Transform(NamedTuple):
     """What `_fft_chunks` takes once per call, for `_fft_profile`."""
 
     block: np.ndarray               # the (n, T) values
-    uniform: bool                   # uniform weights: sums divide by size
     exact: np.ndarray               # summed columns rounded to exact sums
     spectrum: np.ndarray | None     # their transform over the key grid
     lengths: np.ndarray             # the word lengths over the key grid
@@ -338,10 +353,7 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
     convolution that the transforms compute.
     """
     n, T = block.shape
-    w = space.weights
-    uniform = bool(np.all(w == w[0]))
-    # sums of f over each ball, or of w f and w for weighted means
-    cols = block if uniform else np.column_stack([w[:, None] * block, w])
+    cols = _summed_columns(block, space.weights)
     exact = (np.all(cols == np.rint(cols), axis=0)
              & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
     shape = (space.group.modulus,) * space.group.d
@@ -354,7 +366,7 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
             cols[space._key_order].reshape(shape + (cols.shape[1],)),
             axes=tuple(range(space.group.d)))
     transform = _Transform(
-        block, uniform, exact, spectrum,
+        block, exact, spectrum,
         space.word_lengths[space._key_order].reshape(shape),
         np.empty((n, T)), np.empty((max(lengths, default=0), n, T)))
     spot = _spot_sums(block, space, radii)
@@ -372,7 +384,7 @@ def _fft_profile(transform: _Transform, space: GroupSpace,
     (len(radii), n, T), divided into the transform's buffer, and a (T,)
     mask of the columns whose averages are exact quotients of exact sums.
     """
-    block, uniform, exact, spectrum, lengths, avg, buf = transform
+    block, exact, spectrum, lengths, avg, buf = transform
     n, T = block.shape
     out = buf[:len(radii)]
     # ball sizes: the word lengths are in ascending order
@@ -389,10 +401,11 @@ def _fft_profile(transform: _Transform, space: GroupSpace,
         sums = np.fft.irfftn(spectrum * kernel, s=lengths.shape, axes=axes)
         sums = sums.reshape(n, -1)
         sums[:, exact] = np.rint(sums[:, exact])
-        np.divide(sums[:, :T], size if uniform else sums[:, T:], out=avg)
+        _divide(sums, T, size, out=avg)
         # from key order back to point order
         np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
-    return out, exact if uniform else exact[:T] & exact[T]
+    # a weighted average is exact when its sum and the sum of w are
+    return out, exact[:T] & exact[T:].all()
 
 
 def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray
@@ -493,19 +506,18 @@ def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
     sweep do."""
     points = (np.arange(space.n) if points is None
               else np.asarray(points, dtype=np.int64))
-    out = np.empty((len(radii), points.size, block.shape[1]))
+    T = block.shape[1]
+    out = np.empty((len(radii), points.size, T))
     if not radii.size:
         return out
-    w = space.weights
-    # under uniform weights the running mass at position k is the count k + 1
-    uniform = bool(np.all(w == w[0]))
-    wv = block if uniform else w[:, None] * block
+    cols = _summed_columns(block, space.weights)
     rmax = min(max(float(radii[-1]), 0.0), space.diameter())
     for k, members, dists in _sorted_balls(space, points, rmax):
         pos = np.searchsorted(dists, radii, side="right") - 1
         np.maximum(pos, 0, out=pos)
-        mass = pos + 1.0 if uniform else np.cumsum(w[members])[pos]
-        out[:, k] = np.cumsum(wv[members], axis=0)[pos] / mass[:, None]
+        # the running sum at position i of the ball covers i + 1 points
+        _divide(np.cumsum(cols[members], axis=0)[pos], T,
+                (pos + 1.0)[:, None], out=out[:, k])
     return out
 
 
@@ -518,67 +530,74 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     This is `_profile_chunks` with one chunk: quotients of Z^d go through
     `_fft_chunks` and its spot check, other quotients through the sweep of
     their spheres, and every other space through direct ball sums."""
-    values = _point_values(values, space)
+    # `_profile_chunks` checks the values before its first chunk is drawn
     return next(_profile_chunks(values, space, radii, max(1, len(radii))),
-                np.empty((0,) + values.shape))
+                np.empty((0,) + np.shape(values)))
 
 
 # ---------------------------------------------------------------------------
 # square function and short variation
 # ---------------------------------------------------------------------------
 
+def _square(anchor_rows: np.ndarray, exp_rows: np.ndarray) -> np.ndarray:
+    """(sum over the levels n > n_r0 of |A_{delta^n} f - E_n f|^2)^(1/2)
+    from the anchor rows and the expectation rows of those levels, each of
+    shape (levels,) + values.shape."""
+    return np.sqrt(((anchor_rows - exp_rows) ** 2).sum(axis=0))
+
+
 def _square_block(values: np.ndarray, system: DyadicSystem,
                   config: OperatorConfig) -> np.ndarray:
-    """`square_function` of each column of an (n, T) block."""
+    """`square_function` of each column of an (n,) or (n, T) array."""
     levels = config.eligible_levels(system)
     if not levels:
         raise ValueError("no eligible levels above n_r0; the space is too "
                          "small for this delta")
-    space = system.space
-    rows = avg_profile(values, space, [config.anchor(n) for n in levels])
-    cols = [SampleFunction(space.label, np.ascontiguousarray(c))
-            for c in values.T]
-    acc = np.zeros(values.shape)
-    for i, n in enumerate(levels):
-        exp = np.stack([expectation(f, system, n).values for f in cols], axis=1)
-        diff = rows[i] - exp
-        acc += diff * diff
-    return np.sqrt(acc)
+    anchors = avg_profile(values, system.space,
+                          [config.anchor(n) for n in levels])
+    return _square(anchors, np.stack([
+        expectation_block(values, system, n) for n in levels]))
 
 
 def square_function(f: SampleFunction, system: DyadicSystem,
                     config: OperatorConfig) -> SampleFunction:
     """l^2 size of (average at scale delta^n) - (expectation at level n)
     over the levels n > n_r0."""
-    return SampleFunction(
-        f.space_label, _square_block(f.values[:, None], system, config)[:, 0])
+    return SampleFunction(f.space_label,
+                          _square_block(f.values, system, config))
 
 
-def _block_profiles(values: np.ndarray, space: FiniteSpace,
-                    config: OperatorConfig) -> Iterator[np.ndarray]:
-    """The profile of ``values`` over the union grid, one delta-adic block
-    of rows at a time, each valid only until the next is drawn."""
-    return _profile_chunks(values, space, config.union_grid(),
-                           [len(b.radii) for b in config.blocks])
-
-
-def _short_variation_block(values: np.ndarray, space: FiniteSpace,
-                           config: OperatorConfig) -> np.ndarray:
-    """`short_variation` of each column of an (n, T) block: the squares of
-    the blocks' V_2 summed as the blocks stream by."""
-    total = np.zeros(values.shape)
-    for rows in _block_profiles(values, space, config):
-        sub = rows.reshape(len(rows), -1)
-        total += variation_batch(sub, 2.0).reshape(values.shape) ** 2
-    return np.sqrt(total)
+def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
+               lams: Sequence[float] = ()
+               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """One pass over the union-grid profile of ``values``, shape (n,) or
+    (n, T), one delta-adic block at a time: the full-grid jump counts at
+    each lam (one `JumpFold` per lam, all fed from the same blocks), the
+    short variation (the blocks' V_2 summed as squares), both of shape
+    ``values.shape``, and the anchor rows (each block's first row), of
+    shape (blocks,) + values.shape.  The block buffer and the folds'
+    envelopes are freed on return."""
+    shape = np.shape(values)
+    folds = [JumpFold(lam, math.prod(shape)) for lam in lams]
+    sv = np.zeros(math.prod(shape))
+    anchors = np.empty((len(config.blocks),) + shape)
+    chunks = _profile_chunks(values, space, config.union_grid(),
+                             [len(b.radii) for b in config.blocks])
+    for i, rows in enumerate(chunks):
+        flat = rows.reshape(len(rows), -1)
+        for fold in folds:
+            fold.update(flat)
+        sv += variation_batch(flat, 2.0) ** 2
+        anchors[i] = rows[0]
+    return ([fold.counts().reshape(shape) for fold in folds],
+            np.sqrt(sv).reshape(shape), anchors)
 
 
 def short_variation(f: SampleFunction, space: FiniteSpace,
                     config: OperatorConfig) -> SampleFunction:
     """l^2 over blocks of the V_2 of r -> A'_r f within each block."""
-    return SampleFunction(
-        f.space_label,
-        _short_variation_block(f.values[:, None], space, config)[:, 0])
+    return SampleFunction(f.space_label,
+                          _grid_pass(f.values, space, config)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +605,13 @@ def short_variation(f: SampleFunction, space: FiniteSpace,
 # ---------------------------------------------------------------------------
 
 _GRID_NOTE = ("jump on the left evaluated over the finite union of block "
-              "grids; suprema over a continuum of radii reduce to this set "
-              "because averages on an integer-valued metric are constant "
-              "between consecutive integer radii; the anchor sequence on the "
-              "right of the first inequality holds every block's anchor, the "
-              "n_r0 block's included, since a chain of radii that crosses "
-              "blocks passes through each block's anchor")
+              "grids, each headed by its anchor delta^n; suprema over a "
+              "continuum of radii reduce to this set because averages on an "
+              "integer-valued metric are constant between consecutive "
+              "integer radii; the anchor sequence on the right of the first "
+              "inequality holds every block's anchor, the n_r0 block's "
+              "included, since a chain of radii that crosses blocks passes "
+              "through each block's anchor")
 
 
 @dataclass(frozen=True)
@@ -624,26 +644,6 @@ class DominationReport:
                 and self.violations_martingale.size == 0)
 
 
-def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
-               lams: Sequence[float]
-               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """One pass over the union-grid profile of ``values``, one delta-adic
-    block at a time: the full-grid jump counts at each lam (one `JumpFold`
-    per lam, all fed from the same blocks), the short variation (the
-    blocks' V_2 summed as squares) and the anchor rows (each block's first
-    row).  The block buffer and the folds' envelopes are freed on
-    return."""
-    folds = [JumpFold(lam, space.n) for lam in lams]
-    sv = np.zeros(space.n)
-    anchors = np.empty((len(config.blocks), space.n))
-    for i, rows in enumerate(_block_profiles(values, space, config)):
-        for fold in folds:
-            fold.update(rows)
-        sv += variation_batch(rows, 2.0) ** 2
-        anchors[i] = rows[0]
-    return [fold.counts() for fold in folds], np.sqrt(sv), anchors
-
-
 def domination_check(f: SampleFunction, system: DyadicSystem,
                      config: OperatorConfig, lam: float) -> DominationReport:
     """`domination_checks` at one lam."""
@@ -660,16 +660,13 @@ def domination_checks(f: SampleFunction, system: DyadicSystem,
     # `not lam > 0` also refuses NaN, whose left side is never larger
     if not all(lam > 0 for lam in lams):
         raise ValueError("lam must be positive")
-    space = system.space
     levels = config.eligible_levels(system)
     grid = config.union_grid()
-    jumps, sv, anchor_rows = _grid_pass(f.values, space, config, lams)
-
-    # the square function compares the anchors of the blocks n > n_r0 with
-    # the expectations at those levels
-    eligible = anchor_rows[[b.n > config.n_r0 for b in config.blocks]]
-    exp_rows = np.stack([expectation(f, system, n).values for n in levels])
-    square = np.sqrt(((eligible - exp_rows) ** 2).sum(axis=0))
+    jumps, sv, anchor_rows = _grid_pass(f.values, system.space, config, lams)
+    exp_rows = np.stack([expectation_block(f.values, system, n)
+                         for n in levels])
+    # the blocks after the n_r0 block are those of the levels n > n_r0
+    square = _square(anchor_rows[1:], exp_rows)
 
     reports = []
     for lam, lam_jumps in zip(lams, jumps):
@@ -794,10 +791,12 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     the width being the radii the operator reads (the union grid for the
     variation operator); since the step floors at one trial, the whole
     grid of one trial may exceed `_SWEEP_BYTES` (31.5 MiB on Z/65536).
-    The variation operator streams that grid one delta-adic block at a
-    time, so it holds one block's rows (at most `block_cap` radii) for one
-    block of trials; the other operators hold their whole profile, and the
-    FFT transforms a few more (n, T) arrays, none per radius.  Trial t
+    The variation operator streams that grid through the one union-grid
+    pass (`_grid_pass`), so it holds one block's rows (at most `block_cap`
+    radii) for one block of trials; the square and maximal operators read
+    the block's expectations one level at a time for all its trials, the
+    other operators hold their whole profile, and the FFT transforms a few
+    more (n, T) arrays, none per radius.  Trial t
     draws from seed + t, and every column equals its one-column run, so
     the blocking changes no number.  A failed spot check of the FFT engine
     raises `SpotCheckError`.
@@ -806,25 +805,19 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
         raise ValueError("trials must be at least 1")
     space = system.space
     r = max(1.0, config.anchor(config.n_r0 + 1))
+    # the operator on a block of trials, and the radii it reads
     if operator == "square":
-        width = len(config.eligible_levels(system))
+        width, apply = (len(config.eligible_levels(system)),
+                        lambda block: _square_block(block, system, config))
     elif operator == "variation":
-        width = len(config.union_grid())
-    elif operator in ("average", "maximal"):
-        width = 1
+        width, apply = (len(config.union_grid()),
+                        lambda block: _grid_pass(block, space, config)[1])
+    elif operator == "average":
+        width, apply = 1, lambda block: avg_profile(block, space, [r])[0]
+    elif operator == "maximal":
+        width, apply = 1, lambda block: maximal_block(block, system)
     else:
         raise ValueError(f"unknown operator {operator!r}")
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        if operator == "square":
-            return _square_block(block, system, config)
-        if operator == "variation":
-            return _short_variation_block(block, space, config)
-        if operator == "average":
-            return avg_profile(block, space, [r])[0]
-        return np.stack([dyadic_maximal(SampleFunction(
-            space.label, np.ascontiguousarray(c)), system).values
-            for c in block.T], axis=1)
 
     w = space.weights
     rows: list[ProbeRow] = []

@@ -26,6 +26,11 @@ SMALL = {
 }
 
 
+# one cube level on Z/512, where the radius blocks read levels 0 and 1
+_STUNTED = ('{\n  "cubes": {\n    "k_max": 0\n  },\n'
+            '  "space": {\n    "modulus": 512\n  }\n}\n')
+
+
 def write_config(tmp_path: Path, body: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(body, indent=1))
@@ -240,6 +245,42 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"{path}:{line}: {named}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,body,named", [
+        (("cubes",), '{\n  "cubes": {\n    "k_min": 10\n  }\n}\n',
+         "cubes: resolved level range is empty"),
+        (("probe",), _STUNTED, "cubes: cube system lacks levels [1]"),
+        (("verify", "--suite", "domination"), _STUNTED,
+         "cubes: cube system lacks levels [1]"),
+        (("verify", "--suite", "gundy"), _STUNTED,
+         "cubes: suite gundy needs at least two levels"),
+    ], ids=["cubes", "probe", "domination", "gundy"])
+    def test_cube_range_without_a_commands_levels_is_anchored(
+            self, tmp_path, capsys, monkeypatch, argv, body, named):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran before the range was refused")
+
+        for name, (_, reads_cubes) in list(cli._SUITES.items()):
+            monkeypatch.setitem(cli._SUITES, name, (never, reads_cubes))
+        monkeypatch.setattr(cli, "norm_probe", never)
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        out = tmp_path / "run"
+        assert run(*argv, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: {named}" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.json"))
+
+    def test_probe_without_the_square_needs_no_block_levels(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(_STUNTED.replace(
+            '"modulus": 512', '"modulus": 512\n  },\n  "probe": {\n'
+            '    "trials": 2,\n    "operators": ["average", "maximal"]'))
+        out = tmp_path / "run"
+        assert run("probe", "--config", str(path), "--out", str(out)) == 0
+        assert sorted(json.loads((out / "probe.json").read_text())
+                      ["operators"]) == ["average", "maximal"]
 
     def test_space_needs_exactly_one_extent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"modulus": None}})

@@ -8,8 +8,10 @@ from ergolab.martingale import (
     differences,
     dyadic_maximal,
     expectation,
+    expectation_block,
     expectation_exact,
     martingale_jump_probe,
+    maximal_block,
     sharp_maximal_bmo,
     tower_check,
     weighted_norm,
@@ -187,6 +189,18 @@ class TestDyadicMaximal:
         finest = expectation(SampleFunction("z", np.abs(f.values)),
                              z64_system, z64_system.levels[0]).values
         assert np.all(out.values >= finest - 1e-12)
+
+    def test_block_columns_are_one_column_calls(self, z64_system):
+        block = np.random.default_rng(22).standard_normal((64, 3))
+        best = maximal_block(block, z64_system)
+        for t in range(3):
+            f = SampleFunction("z", block[:, t].copy())
+            assert best[:, t].tobytes() == (
+                dyadic_maximal(f, z64_system).values.tobytes())
+            for k in z64_system.levels:
+                one = expectation(f, z64_system, k).values
+                got = expectation_block(block, z64_system, k)[:, t]
+                assert got.tobytes() == one.tobytes()
 
     def test_weak_11_probe(self, z64_system):
         w = z64_system.space.weights

@@ -53,15 +53,31 @@ def rand_f(space, seed):
     return SampleFunction(space.label, rng.standard_normal(space.n))
 
 
+# delta -> admissible (c0, C0): an integer delta and one between integers
+DELTAS = {36.0: (1.0, 2.0), 20.5: (1.0, 1.1)}
+
+
+@pytest.fixture(scope="module")
+def z4096():
+    space, _ = build_group_space(family="zd", d=1, modulus=4096)
+    return space
+
+
 class TestOperatorConfig:
-    def test_default_blocks_on_z512(self, z512_config):
-        cfg = z512_config
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    def test_default_blocks_on_z512(self, z512, delta):
+        cfg = OperatorConfig.for_space(z512, delta=delta)
         assert cfg.n_r0 == -1
         ns = [b.n for b in cfg.blocks]
         assert ns == [-1, 0, 1]
-        # anchors head their blocks
+        # anchors head their blocks, whether delta is an integer or not,
+        # and the integers above the anchor follow it
+        assert [b.radii[0] for b in cfg.blocks] == [
+            cfg.anchor(n) for n in ns]
         assert cfg.blocks[1].radii[0] == 1.0
-        assert cfg.blocks[2].radii[0] == 36.0
+        assert cfg.blocks[2].radii[0] == delta
+        assert all(r == math.floor(r) > b.radii[0]
+                   for b in cfg.blocks for r in b.radii[1:])
         # last block is capped by the diameter (256), not delta^2
         assert cfg.blocks[2].radii[-1] <= 256.0
 
@@ -75,12 +91,13 @@ class TestOperatorConfig:
         grid = z512_config.union_grid()
         assert all(b > a for a, b in zip(grid, grid[1:]))
 
-    def test_block_cap(self, z512):
-        cfg = OperatorConfig.for_space(z512, block_cap=8)
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    def test_block_cap(self, z512, delta):
+        cfg = OperatorConfig.for_space(z512, delta=delta, block_cap=8)
         assert all(len(b.radii) <= 8 for b in cfg.blocks)
         assert any("subsampled" in note for note in cfg.notes)
         # the anchor survives subsampling
-        assert cfg.blocks[2].radii[0] == 36.0
+        assert cfg.blocks[2].radii[0] == delta
 
     def test_r0_defaults_to_space(self, z512):
         assert OperatorConfig.for_space(z512).r0 == z512.r0
@@ -561,7 +578,7 @@ class TestBlockStream:
         want = np.sqrt((np.stack([
             variation_batch(rows[a:b].reshape(b - a, -1), 2.0)
             for a, b in zip(offsets, offsets[1:])]) ** 2).sum(axis=0))
-        got = operators._short_variation_block(block, space, config)
+        got = operators._grid_pass(block, space, config)[1]
         assert got.tobytes() == want.reshape(block.shape).tobytes()
 
     @pytest.mark.parametrize("name", sorted(STREAM_CASES))
@@ -731,16 +748,25 @@ class TestDomination:
             assert rep.violations_anchor.size == 0
             assert rep.violations_martingale.size == 0
 
-    def test_report_contents(self, z512_system, z512_config):
-        f = rand_f(z512_system.space, 200)
-        rep = domination_check(f, z512_system, z512_config, 0.5)
-        assert rep.grid == z512_config.union_grid()
-        assert rep.lhs.shape == (512,)
+    @pytest.mark.parametrize("delta", sorted(DELTAS))
+    def test_report_contents(self, z4096, delta):
+        # the check reads its square function and short variation from the
+        # same anchor rows and blocks as the operators, bit for bit, also
+        # where delta^n is not an integer radius
+        c0, C0 = DELTAS[delta]
+        system = build_cubes(z4096, HKParams(delta=delta, c0=c0, C0=C0))
+        config = OperatorConfig.for_space(z4096, delta=delta)
+        assert all(b.radii[0] == config.anchor(b.n) for b in config.blocks)
+        f = SampleFunction(z4096.label, _draw(
+            "gaussian", np.random.default_rng(0), z4096.n))
+        rep = domination_check(f, system, config, 0.5)
+        assert rep.grid == config.union_grid()
+        assert rep.lhs.shape == (4096,)
         assert "finite union" in rep.note
-        sv = short_variation(f, z512_system.space, z512_config).values
-        assert np.abs(rep.short_var - sv).max() < 1e-12
-        sq = square_function(f, z512_system, z512_config).values
-        assert np.abs(rep.square - sq).max() < 1e-12
+        sv = short_variation(f, z4096, config).values
+        assert rep.short_var.tobytes() == sv.tobytes()
+        sq = square_function(f, system, config).values
+        assert rep.square.tobytes() == sq.tobytes()
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     def test_jump_out_of_the_r0_block_is_covered_by_its_anchor(
@@ -782,13 +808,13 @@ class TestDomination:
             singles = [domination_check(f, z512_system, z512_config, lam)
                        for lam in lams]
             streams = []
-            real = operators._block_profiles
+            real = operators._profile_chunks
 
             def counted(*args):
                 streams.append(args)
                 return real(*args)
 
-            monkeypatch.setattr(operators, "_block_profiles", counted)
+            monkeypatch.setattr(operators, "_profile_chunks", counted)
             reports = domination_checks(f, z512_system, z512_config, lams)
             monkeypatch.undo()
             assert len(streams) == 1
