@@ -239,6 +239,10 @@ def load_config(path: str | None, *, seed: int | None = None,
                 cfg[key] = value
 
     if seed is not None:
+        # a bad flag is the command line's error, not the config file's
+        _, want, ok = _SCHEMA[("seed",)]
+        if not ok(seed):
+            raise ConfigError(f"--seed must be {want} (got {seed!r})")
         cfg["seed"] = seed
     if out is not None:
         cfg["out"] = out
@@ -335,7 +339,6 @@ def _build_space(cfg: dict):
 
 def _operator_config(space, cfg: dict) -> OperatorConfig:
     return OperatorConfig.for_space(space, delta=cfg["cubes"]["delta"],
-                                    r0=space.r0,
                                     block_cap=cfg["operators"]["block_cap"])
 
 
@@ -498,7 +501,7 @@ def _suite_domination(space, system, cfg: dict) -> dict:
                     f"trial {t} lambda {lam}: {na} anchor / {nm} martingale "
                     f"violations")
     return {"suite": "domination", "checks": checks, "failures": failures,
-            "notes": [opcfg.notes[-1]] if opcfg.notes else []}
+            "notes": list(opcfg.notes)}
 
 
 def _suite_gundy(space, system, cfg: dict) -> dict:
@@ -633,11 +636,12 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
                rows, sha)
     _write_json(outdir, "probe.json",
                 {"operators": reports, "martingale_jump": jump,
-                 "failures": failures}, sha)
+                 "failures": failures, "notes": list(opcfg.notes)}, sha)
     lines = [f"{op}: strong max {reports[op]['strong_max']:.6f} "
              f"mean {reports[op]['strong_mean']:.6f}"
              for op in cfg["probe"]["operators"] if op in reports]
     lines.append(f"martingale jump probe: max ratio {jump['max_ratio']:.6f}")
+    lines += [f"note: {n}" for n in opcfg.notes]
     lines += [f"FAIL: {f}" for f in failures]
     _write_summary(outdir, sha, "probe", lines)
     return EXIT_VIOLATION if failures else EXIT_OK

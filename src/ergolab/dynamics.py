@@ -208,15 +208,14 @@ def regular_system(space: GroupSpace) -> MPSystem:
 
 
 def build_system(kind: str, *, modulus: int | None = None,
-                 family: str = "zd", d: int = 1,
                  step: int | Sequence[int] = 1,
                  step2: Sequence[int] | None = None,
                  acting_modulus: int | None = None) -> MPSystem:
     """Construct one of the stock systems.
 
     kinds:
-      regular     -- a quotient (zd or h3) acting on itself
-      heisenberg  -- the regular system of H3 mod N
+      regular     -- Z_N acting on itself
+      heisenberg  -- H3 mod N acting on itself
       rotation    -- Z acting on Z_N by x -> x + step
       rotation2d  -- Z^2 acting on Z_N^2 by the shifts ``step`` and
                      ``step2`` (default (0, 1)); a scalar step s means (s, 0)
@@ -225,13 +224,12 @@ def build_system(kind: str, *, modulus: int | None = None,
     default N); every step times M must vanish mod N so that the quotient
     action is defined.  Every system carries the uniform measure.
     """
-    if kind == "heisenberg":
-        kind, family = "regular", "h3"
-    if kind == "regular":
+    if kind in ("regular", "heisenberg"):
         if modulus is None:
-            raise ValueError("regular systems need a modulus")
-        group, _ = build_group_space(
-            family, d=None if family == "h3" else d, modulus=modulus)
+            raise ValueError(f"{kind} systems need a modulus")
+        group, _ = (build_group_space("zd", d=1, modulus=modulus)
+                    if kind == "regular"
+                    else build_group_space("h3", modulus=modulus))
         return regular_system(group)
 
     if kind not in ("rotation", "rotation2d"):
@@ -407,14 +405,12 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
 
     Values above sup-norm one are clipped, and the grid is capped at the
     acting group's safe radius; both are recorded in the report rather
-    than applied silently.  The profile is folded chunk by chunk as it is
-    swept, never held whole.
+    than applied silently.  This is the tail report of
+    `tail_and_convergence`, which folds the profile chunk by chunk as it
+    is swept, never holding it whole.
     """
-    values, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
-    tail = _TailFold(system, values, lam, upcross)
-    for rows in _action_chunks(system, values, kept):
-        tail.update(rows)
-    return _tail_report(system, kept, notes, lam, upcross, tail)
+    return tail_and_convergence(system, values, radii, lam=lam,
+                                upcross=upcross)[0]
 
 
 def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
@@ -581,8 +577,8 @@ def tail_and_convergence(system: MPSystem, values: np.ndarray,
     O(n_states * levels + _SWEEP_BYTES) instead of O(n_states * radii).
     The probe reads the unclipped values, so it reads the tail's rows when
     nothing was clipped; otherwise the clipped and the unclipped values are
-    swept as one (n_states, 2) block.  Both reports are bitwise those of
-    the two separate calls."""
+    swept as one (n_states, 2) block.  The convergence report is bitwise
+    that of `convergence_probe` over the kept radii."""
     values = np.asarray(values, dtype=float)
     clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
     tail = _TailFold(system, clipped, lam, upcross)

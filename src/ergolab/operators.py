@@ -8,11 +8,11 @@ operator (V_2 within each block), the two pointwise domination
 inequalities that transfer jump counts from the full radius grid to the
 martingale, and randomized operator-norm probes.
 
-Ball averages on a quotient of Z^d (standard or custom generators, any
-weights) are cyclic convolutions of f with the indicator of the identity
-ball B(e, r), so they are computed with `numpy.fft`: one forward
-transform of the block over the (N,)*d key grid, then one transform of the
-indicator, one product and one inverse transform per radius.  Columns of
+Ball averages on a quotient of Z^d (any weights) are cyclic convolutions
+of f with the indicator of the identity ball B(e, r), so they are computed
+with `numpy.fft`: one forward transform of the block over the (N,)*d key
+grid, then one transform of the indicator, one product and one inverse
+transform per radius.  Columns of
 integer values (and integer weights) are rounded to their exact integer
 sums before the one division, so they equal the sweep bit for bit; other
 columns agree with it to rounding.  Every call recomputes its averages at
@@ -61,7 +61,7 @@ import numpy as np
 
 from .cubes import DyadicSystem
 from .martingale import (SampleFunction, expectation_block, maximal_block,
-                         sharp_maximal_bmo, weighted_norm)
+                         weighted_norm)
 from .space import FiniteSpace, GroupSpace
 from .stats import JumpFold, jump_count_batch, variation_batch
 
@@ -110,7 +110,8 @@ class BlockGrid(NamedTuple):
 class OperatorConfig:
     """Radius bookkeeping shared by the averaging operators.
 
-    n_r0 is the unique integer with delta^n_r0 < r0 <= delta^(n_r0+1).
+    n_r0 is the unique integer with delta^n_r0 < r0 <= delta^(n_r0+1),
+    for the r0 of the space.
     Each block n >= n_r0 carries its anchor delta^n, for any delta, then
     the integer radii of (delta^n, delta^(n+1)) up to the space diameter
     (word metrics take integer values, so these are exactly the distinct
@@ -127,16 +128,13 @@ class OperatorConfig:
 
     @classmethod
     def for_space(cls, space: FiniteSpace, *, delta: float = 36.0,
-                  r0: float | None = None, block_cap: int = 24) -> "OperatorConfig":
+                  block_cap: int = 24) -> "OperatorConfig":
         delta = float(delta)
         if delta <= 1:
             raise ValueError("delta must exceed 1")
         if block_cap < 2:
             raise ValueError("block_cap must be at least 2")
-        if r0 is None:
-            r0 = space.r0
-        if r0 <= 0:
-            raise ValueError("r0 must be positive")
+        r0 = space.r0
         n_r0 = int(math.floor(math.log(r0) / math.log(delta)))
         while delta**n_r0 >= r0:
             n_r0 -= 1
@@ -754,7 +752,6 @@ class NormProbeReport:
     strong_mean: float
     strong_median: float
     weak_max: tuple[tuple[float, float], ...]
-    bmo_max: float | None
     avg_radius: float | None
     doubling_D: float | None
     avg_bound_ok: bool | None
@@ -769,7 +766,6 @@ class NormProbeReport:
             "strong_mean": self.strong_mean,
             "strong_median": self.strong_median,
             "weak_max": [[g, r] for g, r in self.weak_max],
-            "bmo_max": self.bmo_max,
             "avg_radius": self.avg_radius,
             "doubling_D": self.doubling_D,
             "avg_bound_ok": self.avg_bound_ok,
@@ -778,8 +774,7 @@ class NormProbeReport:
 
 def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
                p: float = 2.0, trials: int = 200, seed: int = 0,
-               gammas: Sequence[float] = (0.5, 1.0, 2.0),
-               compute_bmo: bool = False) -> NormProbeReport:
+               gammas: Sequence[float] = (0.5, 1.0, 2.0)) -> NormProbeReport:
     """Randomized size of one operator: strong-(p,p) ratios over three
     ensembles, weak-(1,1) ratios on a gamma grid, and (for averages at the
     radius r = max(1, delta^(n_r0+1))) the comparison against D^(1/p)
@@ -822,7 +817,6 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     w = space.weights
     rows: list[ProbeRow] = []
     weak: dict[float, float] = {g: 0.0 for g in gammas}
-    bmo_max = 0.0 if compute_bmo else None
     step = max(1, _SWEEP_BYTES // (max(width, 1) * space.n * 8))
     for first in range(0, trials, step):
         ts = range(first, min(first + step, trials))
@@ -839,12 +833,6 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
             if l1 > 0:
                 for g in gammas:
                     weak[g] = max(weak[g], g * w[np.abs(out) > g].sum() / l1)
-            if compute_bmo:
-                sup = np.abs(values).max()
-                if sup > 0:
-                    _, bmo = sharp_maximal_bmo(
-                        SampleFunction(space.label, out), system)
-                    bmo_max = max(bmo_max, bmo / sup)
 
     ratios = np.array([row.ratio for row in rows])
     doubling = avg_ok = None
@@ -858,7 +846,6 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
         strong_mean=float(ratios.mean()),
         strong_median=float(np.median(ratios)),
         weak_max=tuple((g, float(weak[g])) for g in gammas),
-        bmo_max=bmo_max,
         avg_radius=r if operator == "average" else None,
         doubling_D=doubling,
         avg_bound_ok=avg_ok)

@@ -121,24 +121,6 @@ class FinGroup:
         return self._reduce(out)
 
 
-def _check_generators(group: FinGroup, gens: np.ndarray) -> np.ndarray:
-    gens = np.asarray(gens, dtype=np.int64)
-    if gens.ndim != 2 or gens.shape[1] != group.d:
-        raise ValueError("generators must be rows of group coordinates")
-    gens = group._reduce(gens)
-    rows = {tuple(int(v) for v in row) for row in gens}
-    ident = tuple(int(v) for v in group.identity)
-    if ident in rows:
-        raise ValueError("identity must not be a generator")
-    for row in gens:
-        inv = tuple(int(v) for v in group.inv(row))
-        if inv not in rows:
-            raise ValueError(
-                f"generator set is not symmetric: inverse of {tuple(row)} missing"
-            )
-    return gens
-
-
 def _key_box(group: FinGroup, radius: int | None) -> tuple[np.ndarray, ...]:
     """(low, size, place) per coordinate of the mixed-radix key box that
     holds the quotient, or the standard-generator Cayley ball of the given
@@ -259,9 +241,6 @@ class FiniteSpace:
         np.cumsum([m.size for m in members], out=indptr[1:])
         return indptr, np.concatenate(members), np.concatenate(dists)
 
-    def ball_table(self, center: int, radii: Sequence[int] | None = None) -> "BallTable":
-        return BallTable.from_space(self, center, radii)
-
     def diameter(self) -> float:
         raise NotImplementedError
 
@@ -346,19 +325,15 @@ class GroupSpace(FiniteSpace):
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
                  radius: int | None, weights=None, r0: float = 1.0,
-                 label: str = "group", generators=None,
+                 label: str = "group",
                  neighbors: np.ndarray | None = None) -> None:
-        if radius is not None and generators is not None:
-            raise ValueError("truncated space with custom generators requires "
-                             "explicit neighbor construction")
         super().__init__(elements.shape[0], weights, r0, label)
         self.group = group
         self.elements = elements
         self.word_lengths = wl
         self.radius = radius            # truncation radius, None for quotients
-        # the word metric's generators, checked symmetric: x ~ x * g
-        self.generators = (group.standard_generators() if generators is None
-                           else _check_generators(group, generators))
+        # the word metric's generators, symmetric: x ~ x * g
+        self.generators = group.standard_generators()
         self._box = _key_box(group, radius)
         self._keys = _encode(elements, self._box)
         self._key_order = np.argsort(self._keys)
@@ -685,17 +660,18 @@ def _zd_quotient(d: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_group_space(family: str, *, d: int | None = None,
                       radius: int | None = None, modulus: int | None = None,
-                      generators=None, r0: float = 1.0, weights=None,
-                      label: str | None = None) -> tuple[GroupSpace, BallTable]:
+                      r0: float = 1.0, weights=None
+                      ) -> tuple[GroupSpace, BallTable]:
     """Enumerate a group-family space and its identity-centered ball table.
 
     family "zd" needs ``d``; family "h3" is the discrete Heisenberg group.
     Exactly one of ``radius`` (Cayley-ball truncation) and ``modulus``
     (finite quotient) must be given.
 
-    One breadth-first pass (a closed form for the standard Z^d quotients)
-    yields the canonical order and the word lengths, and on a truncation
-    the neighbor table too; the ball table is read off the word lengths.
+    Every space takes the standard generators of `FinGroup`.  One
+    breadth-first pass (a closed form for the Z^d quotients) yields the
+    canonical order and the word lengths, and on a truncation the neighbor
+    table too; the ball table is read off the word lengths.
     """
     if family not in ("zd", "h3"):
         raise ValueError(f"unknown family {family!r} (use 'zd' or 'h3')")
@@ -724,31 +700,19 @@ def build_group_space(family: str, *, d: int | None = None,
         raise CapacityError("quotient has too many points")
 
     group = FinGroup(family, dim, modulus)
-    standard = generators is None
-    gens = group.standard_generators() if standard else _check_generators(group, generators)
-    if radius is not None and not standard:
-        raise ValueError("truncated space with custom generators requires "
-                         "explicit neighbor construction")
-
-    if family == "zd" and modulus is not None and standard:
+    if family == "zd" and modulus is not None:
         elems, wl = _zd_quotient(dim, modulus)
         neighbors = None
     else:
-        elems, wl, neighbors = _bfs_enumerate(group, gens, radius)
-    if modulus is not None and elems.shape[0] != modulus ** dim:
-        raise ValueError(
-            f"generators do not generate the quotient: reached "
-            f"{elems.shape[0]} of {modulus ** dim} elements"
-        )
-    if label is None:
-        if family == "zd":
-            base = f"Z^{dim}"
-        else:
-            base = "H3"
-        label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
+        elems, wl, neighbors = _bfs_enumerate(
+            group, group.standard_generators(), radius)
+    if family == "zd":
+        base = f"Z^{dim}"
+    else:
+        base = "H3"
+    label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
     space = GroupSpace(group, elems, wl, radius, weights=weights, r0=r0,
-                       label=label, generators=None if standard else gens,
-                       neighbors=neighbors)
+                       label=label, neighbors=neighbors)
     # d(e, x) = |x| on quotients and truncations alike, since the prefixes
     # of a geodesic stay in the ball; canonical order starts at e and is
     # sorted by word length
@@ -817,7 +781,8 @@ def annular_decay_profile(space: FiniteSpace, centers: Iterable[int],
     worst = None
     n_samples = 0
     for c in centers:
-        vol = space.ball_table(c, ()).volume   # no radius list: volumes only
+        # no radius list: volumes only
+        vol = BallTable.from_space(space, c, ()).volume
         for r in r_values:
             vr = vol(r)
             for s in s_values:
@@ -895,22 +860,22 @@ def greedy_net(space: FiniteSpace, sep: float, members: np.ndarray | None = None
 
 
 def geometric_doubling_check(space: FiniteSpace, D0: int,
-                             r0: float | None = None,
                              centers: Iterable[int] | None = None,
                              small_radii: Iterable[float] | None = None,
                              pairs: Iterable[tuple[float, float]] | None = None
                              ) -> DoublingReport:
     """Greedy-cover probe of the doubling hypothesis.
 
-    For sampled balls with r <= 4 r0, builds a greedy (r/2)-net of B(c, r)
-    (whose r/2-balls cover the ball) and reports the largest net size; each
-    requested (R, r) pair is checked against D^(log2 [R/r] + 1) with
-    D = max(D0, [9^eps (K+1)] + 1) = max(D0, 19) at the annular constants
-    eps = K = 1.  Violations are reported, not raised.
+    For sampled balls with r <= 4 r0, r0 being the space's, builds a
+    greedy (r/2)-net of B(c, r) (whose r/2-balls cover the ball) and
+    reports the largest net size; each requested (R, r) pair is checked
+    against D^(log2 [R/r] + 1) with D = max(D0, [9^eps (K+1)] + 1) =
+    max(D0, 19) at the annular constants eps = K = 1.  Violations are
+    reported, not raised.
     """
     if D0 < 1:
         raise ValueError("D0 must be >= 1")
-    r0 = space.r0 if r0 is None else float(r0)
+    r0 = space.r0
     if centers is None:
         step = max(1, space.n // 8)
         centers = range(0, space.n, step)

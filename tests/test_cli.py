@@ -12,6 +12,7 @@ import pytest
 
 from ergolab import cli, dynamics, operators
 from ergolab.cli import _radius_grid, main
+from ergolab.operators import OperatorConfig
 from ergolab.space import build_group_space
 
 SMALL = {
@@ -246,6 +247,25 @@ class TestConfigValidation:
         assert f"{path}:{line}: {named}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("with_config", [True, False],
+                             ids=["config", "defaults"])
+    def test_bad_seed_flag_is_reported_at_the_flag(self, tmp_path, capsys,
+                                                   seed, with_config):
+        # the config's own seed on line 2 is valid and takes no blame
+        config = []
+        if with_config:
+            path = tmp_path / "config.json"
+            path.write_text('{\n  "seed": 3\n}\n')
+            config = ["--config", str(path)]
+        out = tmp_path / "run"
+        assert run("space", *config, "--seed", str(seed),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"ergolab: --seed must be a non-negative integer below 2^64 "
+            f"(got {seed})\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,body,named", [
         (("cubes",), '{\n  "cubes": {\n    "k_min": 10\n  }\n}\n',
          "cubes: resolved level range is empty"),
@@ -418,6 +438,35 @@ class TestCommands:
                                           "maximal"}
         assert blob["failures"] == []
         assert blob["martingale_jump"]["max_ratio"] < 1.5
+
+    def test_probe_records_the_operator_notes(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert run("probe", "--config", cfg, "--out", str(out)) == 0
+        space, _ = build_group_space("zd", d=1, modulus=64)
+        notes = list(OperatorConfig.for_space(space).notes)
+        assert json.loads((out / "probe.json").read_text())["notes"] == notes
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.startswith("note: ")] == [
+            f"note: {n}" for n in notes]
+
+    def test_domination_notes_name_every_subsampled_block(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "space": {"modulus": 4096},
+            "domination": {"trials": 1, "lambdas": [0.5]}})
+        out = tmp_path / "run"
+        assert run("verify", "--suite", "domination", "--config", cfg,
+                   "--out", str(out)) == 0
+        notes = json.loads((out / "verify.json").read_text())[
+            "suites"][0]["notes"]
+        for block in ("block n=0 subsampled to 17 of 35 radii",
+                      "block n=1 subsampled to 22 of 1260 radii",
+                      "block n=2 subsampled to 22 of 753 radii"):
+            assert block in notes
+        space, _ = build_group_space("zd", d=1, modulus=4096)
+        assert notes == list(OperatorConfig.for_space(space).notes)
+        summary = (out / "summary.txt").read_text()
+        assert all(f"  note: {n}\n" in summary for n in notes)
 
     def test_experiment_artifacts_and_capping(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -100,13 +100,16 @@ class TestConstruction:
         for j in range(z64.n):
             assert np.array_equal(system.act_perm(j), z64.right_perm(j))
 
+    def test_regular_kind(self):
+        system = build_system("regular", modulus=64)
+        assert system.n_states == 64
+        assert system.label == "regular:Z^1 mod 64"
+
     def test_heisenberg_kind(self):
         system = build_system("heisenberg", modulus=4)
         assert system.group.n == 64
         assert system.n_states == 64
-        regular = build_system("regular", family="h3", modulus=4)
-        assert system.label == regular.label
-        assert np.array_equal(system.group.elements, regular.group.elements)
+        assert system.label == "regular:H3 mod 4"
 
     def test_rotation2d(self):
         system = build_system("rotation2d", modulus=8)
@@ -490,7 +493,7 @@ class TestConvergence:
         assert np.array_equal(system.orbit_labels(), union_find_labels(system))
 
     def test_orbit_labels_of_h3_match_union_find(self):
-        system = build_system("regular", family="h3", modulus=4)
+        system = build_system("heisenberg", modulus=4)
         labels = system.orbit_labels()
         assert np.array_equal(labels, union_find_labels(system))
         assert np.array_equal(labels, np.zeros(64))

@@ -83,8 +83,9 @@ class TestOperatorConfig:
 
     @given(r0=st.floats(0.05, 100.0), delta=st.sampled_from([2.0, 10.0, 36.0]))
     def test_n_r0_defining_inequality(self, r0, delta):
-        space = MatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), label="pair")
-        cfg = OperatorConfig.for_space(space, delta=delta, r0=r0)
+        space = MatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), r0=r0,
+                            label="pair")
+        cfg = OperatorConfig.for_space(space, delta=delta)
         assert delta**cfg.n_r0 < r0 <= delta ** (cfg.n_r0 + 1)
 
     def test_grids_strictly_increasing(self, z512_config):
@@ -99,16 +100,11 @@ class TestOperatorConfig:
         # the anchor survives subsampling
         assert cfg.blocks[2].radii[0] == delta
 
-    def test_r0_defaults_to_space(self, z512):
-        assert OperatorConfig.for_space(z512).r0 == z512.r0
-
     def test_validation(self, z512):
         with pytest.raises(ValueError):
             OperatorConfig.for_space(z512, delta=1.0)
         with pytest.raises(ValueError):
             OperatorConfig.for_space(z512, block_cap=1)
-        with pytest.raises(ValueError):
-            OperatorConfig.for_space(z512, r0=0.0)
 
     def test_eligible_levels(self, z512_system, z512_config):
         assert z512_config.eligible_levels(z512_system) == [0, 1]
@@ -369,16 +365,10 @@ class TestSweepChunks:
         assert peak < 8 * 2**20
 
 
-def _custom_generator_space():
-    gens = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
-    return build_group_space("zd", d=2, modulus=12, generators=gens)[0]
-
-
 FFT_SPACES = {
     "z64": BATCH_SPACES["z64"],
     "z2_16": lambda: build_group_space("zd", d=2, modulus=16)[0],
     "z3_6": lambda: build_group_space("zd", d=3, modulus=6)[0],
-    "z2_12_custom": _custom_generator_space,
     "z64_weighted": BATCH_SPACES["z64_weighted"],
 }
 
@@ -902,7 +892,7 @@ class TestProbeBlocks:
             return streamed(values, space, radii, rows)
 
         monkeypatch.setattr(operators, "_profile_chunks", recording)
-        kwargs = dict(trials=7, seed=11, compute_bmo=True)
+        kwargs = dict(trials=7, seed=11)
         default = norm_probe(z512_system, z512_config, operator, **kwargs)
         sweeps = {1: [1] * 7, 3: [3, 3, 1]}
         assert widths == ([] if operator == "maximal" else [7])

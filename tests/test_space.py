@@ -100,18 +100,6 @@ class TestBuildGroupSpace:
         with pytest.raises(CapacityError):
             build_group_space("zd", d=4, modulus=64)
 
-    def test_nonsymmetric_generators_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            build_group_space("zd", d=1, radius=4, generators=[[1]])
-
-    def test_identity_generator_rejected(self):
-        with pytest.raises(ValueError, match="identity"):
-            build_group_space("zd", d=1, radius=4, generators=[[0], [1], [-1]])
-
-    def test_nongenerating_quotient_rejected(self):
-        with pytest.raises(ValueError, match="generate"):
-            build_group_space("zd", d=1, modulus=8, generators=[[2], [-2]])
-
     def test_canonical_order_starts_at_identity(self):
         space, _ = build_group_space("zd", d=2, radius=3)
         assert identity_index(space) == 0
@@ -182,8 +170,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("kwargs", [
         {"family": "h3", "modulus": 8}, {"family": "h3", "radius": 4},
-        {"family": "zd", "d": 2, "radius": 4},
-        {"family": "zd", "d": 1, "modulus": 8, "generators": [[3], [5]]}])
+        {"family": "zd", "d": 2, "radius": 4}])
     def test_other_spaces_enumerate_by_bfs(self, kwargs, monkeypatch):
         calls = []
         bfs = space_module._bfs_enumerate
@@ -248,20 +235,6 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             build_group_space("h3", radius=radius)
 
-    def test_custom_generator_truncation_refused_before_enumerating(
-            self, no_enumeration):
-        with pytest.raises(ValueError, match="custom generators"):
-            build_group_space("zd", d=1, radius=4, generators=[[2], [-2]])
-
-    def test_custom_generator_quotient_builds(self):
-        space, _ = build_group_space("zd", d=1, modulus=8, generators=[[3], [5]])
-        assert space.n == 8
-        assert list(space.word_lengths) == [0, 1, 1, 2, 2, 3, 3, 4]
-        assert space.generators.tolist() == [[3], [5]]
-        x = space.elements[:, 0]
-        assert np.array_equal(space.elements[space._neighbor_table()[:, 0], 0],
-                              (x + 3) % 8)
-
 
 def assert_table_from_row(table: BallTable, space: GroupSpace,
                           row: np.ndarray) -> None:
@@ -318,12 +291,6 @@ class TestWordMetric:
             assert np.array_equal(row, space._bfs_row(i))
             row[:] = -1.0       # callers get copies, never the kept row
             assert np.array_equal(space.dist_row(i), space._bfs_row(i))
-
-    def test_truncation_with_custom_generators_refused(self):
-        space, _ = build_group_space("h3", radius=2)
-        with pytest.raises(ValueError, match="custom generators"):
-            GroupSpace(space.group, space.elements, space.word_lengths,
-                       space.radius, generators=space.generators)
 
     def test_left_invariance_on_quotient(self):
         space, _ = build_group_space("h3", modulus=5)
@@ -474,8 +441,6 @@ KERNEL_SPACES = {
     "z2-16": lambda: build_group_space("zd", d=2, modulus=16)[0],
     "z3-6": lambda: build_group_space("zd", d=3, modulus=6)[0],
     "h3-8": lambda: build_group_space("h3", modulus=8)[0],
-    "z8-gens-3-5": lambda: build_group_space(
-        "zd", d=1, modulus=8, generators=[[3], [5]])[0],
 }
 
 
@@ -505,8 +470,6 @@ GROUP_BALL_SPACES = {
     "h3-8": lambda: build_group_space("h3", modulus=8)[0],
     "z2-ball10": lambda: build_group_space("zd", d=2, radius=10)[0],
     "h3-ball6": lambda: build_group_space("h3", radius=6)[0],
-    "z8-gens35": lambda: build_group_space("zd", d=1, modulus=8,
-                                           generators=[[3], [5]])[0],
 }
 BALL_SPACES = pytest.mark.parametrize(
     "make", [*GROUP_BALL_SPACES.values(), KERNEL_SPACES["z3-6"],
@@ -681,14 +644,14 @@ class TestBallTable:
         rng = np.random.default_rng(5)
         w = rng.uniform(0.5, 2.0, size=11)
         space, _ = build_group_space("zd", d=1, radius=5, weights=w)
-        table = space.ball_table(identity_index(space))
+        table = BallTable.from_space(space, identity_index(space))
         for r in table.radii:
             assert table.volume(r) == pytest.approx(w[table.members(r)].sum())
 
     def test_rejects_nonincreasing_radii(self):
         space, _ = build_group_space("zd", d=1, radius=3)
         with pytest.raises(ValueError):
-            space.ball_table(0, radii=[0, 2, 2])
+            BallTable.from_space(space, 0, radii=[0, 2, 2])
 
 
 class TestMatrixSpace:
@@ -791,10 +754,10 @@ class TestDoubling:
     def test_z2_small_covers(self):
         space, _ = build_group_space("zd", d=2, radius=40, r0=2.0)
         wl = space.word_lengths
-        rep1 = geometric_doubling_check(space, 12, r0=2.0,
+        rep1 = geometric_doubling_check(space, 12,
                                         centers=[identity_index(space)],
                                         small_radii=[2, 4, 8])
-        rep2 = geometric_doubling_check(space, 12, r0=2.0,
+        rep2 = geometric_doubling_check(space, 12,
                                         centers=[int(i) for i in np.nonzero(wl <= 4)[0][:6]],
                                         small_radii=[2, 4, 8])
         assert rep1.max_small_cover == 9
@@ -872,6 +835,7 @@ class TestGrowthFit:
 
     def test_too_few_radii(self):
         space, _ = build_group_space("zd", d=1, radius=4)
-        table = space.ball_table(identity_index(space), radii=[0, 1])
+        table = BallTable.from_space(space, identity_index(space),
+                                     radii=[0, 1])
         with pytest.raises(ValueError):
             fit_growth_exponent(table)
