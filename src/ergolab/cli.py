@@ -544,15 +544,21 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
 
 def _suite_transference(space, system, cfg: dict) -> dict:
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "transference"))
-    values = rng.standard_normal(space.n)
+    # integer values: the FFT engine rounds them to exact ball sums, so
+    # the action's sweep must match them bit for bit
+    values = _draw("rademacher", rng, space.n)
     # cmd_verify has refused a grid with no radius within the diameter
     diam = space.diameter()
     radii = [r for r in cfg["transference"]["radii"] if r <= diam]
     dropped = [float(r) for r in cfg["transference"]["radii"] if r > diam]
     notes = ([f"radii above the space diameter {diam:g} dropped: {dropped}"]
              if dropped else [])
-    rep = transference_check(space, values, radii,
-                             lam=cfg["transference"]["lambda"])
+    try:
+        rep = transference_check(space, values, radii,
+                                 lam=cfg["transference"]["lambda"])
+    except SpotCheckError as exc:
+        return {"suite": "transference", "checks": 0,
+                "failures": [str(exc)], "notes": notes}
     failures: list[str] = []
     if rep.max_discrepancy != 0.0:
         failures.append(f"max discrepancy {rep.max_discrepancy!r} != 0")

@@ -10,13 +10,10 @@ reached exactly instead of asymptotically.
 
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
-point with the group element.  Both sides of `transference_check` go
-through the same sweep (`operators.sweep_profile` over
-`operators.group_shells`) with the same translations, computed by the same
-`GroupSpace.right_perm`, so the agreement is bitwise, not merely within
-rounding.  (`operators.avg_profile`
-computes the same averages on Z^d quotients by FFT, which agrees with the
-sweep only to rounding on non-integer values; the check does not use it.)
+point with the group element.  `transference_check` sweeps the action and
+takes the geometric side from `operators.avg_profile`, which on Z^d
+quotients is the FFT engine: integer values then agree bit for bit, other
+values to rounding.
 
 Nothing stores permutations: a regular system asks `GroupSpace.right_perm`,
 which computes each translation from key digits on every call, and a
@@ -199,8 +196,7 @@ def regular_system(space: GroupSpace) -> MPSystem:
     """The quotient acting on itself by right translation.
 
     The action permutations are the space's own right translations,
-    computed by `GroupSpace.right_perm` on every call exactly as the
-    geometric side computes them.
+    computed by `GroupSpace.right_perm` on every call.
     """
     mu = np.ones(space.n) / space.n
     return MPSystem(space, mu, space.right_perm,
@@ -277,8 +273,8 @@ def action_profile(system: MPSystem, values: np.ndarray,
     each column bitwise equal to its own profile.
 
     The ball average weights group elements by counting measure, so the
-    sweep runs with unit weights regardless of mu; this is also what makes
-    the regular action reproduce the geometric averages bitwise.
+    sweep runs with unit weights regardless of mu, as the geometric ball
+    averages of a quotient count its points.
     """
     return sweep_profile(_state_values(system, values),
                          np.ones(system.n_states),
@@ -329,13 +325,10 @@ def transference_check(space: GroupSpace, values: np.ndarray,
                        radii: Sequence[float],
                        lam: float = 0.5) -> TransferenceReport:
     """Compare ergodic averages of the regular action against geometric
-    ball averages on the quotient, pointwise and through jump counts."""
-    system = regular_system(space)
-    act = action_profile(system, values, radii)
-    # the geometric side stays on the sweep, whatever engine `avg_profile`
-    # uses on this quotient: both sides then share one accumulation order
-    trans = sweep_profile(np.asarray(values, dtype=float), space.weights,
-                          group_shells(space, space.right_perm, radii), radii)
+    ball averages on the quotient (`operators.avg_profile`), pointwise and
+    through jump counts."""
+    act = action_profile(regular_system(space), values, radii)
+    trans = operators.avg_profile(values, space, radii)
     disc = float(np.abs(act - trans).max()) if act.size else 0.0
     return TransferenceReport(
         space_label=space.label,
@@ -409,8 +402,7 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     `tail_and_convergence`, which folds the profile chunk by chunk as it
     is swept, never holding it whole.
     """
-    return tail_and_convergence(system, values, radii, lam=lam,
-                                upcross=upcross)[0]
+    return _tail_and_convergence(system, values, radii, lam, upcross)[0]
 
 
 def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
@@ -423,7 +415,9 @@ def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
 
     sup = float(np.abs(values).max()) if values.size else 0.0
     if sup > 1.0:
-        warnings.warn("values clipped to sup-norm one", stacklevel=3)
+        # past this function, `_tail_and_convergence` and the public entry
+        # point: the warning names the entry point's caller
+        warnings.warn("values clipped to sup-norm one", stacklevel=4)
         notes.append(f"values clipped to sup-norm one (was {sup:.6g})")
         values = np.clip(values, -1.0, 1.0)
 
@@ -579,6 +573,13 @@ def tail_and_convergence(system: MPSystem, values: np.ndarray,
     nothing was clipped; otherwise the clipped and the unclipped values are
     swept as one (n_states, 2) block.  The convergence report is bitwise
     that of `convergence_probe` over the kept radii."""
+    return _tail_and_convergence(system, values, radii, lam, upcross)
+
+
+def _tail_and_convergence(system: MPSystem, values: np.ndarray,
+                          radii: Sequence[float], lam: float | None,
+                          upcross: tuple[float, float] | None
+                          ) -> tuple[TailReport, ConvergenceReport]:
     values = np.asarray(values, dtype=float)
     clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
     tail = _TailFold(system, clipped, lam, upcross)

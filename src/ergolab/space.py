@@ -319,9 +319,10 @@ class GroupSpace(FiniteSpace):
     Cayley ball — under the word metric, enumerated in a canonical order
     (word length, then key order, which is lexicographic coordinate order).
 
-    ``neighbors`` is the (n, #generators) table of the indices of x * g
-    that `build_group_space` takes from the enumeration of a truncation;
-    without it, `_neighbor_table` computes the table on first use."""
+    A truncation needs ``neighbors``, the (n, #generators) table of the
+    indices of x * g (-1 outside the ball) that `build_group_space` takes
+    from its enumeration; a quotient takes none, since `_product` serves
+    it."""
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
                  radius: int | None, weights=None, r0: float = 1.0,
@@ -355,11 +356,13 @@ class GroupSpace(FiniteSpace):
             # a truncation's keys are sparse in their box: index_of
             # searches them
             self._sorted_keys = sorted_keys
-        if neighbors is not None and neighbors.shape != (self.n, len(self.generators)):
-            raise ValueError("neighbor table must have one row per element "
-                             "and one column per generator")
+            if (neighbors is None
+                    or neighbors.shape != (self.n, len(self.generators))):
+                raise ValueError("a truncation needs its neighbor table, one "
+                                 "row per element and one column per "
+                                 "generator")
+            self._neighbors = neighbors
         self._row_cache: dict[int, np.ndarray] = {}
-        self._neighbors = neighbors
 
     def index_of(self, elems: np.ndarray) -> np.ndarray:
         """Indices of the given coordinate rows; -1 where not enumerated."""
@@ -392,16 +395,8 @@ class GroupSpace(FiniteSpace):
                 self._row_cache[i] = row
         return row.astype(float)
 
-    def _neighbor_table(self) -> np.ndarray:
-        """(n, #generators) indices of x * g; -1 outside a truncation.
-        Computed here on first use unless the enumeration handed it over."""
-        if self._neighbors is None:
-            self._neighbors = self.index_of(self.group.mult(
-                self.elements[:, None, :], self.generators))
-        return self._neighbors
-
     def _bfs_row(self, i: int) -> np.ndarray:
-        nbrs = self._neighbor_table()
+        nbrs = self._neighbors
         dist = _bfs_layers(self.n, i, lambda frontier: nbrs[frontier].ravel())[0]
         if np.any(dist < 0):
             raise ValueError("truncated ball is not connected (BFS gap)")
@@ -444,7 +439,7 @@ class GroupSpace(FiniteSpace):
                       radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # one breadth-first search from every center at once, over pair keys
         # j * n + point for the j-th center of the block
-        n, nbrs = self.n, self._neighbor_table()
+        n, nbrs = self.n, self._neighbors
         keys = np.arange(block.size) * n + block
         layers, prev = [keys], keys[:0]
         for _ in range(int(radius)):

@@ -91,8 +91,8 @@ def jump_count_oracle(seq, lam: float) -> int:
 def variation_oracle(seq, q: float) -> float:
     """Exhaustive q-variation: maximize sum |gap|^q over all partitions
     (subsequences), then take the 1/q power.  Refuses length > 16."""
-    if not (q >= 1):
-        raise ValueError("q must be >= 1")
+    if not 1 <= q < math.inf:
+        raise ValueError("q must be finite and >= 1")
     a = np.asarray(seq, dtype=float)
     n = a.size
     if n > 16:
@@ -407,33 +407,24 @@ class JumpFold:
 
 
 def variation(seq, q: float) -> float:
-    """q-variation for q >= 1 (or q = inf: the largest pairwise gap).
+    """q-variation for finite q >= 1: `variation_batch` on a single column.
 
-    Finite q is `variation_batch` on a single column.  q < 1 is unsupported
-    (the partition supremum is still defined there but is not what the
-    program computes).
+    q < 1 and q = inf are refused (the partition supremum is still defined
+    there but is not what the program computes).
     """
     a = np.asarray(seq, dtype=float)
-    if a.size < 2:
-        return 0.0
-    if math.isinf(q):
-        # sup over i < j only; running extremes suffice
-        lo = np.minimum.accumulate(a)
-        hi = np.maximum.accumulate(a)
-        return float(max(np.max(a[1:] - lo[:-1]), np.max(hi[:-1] - a[1:]), 0.0))
-    if not q >= 1:
-        raise ValueError("q must be >= 1 or inf")
     return float(variation_batch(a.reshape(-1, 1), q)[0])
 
 
 def variation_batch(values: np.ndarray, q: float) -> np.ndarray:
-    """`variation` down each column of a (scales x points) array (finite q).
+    """`variation` down each column of a (scales x points) array.
 
     Exact dynamic program best[i] = max_{j<i} (best[j] + |a_i - a_j|^q);
     the answer is (max_i best[i])^{1/q}.
     """
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
+    # NaN fails both comparisons
+    if not 1 <= q < math.inf:
+        raise ValueError("q must be finite and >= 1")
     return _by_columns(values, lambda vals: _variation_dp(vals, q))
 
 

@@ -13,7 +13,7 @@ import pytest
 from ergolab import cli, dynamics, operators
 from ergolab.cli import _radius_grid, main
 from ergolab.operators import OperatorConfig
-from ergolab.space import build_group_space
+from ergolab.space import GroupSpace, build_group_space
 
 SMALL = {
     "seed": 7,
@@ -424,6 +424,37 @@ class TestCommands:
         assert failure.startswith(
             "trial 0 lambda 0.5: FFT ball average mismatch at point 0")
         assert "suite domination: FAIL" in (out / "summary.txt").read_text()
+
+    def test_transference_reports_spot_check_mismatch(self, tmp_path,
+                                                      monkeypatch):
+        _move_one_average(monkeypatch)
+        cfg = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "transference") == 1
+        suite, = json.loads((out / "verify.json").read_text())["suites"]
+        failure, = suite["failures"]
+        assert failure.startswith("FFT ball average mismatch at point 0")
+        assert "suite transference: FAIL" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("space", [{"modulus": 64},
+                                       {"d": 2, "modulus": 16}])
+    def test_transference_fails_under_a_wrong_translation(
+            self, tmp_path, monkeypatch, space):
+        # x -> x + 3u is a measure-preserving action of the quotient, but
+        # not its translation: the action's averages leave the ball averages
+        def tripled(self, j):
+            return self._product(self._columns,
+                                 3 * self.elements[j] % self.group.modulus)
+
+        monkeypatch.setattr(GroupSpace, "right_perm", tripled)
+        cfg = write_config(tmp_path, dict(SMALL, space=space))
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "transference") == 1
+        suite, = json.loads((out / "verify.json").read_text())["suites"]
+        assert suite["failures"][0].startswith("max discrepancy ")
+        assert "suite transference: FAIL" in (out / "summary.txt").read_text()
 
     def test_probe_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

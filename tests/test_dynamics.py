@@ -288,8 +288,9 @@ class TestAveraging:
 
 class TestTransference:
     def test_regular_action_zero_discrepancy_z64(self, z64):
+        # signs: the FFT engine of the geometric side sums them exactly
         rng = RNG(11)
-        f = rng.standard_normal(64)
+        f = rng.choice([-1.0, 1.0], size=64)
         rep = transference_check(z64, f, [1.0, 2.0, 4.0, 8.0, 16.0])
         assert rep.max_discrepancy == 0.0
         assert rep.jumps_equal
@@ -307,8 +308,8 @@ class TestTransference:
         assert np.array_equal(hist_a, hist_t)
 
     def test_bitwise_equality_of_rows(self, z64):
-        # not just within tolerance: the two pipelines share the sweep,
-        # which is what transference_check runs on the geometric side
+        # not just within tolerance: the action's sweep and the sweep of
+        # the quotient's own translations share one accumulation order
         rng = RNG(13)
         f = rng.standard_normal(64)
         radii = [1.0, 3.0, 7.0, 15.0]
@@ -358,9 +359,15 @@ class TestTailExperiment:
     def test_clipping_warns_and_notes(self, rot8):
         f = np.zeros(8)
         f[0] = 3.0
-        with pytest.warns(UserWarning, match="clipped"):
+        with pytest.warns(UserWarning, match="clipped") as record:
             rep = tail_experiment(rot8, f, [1.0, 2.0], lam=0.25)
         assert any("clipped" in n for n in rep.notes)
+        # each entry point attributes the warning to its caller
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="clipped") as record:
+            rep, _ = tail_and_convergence(rot8, f, [1.0, 2.0], lam=0.25)
+        assert any("clipped" in n for n in rep.notes)
+        assert record[0].filename == __file__
 
     def test_radius_capping_noted(self, rot8):
         rep = tail_experiment(rot8, np.ones(8), [1.0, 2.0, 50.0], lam=0.5)
@@ -459,6 +466,19 @@ class TestConvergence:
         # the limit differs from the global mean unless f conspires
         orbit_means = system.orbit_means(f)
         assert np.abs(orbit_means - f.mean()).max() > 1e-6
+
+    def test_weighted_orbit_means(self):
+        # mu is constant on each orbit of x -> x + 3, the residues mod 3,
+        # but differs across them: the mu-weighted path of orbit_means
+        rot = build_system("rotation", modulus=12, step=3)
+        system = MPSystem(rot.group, 1.0 + np.arange(12) % 3, rot.act_perm)
+        f = RNG(34).standard_normal(12)
+        want = np.empty(12)
+        for r in range(3):
+            orbit = np.arange(r, 12, 3)
+            want[orbit] = ((system.mu[orbit] * f[orbit]).sum()
+                           / system.mu[orbit].sum())
+        assert np.abs(system.orbit_means(f) - want).max() <= 1e-15
 
     def test_distances_reflect_orbit_projection(self):
         system = build_system("rotation", modulus=12, step=3)

@@ -209,12 +209,14 @@ class TestEnumeration:
         ("h3", 3, 6), ("h3", 3, 7), ("h3", 3, 20), ("zd", 2, 10), ("zd", 3, 4)])
     def test_bfs_neighbor_table_matches_products(self, family, d, radius):
         space, _ = build_group_space(family, d=d, radius=radius)
-        assert space._neighbors is not None     # handed over by the enumeration
         want = space.index_of(space.group.mult(space.elements[:, None, :],
                                                space.generators))
-        got = space._neighbor_table()
+        got = space._neighbors                  # handed over by the enumeration
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+        # a truncation is refused without its table
+        with pytest.raises(ValueError, match="needs its neighbor table"):
+            GroupSpace(space.group, space.elements, space.word_lengths, radius)
 
     def test_h3_largest_ball_under_the_cap_builds(self):
         space, _ = build_group_space("h3", radius=28)
@@ -512,6 +514,11 @@ class TestBallChunks:
         # ball_chunks searches only while balls are small; the search itself
         # must hold at every radius
         space = make()
+        if space.is_quotient:
+            # ball_chunks searches only truncations, whose enumeration hands
+            # over the neighbor table; a quotient's Cayley graph is built here
+            space._neighbors = space.index_of(space.group.mult(
+                space.elements[:, None, :], space.generators))
         centers = np.arange(space.n)[::-1]
         for radius in (0, 1, space.diameter() // 2, space.diameter() + 1):
             for lo in range(0, space.n, 37):

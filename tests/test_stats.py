@@ -129,9 +129,6 @@ class TestVariation:
         assert variation([0, 1, 0], 2.0) == pytest.approx(math.sqrt(2))
         assert variation([0, 1, 0], 1.0) == pytest.approx(2.0)
 
-    def test_infinite_q_is_max_gap(self):
-        assert variation([3, 1, 4], math.inf) == pytest.approx(3.0)
-
     def test_q1_can_skip(self):
         # for q = 1 skipping the middle point of a monotone run changes nothing
         assert variation([0, 1, 2], 1.0) == pytest.approx(2.0)
@@ -148,6 +145,14 @@ class TestVariation:
         with pytest.raises(ValueError):
             variation([0, 1, 0], 0.5)
 
+    def test_rejects_infinite_q(self):
+        # the dynamic program would raise every gap to the power inf
+        col = np.array([[0.0], [3.0], [-2.0], [0.5]])
+        for fn, seq in ((variation, col[:, 0]), (variation_batch, col),
+                        (variation_oracle, col[:, 0])):
+            with pytest.raises(ValueError, match="finite"):
+                fn(seq, math.inf)
+
     @given(short_seqs, st.floats(min_value=1, max_value=6))
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle(self, vals, q):
@@ -156,14 +161,12 @@ class TestVariation:
     @given(short_seqs)
     @settings(max_examples=150, deadline=None)
     def test_decreasing_in_q(self, vals):
-        # V_q is nonincreasing in q; include q = inf
+        # V_q is nonincreasing in q
         v1 = variation(vals, 1.0)
         v2 = variation(vals, 2.0)
         v4 = variation(vals, 4.0)
-        vi = variation(vals, math.inf)
         assert v1 >= v2 - 1e-9
         assert v2 >= v4 - 1e-9
-        assert v4 >= vi - 1e-9
 
     @given(short_seqs, st.floats(min_value=0.01, max_value=5),
            st.floats(min_value=1, max_value=4))
