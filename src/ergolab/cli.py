@@ -355,9 +355,10 @@ def _build_system(space, params: HKParams, cfg: dict, *,
                   operators: bool = False,
                   gundy: bool = False) -> DyadicSystem:
     """The run's cube system.  A level range that is empty, lacks a radius
-    block level the operators read (``operators``) or the two levels of
-    the Gundy decomposition (``gundy``) is a config error at `cubes`,
-    raised before any suite runs."""
+    block level the operators read (``operators``; a space with no block
+    above n_r0 has none to read) or the two levels of the Gundy
+    decomposition (``gundy``) is a config error at `cubes`, raised before
+    any suite runs."""
     try:
         params.resolve_levels(space)
     except ValueError as exc:
@@ -390,7 +391,13 @@ def _radius_grid(spec) -> list[float]:
 
 def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
     space, table = _build_space(cfg)
-    d_hat, c_hat = fit_growth_exponent(table)
+    try:
+        d_hat, c_hat = fit_growth_exponent(table)
+    except ValueError as exc:
+        # only a truncation of radius 1 has too few radii to fit
+        raise ConfigError(f"space.radius: the growth fit needs a truncation "
+                          f"radius of at least 2 ({exc})",
+                          keys=("space", "radius"))
     s = cfg["space"]
     d0 = s["doubling_D0"]
     if d0 is None:
@@ -617,6 +624,7 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     rows: list[str] = []
     reports = {}
     failures: list[str] = []
+    notes = list(opcfg.notes)
     for op in cfg["probe"]["operators"]:
         try:
             rep = norm_probe(system, opcfg, op, p=cfg["probe"]["p"],
@@ -634,6 +642,12 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
             failures.append(
                 f"average operator exceeded the doubling bound "
                 f"D^(1/p) = {rep.doubling_D:.6g}^(1/{rep.p})")
+        elif op == "average" and rep.doubling_D is None:
+            notes.append(
+                f"average: no dyadic radius r >= {space.resolution():g} has "
+                f"2r within the safe radius {space.safe_radius:g}, so no "
+                f"doubling constant is fitted and the bound D^(1/p) is not "
+                f"checked")
     jump = martingale_jump_probe(system,
                                  trials=cfg["probe"]["trials"],
                                  seed=_suite_seed(cfg["seed"], "probe:jump"),
@@ -642,12 +656,12 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
                rows, sha)
     _write_json(outdir, "probe.json",
                 {"operators": reports, "martingale_jump": jump,
-                 "failures": failures, "notes": list(opcfg.notes)}, sha)
+                 "failures": failures, "notes": notes}, sha)
     lines = [f"{op}: strong max {reports[op]['strong_max']:.6f} "
              f"mean {reports[op]['strong_mean']:.6f}"
              for op in cfg["probe"]["operators"] if op in reports]
     lines.append(f"martingale jump probe: max ratio {jump['max_ratio']:.6f}")
-    lines += [f"note: {n}" for n in opcfg.notes]
+    lines += [f"note: {n}" for n in notes]
     lines += [f"FAIL: {f}" for f in failures]
     _write_summary(outdir, sha, "probe", lines)
     return EXIT_VIOLATION if failures else EXIT_OK

@@ -13,7 +13,8 @@ geometric ball averages on the same quotient coincide after identifying the
 point with the group element.  `transference_check` sweeps the action and
 takes the geometric side from `operators.avg_profile`, which on Z^d
 quotients is the FFT engine: integer values then agree bit for bit, other
-values to rounding.
+values to rounding.  On other quotients it is the group sweep itself, and
+only its spot check against direct ball sums at a few centers can fail.
 
 Nothing stores permutations: a regular system asks `GroupSpace.right_perm`,
 which computes each translation from key digits on every call, and a

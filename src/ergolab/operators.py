@@ -21,15 +21,17 @@ a few fixed centers by direct sums (`_spot_sums`) and raises
 
 Ball averages over other quotients (the Heisenberg family) are computed by
 one sweep over the spheres of the group (`group_shells`), accumulating one
-right-translation at a time.  The sweep takes a block of functions, values
+right-translation at a time, and spot-checked at the same centers: the
+direct sums add in the sweep's order, so every column must match bit for
+bit.  The sweep takes a block of functions, values
 of shape (n, T), and gathers each permutation once for all T columns;
 every column keeps the accumulation order of its own 1-D sweep, so
 blocking never changes a bit.
 
 Every other space, and the spot check, sums f directly over the closed
-balls of `FiniteSpace.ball_chunks`, each stably sorted by distance
+balls of `FiniteSpace.ball_chunks`, which list their members by distance
 (`_row_profile`); the doubling fit reads its ball masses from the same
-sorted balls.
+balls.
 
 All three engines sum the columns of `_summed_columns`, one weighting
 rule: f under uniform weights, else w f and w, divided by `_divide`.
@@ -43,12 +45,10 @@ one delta-adic block at a time, so it never holds every radius, and
 serves the short variation, the variation probe and the domination check;
 one `_square` serves the square function, the square probe and the
 domination check.  The sweep is also the engine of the dynamics module,
-whose experiments fold the chunks without holding the profile, and the
-transference check runs it on both sides, so that averages along the
-regular action reproduce the translation averages bit for bit (Calderon
-transference); on Z^d the sweep is the oracle the FFT engine is tested
-against.  The norm probes push their trials through the operators in
-column blocks sized by `_SWEEP_BYTES`.
+whose experiments fold the chunks without holding the profile, and of
+the action side of the transference check; on Z^d the sweep is the oracle
+the FFT engine is tested against.  The norm probes push their trials
+through the operators in column blocks sized by `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ __all__ = [
 
 
 class SpotCheckError(RuntimeError):
-    """FFT ball averages disagree with direct sums over `ball_chunks`."""
+    """FFT or group-sweep ball averages disagree with direct sums over
+    `ball_chunks`."""
 
 
 class BlockGrid(NamedTuple):
@@ -182,8 +183,16 @@ class OperatorConfig:
         return self.delta**n
 
     def eligible_levels(self, system: DyadicSystem) -> list[int]:
-        """Block levels n > n_r0, which must exist in the cube system."""
+        """Block levels n > n_r0, of which there must be one at least, and
+        which must exist in the cube system."""
         wanted = [b.n for b in self.blocks if b.n > self.n_r0]
+        if not wanted:
+            n = self.n_r0 + 1
+            raise ValueError(
+                f"no eligible levels: no radius block above n_r0 = "
+                f"{self.n_r0} (r0 = {self.r0:g}, delta = {self.delta:g}): "
+                f"its anchor delta^{n} = {self.anchor(n):g} exceeds the "
+                f"space diameter {system.space.diameter():g}")
         missing = [n for n in wanted if n not in system.levels]
         if missing:
             raise ValueError(
@@ -371,7 +380,7 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
     lo = 0
     for k in lengths:
         out, exact_out = _fft_profile(transform, space, radii[lo:lo + k])
-        _spot_check(out, exact_out, spot, radii, lo)
+        _spot_check(out, exact_out, spot, radii, lo, "FFT")
         yield out
         lo += k
 
@@ -426,11 +435,11 @@ def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray
 
 def _spot_check(out: np.ndarray, exact: np.ndarray,
                 spot: tuple[np.ndarray, np.ndarray, np.ndarray],
-                radii: np.ndarray, lo: int) -> None:
+                radii: np.ndarray, lo: int, engine: str) -> None:
     """Compare the chunk ``out`` of radii[lo:] with the direct sums of
     `_spot_sums` at its centers: exact columns must match bit for bit, the
     others to 1e-12 of the scale.  Raises `SpotCheckError` on a mismatch,
-    naming the first center that has one."""
+    naming the ``engine`` and the first center that has one."""
     centers, direct, scale = spot
     got = out[:, centers].transpose(1, 0, 2)
     want = direct[:, lo:lo + len(out)]
@@ -439,8 +448,8 @@ def _spot_check(out: np.ndarray, exact: np.ndarray,
     if bad.any():
         c, ri, t = (int(k[0]) for k in np.nonzero(bad))
         raise SpotCheckError(
-            f"FFT ball average mismatch at point {centers[c]}, radius "
-            f"{radii[lo + ri]:g}, column {t}: {float(got[c, ri, t])!r} "
+            f"{engine} ball average mismatch at point {centers[c]}, "
+            f"radius {radii[lo + ri]:g}, column {t}: {float(got[c, ri, t])!r} "
             f"against {float(want[c, ri, t])!r} from direct sums")
 
 
@@ -460,48 +469,51 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
     ``(k,) + values.shape`` and valid only until the next one is drawn;
     ``rows`` is the chunk length or the sequence of chunk lengths, as in
     `sweep_chunks`.  Quotients of Z^d stream through `_fft_chunks`, other
-    quotients through one sweep of their spheres (`sweep_chunks`), and
+    quotients through one sweep of their spheres (`_checked_sweep`), and
     every other space computes its profile in one pass of direct ball sums
     (`_row_profile`) and yields it in slices.  Every chunk is bitwise the
     rows of the one-chunk call."""
     values = _point_values(values, space)
     radii = _increasing(radii)
     lengths = _chunk_lengths(rows, len(radii))
-    if space.is_quotient and space.group.family != "zd":
-        return sweep_chunks(values, space.weights,
-                            group_shells(space, space.right_perm, radii),
-                            radii, lengths)
     block = values.reshape(space.n, -1)
-    if space.is_quotient:
-        chunks = _fft_chunks(block, space, radii, lengths)
-    else:
+    if not space.is_quotient:
         profile = _row_profile(block, space, radii)
         ends = np.cumsum(lengths)
         chunks = (profile[end - k:end] for k, end in zip(lengths, ends))
+    elif space.group.family == "zd":
+        chunks = _fft_chunks(block, space, radii, lengths)
+    else:
+        chunks = _checked_sweep(block, space, radii, lengths)
     return (c.reshape((len(c),) + values.shape) for c in chunks)
 
 
-def _sorted_balls(space: FiniteSpace, points: np.ndarray, radius: float
-                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The closed balls of `FiniteSpace.ball_chunks` around ``points`` as
-    ``(k, members, dists)`` for ``points[k]``, each stably sorted by
-    distance.  Row and search balls list their members in ascending index
-    order, so ties keep index order: a sorted ball is the prefix of the
-    stably sorted distance row."""
-    for lo, indptr, members, dists in space.ball_chunks(points, radius):
-        for j, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
-            order = np.argsort(dists[a:b], kind="stable")
-            yield lo + j, members[a:b][order], dists[a:b][order]
+def _checked_sweep(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
+                   lengths: Sequence[int]) -> Iterator[np.ndarray]:
+    """The sweep of the spheres of a quotient (`sweep_chunks` over
+    `group_shells` of its right translations) on an (n, T) block, each
+    chunk spot-checked before it is yielded.  The translated balls of
+    `ball_chunks` list their members in the order the sweep adds them, so
+    the direct sums must match every column bit for bit."""
+    spot = _spot_sums(block, space, radii)
+    exact = np.ones(block.shape[1], dtype=bool)
+    lo = 0
+    for out in sweep_chunks(block, space.weights,
+                            group_shells(space, space.right_perm, radii),
+                            radii, lengths):
+        _spot_check(out, exact, spot, radii, lo, "group sweep")
+        yield out
+        lo += len(out)
 
 
 def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
                  points: np.ndarray | None = None) -> np.ndarray:
     """Ball averages of an (n, T) block at ``points`` (every point by
     default), shape (len(radii), len(points), T), from running sums over
-    each point's sorted ball (`_sorted_balls`) at the largest radius it
-    needs.  A radius below 0 reads the center alone, like one below the
-    smallest distance; uniform weights count points, as the FFT and the
-    sweep do."""
+    each point's ball of `FiniteSpace.ball_chunks`, which lists its
+    members by distance, at the largest radius it needs.  A radius below 0
+    reads the center alone, like one below the smallest distance; uniform
+    weights count points, as the FFT and the sweep do."""
     points = (np.arange(space.n) if points is None
               else np.asarray(points, dtype=np.int64))
     T = block.shape[1]
@@ -510,12 +522,13 @@ def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
         return out
     cols = _summed_columns(block, space.weights)
     rmax = min(max(float(radii[-1]), 0.0), space.diameter())
-    for k, members, dists in _sorted_balls(space, points, rmax):
-        pos = np.searchsorted(dists, radii, side="right") - 1
-        np.maximum(pos, 0, out=pos)
-        # the running sum at position i of the ball covers i + 1 points
-        _divide(np.cumsum(cols[members], axis=0)[pos], T,
-                (pos + 1.0)[:, None], out=out[:, k])
+    for lo, indptr, members, dists in space.ball_chunks(points, rmax):
+        for k, (a, b) in enumerate(zip(indptr[:-1], indptr[1:]), lo):
+            pos = np.searchsorted(dists[a:b], radii, side="right") - 1
+            np.maximum(pos, 0, out=pos)
+            # the running sum at position i of the ball covers i + 1 points
+            _divide(np.cumsum(cols[members[a:b]], axis=0)[pos], T,
+                    (pos + 1.0)[:, None], out=out[:, k])
     return out
 
 
@@ -526,8 +539,9 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     and each column equals the 1-D call on that column, bit for bit.
 
     This is `_profile_chunks` with one chunk: quotients of Z^d go through
-    `_fft_chunks` and its spot check, other quotients through the sweep of
-    their spheres, and every other space through direct ball sums."""
+    `_fft_chunks` and its spot check, other quotients through the checked
+    sweep of their spheres, and every other space through direct ball
+    sums."""
     # `_profile_chunks` checks the values before its first chunk is drawn
     return next(_profile_chunks(values, space, radii, max(1, len(radii))),
                 np.empty((0,) + np.shape(values)))
@@ -548,9 +562,6 @@ def _square_block(values: np.ndarray, system: DyadicSystem,
                   config: OperatorConfig) -> np.ndarray:
     """`square_function` of each column of an (n,) or (n, T) array."""
     levels = config.eligible_levels(system)
-    if not levels:
-        raise ValueError("no eligible levels above n_r0; the space is too "
-                         "small for this delta")
     anchors = avg_profile(values, system.space,
                           [config.anchor(n) for n in levels])
     return _square(anchors, np.stack([
@@ -692,27 +703,30 @@ def domination_checks(f: SampleFunction, system: DyadicSystem,
 # norm probes
 # ---------------------------------------------------------------------------
 
-def fit_doubling_constant(space: FiniteSpace) -> float:
+def fit_doubling_constant(space: FiniteSpace) -> float | None:
     """Empirical doubling constant: max of m(B(x,2r))/m(B(x,r)) over
-    32 evenly spaced centers and dyadic radii within the safe radius, the
-    masses read from each center's sorted ball (`_sorted_balls`) at the
-    largest 2r."""
+    32 evenly spaced centers and dyadic radii r from the resolution with 2r
+    within the safe radius, the masses read from each center's ball of
+    `FiniteSpace.ball_chunks` at the largest 2r; None when no such r
+    exists."""
     radii = []
     r = space.resolution()
     while 2 * r <= space.safe_radius:
         radii.append(r)
         r *= 2
     if not radii:
-        return 1.0
+        return None
     radii = np.array(radii)
     centers = np.arange(0, space.n, max(1, space.n // 32))
     best = 1.0
     w = space.weights
-    for _, members, dists in _sorted_balls(space, centers, 2 * radii[-1]):
-        mass = np.cumsum(w[members])
-        small = mass[np.searchsorted(dists, radii, side="right") - 1]
-        big = mass[np.searchsorted(dists, 2 * radii, side="right") - 1]
-        best = max(best, float((big / small).max()))
+    for _, indptr, members, dists in space.ball_chunks(centers, 2 * radii[-1]):
+        for a, b in zip(indptr[:-1], indptr[1:]):
+            mass = np.cumsum(w[members[a:b]])
+            ball = dists[a:b]
+            small = mass[np.searchsorted(ball, radii, side="right") - 1]
+            big = mass[np.searchsorted(ball, 2 * radii, side="right") - 1]
+            best = max(best, float((big / small).max()))
     return float(best)
 
 
@@ -778,7 +792,8 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     """Randomized size of one operator: strong-(p,p) ratios over three
     ensembles, weak-(1,1) ratios on a gamma grid, and (for averages at the
     radius r = max(1, delta^(n_r0+1))) the comparison against D^(1/p)
-    with the doubling constant D fitted from the space.  Rerunning with
+    with the doubling constant D fitted from the space, None when the
+    space has no radius to fit D on.  Rerunning with
     the same seed reproduces every number.
 
     Trials run in blocks of columns, each block through one operator
@@ -794,7 +809,7 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     more (n, T) arrays, none per radius.  Trial t
     draws from seed + t, and every column equals its one-column run, so
     the blocking changes no number.  A failed spot check of the FFT engine
-    raises `SpotCheckError`.
+    or the sweep raises `SpotCheckError`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -838,7 +853,8 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     doubling = avg_ok = None
     if operator == "average":
         doubling = fit_doubling_constant(space)
-        avg_ok = bool(np.all(ratios <= doubling ** (1.0 / p) + 1e-9))
+        if doubling is not None:
+            avg_ok = bool(np.all(ratios <= doubling ** (1.0 / p) + 1e-9))
     return NormProbeReport(
         operator=operator, p=p, trials=trials, base_seed=seed,
         rows=tuple(rows),

@@ -193,19 +193,16 @@ class FiniteSpace:
             raise IndexError(f"point {i} out of range")
         return self._dist_row(i)
 
-    def dist(self, i: int, j: int) -> float:
-        return float(self.dist_row(i)[j])
-
     def ball_chunks(self, centers, radius: float):
         """Closed balls B(c, radius) around ``centers``, yielded in blocks
         ``(lo, indptr, members, dists)`` of consecutive centers: the ball of
         ``centers[lo + j]`` is ``members[indptr[j]:indptr[j + 1]]`` at
-        distances ``dists[indptr[j]:indptr[j + 1]]``.  Distance rows and
-        searched balls list their members in ascending index order, which
-        `operators._sorted_balls` relies on; translated balls follow the
-        identity ball's canonical order.  A block holds one center at
-        least and otherwise at most _BALL_PAIRS (center, point) pairs, and
-        is costed for the centers it holds.  On quotients each ball is the
+        distances ``dists[indptr[j]:indptr[j + 1]]``, listed by distance.
+        Ties keep ascending index order in distance rows and searched balls,
+        and the identity ball's canonical order, the order the group sweep
+        adds in, in translated balls.  A block holds one center at least and
+        otherwise at most _BALL_PAIRS (center, point) pairs, and is costed
+        for the centers it holds.  On quotients each ball is the
         translate c * B(e, radius) of the identity ball; truncations search
         small balls over the generator graph; larger ones, like every ball
         of other spaces, are thresholded distance rows."""
@@ -225,16 +222,13 @@ class FiniteSpace:
 
     def _row_balls(self, block: np.ndarray,
                    radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # one thresholded distance row per center, one row held at a time;
-        # at the diameter every row is whole and needs no threshold
-        if radius >= self.diameter():
-            return (np.arange(block.size + 1) * self.n,
-                    np.tile(np.arange(self.n), block.size),
-                    np.concatenate([self.dist_row(c) for c in block.tolist()]))
+        # one distance row per center, one row held at a time, cut at the
+        # radius and stably sorted by distance
         members, dists = [], []
         for c in block.tolist():
             row = self.dist_row(c)
             inside = np.flatnonzero(row <= radius)
+            inside = inside[np.argsort(row[inside], kind="stable")]
             members.append(inside)
             dists.append(row[inside])
         indptr = np.zeros(block.size + 1, dtype=np.int64)
@@ -453,12 +447,14 @@ class GroupSpace(FiniteSpace):
                 break
             prev, keys = keys, new
             layers.append(keys)
-        keys = np.concatenate(layers)
-        order = np.argsort(keys)
-        seg, members = np.divmod(keys[order], n)
+        # the layers come by distance, each in ascending pair keys: a stable
+        # sort by center keeps both orders within every ball
+        seg, members = np.divmod(np.concatenate(layers), n)
+        order = np.argsort(seg, kind="stable")
         dists = np.repeat(np.arange(len(layers)),
                           [layer.size for layer in layers])[order]
-        return np.searchsorted(seg, np.arange(block.size + 1)), members, dists
+        return (np.searchsorted(seg[order], np.arange(block.size + 1)),
+                members[order], dists)
 
     def diameter(self) -> float:
         if self.is_quotient:
@@ -523,9 +519,10 @@ class BallTable:
     @classmethod
     def from_space(cls, space: FiniteSpace, center: int,
                    radii: Sequence[int] | None = None) -> "BallTable":
-        row = space.dist_row(center)
-        order = np.argsort(row, kind="stable")
-        return cls.from_sorted(center, order, row[order], space.weights[order], radii)
+        _, _, order, dists = next(space.ball_chunks([center],
+                                                    space.diameter()))
+        return cls.from_sorted(center, order, dists, space.weights[order],
+                               radii)
 
     @classmethod
     def from_sorted(cls, center: int, order: np.ndarray, dists: np.ndarray,

@@ -30,6 +30,12 @@ SMALL = {
 # one cube level on Z/512, where the radius blocks read levels 0 and 1
 _STUNTED = ('{\n  "cubes": {\n    "k_max": 0\n  },\n'
             '  "space": {\n    "modulus": 512\n  }\n}\n')
+# r0 = 40 on Z/64 puts n_r0 = 1, and the next anchor is past the diameter
+_NO_BLOCK = ('{\n  "cubes": {\n    "delta": 36\n  },\n'
+             '  "space": {\n    "modulus": 64,\n    "r0": 40\n  }\n}\n')
+_NO_BLOCK_NAMED = ("cubes: no eligible levels: no radius block above n_r0 = 1 "
+                   "(r0 = 40, delta = 36): its anchor delta^2 = 1296 exceeds "
+                   "the space diameter 32")
 
 
 def write_config(tmp_path: Path, body: dict, name: str = "config.json") -> str:
@@ -236,6 +242,15 @@ class TestConfigValidation:
         ("space", '{\n  "space": {\n    "family": "h3",\n'
          '    "radius": 40,\n    "modulus": null\n  }\n}\n', 2,
          "space: h3 truncations are capped"),
+        # the growth fit needs two radii >= 1
+        ("space", '{\n  "space": {\n    "family": "zd",\n    "d": 1,\n'
+         '    "radius": 1,\n    "modulus": null\n  }\n}\n', 5,
+         "space.radius: the growth fit needs a truncation radius of at "
+         "least 2"),
+        ("space", '{\n  "space": {\n    "family": "h3",\n'
+         '    "radius": 1,\n    "modulus": null\n  }\n}\n', 4,
+         "space.radius: the growth fit needs a truncation radius of at "
+         "least 2"),
     ])
     def test_refused_space_is_anchored(self, tmp_path, capsys, command, body,
                                        line, named):
@@ -274,7 +289,10 @@ class TestConfigValidation:
          "cubes: cube system lacks levels [1]"),
         (("verify", "--suite", "gundy"), _STUNTED,
          "cubes: suite gundy needs at least two levels"),
-    ], ids=["cubes", "probe", "domination", "gundy"])
+        (("probe",), _NO_BLOCK, _NO_BLOCK_NAMED),
+        (("verify", "--suite", "domination"), _NO_BLOCK, _NO_BLOCK_NAMED),
+    ], ids=["cubes", "probe", "domination", "gundy", "probe-no-block",
+            "domination-no-block"])
     def test_cube_range_without_a_commands_levels_is_anchored(
             self, tmp_path, capsys, monkeypatch, argv, body, named):
         def never(*args, **kwargs):
@@ -438,22 +456,32 @@ class TestCommands:
         assert "suite transference: FAIL" in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("space", [{"modulus": 64},
-                                       {"d": 2, "modulus": 16}])
+                                       {"d": 2, "modulus": 16},
+                                       {"family": "h3", "modulus": 8}])
     def test_transference_fails_under_a_wrong_translation(
             self, tmp_path, monkeypatch, space):
-        # x -> x + 3u is a measure-preserving action of the quotient, but
-        # not its translation: the action's averages leave the ball averages
+        # x -> x + 3u on Z^d, and x -> u^-1 x on H3, are measure-preserving
+        # actions of the quotient, but not its right translations: the
+        # action's averages leave the ball averages.  On H3 both sides are
+        # the sweep, so only its spot check against direct sums can see it
         def tripled(self, j):
             return self._product(self._columns,
                                  3 * self.elements[j] % self.group.modulus)
 
-        monkeypatch.setattr(GroupSpace, "right_perm", tripled)
+        def left(self, j):
+            return self._product(self.group.inv(self.elements[j]),
+                                 self._columns)
+
+        h3 = space.get("family") == "h3"
+        monkeypatch.setattr(GroupSpace, "right_perm", left if h3 else tripled)
         cfg = write_config(tmp_path, dict(SMALL, space=space))
         out = tmp_path / "run"
         assert run("verify", "--config", cfg, "--out", str(out),
                    "--suite", "transference") == 1
         suite, = json.loads((out / "verify.json").read_text())["suites"]
-        assert suite["failures"][0].startswith("max discrepancy ")
+        assert suite["failures"][0].startswith(
+            "group sweep ball average mismatch at point " if h3
+            else "max discrepancy ")
         assert "suite transference: FAIL" in (out / "summary.txt").read_text()
 
     def test_probe_artifacts(self, tmp_path):
@@ -469,6 +497,23 @@ class TestCommands:
                                           "maximal"}
         assert blob["failures"] == []
         assert blob["martingale_jump"]["max_ratio"] < 1.5
+
+    def test_probe_without_a_doubling_fit_checks_no_bound(self, tmp_path):
+        # the H3 ball R=1 has safe radius 1: no dyadic r has 2r within it
+        cfg = write_config(tmp_path, dict(SMALL, space={
+            "family": "h3", "radius": 1, "modulus": None}))
+        out = tmp_path / "run"
+        assert run("probe", "--config", cfg, "--out", str(out)) == 0
+        blob = json.loads((out / "probe.json").read_text())
+        average = blob["operators"]["average"]
+        assert average["doubling_D"] is None
+        assert average["avg_bound_ok"] is None
+        assert blob["failures"] == []
+        note = ("average: no dyadic radius r >= 1 has 2r within the safe "
+                "radius 1, so no doubling constant is fitted and the bound "
+                "D^(1/p) is not checked")
+        assert note in blob["notes"]
+        assert f"note: {note}" in (out / "summary.txt").read_text()
 
     def test_probe_records_the_operator_notes(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

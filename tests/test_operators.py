@@ -232,8 +232,8 @@ ROW_SPACES = {
 
 
 class TestRowProfile:
-    """Spaces that are not quotients average by direct sums over the sorted
-    balls of `ball_chunks`, bitwise equal to sorted full distance rows."""
+    """Spaces that are not quotients average by direct sums over the balls
+    of `ball_chunks`, bitwise equal to stably sorted full distance rows."""
 
     @pytest.mark.parametrize("name", sorted(ROW_SPACES))
     def test_matches_sorted_distance_rows(self, name):
@@ -504,6 +504,21 @@ class TestSpotCheck:
         with pytest.raises(SpotCheckError, match="point 511, radius 9, column 1"):
             next(chunks)
         assert calls == [2, 2]
+
+    @pytest.mark.parametrize("modulus", [4, 8])
+    def test_sweep_equals_direct_sums_bitwise(self, modulus):
+        # translated balls list their members in the order the sweep adds
+        # them, so the sweep's spot check needs no tolerance
+        space = build_group_space("h3", modulus=modulus)[0]
+        rng = np.random.default_rng(modulus)
+        block = np.column_stack([rng.integers(-3, 4, space.n).astype(float),
+                                 rng.standard_normal(space.n)])
+        diam = space.diameter()
+        radii = np.array(sorted({-1.0, 0.5, *OperatorConfig.for_space(
+            space).union_grid(), diam, diam + 3.0}))
+        swept = avg_profile(block, space, radii)
+        direct = operators._row_profile(block, space, radii)
+        assert swept.tobytes() == direct.tobytes()
 
 
 def _stream_spaces():
@@ -926,5 +941,10 @@ class TestDoublingFit:
         assert centers == list(range(0, 512, 16))
 
     def test_at_least_one(self):
+        # a fitted constant is at least one; with no dyadic r >= the
+        # resolution that has 2r within the safe radius, nothing is fitted
+        path = MatrixSpace(np.abs(np.subtract.outer(np.arange(3.0),
+                                                    np.arange(3.0))))
+        assert fit_doubling_constant(path) >= 1.0
         space = MatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), label="pair")
-        assert fit_doubling_constant(space) >= 1.0
+        assert fit_doubling_constant(space) is None

@@ -266,7 +266,7 @@ class TestWordMetric:
         space, _ = build_group_space("zd", d=1, modulus=12)
         i = int(space.index_of(np.array([[1]]))[0])
         j = int(space.index_of(np.array([[11]]))[0])
-        assert space.dist(i, j) == 2.0
+        assert space.dist_row(i)[j] == 2.0
 
     def test_truncated_z2_is_l1(self):
         space, _ = build_group_space("zd", d=2, radius=6)
@@ -274,14 +274,14 @@ class TestWordMetric:
         for _ in range(20):
             i, j = rng.integers(0, space.n, size=2)
             expected = np.abs(space.elements[i] - space.elements[j]).sum()
-            assert space.dist(int(i), int(j)) == expected
+            assert space.dist_row(int(i))[j] == expected
 
     def test_h3_truncation_bfs_symmetric(self):
         space, _ = build_group_space("h3", radius=3)
         rng = np.random.default_rng(3)
         for _ in range(10):
             i, j = (int(v) for v in rng.integers(0, space.n, size=2))
-            assert space.dist(i, j) == space.dist(j, i)
+            assert space.dist_row(i)[j] == space.dist_row(j)[i]
 
     def test_bfs_rows_kept_up_to_the_budget(self, monkeypatch):
         space, _ = build_group_space("h3", radius=3)
@@ -303,7 +303,7 @@ class TestWordMetric:
             gy = int(space.index_of(space.group.mult(g, y))[0])
             ix = int(space.index_of(x)[0])
             iy = int(space.index_of(y)[0])
-            assert space.dist(gx, gy) == space.dist(ix, iy)
+            assert space.dist_row(gx)[gy] == space.dist_row(ix)[iy]
 
     def test_quotient_safety_z(self):
         # balls of radius <= N/4 match the infinite-group balls
@@ -503,7 +503,7 @@ class TestBallChunks:
                 row = space.dist_row(int(c))
                 inside = np.flatnonzero(row <= radius)
                 assert members.size <= bound
-                # the order of members within a ball is unspecified
+                # ties within a ball follow the kernel, so compare as sets
                 order = np.argsort(members)
                 assert np.array_equal(members[order], inside)
                 assert np.array_equal(dists[order], row[inside])
@@ -525,11 +525,42 @@ class TestBallChunks:
                 block = centers[lo:lo + 37]
                 indptr, members, dists = space._search_balls(block, radius)
                 for j, c in enumerate(block):
+                    # the stably sorted row, cut at the radius
                     row = space.dist_row(int(c))
-                    inside = np.flatnonzero(row <= radius)
+                    order = np.argsort(row, kind="stable")
+                    inside = order[row[order] <= radius]
                     p, q = indptr[j], indptr[j + 1]
                     assert np.array_equal(members[p:q], inside)
                     assert np.array_equal(dists[p:q], row[inside])
+
+    @pytest.mark.parametrize("kernel,make", [
+        ("_translated_balls", GROUP_BALL_SPACES["z2-16"]),
+        ("_translated_balls", GROUP_BALL_SPACES["h3-8"]),
+        ("_search_balls", GROUP_BALL_SPACES["z2-ball10"]),
+        ("_search_balls", GROUP_BALL_SPACES["h3-ball6"]),
+        ("_row_balls", GROUP_BALL_SPACES["h3-ball6"]),
+        ("_row_balls", lambda: random_square_space(60, 40, seed=9)),
+    ], ids=["translated-z2-16", "translated-h3-8", "search-z2-ball10",
+            "search-h3-ball6", "rows-h3-ball6", "rows-random-square"])
+    def test_balls_list_members_by_distance(self, kernel, make):
+        space = make()
+        block = np.arange(space.n)[::-7]
+        for radius in (1, space.diameter() // 2, space.diameter()):
+            indptr, members, dists = getattr(space, kernel)(block, radius)
+            for j, c in enumerate(block.tolist()):
+                ball = members[indptr[j]:indptr[j + 1]]
+                steps = np.diff(dists[indptr[j]:indptr[j + 1]])
+                assert np.all(steps >= 0)
+                if kernel == "_translated_balls":
+                    # c * B(e, r) in the identity ball's canonical order,
+                    # the order the group sweep adds in
+                    g = space.index_of(space.group.mult(
+                        space.group.inv(space.elements[c]),
+                        space.elements[ball]))
+                    assert np.array_equal(g, np.arange(ball.size))
+                else:
+                    # ties keep ascending index order
+                    assert np.all((steps > 0) | (np.diff(ball) > 0))
 
     @pytest.mark.parametrize("make", GROUP_BALL_SPACES.values(),
                              ids=GROUP_BALL_SPACES.keys())
@@ -601,7 +632,7 @@ class TestGreedyNet:
         net, _, _ = greedy_net(space, 2.0, members, strict=True)
         assert net == sorted(net) and net[0] == 3
         assert set(net) <= set(members.tolist())
-        assert all(space.dist(i, j) > 2.0 for i in net for j in net if i != j)
+        assert all(space.dist_row(i)[j] > 2.0 for i in net for j in net if i != j)
 
     @pytest.mark.parametrize("make", NET_SPACES.values(), ids=NET_SPACES.keys())
     @pytest.mark.parametrize("pays", [0, 10**9], ids=["rows", "search"])
@@ -698,7 +729,7 @@ class TestMatrixSpace:
             space.dist_row(0)[1] = 9.0
         with pytest.raises(ValueError, match="read-only"):
             space.dist_matrix()[0, 1] = 9.0
-        assert space.dist(0, 1) == 1.0
+        assert space.dist_row(0)[1] == 1.0
 
     def test_single_point(self):
         space = MatrixSpace([[0.0]])
