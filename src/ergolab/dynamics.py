@@ -205,21 +205,18 @@ def regular_system(space: GroupSpace) -> MPSystem:
 
 
 def build_system(kind: str, *, modulus: int | None = None,
-                 step: int | Sequence[int] = 1,
-                 step2: Sequence[int] | None = None,
-                 acting_modulus: int | None = None) -> MPSystem:
+                 step: int = 1) -> MPSystem:
     """Construct one of the stock systems.
 
     kinds:
       regular     -- Z_N acting on itself
       heisenberg  -- H3 mod N acting on itself
-      rotation    -- Z acting on Z_N by x -> x + step
-      rotation2d  -- Z^2 acting on Z_N^2 by the shifts ``step`` and
-                     ``step2`` (default (0, 1)); a scalar step s means (s, 0)
+      rotation    -- Z_N acting on Z_N by x -> x + step
+      rotation2d  -- Z_N^2 acting on Z_N^2 through the shifts (step, 0)
+                     and (0, 1)
 
-    Rotations are modelled by the quotient Z_M^d (M = acting_modulus,
-    default N); every step times M must vanish mod N so that the quotient
-    action is defined.  Every system carries the uniform measure.
+    A rotation acts through the quotient Z_N^d itself, on which every
+    shift is defined.  Every system carries the uniform measure.
     """
     if kind in ("regular", "heisenberg"):
         if modulus is None:
@@ -237,19 +234,9 @@ def build_system(kind: str, *, modulus: int | None = None,
         raise ValueError(f"{kind} systems need a modulus")
     n = int(modulus)
     dim = 1 if kind == "rotation" else 2
-    first = (step,) + (0,) * (dim - 1) if np.isscalar(step) else step
-    rows = [first, (0, 1) if step2 is None else step2][:dim]
-    if any(np.shape(v) != (dim,) for v in rows):
-        raise ValueError(f"{kind} steps must have length {dim}")
-    steps = np.array(rows, dtype=np.int64)      # row i: the i-th shift
-    m = n if acting_modulus is None else int(acting_modulus)
-    for v in steps:
-        if np.any((v * m) % n != 0):
-            shown = int(v[0]) if dim == 1 else tuple(int(x) for x in v)
-            raise ActionError(
-                f"acting modulus {m} incompatible with step {shown} mod {n}: "
-                f"step*M must vanish mod N for the quotient action")
-    group, _ = build_group_space("zd", d=dim, modulus=m)
+    # row i: the i-th shift
+    steps = np.array([[step, 0], [0, 1]], dtype=np.int64)[:dim, :dim]
+    group, _ = build_group_space("zd", d=dim, modulus=n)
     mu = np.ones(n ** dim) / n ** dim
     grid = np.arange(n ** dim).reshape((n,) * dim)
 

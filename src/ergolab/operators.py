@@ -70,8 +70,8 @@ from .stats import JumpFold, jump_count_batch, variation_batch
 # one chunk of the dynamics sweep with room for two state vectors
 # (`dynamics._action_chunks`)
 _SWEEP_BYTES = 8 * 2**20
-# centers per `_fft_chunks` call on Z^d quotients whose averages are
-# recomputed by direct sums
+# centers per spot-checked call (`_fft_chunks` on Z^d quotients,
+# `_checked_sweep` on the others) whose averages are recomputed by direct sums
 _SPOT_CENTERS = 3
 # integer columns with sum |f| below this are rounded to their exact ball
 # sums: the FFT error, about eps * sum |f| * log2(n), stays far below 1/2
@@ -336,6 +336,7 @@ class _Transform(NamedTuple):
 
     block: np.ndarray               # the (n, T) values
     exact: np.ndarray               # summed columns rounded to exact sums
+    exact_columns: np.ndarray       # (T,) columns with exact averages
     spectrum: np.ndarray | None     # their transform over the key grid
     lengths: np.ndarray             # the word lengths over the key grid
     avg: np.ndarray                 # (n, T) averages in key order
@@ -363,6 +364,8 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
     cols = _summed_columns(block, space.weights)
     exact = (np.all(cols == np.rint(cols), axis=0)
              & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
+    # a weighted average is exact when its sum and the sum of w are
+    exact_columns = exact[:T] & exact[T:].all()
     shape = (space.group.modulus,) * space.group.d
     spectrum = None
     # ball sizes grow with the radius: only a ball beyond the center needs
@@ -373,10 +376,10 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
             cols[space._key_order].reshape(shape + (cols.shape[1],)),
             axes=tuple(range(space.group.d)))
     transform = _Transform(
-        block, exact, spectrum,
+        block, exact, exact_columns, spectrum,
         space.word_lengths[space._key_order].reshape(shape),
         np.empty((n, T)), np.empty((max(lengths, default=0), n, T)))
-    spot = _spot_sums(block, space, radii)
+    spot = _spot_sums(block, space, radii, exact_columns)
     lo = 0
     for k in lengths:
         out, exact_out = _fft_profile(transform, space, radii[lo:lo + k])
@@ -391,7 +394,7 @@ def _fft_profile(transform: _Transform, space: GroupSpace,
     (len(radii), n, T), divided into the transform's buffer, and a (T,)
     mask of the columns whose averages are exact quotients of exact sums.
     """
-    block, exact, spectrum, lengths, avg, buf = transform
+    block, exact, exact_columns, spectrum, lengths, avg, buf = transform
     n, T = block.shape
     out = buf[:len(radii)]
     # ball sizes: the word lengths are in ascending order
@@ -411,25 +414,30 @@ def _fft_profile(transform: _Transform, space: GroupSpace,
         _divide(sums, T, size, out=avg)
         # from key order back to point order
         np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
-    # a weighted average is exact when its sum and the sum of w are
-    return out, exact[:T] & exact[T:].all()
+    return out, exact_columns
 
 
-def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray
+def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
+               exact: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The averages of ``block`` at `_SPOT_CENTERS` fixed centers by direct
-    sums (`_row_profile`), and the tolerance scale of each: the larger of
-    the ball's and the space's mean of |f|.  Returns (centers, averages,
-    scales), the last two of shape (centers, len(radii), T)."""
+    sums (`_row_profile`), and the tolerance scale of each column that the
+    (T,) mask ``exact`` leaves to a tolerance: the larger of the ball's and
+    the space's mean of |f| (0 in the exact columns, which are compared bit
+    for bit).  Returns (centers, averages, scales), the last two of shape
+    (centers, len(radii), T)."""
     w = space.weights
     centers = np.unique(np.linspace(0, space.n - 1,
                                     _SPOT_CENTERS).astype(np.int64))
     direct = _row_profile(block, space, radii, centers).transpose(1, 0, 2)
-    # |f| in a pass of its own: one block of twice the columns would hold
-    # twice the members' values at once
-    scale = np.maximum(
-        _row_profile(np.abs(block), space, radii, centers).transpose(1, 0, 2),
-        (w @ np.abs(block)) / w.sum())
+    scale = np.zeros_like(direct)
+    if not exact.all():
+        # |f| in a pass of its own: one block of twice the columns would
+        # hold twice the members' values at once
+        loose = np.abs(block[:, ~exact])
+        scale[..., ~exact] = np.maximum(
+            _row_profile(loose, space, radii, centers).transpose(1, 0, 2),
+            (w @ loose) / w.sum())
     return centers, direct, scale
 
 
@@ -495,8 +503,8 @@ def _checked_sweep(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
     chunk spot-checked before it is yielded.  The translated balls of
     `ball_chunks` list their members in the order the sweep adds them, so
     the direct sums must match every column bit for bit."""
-    spot = _spot_sums(block, space, radii)
     exact = np.ones(block.shape[1], dtype=bool)
+    spot = _spot_sums(block, space, radii, exact)
     lo = 0
     for out in sweep_chunks(block, space.weights,
                             group_shells(space, space.right_perm, radii),
@@ -705,9 +713,9 @@ def domination_checks(f: SampleFunction, system: DyadicSystem,
 
 def fit_doubling_constant(space: FiniteSpace) -> float | None:
     """Empirical doubling constant: max of m(B(x,2r))/m(B(x,r)) over
-    32 evenly spaced centers and dyadic radii r from the resolution with 2r
-    within the safe radius, the masses read from each center's ball of
-    `FiniteSpace.ball_chunks` at the largest 2r; None when no such r
+    every max(1, n // 32)-th point x and dyadic radii r from the resolution
+    with 2r within the safe radius, the masses read from each center's ball
+    of `FiniteSpace.ball_chunks` at the largest 2r; None when no such r
     exists."""
     radii = []
     r = space.resolution()

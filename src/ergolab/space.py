@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -508,7 +508,8 @@ class GroupSpace(FiniteSpace):
 
 @dataclass(frozen=True)
 class BallTable:
-    """Closed balls around one center at an increasing list of radii."""
+    """Closed balls around one center at every integer radius up to the
+    largest distance from it."""
 
     center: int
     radii: tuple[int, ...]
@@ -517,26 +518,18 @@ class BallTable:
     _cum_weight: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_space(cls, space: FiniteSpace, center: int,
-                   radii: Sequence[int] | None = None) -> "BallTable":
+    def from_space(cls, space: FiniteSpace, center: int) -> "BallTable":
         _, _, order, dists = next(space.ball_chunks([center],
                                                     space.diameter()))
-        return cls.from_sorted(center, order, dists, space.weights[order],
-                               radii)
+        return cls.from_sorted(center, order, dists, space.weights[order])
 
     @classmethod
     def from_sorted(cls, center: int, order: np.ndarray, dists: np.ndarray,
-                    weights: np.ndarray, radii: Sequence[int] | None = None
-                    ) -> "BallTable":
+                    weights: np.ndarray) -> "BallTable":
         """The table of the points ``order`` at the ascending distances
         ``dists`` from ``center``, with their ``weights``."""
-        cumw = np.cumsum(weights)
-        if radii is None:
-            radii = range(int(math.ceil(dists[-1])) + 1)
-        radii = tuple(int(r) for r in radii)
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-        return cls(center, radii, order, dists, cumw)
+        radii = tuple(range(int(math.ceil(dists[-1])) + 1))
+        return cls(center, radii, order, dists, np.cumsum(weights))
 
     def _cut(self, r: float) -> int:
         return int(np.searchsorted(self._dists, r, side="right"))
@@ -773,8 +766,7 @@ def annular_decay_profile(space: FiniteSpace, centers: Iterable[int],
     worst = None
     n_samples = 0
     for c in centers:
-        # no radius list: volumes only
-        vol = BallTable.from_space(space, c, ()).volume
+        vol = BallTable.from_space(space, c).volume
         for r in r_values:
             vr = vol(r)
             for s in s_values:
@@ -804,26 +796,12 @@ def annular_decay_profile(space: FiniteSpace, centers: Iterable[int],
 
 
 @dataclass(frozen=True)
-class CoverCheck:
-    R: float
-    r: float
-    count: int
-    bound: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class DoublingReport:
     D0: int
     max_small_cover: int
-    small_ok: bool
+    max_small_packing: int | None    # None when no cover exceeds D0
+    small_ok: bool | None            # None when neither net decides
     D: float
-    pairs: tuple[CoverCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return self.small_ok and all(p.ok for p in self.pairs)
-
 
 def greedy_net(space: FiniteSpace, sep: float, members: np.ndarray | None = None,
                *, strict: bool) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -851,52 +829,41 @@ def greedy_net(space: FiniteSpace, sep: float, members: np.ndarray | None = None
     return kept, nearest, distance
 
 
-def geometric_doubling_check(space: FiniteSpace, D0: int,
-                             centers: Iterable[int] | None = None,
-                             small_radii: Iterable[float] | None = None,
-                             pairs: Iterable[tuple[float, float]] | None = None
-                             ) -> DoublingReport:
-    """Greedy-cover probe of the doubling hypothesis.
+def geometric_doubling_check(space: FiniteSpace, D0: int) -> DoublingReport:
+    """Greedy-cover probe of the metric doubling hypothesis: every ball of
+    radius r is covered by at most D0 closed balls of radius r/2.
 
-    For sampled balls with r <= 4 r0, r0 being the space's, builds a
-    greedy (r/2)-net of B(c, r) (whose r/2-balls cover the ball) and
-    reports the largest net size; each requested (R, r) pair is checked
-    against D^(log2 [R/r] + 1) with D = max(D0, [9^eps (K+1)] + 1) =
-    max(D0, 19) at the annular constants eps = K = 1.  Violations are
-    reported, not raised.
+    It reads the balls B(c, r) at r = r0, 2 r0 and 4 r0, r0 being the
+    space's, around every max(1, n // 8)-th point.  A greedy (r/2)-net of
+    B(c, r) is a cover by closed r/2-balls, so its size only bounds the
+    covering number from above; the largest is ``max_small_cover``, and
+    ``small_ok`` is True when it is at most D0.  For each ball whose cover
+    exceeds D0 it also takes a greedy r-net, whose points lie more than r
+    apart: a closed r/2-ball holds at most one of them, so its size bounds
+    the covering number from below.  The largest is ``max_small_packing``,
+    and ``small_ok`` is False when it exceeds D0, else None.
+
+    ``D = max(D0, 19)`` is the pair constant D = max(D0, [9^eps (K+1)] + 1)
+    at the annular constants eps = K = 1; it is reported, not checked.
+    Violations are reported, not raised.
     """
     if D0 < 1:
         raise ValueError("D0 must be >= 1")
     r0 = space.r0
-    if centers is None:
-        step = max(1, space.n // 8)
-        centers = range(0, space.n, step)
-    centers = list(centers)
-    if small_radii is None:
-        small_radii = [r for r in (r0, 2 * r0, 4 * r0)]
-
-    def cover(R: float, r: float) -> int:
-        """Largest greedy r-net of a ball B(c, R) over the centers."""
-        worst = 0
-        for _, indptr, balls, _ in space.ball_chunks(centers, R):
+    centers = list(range(0, space.n, max(1, space.n // 8)))
+    cover, packing = 0, None
+    for r in (r0, 2 * r0, 4 * r0):
+        for _, indptr, balls, _ in space.ball_chunks(centers, r):
             for ball in np.split(balls, indptr[1:-1]):
-                worst = max(worst, len(greedy_net(space, r, ball, strict=True)[0]))
-        return worst
-
-    max_small = max([cover(r, r / 2) for r in small_radii if r <= 4 * r0],
-                    default=0)
-    D = max(float(D0), 19)
-    checks = []
-    if pairs:
-        for R, r in pairs:
-            if not 0 < r <= R:
-                raise ValueError("cover pairs need 0 < r <= R")
-            worst = cover(R, r)
-            bound = D ** (math.log2(math.floor(R / r)) + 1)
-            checks.append(CoverCheck(R=float(R), r=float(r), count=worst,
-                                     bound=bound, ok=worst <= bound))
-    return DoublingReport(D0=D0, max_small_cover=max_small,
-                          small_ok=max_small <= D0, D=D, pairs=tuple(checks))
+                size = len(greedy_net(space, r / 2, ball, strict=True)[0])
+                cover = max(cover, size)
+                if size > D0:
+                    net = len(greedy_net(space, r, ball, strict=True)[0])
+                    packing = max(packing or 0, net)
+    small_ok = True if cover <= D0 else (False if packing > D0 else None)
+    return DoublingReport(D0=D0, max_small_cover=cover,
+                          max_small_packing=packing, small_ok=small_ok,
+                          D=max(float(D0), 19))
 
 
 def fit_growth_exponent(table: BallTable) -> tuple[float, float]:

@@ -12,6 +12,7 @@ import pytest
 
 from ergolab import cli, dynamics, operators
 from ergolab.cli import _radius_grid, main
+from ergolab.cubes import DyadicSystem
 from ergolab.operators import OperatorConfig
 from ergolab.space import GroupSpace, build_group_space
 
@@ -58,6 +59,33 @@ def _move_one_average(monkeypatch) -> None:
         return out, exact
 
     monkeypatch.setattr(operators, "_fft_profile", one_entry_off)
+
+
+def _coarser_averages(monkeypatch) -> None:
+    """Every cube reads the next coarser level's average at its parent."""
+    real = DyadicSystem.cube_averages
+
+    def coarser(self, k, values):
+        li = self.level_index(k)
+        if li + 1 == len(self.levels):
+            return real(self, k, values)
+        return real(self, self.levels[li + 1], values)[self.parents[li]]
+
+    monkeypatch.setattr(DyadicSystem, "cube_averages", coarser)
+
+
+def _point_zero_moved(monkeypatch) -> None:
+    """Point 0 joins the next level-0 cube of the run's cube system."""
+    real = cli.build_cubes
+
+    def moved(*args, **kwargs):
+        system = real(*args, **kwargs)
+        finest = system.assign[0].copy()
+        finest[0] = (finest[0] + 1) % len(system.centers[0])
+        return dataclasses.replace(system,
+                                   assign=(finest,) + system.assign[1:])
+
+    monkeypatch.setattr(cli, "build_cubes", moved)
 
 
 class TestConfigValidation:
@@ -335,6 +363,7 @@ class TestCommands:
         assert blob["n"] == 64
         assert 0.8 < blob["growth"]["exponent"] < 1.2
         assert blob["doubling"]["small_ok"] is True
+        assert blob["doubling"]["max_small_packing"] is None
         # D = max(D0, 19) with D0 = 3 on Z/64
         assert blob["doubling"]["D"] == 19
 
@@ -365,6 +394,27 @@ class TestCommands:
         out = tmp_path / "run"
         assert run("space", "--config", cfg, "--out", str(out)) == 1
         assert "FAIL" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("space", [
+        {"modulus": 4096, "r0": 8},
+        {"d": 2, "modulus": 64, "r0": 2},
+        {"d": 2, "modulus": 64, "r0": 4},
+        {"d": 3, "modulus": 32, "r0": 2},
+    ], ids=["z-4096-r0-8", "z2-64-r0-2", "z2-64-r0-4", "z3-32-r0-2"])
+    def test_space_cover_above_D0_without_a_packing_is_a_note(
+            self, tmp_path, space):
+        # a greedy cover bounds the covering number from above only; no
+        # greedy r-net has more than D0 points, so no violation is shown
+        cfg = write_config(tmp_path, {"space": space})
+        out = tmp_path / "run"
+        assert run("space", "--config", cfg, "--out", str(out)) == 0
+        doubling = json.loads((out / "space.json").read_text())["doubling"]
+        assert (doubling["max_small_cover"] > doubling["D0"]
+                >= doubling["max_small_packing"])
+        assert doubling["small_ok"] is None
+        text = (out / "summary.txt").read_text()
+        assert "note: a greedy cover exceeds" in text
+        assert "FAIL" not in text and "all checks passed" not in text
 
     def test_verify_all_suites(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -454,6 +504,23 @@ class TestCommands:
         failure, = suite["failures"]
         assert failure.startswith("FFT ball average mismatch at point 0")
         assert "suite transference: FAIL" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("suite, mutant", [
+        ("gundy", _coarser_averages),
+        ("axioms", _point_zero_moved),
+    ], ids=["gundy", "axioms"])
+    def test_suite_fails_under_its_mutant(self, tmp_path, monkeypatch,
+                                          suite, mutant):
+        mutant(monkeypatch)
+        cfg = write_config(tmp_path, {"space": {"modulus": 4096}})
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", suite) == 1
+        assert f"suite {suite}: FAIL" in (out / "summary.txt").read_text()
+        if suite == "axioms":
+            assert run("cubes", "--config", cfg, "--out", str(out)) == 1
+            assert ("FAIL: axiom i at level 0 cube 0: empty cube"
+                    in (out / "summary.txt").read_text())
 
     @pytest.mark.parametrize("space", [{"modulus": 64},
                                        {"d": 2, "modulus": 16},

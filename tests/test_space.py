@@ -686,11 +686,6 @@ class TestBallTable:
         for r in table.radii:
             assert table.volume(r) == pytest.approx(w[table.members(r)].sum())
 
-    def test_rejects_nonincreasing_radii(self):
-        space, _ = build_group_space("zd", d=1, radius=3)
-        with pytest.raises(ValueError):
-            BallTable.from_space(space, 0, radii=[0, 2, 2])
-
 
 class TestMatrixSpace:
     def test_validation(self):
@@ -733,7 +728,7 @@ class TestMatrixSpace:
 
     def test_single_point(self):
         space = MatrixSpace([[0.0]])
-        rep = geometric_doubling_check(space, 1, centers=[0])
+        rep = geometric_doubling_check(space, 1)
         assert rep.max_small_cover == 1
 
 
@@ -779,44 +774,43 @@ class TestAnnularDecay:
         assert rep.K_eps_measured <= rep.K_eps_formula + 1e-12
 
 
+def row_small_cover(space, sep_of=lambda r: r / 2):
+    """Reference for the doubling check: the largest greedy net at
+    separation ``sep_of(r)`` of a ball B(c, r), r in (r0, 2 r0, 4 r0), over
+    every max(1, n // 8)-th center, from full distance rows."""
+    centers = range(0, space.n, max(1, space.n // 8))
+    return max(len(row_greedy_net(
+        space, sep_of(r), np.flatnonzero(space.dist_row(c) <= r),
+        strict=True)[0])
+        for r in (space.r0, 2 * space.r0, 4 * space.r0) for c in centers)
+
+
 class TestDoubling:
     def test_z1_interval_cover_at_most_3(self):
         space, _ = build_group_space("zd", d=1, radius=64)
-        rep = geometric_doubling_check(
-            space, 3, centers=[identity_index(space)],
-            pairs=[(2 * r, r) for r in (1, 2, 4, 8, 16)])
-        assert rep.max_small_cover <= 3
-        assert all(p.count <= 3 for p in rep.pairs)
-        assert rep.all_ok
+        rep = geometric_doubling_check(space, 3)
+        assert rep.max_small_cover == row_small_cover(space) <= 3
+        assert rep.small_ok
 
     def test_z2_small_covers(self):
         space, _ = build_group_space("zd", d=2, radius=40, r0=2.0)
-        wl = space.word_lengths
-        rep1 = geometric_doubling_check(space, 12,
-                                        centers=[identity_index(space)],
-                                        small_radii=[2, 4, 8])
-        rep2 = geometric_doubling_check(space, 12,
-                                        centers=[int(i) for i in np.nonzero(wl <= 4)[0][:6]],
-                                        small_radii=[2, 4, 8])
-        assert rep1.max_small_cover == 9
-        assert rep2.max_small_cover == 12
-        assert rep1.small_ok and rep2.small_ok
+        rep = geometric_doubling_check(space, 12)
+        assert rep.max_small_cover == row_small_cover(space) > 12
+        # the r-nets of the balls whose covers exceed D0 decide nothing
+        packing = row_small_cover(space, lambda r: r)
+        assert rep.max_small_packing <= packing <= 12
+        assert rep.small_ok is None
 
     @pytest.mark.parametrize("pays", [0, 10**9], ids=["rows", "search"])
     def test_matches_full_row_reference(self, pays, monkeypatch):
         monkeypatch.setattr(space_module, "_SEARCH_PAYS", pays)
         space, _ = build_group_space("h3", radius=6)
-        centers = list(range(0, space.n, space.n // 8))
-        pairs = [(2, 1), (4, 1), (6, 2), (12, 5)]
-
-        def cover(R, r):
-            return max(len(row_greedy_net(
-                space, r, np.flatnonzero(space.dist_row(c) <= R),
-                strict=True)[0]) for c in centers)
-
-        rep = geometric_doubling_check(space, 20, pairs=pairs)
-        assert rep.max_small_cover == max(cover(r, r / 2) for r in (1, 2, 4))
-        assert [p.count for p in rep.pairs] == [cover(R, r) for R, r in pairs]
+        rep = geometric_doubling_check(space, 20)
+        assert rep.max_small_cover == row_small_cover(space)
+        # at D0 = 1 every ball's cover exceeds D0, so every ball takes its
+        # r-net
+        rep = geometric_doubling_check(space, 1)
+        assert rep.max_small_packing == row_small_cover(space, lambda r: r)
 
     def test_searched_balls_read_no_rows(self, monkeypatch):
         # on Z^2/64 the balls B(c, r <= 4) of the eight centers and the
@@ -826,25 +820,30 @@ class TestDoubling:
         real = space.dist_row
         monkeypatch.setattr(space, "dist_row",
                             lambda i: rows.append(i) or real(i))
-        rep = geometric_doubling_check(space, 9, pairs=[(4, 2)])
-        assert rep.max_small_cover == 9 and rep.all_ok
+        rep = geometric_doubling_check(space, 9)
+        assert rep.max_small_cover == 9 and rep.small_ok
+        assert rep.max_small_packing is None
         assert rows == []
+
+    def test_r_net_above_D0_shows_a_violation(self):
+        # every ball's cover exceeds D0 = 3 on Z^2/64, so every ball takes
+        # its r-net, and some r-net has more than three points
+        space, _ = build_group_space("zd", d=2, modulus=64)
+        rep = geometric_doubling_check(space, 3)
+        assert rep.max_small_cover == row_small_cover(space)
+        assert rep.max_small_packing == row_small_cover(space, lambda r: r) > 3
+        assert rep.small_ok is False
 
     def test_pair_bound_uses_annular_constants_one(self):
         # D = max(D0, [9^eps (K+1)] + 1) at eps = K = 1 is max(D0, 19)
         space, _ = build_group_space("zd", d=1, modulus=64)
-        rep = geometric_doubling_check(space, 3, pairs=[(4, 1), (6, 2)])
-        assert rep.D == 19
-        assert [p.bound for p in rep.pairs] == [19.0 ** 3, 19.0 ** (
-            math.log2(3) + 1)]
+        assert geometric_doubling_check(space, 3).D == 19
         assert geometric_doubling_check(space, 25).D == 25
 
     def test_rejects_bad_inputs(self):
         space, _ = build_group_space("zd", d=1, radius=8)
         with pytest.raises(ValueError):
             geometric_doubling_check(space, 0)
-        with pytest.raises(ValueError):
-            geometric_doubling_check(space, 3, pairs=[(2, 4)])
 
 
 class TestGrowthFit:
@@ -872,8 +871,9 @@ class TestGrowthFit:
         assert abs(d_hat - 4) < 0.3
 
     def test_too_few_radii(self):
-        space, _ = build_group_space("zd", d=1, radius=4)
-        table = BallTable.from_space(space, identity_index(space),
-                                     radii=[0, 1])
+        # a truncation of radius 1 tables the radii 0 and 1 only
+        space, _ = build_group_space("zd", d=1, radius=1)
+        table = BallTable.from_space(space, identity_index(space))
+        assert table.radii == (0, 1)
         with pytest.raises(ValueError):
             fit_growth_exponent(table)
