@@ -342,29 +342,20 @@ def _operator_config(space, cfg: dict) -> OperatorConfig:
                                     block_cap=cfg["operators"]["block_cap"])
 
 
-def _build_params(cfg: dict) -> HKParams:
+def _build_system(space, cfg: dict, *, operators: bool = False,
+                  gundy: bool = False) -> DyadicSystem:
+    """The run's cube system, on the `HKParams` of the config's ``cubes``
+    section.  Inadmissible parameters, a construction that fails under
+    them, or a level range that is empty, lacks a radius block level the
+    operators read (``operators``; a space with no block above n_r0 has
+    none to read) or the two levels of the Gundy decomposition
+    (``gundy``), are a config error at `cubes`, raised before any suite
+    runs."""
     c = cfg["cubes"]
     try:
-        return HKParams(delta=c["delta"], c0=c["c0"], C0=c["C0"],
-                        k_min=c["k_min"], k_max=c["k_max"])
-    except ValueError as exc:
-        raise ConfigError(f"cubes: {exc}", keys=("cubes",))
-
-
-def _build_system(space, params: HKParams, cfg: dict, *,
-                  operators: bool = False,
-                  gundy: bool = False) -> DyadicSystem:
-    """The run's cube system.  A level range that is empty, lacks a radius
-    block level the operators read (``operators``; a space with no block
-    above n_r0 has none to read) or the two levels of the Gundy
-    decomposition (``gundy``) is a config error at `cubes`, raised before
-    any suite runs."""
-    try:
-        params.resolve_levels(space)
-    except ValueError as exc:
-        raise ConfigError(f"cubes: {exc}", keys=("cubes",))
-    system = build_cubes(space, params)
-    try:
+        system = build_cubes(space, HKParams(
+            delta=c["delta"], c0=c["c0"], C0=c["C0"], k_min=c["k_min"],
+            k_max=c["k_max"]))
         if operators:
             _operator_config(space, cfg).eligible_levels(system)
         if gundy and len(system.levels) < 2:
@@ -442,10 +433,9 @@ def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
 
 def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
-    params = _build_params(cfg)
-    system = _build_system(space, params, cfg)
+    system = _build_system(space, cfg)
     report = verify_cube_axioms(system)
-    constants = BoundaryConstants.derive(params, r0=space.r0)
+    constants = BoundaryConstants.derive(system.params, r0=space.r0)
     payload = {
         "levels": list(system.levels),
         "sizes": [system.n_cubes(k) for k in system.levels],
@@ -540,6 +530,12 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
             except GundyError as exc:
                 failures.append(f"trial {t} gamma {gamma:g}: {exc}")
                 continue
+            if not (math.isfinite(res.g_p_power)
+                    and math.isfinite(res.g_bound)):
+                raise ConfigError(
+                    f"gundy.p: ||g||_p^p or its bound overflows a float at "
+                    f"p = {p:g} (trial {t}, gamma {gamma:g})",
+                    keys=("gundy", "p"))
             checks += 4
             decompositions += 1
             for level, count in res.stop_counts.items():
@@ -605,10 +601,8 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
         raise ConfigError(
             f"transference.radii: no radius within the space diameter "
             f"{space.diameter():g}", keys=("transference", "radii"))
-    params = _build_params(cfg)
     # one cube system serves every suite that reads cubes
-    system = (_build_system(space, params, cfg,
-                            operators="domination" in suites,
+    system = (_build_system(space, cfg, operators="domination" in suites,
                             gundy="gundy" in suites)
               if any(_SUITES[name][1] for name in suites) else None)
     results = [_SUITES[name][0](space, system, cfg) for name in suites]
@@ -627,8 +621,7 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
 
 def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
-    params = _build_params(cfg)
-    system = _build_system(space, params, cfg,
+    system = _build_system(space, cfg,
                            operators="square" in cfg["probe"]["operators"])
     opcfg = _operator_config(space, cfg)
     rows: list[str] = []
@@ -679,6 +672,11 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
 
 def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     e = cfg["experiment"]
+    if e["kind"] in ("regular", "heisenberg") and e["step"] != 1:
+        raise ConfigError(
+            f"experiment.step: a {e['kind']} system acts by right "
+            f"translation and takes no step (got {e['step']}); only "
+            f"rotations read it", keys=("experiment", "step"))
     try:
         system = build_system(e["kind"], modulus=e["modulus"], step=e["step"])
     except ValueError as exc:

@@ -90,7 +90,9 @@ class HKParams:
 
         Auto range: [ceil(log_delta resolution), ceil(log_delta diameter)+1].
         Scales below the resolution are degenerate (all nets equal the whole
-        point set), so a requested k_min below the range is clipped.
+        point set), so a requested k_min below the range is clipped.  A
+        range whose outer ball radius C1*delta^k_max is past the float
+        range is refused, since the nets and axioms compute with it.
         """
         lo_auto = int(math.ceil(_log_base(space.resolution(), self.delta)))
         diam = space.diameter()
@@ -109,6 +111,14 @@ class HKParams:
             k_min = lo_auto
         if k_max < k_min:
             raise ValueError("resolved level range is empty")
+        try:
+            top = self.C1 * float(self.delta) ** k_max
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(
+                f"level scale C1*delta^{k_max} = {self.C1:g}*{self.delta:g}"
+                f"^{k_max} overflows a float; lower k_max or delta")
         return list(range(k_min, k_max + 1)), notes
 
 
@@ -292,17 +302,16 @@ class DyadicSystem:
         return self.levels[0]
 
 
-def build_cubes(space: FiniteSpace, params: HKParams,
-                nets: Nets | None = None) -> DyadicSystem:
-    """Assemble a dyadic system from the nets, reading no distances.
+def build_cubes(space: FiniteSpace, params: HKParams) -> DyadicSystem:
+    """Assemble a dyadic system from the nets of `select_nets`, reading no
+    distances of its own.
 
     Points are assigned to the nearest finest-level center (ties to the
     lower center index); each center then claims the nearest next-level
     center as parent.  Both come from the nets' nearest-center maps.
     Memberships at coarser levels follow the chains.
     """
-    if nets is None:
-        nets = select_nets(space, params)
+    nets = select_nets(space, params)
     levels = list(nets.levels)
     centers = [np.asarray(c) for c in nets.centers]
     assign = [nets.nearest[0]]

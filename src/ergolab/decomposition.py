@@ -89,8 +89,11 @@ class GundyResult:
 
     @property
     def bounds_ok(self) -> bool:
+        """All three bounds hold; false when the bound on ||g||_p^p is inf
+        (past the float range), which any norm would pass."""
         slack = 1e-9
-        return bool(self.b_l1 <= 2.0 * self.f_l1 * (1 + slack) + 1e-15
+        return bool(math.isfinite(self.g_bound)
+                    and self.b_l1 <= 2.0 * self.f_l1 * (1 + slack) + 1e-15
                     and self.xi_l1 <= 4.0 * self.f_l1 * (1 + slack) + 1e-15
                     and self.g_p_power <= self.g_bound * (1 + slack) + 1e-15)
 
@@ -152,10 +155,13 @@ class GundyResult:
 
 def g_norm_bound(gamma: float, f_l1: float, p: float) -> float:
     """The stated bound on ||g||_p^p: 3*2^p*(m!)^((p-1)/(m-1))*gamma^(p-1)*||f||_1
-    with m = floor(p) + 1."""
+    with m = floor(p) + 1; inf when the product leaves the float range."""
     m = math.floor(p) + 1
-    return (3.0 * 2.0**p * math.factorial(m) ** ((p - 1.0) / (m - 1.0))
-            * gamma ** (p - 1.0) * f_l1)
+    try:
+        return (3.0 * 2.0**p * math.factorial(m) ** ((p - 1.0) / (m - 1.0))
+                * gamma ** (p - 1.0) * f_l1)
+    except OverflowError:
+        return math.inf
 
 
 def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,

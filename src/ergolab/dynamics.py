@@ -69,6 +69,10 @@ class ActionError(ValueError):
     """The data does not define a measure-preserving action."""
 
 
+# products (u, v) whose action `MPSystem` checks against the homomorphism law
+_HOMOMORPHISM_SAMPLES = 40
+
+
 class MPSystem:
     """A finite probability space with a measure-preserving group action.
 
@@ -78,13 +82,13 @@ class MPSystem:
     system stores no permutations: each `act_perm` call asks ``perm_for``
     and checks the answer's length and range.
     The constructor checks bijectivity and measure preservation on the
-    generators, the identity, and a sample of products (the homomorphism
-    law composes as perm(uv) = perm(v)[perm(u)]).
+    generators, the identity, and `_HOMOMORPHISM_SAMPLES` products drawn
+    from seed 0 (the homomorphism law composes as
+    perm(uv) = perm(v)[perm(u)]).
     """
 
-    def __init__(self, group: GroupSpace, mu, perm_for: Callable[[int], np.ndarray],
-                 label: str = "system", homomorphism_samples: int = 40,
-                 seed: int = 0) -> None:
+    def __init__(self, group: GroupSpace, mu,
+                 perm_for: Callable[[int], np.ndarray]) -> None:
         if not group.is_quotient:
             raise ActionError("the acting group must be a finite quotient")
         mu = np.asarray(mu, dtype=float)
@@ -95,10 +99,9 @@ class MPSystem:
         self.group = group
         self.n_states = len(mu)
         self.mu = mu / mu.sum()
-        self.label = label
         self._perm_for = perm_for
         self._labels: np.ndarray | None = None
-        self._validate(homomorphism_samples, seed)
+        self._validate()
 
     def act_perm(self, j: int) -> np.ndarray:
         """State permutation for group element index j (tau_{u_j^-1})."""
@@ -118,7 +121,7 @@ class MPSystem:
             raise ActionError("generators missing from the enumerated quotient")
         return np.unique(idx)
 
-    def _validate(self, samples: int, seed: int) -> None:
+    def _validate(self) -> None:
         g = self.group
         if g.word_lengths[0] != 0:
             raise ActionError("canonical order must start at the identity")
@@ -136,8 +139,8 @@ class MPSystem:
             if np.abs(self.mu[perm] - self.mu).max() > 1e-12:
                 raise ActionError(
                     f"generator element {j} does not preserve the measure")
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
+        rng = np.random.default_rng(0)
+        for _ in range(_HOMOMORPHISM_SAMPLES):
             i = int(rng.integers(g.n))
             j = int(rng.integers(g.n))
             prod = g.group.mult(g.elements[i], g.elements[j])
@@ -200,12 +203,10 @@ def regular_system(space: GroupSpace) -> MPSystem:
     computed by `GroupSpace.right_perm` on every call.
     """
     mu = np.ones(space.n) / space.n
-    return MPSystem(space, mu, space.right_perm,
-                    label=f"regular:{space.label}")
+    return MPSystem(space, mu, space.right_perm)
 
 
-def build_system(kind: str, *, modulus: int | None = None,
-                 step: int = 1) -> MPSystem:
+def build_system(kind: str, *, modulus: int, step: int = 1) -> MPSystem:
     """Construct one of the stock systems.
 
     kinds:
@@ -216,11 +217,10 @@ def build_system(kind: str, *, modulus: int | None = None,
                      and (0, 1)
 
     A rotation acts through the quotient Z_N^d itself, on which every
-    shift is defined.  Every system carries the uniform measure.
+    shift is defined; ``step`` moves only rotations.  Every system carries
+    the uniform measure.
     """
     if kind in ("regular", "heisenberg"):
-        if modulus is None:
-            raise ValueError(f"{kind} systems need a modulus")
         group, _ = (build_group_space("zd", d=1, modulus=modulus)
                     if kind == "regular"
                     else build_group_space("h3", modulus=modulus))
@@ -230,8 +230,6 @@ def build_system(kind: str, *, modulus: int | None = None,
         raise ValueError(
             f"unknown kind {kind!r}; expected one of regular, rotation, "
             f"rotation2d, heisenberg")
-    if modulus is None:
-        raise ValueError(f"{kind} systems need a modulus")
     n = int(modulus)
     dim = 1 if kind == "rotation" else 2
     # row i: the i-th shift
@@ -245,9 +243,7 @@ def build_system(kind: str, *, modulus: int | None = None,
         shift = (group.elements[j] @ steps) % n
         return np.roll(grid, tuple(-shift), axis=tuple(range(dim))).ravel()
 
-    label = (f"rotation:{int(steps[0, 0])}:Z_{n}" if dim == 1
-             else f"rotation2d:Z_{n}^2")
-    return MPSystem(group, mu, perm_for, label=label)
+    return MPSystem(group, mu, perm_for)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,6 @@ def _action_chunks(system: MPSystem, values: np.ndarray,
 
 @dataclass(frozen=True)
 class TransferenceReport:
-    space_label: str
-    radii: tuple[float, ...]
-    lam: float
     max_discrepancy: float
     jumps_action: np.ndarray
     jumps_translation: np.ndarray
@@ -319,9 +312,6 @@ def transference_check(space: GroupSpace, values: np.ndarray,
     trans = operators.avg_profile(values, space, radii)
     disc = float(np.abs(act - trans).max()) if act.size else 0.0
     return TransferenceReport(
-        space_label=space.label,
-        radii=tuple(float(r) for r in radii),
-        lam=lam,
         max_discrepancy=disc,
         jumps_action=jump_count_batch(act, lam),
         jumps_translation=jump_count_batch(trans, lam))
@@ -393,91 +383,81 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     return _tail_and_convergence(system, values, radii, lam, upcross)[0]
 
 
-def _tail_inputs(system: MPSystem, values: np.ndarray, radii: Sequence[float],
-                 lam: float | None, upcross: tuple[float, float] | None):
-    """(values clipped to sup-norm one, radii up to the safe radius, notes)."""
-    if (lam is None) == (upcross is None):
-        raise ValueError("pass exactly one of lam or upcross=(a, b)")
-    values = np.asarray(values, dtype=float)
-    notes: list[str] = []
-
-    sup = float(np.abs(values).max()) if values.size else 0.0
-    if sup > 1.0:
-        # past this function, `_tail_and_convergence` and the public entry
-        # point: the warning names the entry point's caller
-        warnings.warn("values clipped to sup-norm one", stacklevel=4)
-        notes.append(f"values clipped to sup-norm one (was {sup:.6g})")
-        values = np.clip(values, -1.0, 1.0)
-
-    safe = system.group.safe_radius
-    kept = [float(r) for r in radii if r <= safe]
-    if len(kept) < len(radii):
-        dropped = [float(r) for r in radii if r > safe]
-        notes.append(
-            f"radius grid capped at the safe radius {safe} of the acting "
-            f"group; dropped {dropped}")
-    if not kept:
-        raise ValueError(
-            f"all radii exceed the safe radius {safe} of the acting group")
-    return values, kept, notes
-
-
 class _TailFold:
     """Jump (or upcrossing) counts and mean drift of the clipped values'
-    profile, fed chunks of consecutive radii."""
+    profile over the radii up to the safe radius, fed chunks of
+    consecutive radii.  ``values`` and ``radii`` are what it folds: the
+    values clipped to sup-norm one (the input itself when nothing was
+    clipped) and the kept radii."""
 
     def __init__(self, system: MPSystem, values: np.ndarray,
-                 lam: float | None,
+                 radii: Sequence[float], lam: float | None,
                  upcross: tuple[float, float] | None) -> None:
-        n, self._mu = system.n_states, system.mu
-        self.counts = (JumpFold(lam, n) if lam is not None
-                       else UpcrossingFold(*upcross, n))
+        if (lam is None) == (upcross is None):
+            raise ValueError("pass exactly one of lam or upcross=(a, b)")
+        self._notes: list[str] = []
+        sup = float(np.abs(values).max()) if values.size else 0.0
+        if sup > 1.0:
+            # past this constructor, `_tail_and_convergence` and the public
+            # entry point: the warning names the entry point's caller
+            warnings.warn("values clipped to sup-norm one", stacklevel=4)
+            self._notes.append(f"values clipped to sup-norm one (was {sup:.6g})")
+            values = np.clip(values, -1.0, 1.0)
+        safe = system.group.safe_radius
+        self.radii = [float(r) for r in radii if r <= safe]
+        if len(self.radii) < len(radii):
+            dropped = [float(r) for r in radii if r > safe]
+            self._notes.append(
+                f"radius grid capped at the safe radius {safe} of the acting "
+                f"group; dropped {dropped}")
+        if not self.radii:
+            raise ValueError(
+                f"all radii exceed the safe radius {safe} of the acting group")
+        self.values = values
+        if lam is not None:
+            self._kind, self._threshold = "jump", (float(lam),)
+            self._counts = JumpFold(lam, system.n_states)
+        else:
+            self._kind, self._threshold = "upcrossing", tuple(
+                float(t) for t in upcross)
+            self._counts = UpcrossingFold(*upcross, system.n_states)
+        self._mu = system.mu
         self._mean = (system.mu * values).sum()
-        self.drift = -np.inf
+        self._drift = -np.inf
 
     def update(self, rows: np.ndarray) -> None:
         # the drift's matrix product reads a contiguous block
         rows = np.ascontiguousarray(rows)
-        self.counts.update(rows)
+        self._counts.update(rows)
         drift = np.abs(rows @ self._mu - self._mean).max()
         # np.maximum, unlike max(), keeps a NaN drift
-        self.drift = float(np.maximum(self.drift, drift))
+        self._drift = float(np.maximum(self._drift, drift))
 
+    def report(self) -> TailReport:
+        """The tail report of the folded profile, with a log-linear fit."""
+        counts = self._counts.counts()
+        notes = list(self._notes)
+        ns = np.arange(int(counts.max()) + 1)
+        tails = np.array([float(self._mu[counts > n].sum()) for n in ns])
 
-def _tail_report(system: MPSystem, kept: list[float], notes: list[str],
-                 lam: float | None, upcross: tuple[float, float] | None,
-                 tail: _TailFold) -> TailReport:
-    """The tail report of the (clipped) values from their folded profile."""
-    counts = tail.counts.counts()
-    if lam is not None:
-        kind, threshold = "jump", (float(lam),)
-    else:
-        a, b = upcross
-        kind, threshold = "upcrossing", (float(a), float(b))
-
-    nmax = int(counts.max())
-    ns = np.arange(nmax + 1)
-    tails = np.array([float(system.mu[counts > n].sum()) for n in ns])
-
-    pos = tails > 0
-    if not pos.any():
-        notes.append("all counts are zero; degenerate report, no fit")
+        pos = tails > 0
         fitted, slope, c1, c2, r2 = False, None, None, None, None
-    elif pos.sum() < 3:
-        notes.append("fewer than three positive tail points; no fit claimed")
-        fitted, slope, c1, c2, r2 = False, None, None, None, None
-    else:
-        slope, intercept, r2 = _ols_log_tail(ns[pos], tails[pos])
-        c1, c2 = math.exp(intercept), math.exp(slope)
-        fitted = True
-        if slope >= 0:
-            notes.append("fit slope is nonnegative; no decay constant claimed")
+        if not pos.any():
+            notes.append("all counts are zero; degenerate report, no fit")
+        elif pos.sum() < 3:
+            notes.append("fewer than three positive tail points; no fit claimed")
+        else:
+            slope, intercept, r2 = _ols_log_tail(ns[pos], tails[pos])
+            c1, c2 = math.exp(intercept), math.exp(slope)
+            fitted = True
+            if slope >= 0:
+                notes.append("fit slope is nonnegative; no decay constant claimed")
 
-    return TailReport(kind=kind, threshold=threshold,
-                      radii=tuple(kept), ns=tuple(int(n) for n in ns),
-                      tails=tuple(float(t) for t in tails), fitted=fitted,
-                      slope=slope, c1=c1, c2=c2, r_squared=r2,
-                      mean_drift=tail.drift, notes=tuple(notes))
+        return TailReport(kind=self._kind, threshold=self._threshold,
+                          radii=tuple(self.radii), ns=tuple(int(n) for n in ns),
+                          tails=tuple(float(t) for t in tails), fitted=fitted,
+                          slope=slope, c1=c1, c2=c2, r_squared=r2,
+                          mean_drift=self._drift, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +487,10 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
     Radii past the safe radius are allowed (a full-group ball reaches the
     orbit means exactly) but are named in the report.
     """
-    radii = list(radii)
-    conv = _ConvergenceFold(system, values)
-    for rows in _action_chunks(system, values, radii):
+    conv = _ConvergenceFold(system, values, radii)
+    for rows in _action_chunks(system, values, conv.radii):
         conv.update(rows)
-    return _convergence_report(system, radii, conv.distances)
+    return conv.report()
 
 
 class _ConvergenceFold:
@@ -519,33 +498,30 @@ class _ConvergenceFold:
     chunks of consecutive radii; every row goes through one state-sized
     buffer."""
 
-    def __init__(self, system: MPSystem, values: np.ndarray) -> None:
+    def __init__(self, system: MPSystem, values: np.ndarray,
+                 radii: Sequence[float]) -> None:
+        self._system = system
+        self.radii = [float(r) for r in radii]
         self._target = system.orbit_means(np.asarray(values, dtype=float))
         self._diff = np.empty_like(self._target)
-        self.distances: list[float] = []
+        self._distances: list[float] = []
 
     def update(self, rows: np.ndarray) -> None:
         for row in rows:
             np.subtract(row, self._target, out=self._diff)
             np.abs(self._diff, out=self._diff)
-            self.distances.append(float(self._diff.max()))
+            self._distances.append(float(self._diff.max()))
 
-
-def _convergence_report(system: MPSystem, radii: Sequence[float],
-                        distances: list[float]) -> ConvergenceReport:
-    notes: list[str] = []
-    safe = system.group.safe_radius
-    beyond = [float(r) for r in radii if r > safe]
-    if beyond:
-        notes.append(
-            f"radii beyond the safe radius {safe} of the acting group: "
-            f"{beyond}")
-    labels = system.orbit_labels()
-    return ConvergenceReport(
-        radii=tuple(float(r) for r in radii),
-        distances=tuple(distances),
-        n_orbits=int(len(np.unique(labels))),
-        notes=tuple(notes))
+    def report(self) -> ConvergenceReport:
+        safe = self._system.group.safe_radius
+        beyond = [r for r in self.radii if r > safe]
+        notes = ([f"radii beyond the safe radius {safe} of the acting group: "
+                  f"{beyond}"] if beyond else [])
+        return ConvergenceReport(
+            radii=tuple(self.radii),
+            distances=tuple(self._distances),
+            n_orbits=int(len(np.unique(self._system.orbit_labels()))),
+            notes=tuple(notes))
 
 
 def tail_and_convergence(system: MPSystem, values: np.ndarray,
@@ -569,17 +545,15 @@ def _tail_and_convergence(system: MPSystem, values: np.ndarray,
                           upcross: tuple[float, float] | None
                           ) -> tuple[TailReport, ConvergenceReport]:
     values = np.asarray(values, dtype=float)
-    clipped, kept, notes = _tail_inputs(system, values, radii, lam, upcross)
-    tail = _TailFold(system, clipped, lam, upcross)
-    conv = _ConvergenceFold(system, values)
-    if clipped is values:
-        for rows in _action_chunks(system, values, kept):
+    tail = _TailFold(system, values, radii, lam, upcross)
+    conv = _ConvergenceFold(system, values, tail.radii)
+    if tail.values is values:
+        for rows in _action_chunks(system, values, tail.radii):
             tail.update(rows)
             conv.update(rows)
     else:
-        both = np.stack([clipped, values], axis=1)
-        for rows in _action_chunks(system, both, kept):
+        both = np.stack([tail.values, values], axis=1)
+        for rows in _action_chunks(system, both, tail.radii):
             tail.update(rows[..., 0])
             conv.update(rows[..., 1])
-    return (_tail_report(system, kept, notes, lam, upcross, tail),
-            _convergence_report(system, kept, conv.distances))
+    return tail.report(), conv.report()

@@ -56,13 +56,22 @@ class SampleFunction:
 
 
 def weighted_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """L^p norm with respect to the weight measure (p = inf for the sup)."""
+    """L^p norm with respect to the weight measure (p = inf for the sup).
+
+    When values**p leaves the float range (the sum is inf, or 0 for
+    nonzero values), the norm is taken of the values scaled by their
+    maximum, and scaled back."""
     values = np.abs(np.asarray(values, dtype=float))
     if p == np.inf:
         return float(values.max()) if values.size else 0.0
     if p <= 0:
         raise ValueError("p must be positive")
-    return float((weights * values**p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = (weights * values**p).sum()
+    if 0 < total < np.inf or not values.any():
+        return float(total ** (1.0 / p))
+    top = values.max()
+    return float(top * (weights * (values / top) ** p).sum() ** (1.0 / p))
 
 
 def _check_function(f: SampleFunction, system: DyadicSystem) -> np.ndarray:

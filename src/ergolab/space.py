@@ -658,23 +658,16 @@ def build_group_space(family: str, *, d: int | None = None,
     canonical order and the word lengths, and on a truncation the neighbor
     table too; the ball table is read off the word lengths.
     """
-    if family not in ("zd", "h3"):
-        raise ValueError(f"unknown family {family!r} (use 'zd' or 'h3')")
     if (radius is None) == (modulus is None):
         raise ValueError("give exactly one of radius= (truncation) or "
                          "modulus= (quotient)")
-    if family == "zd":
-        if d is None:
-            raise ValueError("family 'zd' requires d=")
-        dim = int(d)
-    else:
-        if d not in (None, 3):
-            raise ValueError("family 'h3' has fixed dimension 3")
-        dim = 3
+    if family == "zd" and d is None:
+        raise ValueError("family 'zd' requires d=")
+    # the group checks the family, the dimension and the modulus
+    group = FinGroup(family, 3 if d is None else int(d), modulus)
+    dim = group.d
     if radius is not None and radius < 1:
         raise ValueError("truncation radius must be >= 1")
-    if modulus is not None and modulus < 4:
-        raise ValueError("quotient modulus must be >= 4")
     if radius is not None:
         if family == "zd" and (2 * radius + 1) ** dim > _MAX_POINTS:
             raise CapacityError("truncated ball has too many points")
@@ -684,7 +677,6 @@ def build_group_space(family: str, *, d: int | None = None,
     if modulus is not None and modulus ** dim > _MAX_POINTS:
         raise CapacityError("quotient has too many points")
 
-    group = FinGroup(family, dim, modulus)
     if family == "zd" and modulus is not None:
         elems, wl = _zd_quotient(dim, modulus)
         neighbors = None

@@ -74,6 +74,12 @@ def _coarser_averages(monkeypatch) -> None:
     monkeypatch.setattr(DyadicSystem, "cube_averages", coarser)
 
 
+def _zero_short_variation(monkeypatch) -> None:
+    """Every short variation reads 0."""
+    monkeypatch.setattr(operators, "variation_batch",
+                        lambda values, q: np.zeros(values.shape[1]))
+
+
 def _point_zero_moved(monkeypatch) -> None:
     """Point 0 joins the next level-0 cube of the run's cube system."""
     real = cli.build_cubes
@@ -348,6 +354,60 @@ class TestConfigValidation:
         assert sorted(json.loads((out / "probe.json").read_text())
                       ["operators"]) == ["average", "maximal"]
 
+    @pytest.mark.parametrize("command", ["cubes", "probe"])
+    @pytest.mark.parametrize("key,value", [("k_max", 300), ("delta", 1e200)])
+    def test_level_scale_past_the_float_range_is_anchored(
+            self, tmp_path, capsys, command, key, value):
+        # on Z/64, C1*delta^k_max is 4*36^300 and 4*(1e200)^2
+        path = tmp_path / "config.json"
+        path.write_text(f'{{\n  "cubes": {{\n    "{key}": {json.dumps(value)}'
+                        f'\n  }}\n}}\n')
+        out = tmp_path / "run"
+        assert run(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: cubes: level scale C1*delta^" in err
+        assert "overflows a float" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.json"))
+
+    @pytest.mark.parametrize("p", [150, 200])
+    def test_gundy_bound_past_the_float_range_is_anchored(self, tmp_path,
+                                                          capsys, p):
+        # at p = 200, 201! is past the float range; at p = 150 the bound's
+        # product is, and a PASS would have rested on an inf bound
+        path = tmp_path / "config.json"
+        path.write_text('{\n  "gundy": {\n    "trials": 1,\n'
+                        f'    "p": {p}\n  }}\n}}\n')
+        out = tmp_path / "run"
+        assert run("verify", "--suite", "gundy", "--config", str(path),
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert (f"{path}:4: gundy.p: ||g||_p^p or its bound overflows a "
+                f"float at p = {p} ") in err
+        assert "Traceback" not in err
+        assert not (out / "verify.json").exists()
+
+    @pytest.mark.parametrize("kind,modulus", [("regular", 64),
+                                              ("heisenberg", 8)])
+    def test_step_of_a_translation_system_is_refused(
+            self, tmp_path, capsys, monkeypatch, kind, modulus):
+        def never(*args, **kwargs):
+            raise AssertionError("a sweep ran before the step was refused")
+
+        monkeypatch.setattr(cli, "tail_and_convergence", never)
+        path = tmp_path / "config.json"
+        path.write_text(f'{{\n  "experiment": {{\n    "kind": "{kind}",\n'
+                        f'    "modulus": {modulus},\n    "step": 5\n'
+                        f'  }}\n}}\n')
+        out = tmp_path / "run"
+        assert run("experiment", "--config", str(path), "--out",
+                   str(out)) == 2
+        err = capsys.readouterr().err
+        assert (f"{path}:5: experiment.step: a {kind} system acts by right "
+                f"translation and takes no step (got 5)") in err
+        assert "Traceback" not in err
+        assert not (out / "experiment.json").exists()
+
     def test_space_needs_exactly_one_extent(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"modulus": None}})
         assert run("space", "--config", cfg, "--out",
@@ -445,6 +505,14 @@ class TestCommands:
         assert [s["suite"] for s in blob["suites"]] == [
             "axioms", "transference"]
 
+    def test_transference_reads_no_cube_parameters(self, tmp_path):
+        # c0 = 0.1 is below 18*C0/delta = 1, which only the cubes refuse
+        cfg = write_config(tmp_path, dict(SMALL, cubes={"c0": 0.1}))
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "transference") == 0
+        assert json.loads((out / "verify.json").read_text())["passed"]
+
     def test_domination_violation_at_point_zero_fails(self, tmp_path,
                                                       monkeypatch):
         real = cli.domination_checks
@@ -508,7 +576,8 @@ class TestCommands:
     @pytest.mark.parametrize("suite, mutant", [
         ("gundy", _coarser_averages),
         ("axioms", _point_zero_moved),
-    ], ids=["gundy", "axioms"])
+        ("domination", _zero_short_variation),
+    ], ids=["gundy", "axioms", "domination"])
     def test_suite_fails_under_its_mutant(self, tmp_path, monkeypatch,
                                           suite, mutant):
         mutant(monkeypatch)
@@ -564,6 +633,21 @@ class TestCommands:
                                           "maximal"}
         assert blob["failures"] == []
         assert blob["martingale_jump"]["max_ratio"] < 1.5
+
+    def test_probe_at_a_large_p_gives_finite_ratios(self, tmp_path):
+        # |f|^1000 overflows for any |f| > 2.03, so the norms scale by max|f|
+        cfg = write_config(tmp_path, dict(SMALL, probe={"trials": 3,
+                                                        "p": 1000}))
+        out = tmp_path / "run"
+        assert run("probe", "--config", cfg, "--out", str(out)) == 0
+        text = (out / "probe.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        lines = (out / "probe.csv").read_text().splitlines()[2:]
+        ratios = [float(line.split(",")[4]) for line in lines]
+        assert len(ratios) == 12
+        assert all(0 < r < 2 for r in ratios)
+        jump = json.loads(text)["martingale_jump"]
+        assert 0 < jump["max_ratio"] < 2
 
     def test_probe_without_a_doubling_fit_checks_no_bound(self, tmp_path):
         # the H3 ball R=1 has safe radius 1: no dyadic r has 2r within it

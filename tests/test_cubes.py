@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergolab import cubes
 from ergolab.cubes import (
     _MAX_VIOLATIONS,
     _nests,
@@ -338,7 +339,7 @@ class TestBuildCubes:
         assert set(inside).issubset(set(members))
         assert row[members].max() <= params.C1 * params.delta
 
-    def test_no_admissible_parent_raises(self):
+    def test_no_admissible_parent_raises(self, monkeypatch):
         d = np.array([[0.0, 1000.0, 2000.0],
                       [1000.0, 0.0, 1000.0],
                       [2000.0, 1000.0, 0.0]])
@@ -348,8 +349,9 @@ class TestBuildCubes:
         nets = Nets(levels=(0, 1), centers=(np.arange(3), np.array([0])),
                     nearest=(np.arange(3), np.zeros(3, dtype=np.int64)),
                     distance=(np.zeros(3), d[0]), notes=())
+        monkeypatch.setattr(cubes, "select_nets", lambda *args: nets)
         with pytest.raises(ConstructionError, match="covering"):
-            build_cubes(space, HKParams(), nets)
+            build_cubes(space, HKParams())
 
     def test_membership_corruption_detected(self, z512_system):
         assign = [a.copy() for a in z512_system.assign]
@@ -480,7 +482,8 @@ class TestBuildCubes:
         real = space.dist_row
         monkeypatch.setattr(space, "dist_row",
                             lambda i: rows.append(i) or real(i))
-        system = build_cubes(space, HKParams(), nets)
+        monkeypatch.setattr(cubes, "select_nets", lambda *args: nets)
+        system = build_cubes(space, HKParams())
         # nearest centers and parents come from the nets' maps
         assert rows == []
         assert np.array_equal(system.assign[0], np.arange(space.n))
@@ -641,8 +644,7 @@ def test_quotient_balls_read_no_search_and_no_rows(make, monkeypatch):
 
     for name in ("_search_balls", "_row_balls", "dist_row"):
         monkeypatch.setattr(space, name, refuse)
-    params = HKParams()
-    system = build_cubes(space, params, select_nets(space, params))
+    system = build_cubes(space, HKParams())
     assert verify_cube_axioms(system).all_pass
     assert geometric_doubling_check(space, 130).small_ok
     values = np.random.default_rng(0).integers(-1, 2, (space.n, 2))

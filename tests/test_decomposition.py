@@ -243,6 +243,17 @@ class TestGBound:
         assert g_norm_bound(1.0, 1.0, 3.0) == pytest.approx(
             3.0 * 8.0 * 24.0 ** (2.0 / 3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [150.0, 200.0])
+    def test_bound_past_the_float_range_is_no_pass(self, z8_system, p):
+        # 201! alone, and at p = 150 the product, is past the float range
+        assert g_norm_bound(2.0, 1.0, p) == np.inf
+        space, system = z8_system
+        values = np.array([5.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        res = gundy_decompose(sample(space, values), system, 2.0, p=p)
+        assert res.g_bound == np.inf
+        assert res.g_p_power < np.inf
+        assert not res.bounds_ok
+
 
 # ---------------------------------------------------------------------------
 # the cube-by-cube reference for the level-by-level decomposition

@@ -282,3 +282,18 @@ class TestWeightedNorm:
 
     def test_empty(self):
         assert weighted_norm(np.array([]), np.array([]), np.inf) == 0.0
+
+    def test_powers_past_the_float_range(self):
+        # 3^1000 overflows and 0.1^1000 underflows; both norms scale by
+        # the largest value, which the plain sum would read as inf and 0
+        w = np.array([0.25, 0.75])
+        for values in ([3.0, -1.0], [0.1, 0.0]):
+            top = values[0]
+            assert weighted_norm(np.array(values), w, 1000) == pytest.approx(
+                top * 0.25 ** 0.001, rel=1e-12)
+
+    def test_plain_sum_where_it_is_finite(self):
+        values = np.random.default_rng(0).standard_normal(64)
+        w = np.full(64, 1 / 64)
+        assert weighted_norm(values, w, 2) == float(
+            (w * np.abs(values) ** 2).sum() ** 0.5)
