@@ -18,6 +18,7 @@ built from them on first access.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -26,6 +27,9 @@ import numpy as np
 
 from .cubes import DyadicSystem
 from .martingale import SampleFunction, weighted_norm
+
+# the log of the largest float, past which `g_norm_bound` is inf
+_LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "GundyError",
@@ -155,13 +159,22 @@ class GundyResult:
 
 def g_norm_bound(gamma: float, f_l1: float, p: float) -> float:
     """The stated bound on ||g||_p^p: 3*2^p*(m!)^((p-1)/(m-1))*gamma^(p-1)*||f||_1
-    with m = floor(p) + 1; inf when the product leaves the float range."""
+    with m = floor(p) + 1.  A factor or partial product past the float range
+    is retaken in logarithms, which give inf only for a bound past it."""
     m = math.floor(p) + 1
     try:
-        return (3.0 * 2.0**p * math.factorial(m) ** ((p - 1.0) / (m - 1.0))
-                * gamma ** (p - 1.0) * f_l1)
+        bound = (3.0 * 2.0**p * math.factorial(m) ** ((p - 1.0) / (m - 1.0))
+                 * gamma ** (p - 1.0) * f_l1)
     except OverflowError:
-        return math.inf
+        bound = math.inf
+    if math.isfinite(bound):
+        return bound
+    if f_l1 == 0:
+        return 0.0
+    log = (math.log(3.0) + p * math.log(2.0)
+           + (p - 1.0) / (m - 1.0) * math.lgamma(m + 1.0)
+           + (p - 1.0) * math.log(gamma) + math.log(f_l1))
+    return math.exp(log) if log < _LOG_MAX else math.inf
 
 
 def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,

@@ -8,30 +8,21 @@ operator (V_2 within each block), the two pointwise domination
 inequalities that transfer jump counts from the full radius grid to the
 martingale, and randomized operator-norm probes.
 
-Ball averages on a quotient of Z^d (any weights) are cyclic convolutions
-of f with the indicator of the identity ball B(e, r), so they are computed
-with `numpy.fft`: one forward transform of the block over the (N,)*d key
-grid, then one transform of the indicator, one product and one inverse
-transform per radius.  Columns of
-integer values (and integer weights) are rounded to their exact integer
-sums before the one division, so they equal the sweep bit for bit; other
-columns agree with it to rounding.  Every call recomputes its averages at
-a few fixed centers by direct sums (`_spot_sums`) and raises
-`SpotCheckError` on any mismatch.
-
-Ball averages over other quotients (the Heisenberg family) are computed by
-one sweep over the spheres of the group (`group_shells`), accumulating one
-right-translation at a time, and spot-checked at the same centers: the
-direct sums add in the sweep's order, so every column must match bit for
-bit.  The sweep takes a block of functions, values
-of shape (n, T), and gathers each permutation once for all T columns;
-every column keeps the accumulation order of its own 1-D sweep, so
-blocking never changes a bit.
-
-Every other space, and the spot check, sums f directly over the closed
-balls of `FiniteSpace.ball_chunks`, which list their members by distance
-(`_row_profile`); the doubling fit reads its ball masses from the same
-balls.
+`_profile_chunks` picks the engine of the ball averages and the columns
+its spot check compares bit for bit.  Quotients of Z^d (any weights) take
+`_fft_chunks`, a cyclic convolution with the identity-ball indicator over
+the (N,)*d key grid, whose integer columns (with integer weights) are
+rounded to their exact sums before the one division; other quotients (the
+Heisenberg family) take one sweep of the group's spheres (`sweep_chunks`
+over `group_shells`), one right-translation at a time, each gathered once
+for all columns.  Both streams pass through `_spot_checked`, which
+recomputes the averages at `_SPOT_CENTERS` fixed centers by direct sums
+over the closed balls of `FiniteSpace.ball_chunks` (`_row_profile`) and
+raises `SpotCheckError` on a mismatch: bit for bit in every column of the
+sweep, whose balls add in the direct sums' order, and in the FFT's
+rounded columns, to a tolerance elsewhere.  Every other space takes the
+direct sums themselves, from which the doubling fit also reads its ball
+masses.
 
 All three engines sum the columns of `_summed_columns`, one weighting
 rule: f under uniform weights, else w f and w, divided by `_divide`.
@@ -70,8 +61,7 @@ from .stats import JumpFold, jump_count_batch, variation_batch
 # one chunk of the dynamics sweep with room for two state vectors
 # (`dynamics._action_chunks`)
 _SWEEP_BYTES = 8 * 2**20
-# centers per spot-checked call (`_fft_chunks` on Z^d quotients,
-# `_checked_sweep` on the others) whose averages are recomputed by direct sums
+# centers at which `_spot_checked` recomputes the averages by direct sums
 _SPOT_CENTERS = 3
 # integer columns with sum |f| below this are rounded to their exact ball
 # sums: the FFT error, about eps * sum |f| * log2(n), stays far below 1/2
@@ -331,30 +321,15 @@ def group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
             yield s, [perm(j)]
 
 
-class _Transform(NamedTuple):
-    """What `_fft_chunks` takes once per call, for `_fft_profile`."""
-
-    block: np.ndarray               # the (n, T) values
-    exact: np.ndarray               # summed columns rounded to exact sums
-    exact_columns: np.ndarray       # (T,) columns with exact averages
-    spectrum: np.ndarray | None     # their transform over the key grid
-    lengths: np.ndarray             # the word lengths over the key grid
-    avg: np.ndarray                 # (n, T) averages in key order
-    buf: np.ndarray                 # (rows, n, T) buffer of every chunk
-
-
 def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
-                lengths: Sequence[int]) -> Iterator[np.ndarray]:
+                lengths: Sequence[int], exact: np.ndarray
+                ) -> Iterator[np.ndarray]:
     """Ball averages of an (n, T) block on a Z_N^d quotient by cyclic
     convolution over the key grid, yielded in chunks of consecutive radii
-    of the given lengths, each of shape (k, n, T).
-
-    Once per call it takes the forward transform of the block, the mask of
-    the columns whose averages are exact quotients of exact sums, the
-    word-length grid and the direct sums of the spot check.  Each chunk is
-    then divided into one reused buffer by `_fft_profile`, so it is valid
-    only until the next one is drawn, and is spot-checked (`_spot_check`)
-    before it is yielded.
+    of the given lengths, each of shape (k, n, T) and divided into one
+    reused buffer, so valid only until the next one is drawn.  The summed
+    columns (`_summed_columns`) in the mask ``exact`` are rounded to their
+    exact ball sums before the division.
 
     The ball sum at x is sum_{|u| <= r} f(x + u), a correlation with the
     indicator of B(e, r); generator sets are symmetric, so it is also the
@@ -362,70 +337,50 @@ def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
     """
     n, T = block.shape
     cols = _summed_columns(block, space.weights)
-    exact = (np.all(cols == np.rint(cols), axis=0)
-             & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
-    # a weighted average is exact when its sum and the sum of w are
-    exact_columns = exact[:T] & exact[T:].all()
     shape = (space.group.modulus,) * space.group.d
-    spectrum = None
+    axes = tuple(range(space.group.d))
+    grid = space.word_lengths[space._key_order].reshape(shape)
+    # ball sizes: the word lengths are in ascending order
+    sizes = np.searchsorted(space.word_lengths, radii, side="right")
     # ball sizes grow with the radius: only a ball beyond the center needs
     # the transform
-    if radii.size and np.searchsorted(space.word_lengths, radii[-1],
-                                      side="right") > 1:
+    if radii.size and sizes[-1] > 1:
         spectrum = np.fft.rfftn(
             cols[space._key_order].reshape(shape + (cols.shape[1],)),
-            axes=tuple(range(space.group.d)))
-    transform = _Transform(
-        block, exact, exact_columns, spectrum,
-        space.word_lengths[space._key_order].reshape(shape),
-        np.empty((n, T)), np.empty((max(lengths, default=0), n, T)))
-    spot = _spot_sums(block, space, radii, exact_columns)
+            axes=axes)
+    avg = np.empty((n, T))
+    buf = np.empty((max(lengths, default=0), n, T))
     lo = 0
     for k in lengths:
-        out, exact_out = _fft_profile(transform, space, radii[lo:lo + k])
-        _spot_check(out, exact_out, spot, radii, lo, "FFT")
+        out = buf[:k]
+        for i, j in enumerate(range(lo, lo + k)):
+            if i and sizes[j] == sizes[j - 1]:
+                out[i] = out[i - 1]             # the same ball
+            elif sizes[j] <= 1:
+                out[i] = block                  # the center alone
+            else:
+                kernel = np.fft.rfftn(grid <= radii[j])[..., None]
+                sums = np.fft.irfftn(spectrum * kernel, s=shape, axes=axes)
+                sums = sums.reshape(n, -1)
+                sums[:, exact] = np.rint(sums[:, exact])
+                _divide(sums, T, sizes[j], out=avg)
+                # from key order back to point order
+                np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
         yield out
         lo += k
 
 
-def _fft_profile(transform: _Transform, space: GroupSpace,
-                 radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ball averages of the transformed block at consecutive radii, shape
-    (len(radii), n, T), divided into the transform's buffer, and a (T,)
-    mask of the columns whose averages are exact quotients of exact sums.
-    """
-    block, exact, exact_columns, spectrum, lengths, avg, buf = transform
-    n, T = block.shape
-    out = buf[:len(radii)]
-    # ball sizes: the word lengths are in ascending order
-    sizes = np.searchsorted(space.word_lengths, radii, side="right")
-    axes = tuple(range(lengths.ndim))
-    for i, (r, size) in enumerate(zip(radii, sizes)):
-        if i and size == sizes[i - 1]:
-            out[i] = out[i - 1]             # the same ball
-            continue
-        if size <= 1:
-            out[i] = block                  # the center alone
-            continue
-        kernel = np.fft.rfftn(lengths <= r)[..., None]
-        sums = np.fft.irfftn(spectrum * kernel, s=lengths.shape, axes=axes)
-        sums = sums.reshape(n, -1)
-        sums[:, exact] = np.rint(sums[:, exact])
-        _divide(sums, T, size, out=avg)
-        # from key order back to point order
-        np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
-    return out, exact_columns
-
-
-def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
-               exact: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The averages of ``block`` at `_SPOT_CENTERS` fixed centers by direct
-    sums (`_row_profile`), and the tolerance scale of each column that the
-    (T,) mask ``exact`` leaves to a tolerance: the larger of the ball's and
-    the space's mean of |f| (0 in the exact columns, which are compared bit
-    for bit).  Returns (centers, averages, scales), the last two of shape
-    (centers, len(radii), T)."""
+def _spot_checked(chunks: Iterable[np.ndarray], block: np.ndarray,
+                  space: GroupSpace, radii: np.ndarray, exact: np.ndarray,
+                  engine: str) -> Iterator[np.ndarray]:
+    """The ``engine``'s chunks of the (n, T) block's averages at
+    consecutive radii, each compared with direct sums (`_row_profile`) at
+    `_SPOT_CENTERS` fixed centers before it is yielded: the columns in the
+    (T,) mask ``exact`` bit for bit, the others to 1e-12 of the larger of
+    the ball's and the space's mean of |f|.  The direct sums are taken once
+    per call, and |f| only over the columns compared to a tolerance.
+    Raises `SpotCheckError` on a mismatch, naming the ``engine`` and the
+    first center that has one."""
     w = space.weights
     centers = np.unique(np.linspace(0, space.n - 1,
                                     _SPOT_CENTERS).astype(np.int64))
@@ -438,27 +393,22 @@ def _spot_sums(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
         scale[..., ~exact] = np.maximum(
             _row_profile(loose, space, radii, centers).transpose(1, 0, 2),
             (w @ loose) / w.sum())
-    return centers, direct, scale
-
-
-def _spot_check(out: np.ndarray, exact: np.ndarray,
-                spot: tuple[np.ndarray, np.ndarray, np.ndarray],
-                radii: np.ndarray, lo: int, engine: str) -> None:
-    """Compare the chunk ``out`` of radii[lo:] with the direct sums of
-    `_spot_sums` at its centers: exact columns must match bit for bit, the
-    others to 1e-12 of the scale.  Raises `SpotCheckError` on a mismatch,
-    naming the ``engine`` and the first center that has one."""
-    centers, direct, scale = spot
-    got = out[:, centers].transpose(1, 0, 2)
-    want = direct[:, lo:lo + len(out)]
-    tol = 1e-12 * scale[:, lo:lo + len(out)]
-    bad = np.where(exact, got != want, ~(np.abs(got - want) <= tol))
-    if bad.any():
-        c, ri, t = (int(k[0]) for k in np.nonzero(bad))
-        raise SpotCheckError(
-            f"{engine} ball average mismatch at point {centers[c]}, "
-            f"radius {radii[lo + ri]:g}, column {t}: {float(got[c, ri, t])!r} "
-            f"against {float(want[c, ri, t])!r} from direct sums")
+    lo = 0
+    for out in chunks:
+        hi = lo + len(out)
+        got = out[:, centers].transpose(1, 0, 2)
+        want = direct[:, lo:hi]
+        bad = np.where(exact, got != want,
+                       ~(np.abs(got - want) <= 1e-12 * scale[:, lo:hi]))
+        if bad.any():
+            c, ri, t = (int(k[0]) for k in np.nonzero(bad))
+            raise SpotCheckError(
+                f"{engine} ball average mismatch at point {centers[c]}, "
+                f"radius {radii[lo + ri]:g}, column {t}: "
+                f"{float(got[c, ri, t])!r} against "
+                f"{float(want[c, ri, t])!r} from direct sums")
+        yield out
+        lo = hi
 
 
 def _point_values(values: np.ndarray, space: FiniteSpace) -> np.ndarray:
@@ -477,41 +427,37 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
     ``(k,) + values.shape`` and valid only until the next one is drawn;
     ``rows`` is the chunk length or the sequence of chunk lengths, as in
     `sweep_chunks`.  Quotients of Z^d stream through `_fft_chunks`, other
-    quotients through one sweep of their spheres (`_checked_sweep`), and
-    every other space computes its profile in one pass of direct ball sums
-    (`_row_profile`) and yields it in slices.  Every chunk is bitwise the
-    rows of the one-chunk call."""
+    quotients through one sweep of their spheres (`sweep_chunks` over
+    `group_shells` of the right translations), each spot-checked by
+    `_spot_checked`; every other space computes its profile in one pass of
+    direct ball sums (`_row_profile`) and yields it in slices.  Every chunk
+    is bitwise the rows of the one-chunk call."""
     values = _point_values(values, space)
     radii = _increasing(radii)
     lengths = _chunk_lengths(rows, len(radii))
     block = values.reshape(space.n, -1)
+    T = block.shape[1]
     if not space.is_quotient:
         profile = _row_profile(block, space, radii)
         ends = np.cumsum(lengths)
         chunks = (profile[end - k:end] for k, end in zip(lengths, ends))
     elif space.group.family == "zd":
-        chunks = _fft_chunks(block, space, radii, lengths)
+        cols = _summed_columns(block, space.weights)
+        rounded = (np.all(cols == np.rint(cols), axis=0)
+                   & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
+        # a weighted average is exact when its sum and the sum of w are
+        chunks = _spot_checked(
+            _fft_chunks(block, space, radii, lengths, rounded), block, space,
+            radii, rounded[:T] & rounded[T:].all(), "FFT")
     else:
-        chunks = _checked_sweep(block, space, radii, lengths)
+        # the translated balls of `ball_chunks` list their members in the
+        # order the sweep adds them: every column must match bit for bit
+        chunks = _spot_checked(
+            sweep_chunks(block, space.weights,
+                         group_shells(space, space.right_perm, radii),
+                         radii, lengths),
+            block, space, radii, np.ones(T, dtype=bool), "group sweep")
     return (c.reshape((len(c),) + values.shape) for c in chunks)
-
-
-def _checked_sweep(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
-                   lengths: Sequence[int]) -> Iterator[np.ndarray]:
-    """The sweep of the spheres of a quotient (`sweep_chunks` over
-    `group_shells` of its right translations) on an (n, T) block, each
-    chunk spot-checked before it is yielded.  The translated balls of
-    `ball_chunks` list their members in the order the sweep adds them, so
-    the direct sums must match every column bit for bit."""
-    exact = np.ones(block.shape[1], dtype=bool)
-    spot = _spot_sums(block, space, radii, exact)
-    lo = 0
-    for out in sweep_chunks(block, space.weights,
-                            group_shells(space, space.right_perm, radii),
-                            radii, lengths):
-        _spot_check(out, exact, spot, radii, lo, "group sweep")
-        yield out
-        lo += len(out)
 
 
 def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
@@ -547,9 +493,8 @@ def avg_profile(values: np.ndarray, space: FiniteSpace,
     and each column equals the 1-D call on that column, bit for bit.
 
     This is `_profile_chunks` with one chunk: quotients of Z^d go through
-    `_fft_chunks` and its spot check, other quotients through the checked
-    sweep of their spheres, and every other space through direct ball
-    sums."""
+    `_fft_chunks`, other quotients through the sweep of their spheres, both
+    spot-checked, and every other space through direct ball sums."""
     # `_profile_chunks` checks the values before its first chunk is drawn
     return next(_profile_chunks(values, space, radii, max(1, len(radii))),
                 np.empty((0,) + np.shape(values)))

@@ -50,15 +50,15 @@ def run(*argv: str) -> int:
 
 
 def _move_one_average(monkeypatch) -> None:
-    """Make every FFT profile wrong at point 0, a spot-checked center."""
-    real = operators._fft_profile
+    """Make every FFT chunk wrong at point 0, a spot-checked center."""
+    real = operators._fft_chunks
 
-    def one_entry_off(block, space, radii):
-        out, exact = real(block, space, radii)
-        out[-1, 0, 0] += 1e-6
-        return out, exact
+    def one_entry_off(*args):
+        for out in real(*args):
+            out[-1, 0, 0] += 1e-6
+            yield out
 
-    monkeypatch.setattr(operators, "_fft_profile", one_entry_off)
+    monkeypatch.setattr(operators, "_fft_chunks", one_entry_off)
 
 
 def _coarser_averages(monkeypatch) -> None:
@@ -370,11 +370,14 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not list(out.glob("*.json"))
 
-    @pytest.mark.parametrize("p", [150, 200])
+    @pytest.mark.parametrize("p, gamma", [(150, "1.14893"),
+                                          (200, "0.842551")],
+                             ids=["150", "200"])
     def test_gundy_bound_past_the_float_range_is_anchored(self, tmp_path,
-                                                          capsys, p):
-        # at p = 200, 201! is past the float range; at p = 150 the bound's
-        # product is, and a PASS would have rested on an inf bound
+                                                          capsys, p, gamma):
+        # at p = 200 the bound is past the float range at trial 0's first
+        # gamma; at p = 150 that bound is 4.0e297, and the second gamma's
+        # is exp(731), past it, where a PASS would have rested on inf
         path = tmp_path / "config.json"
         path.write_text('{\n  "gundy": {\n    "trials": 1,\n'
                         f'    "p": {p}\n  }}\n}}\n')
@@ -383,7 +386,7 @@ class TestConfigValidation:
                    "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert (f"{path}:4: gundy.p: ||g||_p^p or its bound overflows a "
-                f"float at p = {p} ") in err
+                f"float at p = {p} (trial 0, gamma {gamma})") in err
         assert "Traceback" not in err
         assert not (out / "verify.json").exists()
 
@@ -691,7 +694,11 @@ class TestCommands:
                       "block n=2 subsampled to 22 of 753 radii"):
             assert block in notes
         space, _ = build_group_space("zd", d=1, modulus=4096)
-        assert notes == list(OperatorConfig.for_space(space).notes)
+        assert notes == list(OperatorConfig.for_space(space).notes) + [
+            "a PASS certifies the jump and short-variation DPs: both "
+            "inequalities hold for any sequences, so it certifies neither "
+            "the ball averages (each engine's spot check does) nor the "
+            "cubes (the axioms suite does)"]
         summary = (out / "summary.txt").read_text()
         assert all(f"  note: {n}\n" in summary for n in notes)
 
@@ -804,6 +811,29 @@ class TestReport:
         assert run("report", "--out", str(out)) == 0
         assert "no suites run" in capsys.readouterr().out
         assert "no suites run" in (out / "report.txt").read_text()
+
+    def test_truncated_artifact_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("verify", "--suite", "axioms", "--out", str(out)) == 0
+        path = out / "verify.json"
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        line = text[:len(text) // 2].count("\n") + 1
+        assert run("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"report: {path}:{line}: invalid JSON: " in err
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
+
+    def test_artifact_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "verify.json").write_text("[1, 2]\n")
+        assert run("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert (f"report: {out / 'verify.json'}: top level must be a JSON "
+                f"object") in err
+        assert "Traceback" not in err
 
     def test_report_tables(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,23 @@ class TestGBound:
         # m = 4, exponent (3-1)/(4-1) = 2/3
         assert g_norm_bound(1.0, 1.0, 3.0) == pytest.approx(
             3.0 * 8.0 * 24.0 ** (2.0 / 3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("gamma, mass", [(1.0, 1.0), (0.8426, 0.7660),
+                                             (3.7, 1e-3)])
+    def test_p2_is_the_direct_product(self, gamma, mass):
+        assert g_norm_bound(gamma, mass, 2.0) == (
+            3.0 * 2.0**2.0 * math.factorial(3) ** 0.5 * gamma * mass)
+
+    def test_partial_product_past_the_float_range_is_taken_in_logs(self):
+        # 3*2^150*(151!)^(149/150) alone is past the float range, but
+        # gamma^149 brings the bound back into it
+        bound = g_norm_bound(0.8426, 0.7660, 150.0)
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(4.009e297, rel=1e-4)
+        log = (math.log(3.0) + 150 * math.log(2.0)
+               + 149 / 150 * math.lgamma(152.0) + 149 * math.log(0.8426)
+               + math.log(0.7660))
+        assert math.log(bound) == pytest.approx(log, rel=1e-12)
 
     @pytest.mark.parametrize("p", [150.0, 200.0])
     def test_bound_past_the_float_range_is_no_pass(self, z8_system, p):

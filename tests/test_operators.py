@@ -440,14 +440,14 @@ class TestFFTEngine:
 
 
 def _off_by(delta, point=0, radius_index=-1, column=0):
-    """`_fft_profile` with one averaged entry moved by ``delta``."""
-    real = operators._fft_profile
+    """`_fft_chunks` with one averaged entry of every chunk moved by
+    ``delta``."""
+    real = operators._fft_chunks
 
-    def patched(block, space, radii):
-        out, exact = real(block, space, radii)
-        if len(radii):
+    def patched(*args):
+        for out in real(*args):
             out[radius_index, point, column] += delta
-        return out, exact
+            yield out
 
     return patched
 
@@ -464,7 +464,7 @@ class TestSpotCheck:
         good = avg_profile(block, z512, radii)
         entry = good[1, 0, column]
         delta = (np.spacing(entry) if column else 1e-9 * max(abs(entry), 1.0))
-        monkeypatch.setattr(operators, "_fft_profile",
+        monkeypatch.setattr(operators, "_fft_chunks",
                             _off_by(delta, radius_index=1, column=column))
         with pytest.raises(SpotCheckError,
                            match=f"point 0, radius 36, column {column}"):
@@ -472,12 +472,12 @@ class TestSpotCheck:
 
     def test_within_tolerance_passes(self, z512, monkeypatch):
         block = _ensemble_block(512)[:, :1]      # gaussian
-        monkeypatch.setattr(operators, "_fft_profile", _off_by(1e-14))
+        monkeypatch.setattr(operators, "_fft_chunks", _off_by(1e-14))
         avg_profile(block, z512, [1.0, 36.0])
 
     @pytest.mark.parametrize("point", [0, 255, 511])
     def test_every_checked_center(self, z512, monkeypatch, point):
-        monkeypatch.setattr(operators, "_fft_profile",
+        monkeypatch.setattr(operators, "_fft_chunks",
                             _off_by(0.5, point=point))
         with pytest.raises(SpotCheckError, match=f"point {point},"):
             avg_profile(_ensemble_block(512), z512, [2.0, 9.0])
@@ -487,17 +487,17 @@ class TestSpotCheck:
 
     def test_corrupted_later_chunk_is_named(self, z512, monkeypatch):
         # the first chunk is clean; the second is off at a checked center
-        real = operators._fft_profile
+        real = operators._fft_chunks
         calls = []
 
-        def second_off(transform, space, radii):
-            out, exact = real(transform, space, radii)
-            calls.append(len(radii))
-            if len(calls) == 2:
-                out[0, 511, 1] += 1.0
-            return out, exact
+        def second_off(*args):
+            for out in real(*args):
+                calls.append(len(out))
+                if len(calls) == 2:
+                    out[0, 511, 1] += 1.0
+                yield out
 
-        monkeypatch.setattr(operators, "_fft_profile", second_off)
+        monkeypatch.setattr(operators, "_fft_chunks", second_off)
         chunks = operators._profile_chunks(_ensemble_block(512), z512,
                                            [1.0, 2.0, 9.0, 36.0], [2, 2])
         next(chunks)
@@ -542,6 +542,32 @@ def test_spot_check_sums_abs_f_only_for_tolerance_columns(space, gaussian,
     avg_profile(block, space, [1.0, 2.0, 5.0])
     tolerance = gaussian and space.group.family == "zd"
     assert calls == [(space.n, 2)] + [(space.n, 1)] * tolerance
+
+
+@pytest.mark.parametrize("space, engine", [
+    (build_group_space("h3", modulus=8)[0], "sweep_chunks"),
+    (build_group_space("zd", d=1, modulus=512)[0], "_fft_chunks"),
+], ids=["h3-8-sweep", "z-512-fft"])
+def test_each_engine_has_its_spot_check_policy(space, engine, monkeypatch):
+    # one ulp at a spot center of a gaussian column: the sweep's direct sums
+    # add in its own order, so it must match bit for bit; the FFT compares
+    # such a column to a tolerance, which one ulp is well within
+    real = getattr(operators, engine)
+
+    def one_ulp_off(*args):
+        for out in real(*args):
+            out[-1, 0, 0] = np.nextafter(out[-1, 0, 0], np.inf)
+            yield out
+
+    monkeypatch.setattr(operators, engine, one_ulp_off)
+    block = np.random.default_rng(5).standard_normal((space.n, 1))
+    radii = [1.0, 2.0, 5.0]
+    if engine == "sweep_chunks":
+        with pytest.raises(SpotCheckError, match="group sweep ball average "
+                           "mismatch at point 0, radius 5, column 0"):
+            avg_profile(block, space, radii)
+    else:
+        avg_profile(block, space, radii)
 
 
 def _stream_spaces():
@@ -637,19 +663,20 @@ class TestBlockStream:
         largest = max(len(b.radii) for b in config.blocks)
         assert largest <= config.block_cap < len(config.union_grid())
         handed, computed = [], []
-        streamed, real = operators._profile_chunks, operators._fft_profile
+        streamed, real = operators._profile_chunks, operators._fft_chunks
 
         def recording_stream(values, space, radii, rows):
             for chunk in streamed(values, space, radii, rows):
                 handed.append(len(chunk))
                 yield chunk
 
-        def recording_fft(transform, space, radii):
-            computed.append(len(radii))
-            return real(transform, space, radii)
+        def recording_fft(*args):
+            for out in real(*args):
+                computed.append(len(out))
+                yield out
 
         monkeypatch.setattr(operators, "_profile_chunks", recording_stream)
-        monkeypatch.setattr(operators, "_fft_profile", recording_fft)
+        monkeypatch.setattr(operators, "_fft_chunks", recording_fft)
         f = rand_f(space, 3)
         short_variation(f, space, config)
         domination_check(f, system, config, 0.5)
