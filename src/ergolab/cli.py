@@ -12,6 +12,7 @@ for byte.  Exit codes: 0 all checks passed, 1 an exact invariant failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import copy
 import hashlib
 import json
@@ -279,10 +280,13 @@ def _suite_seed(base: int, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _json_default(obj: Any) -> Any:
-    """numpy arrays and scalars as lists and numbers, for `json.dumps`
-    (a numpy float64 is a float and is written directly)."""
+    """numpy arrays and scalars as lists and numbers, and a dataclass
+    instance as the object of its fields, for `json.dumps` (a numpy float64
+    is a float and is written directly)."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -407,9 +411,7 @@ def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
         "resolution": space.resolution(),
         "safe_radius": space.safe_radius,
         "growth": {"exponent": d_hat, "constant": c_hat},
-        "doubling": {"D0": rep.D0, "max_small_cover": rep.max_small_cover,
-                     "max_small_packing": rep.max_small_packing,
-                     "small_ok": rep.small_ok, "D": rep.D},
+        "doubling": rep,
         "failures": failures,
     }
     _write_json(outdir, "space.json", payload, sha)
@@ -435,7 +437,6 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     system = _build_system(space, cfg)
     report = verify_cube_axioms(system)
-    constants = BoundaryConstants.derive(system.params, r0=space.r0)
     payload = {
         "levels": list(system.levels),
         "sizes": [system.n_cubes(k) for k in system.levels],
@@ -451,10 +452,8 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
             "covering_ok": report.covering_ok,
             "all_pass": report.all_pass,
         },
-        "violations": [
-            {"axiom": v.axiom, "level": v.level, "cube": v.cube,
-             "detail": v.detail} for v in report.violations],
-        "constants": constants.to_json(),
+        "violations": report.violations,
+        "constants": BoundaryConstants.derive(system.params, r0=space.r0),
     }
     _write_json(outdir, "cubes.json", payload, sha)
     lines = [
@@ -709,7 +708,7 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
     _write_csv(outdir, "tail.csv", "n,tail",
                [f"{n},{t!r}" for n, t in zip(tail.ns, tail.tails)], sha)
     _write_json(outdir, "experiment.json",
-                {"tail": tail.to_json(), "convergence": conv.to_json(),
+                {"tail": tail.to_json(), "convergence": conv,
                  "mean_drift": drift, "failures": failures}, sha)
     lines = [
         f"{e['kind']} system, {system.n_states} states, "
@@ -782,45 +781,52 @@ def cmd_report(outdir: Path) -> int:
             lines.append(f"WARNING: artifacts from {len(by_sha)} configs: "
                          + "; ".join(f"{sha[:12]} ({', '.join(names)})"
                                      for sha, names in sorted(by_sha.items())))
-        if "verify" in found:
+    # an artifact that is an object may still lack a key: name it
+    try:
+        for name in ("verify", "cubes", "space", "probe", "experiment"):
+            if name not in found:
+                continue
+            blob = found[name]
             lines.append("")
-            lines.append("suite            checks   failures")
-            for r in found["verify"]["suites"]:
-                lines.append(f"{r['suite']:<16} {r['checks']:>7} "
-                             f"{len(r['failures']):>9}")
-                csv_rows.append(f"verify,{r['suite']},"
-                                f"{'pass' if not r['failures'] else 'fail'}")
-        if "cubes" in found:
-            ax = found["cubes"]["axioms"]
-            lines.append("")
-            lines.append(f"cube axioms: all_pass={ax['all_pass']} sandwich "
-                         f"{ax['sandwich_passed']}/{ax['sandwich_checked']}")
-            csv_rows.append(f"cubes,all_pass,{ax['all_pass']}")
-        if "space" in found:
-            g = found["space"]["growth"]
-            lines.append("")
-            lines.append(f"growth exponent {g['exponent']:.4f} "
-                         f"(constant {g['constant']:.4f})")
-            csv_rows.append(f"space,growth_exponent,{g['exponent']!r}")
-        if "probe" in found:
-            lines.append("")
-            lines.append("operator      median      q90      max")
-            path = outdir / "probe.csv"
-            if path.exists():
-                for op, q50, q90, mx in _quantile_rows(path):
-                    lines.append(f"{op:<12} {q50:>8.4f} {q90:>8.4f} "
-                                 f"{mx:>8.4f}")
-                    csv_rows.append(f"probe,{op},{mx!r}")
-        if "experiment" in found:
-            t = found["experiment"]["tail"]
-            lines.append("")
-            if t["fitted"]:
-                lines.append(
-                    f"tail fit ({t['kind']}, threshold {t['threshold']}): "
-                    f"c2 {t['c2']:.6f}, R^2 {t['r_squared']:.4f}")
-                csv_rows.append(f"experiment,c2,{t['c2']!r}")
+            if name == "verify":
+                lines.append("suite            checks   failures")
+                for r in blob["suites"]:
+                    lines.append(f"{r['suite']:<16} {r['checks']:>7} "
+                                 f"{len(r['failures']):>9}")
+                    verdict = "fail" if r["failures"] else "pass"
+                    csv_rows.append(f"verify,{r['suite']},{verdict}")
+            elif name == "cubes":
+                ax = blob["axioms"]
+                lines.append(f"cube axioms: all_pass={ax['all_pass']} "
+                             f"sandwich {ax['sandwich_passed']}/"
+                             f"{ax['sandwich_checked']}")
+                csv_rows.append(f"cubes,all_pass,{ax['all_pass']}")
+            elif name == "space":
+                g = blob["growth"]
+                lines.append(f"growth exponent {g['exponent']:.4f} "
+                             f"(constant {g['constant']:.4f})")
+                csv_rows.append(f"space,growth_exponent,{g['exponent']!r}")
+            elif name == "probe":
+                lines.append("operator      median      q90      max")
+                path = outdir / "probe.csv"
+                if path.exists():
+                    for op, q50, q90, mx in _quantile_rows(path):
+                        lines.append(f"{op:<12} {q50:>8.4f} {q90:>8.4f} "
+                                     f"{mx:>8.4f}")
+                        csv_rows.append(f"probe,{op},{mx!r}")
             else:
-                lines.append("tail fit: not claimed")
+                t = blob["tail"]
+                if t["fitted"]:
+                    lines.append(
+                        f"tail fit ({t['kind']}, threshold {t['threshold']}): "
+                        f"c2 {t['c2']:.6f}, R^2 {t['r_squared']:.4f}")
+                    csv_rows.append(f"experiment,c2,{t['c2']!r}")
+                else:
+                    lines.append("tail fit: not claimed")
+    except KeyError as exc:
+        print(f"report: {artifacts[name]}: missing key {exc.args[0]!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")
     (outdir / "report.csv").write_text(

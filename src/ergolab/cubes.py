@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "build_cubes",
     "verify_cube_axioms",
     "AxiomReport",
+    "largest_power",
 ]
 
 
@@ -39,12 +41,17 @@ class ConstructionError(ValueError):
     """The cube construction could not complete under the given parameters."""
 
 
-def _log_base(x: float, delta: float) -> float:
-    v = math.log(x) / math.log(delta)
-    r = round(v)
-    # snap values that are integers up to float noise, so that floors and
-    # ceilings of exact powers come out right
-    return float(r) if abs(v - r) < 1e-9 else v
+def largest_power(pred: Callable[[float], bool], x: float,
+                  delta: float) -> int:
+    """Largest integer k whose power delta^k satisfies pred, which must
+    hold below any power where it holds: a search by exact comparisons of
+    the powers from floor(log_delta x), x > 0 being the scale pred reads."""
+    k = math.floor(math.log(x) / math.log(delta))
+    while not pred(delta**k):
+        k -= 1
+    while pred(delta ** (k + 1)):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -88,16 +95,17 @@ class HKParams:
     def resolve_levels(self, space: FiniteSpace) -> tuple[list[int], list[str]]:
         """Concrete level list for a space, with clipping notes.
 
-        Auto range: [ceil(log_delta resolution), ceil(log_delta diameter)+1].
-        Scales below the resolution are degenerate (all nets equal the whole
-        point set), so a requested k_min below the range is clipped.  A
+        Auto range: from the least k with delta^k >= resolution to one
+        level past the least k with delta^k >= diameter.  Scales below the
+        resolution are degenerate (all nets equal the whole point set), so
+        a requested k_min below the range is clipped.  A
         range whose outer ball radius C1*delta^k_max is past the float
         range is refused, since the nets and axioms compute with it.
         """
-        lo_auto = int(math.ceil(_log_base(space.resolution(), self.delta)))
-        diam = space.diameter()
+        res, diam = space.resolution(), space.diameter()
+        lo_auto = largest_power(lambda p: p < res, res, self.delta) + 1
         if diam > 0:
-            hi_auto = int(math.ceil(_log_base(diam, self.delta))) + 1
+            hi_auto = largest_power(lambda p: p < diam, diam, self.delta) + 2
         else:
             hi_auto = lo_auto
         notes: list[str] = []
@@ -120,16 +128,6 @@ class HKParams:
                 f"level scale C1*delta^{k_max} = {self.C1:g}*{self.delta:g}"
                 f"^{k_max} overflows a float; lower k_max or delta")
         return list(range(k_min, k_max + 1)), notes
-
-
-def _search_int(pred, start: int) -> int:
-    """Largest integer satisfying a monotone predicate, seeded near start."""
-    k = start
-    while not pred(k):
-        k -= 1
-    while pred(k + 1):
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -166,32 +164,22 @@ class BoundaryConstants:
             raise ValueError("eps must lie in (0, 1]")
         d, c0, C0 = params.delta, params.c0, params.C0
         a0, C1 = params.a0, params.C1
-        L0 = math.floor(_log_base(12.0 / c0, d)) + 1
-        L1 = math.floor(_log_base(36.0 * r0 / c0, d)) + 1
-        L2 = math.floor(_log_base(4.0 * C0 + 1.0, d)) + 1
+        # L0, L1, L2: the least integers whose powers exceed their bounds
+        L0, L1, L2 = (largest_power(lambda p: p <= b, b, d) + 1
+                      for b in (12.0 / c0, 36.0 * r0 / c0, 4.0 * C0 + 1.0))
         body = 2.0 * (K + 1) ** 2 * (72.0 * C0 / c0) ** (2 * eps)
         L3 = math.floor(body) + L0 + L2
-        eta = _log_base(2.0, d) / L3
+        eta = math.log(2.0) / math.log(d) / L3
         C2 = 4.0 * (K + 1) ** 2 * (72.0 * C0 / c0) ** (2 * eps)
         C2p = (K + 1) * (3.0 * C1 / a0) ** eps
         K_eps = (2**eps + 1) * K + 2**eps
-        # integer thresholds satisfy their defining inequalities exactly
-        n1 = max(int(math.ceil(_log_base(2.0 * r0, d))), 0)
-        while d**n1 < 2.0 * r0:
-            n1 += 1
-        while n1 > 0 and d ** (n1 - 1) >= 2.0 * r0:
-            n1 -= 1
-        k1 = _search_int(lambda k: C1 * d**k <= 1.0,
-                         int(math.floor(_log_base(1.0 / C1, d))))
+        # n1 is the least n >= 0 with delta^n >= 2 r0
+        n1 = max(largest_power(lambda p: p < 2.0 * r0, 2.0 * r0, d) + 1, 0)
+        k1 = largest_power(lambda p: C1 * p <= 1.0, 1.0 / C1, d)
         n0 = max(L1 - L0, 0)
         return cls(delta=d, c0=c0, C0=C0, r0=r0, K=K, eps=eps,
                    L0=L0, L1=L1, L2=L2, L3=L3, eta=eta, C2=C2,
-                   C2_prime=C2p, K_eps=K_eps, n0=n0, n1=max(n1, 0), k1=k1)
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "delta", "c0", "C0", "r0", "K", "eps", "L0", "L1", "L2", "L3",
-            "eta", "C2", "C2_prime", "K_eps", "n0", "n1", "k1")}
+                   C2_prime=C2p, K_eps=K_eps, n0=n0, n1=n1, k1=k1)
 
 
 # ---------------------------------------------------------------------------

@@ -471,14 +471,6 @@ class ConvergenceReport:
     n_orbits: int
     notes: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "distances": list(self.distances),
-            "n_orbits": self.n_orbits,
-            "notes": list(self.notes),
-        }
-
 
 def convergence_probe(system: MPSystem, values: np.ndarray,
                       radii: Sequence[float]) -> ConvergenceReport:

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cubes import DyadicSystem
+from .cubes import DyadicSystem, largest_power
 from .martingale import (SampleFunction, expectation_block, maximal_block,
                          weighted_norm)
 from .space import FiniteSpace, GroupSpace
@@ -126,11 +126,7 @@ class OperatorConfig:
         if block_cap < 2:
             raise ValueError("block_cap must be at least 2")
         r0 = space.r0
-        n_r0 = int(math.floor(math.log(r0) / math.log(delta)))
-        while delta**n_r0 >= r0:
-            n_r0 -= 1
-        while delta ** (n_r0 + 1) < r0:
-            n_r0 += 1
+        n_r0 = largest_power(lambda p: p < r0, r0, delta)
         diam = space.diameter()
         notes: list[str] = []
         blocks: list[BlockGrid] = []
@@ -321,22 +317,21 @@ def group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
             yield s, [perm(j)]
 
 
-def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
-                lengths: Sequence[int], exact: np.ndarray
+def _fft_chunks(block: np.ndarray, cols: np.ndarray, space: GroupSpace,
+                radii: np.ndarray, lengths: Sequence[int], exact: np.ndarray
                 ) -> Iterator[np.ndarray]:
     """Ball averages of an (n, T) block on a Z_N^d quotient by cyclic
     convolution over the key grid, yielded in chunks of consecutive radii
     of the given lengths, each of shape (k, n, T) and divided into one
-    reused buffer, so valid only until the next one is drawn.  The summed
-    columns (`_summed_columns`) in the mask ``exact`` are rounded to their
-    exact ball sums before the division.
+    reused buffer, so valid only until the next one is drawn.  ``cols``
+    are the block's summed columns (`_summed_columns`); those in the mask
+    ``exact`` are rounded to their exact ball sums before the division.
 
     The ball sum at x is sum_{|u| <= r} f(x + u), a correlation with the
     indicator of B(e, r); generator sets are symmetric, so it is also the
     convolution that the transforms compute.
     """
     n, T = block.shape
-    cols = _summed_columns(block, space.weights)
     shape = (space.group.modulus,) * space.group.d
     axes = tuple(range(space.group.d))
     grid = space.word_lengths[space._key_order].reshape(shape)
@@ -447,8 +442,8 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
                    & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
         # a weighted average is exact when its sum and the sum of w are
         chunks = _spot_checked(
-            _fft_chunks(block, space, radii, lengths, rounded), block, space,
-            radii, rounded[:T] & rounded[T:].all(), "FFT")
+            _fft_chunks(block, cols, space, radii, lengths, rounded), block,
+            space, radii, rounded[:T] & rounded[T:].all(), "FFT")
     else:
         # the translated balls of `ball_chunks` list their members in the
         # order the sweep adds them: every column must match bit for bit

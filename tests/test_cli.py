@@ -16,6 +16,7 @@ from ergolab.cubes import DyadicSystem
 from ergolab.operators import OperatorConfig
 from ergolab.space import GroupSpace, build_group_space
 
+_Z4096 = {"space": {"modulus": 4096}}
 SMALL = {
     "seed": 7,
     "space": {"modulus": 64},
@@ -92,6 +93,39 @@ def _point_zero_moved(monkeypatch) -> None:
                                    assign=(finest,) + system.assign[1:])
 
     monkeypatch.setattr(cli, "build_cubes", moved)
+
+
+def _tripled_translation(monkeypatch) -> None:
+    """x -> x + 3u on Z^d: measure-preserving, but not the quotient's
+    right translation, so the action's averages leave the ball averages."""
+    def tripled(self, j):
+        return self._product(self._columns,
+                             3 * self.elements[j] % self.group.modulus)
+
+    monkeypatch.setattr(GroupSpace, "right_perm", tripled)
+
+
+def _left_translation(monkeypatch) -> None:
+    """x -> u^-1 x on H3.  Both sides of the transference check are the
+    sweep there, so only its spot check against direct sums can see it."""
+    def left(self, j):
+        return self._product(self.group.inv(self.elements[j]),
+                             self._columns)
+
+    monkeypatch.setattr(GroupSpace, "right_perm", left)
+
+
+def _ball_sums(monkeypatch) -> None:
+    """`avg_profile` returns ball sums on a quotient.  The probe reads it
+    directly, so the engines' spot check does not see it."""
+    real = operators.avg_profile
+
+    def sums(values, space, radii):
+        prof = real(values, space, radii)
+        sizes = np.searchsorted(space.word_lengths, radii, side="right")
+        return prof * sizes.reshape((-1,) + (1,) * (prof.ndim - 1))
+
+    monkeypatch.setattr(operators, "avg_profile", sums)
 
 
 class TestConfigValidation:
@@ -576,52 +610,39 @@ class TestCommands:
         assert failure.startswith("FFT ball average mismatch at point 0")
         assert "suite transference: FAIL" in (out / "summary.txt").read_text()
 
-    @pytest.mark.parametrize("suite, mutant", [
-        ("gundy", _coarser_averages),
-        ("axioms", _point_zero_moved),
-        ("domination", _zero_short_variation),
-    ], ids=["gundy", "axioms", "domination"])
-    def test_suite_fails_under_its_mutant(self, tmp_path, monkeypatch,
-                                          suite, mutant):
+    @pytest.mark.parametrize("argv, config, mutant, messages", [
+        (["verify", "--suite", "gundy"], _Z4096, _coarser_averages,
+         ["suite gundy: FAIL"]),
+        (["verify", "--suite", "axioms"], _Z4096, _point_zero_moved,
+         ["suite axioms: FAIL", "\n  axiom i level 0 cube 0: empty cube"]),
+        (["cubes"], _Z4096, _point_zero_moved,
+         ["FAIL: axiom i at level 0 cube 0: empty cube"]),
+        (["verify", "--suite", "domination"], _Z4096, _zero_short_variation,
+         ["suite domination: FAIL"]),
+        (["verify", "--suite", "transference"], SMALL, _tripled_translation,
+         ["suite transference: FAIL", "checks)\n  max discrepancy "]),
+        (["verify", "--suite", "transference"],
+         dict(SMALL, space={"d": 2, "modulus": 16}), _tripled_translation,
+         ["suite transference: FAIL", "checks)\n  max discrepancy "]),
+        (["verify", "--suite", "transference"],
+         dict(SMALL, space={"family": "h3", "modulus": 8}), _left_translation,
+         ["suite transference: FAIL",
+          "checks)\n  group sweep ball average mismatch at point "]),
+        (["probe"], dict(_Z4096, probe={"operators": ["average"]}),
+         _ball_sums, ["FAIL: average operator exceeded the doubling bound"]),
+    ], ids=["gundy", "axioms", "cubes", "domination", "transference-z64",
+            "transference-z2-16", "transference-h3-8", "probe-average"])
+    def test_suite_fails_under_its_mutant(self, tmp_path, monkeypatch, argv,
+                                          config, mutant, messages):
         mutant(monkeypatch)
-        cfg = write_config(tmp_path, {"space": {"modulus": 4096}})
+        cfg = write_config(tmp_path, config)
         out = tmp_path / "run"
-        assert run("verify", "--config", cfg, "--out", str(out),
-                   "--suite", suite) == 1
-        assert f"suite {suite}: FAIL" in (out / "summary.txt").read_text()
-        if suite == "axioms":
-            assert run("cubes", "--config", cfg, "--out", str(out)) == 1
-            assert ("FAIL: axiom i at level 0 cube 0: empty cube"
-                    in (out / "summary.txt").read_text())
-
-    @pytest.mark.parametrize("space", [{"modulus": 64},
-                                       {"d": 2, "modulus": 16},
-                                       {"family": "h3", "modulus": 8}])
-    def test_transference_fails_under_a_wrong_translation(
-            self, tmp_path, monkeypatch, space):
-        # x -> x + 3u on Z^d, and x -> u^-1 x on H3, are measure-preserving
-        # actions of the quotient, but not its right translations: the
-        # action's averages leave the ball averages.  On H3 both sides are
-        # the sweep, so only its spot check against direct sums can see it
-        def tripled(self, j):
-            return self._product(self._columns,
-                                 3 * self.elements[j] % self.group.modulus)
-
-        def left(self, j):
-            return self._product(self.group.inv(self.elements[j]),
-                                 self._columns)
-
-        h3 = space.get("family") == "h3"
-        monkeypatch.setattr(GroupSpace, "right_perm", left if h3 else tripled)
-        cfg = write_config(tmp_path, dict(SMALL, space=space))
-        out = tmp_path / "run"
-        assert run("verify", "--config", cfg, "--out", str(out),
-                   "--suite", "transference") == 1
-        suite, = json.loads((out / "verify.json").read_text())["suites"]
-        assert suite["failures"][0].startswith(
-            "group sweep ball average mismatch at point " if h3
-            else "max discrepancy ")
-        assert "suite transference: FAIL" in (out / "summary.txt").read_text()
+        assert run(*argv, "--config", cfg, "--out", str(out)) == 1
+        # in `verify`'s summary, a suite's first failure follows the line
+        # that ends in its check count
+        summary = (out / "summary.txt").read_text()
+        for message in messages:
+            assert message in summary
 
     def test_probe_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -835,6 +856,25 @@ class TestReport:
                 f"object") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, blob, key", [
+        ("verify", {}, "suites"),
+        ("verify", {"suites": [{"suite": "axioms"}]}, "checks"),
+        ("cubes", {}, "axioms"),
+        ("space", {}, "growth"),
+        ("experiment", {"tail": {"fitted": True}}, "kind"),
+    ])
+    def test_artifact_missing_a_key_is_named(self, tmp_path, capsys, name,
+                                             blob, key):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        assert run("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"report: {path}: missing key '{key}'" in err
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
+
     def test_report_tables(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
@@ -910,7 +950,7 @@ class TestExperimentSweep:
         ref = tmp_path / "ref"
         ref.mkdir()
         cli._write_json(ref, "experiment.json",
-                        {"tail": tail.to_json(), "convergence": conv.to_json(),
+                        {"tail": tail.to_json(), "convergence": conv,
                          "mean_drift": tail.mean_drift, "failures": []}, sha)
         return (ref / "experiment.json").read_bytes()
 

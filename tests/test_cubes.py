@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ergolab import cubes
 from ergolab.cubes import (
@@ -17,10 +17,12 @@ from ergolab.cubes import (
     HKParams,
     Nets,
     build_cubes,
+    largest_power,
     select_nets,
     verify_cube_axioms,
 )
-from ergolab.operators import avg_profile, fit_doubling_constant
+from ergolab.operators import (OperatorConfig, avg_profile,
+                               fit_doubling_constant)
 from ergolab.space import (
     MatrixSpace,
     build_group_space,
@@ -167,6 +169,48 @@ def tampered(system: DyadicSystem, how: str) -> DyadicSystem:
 # parameters and constants
 # ---------------------------------------------------------------------------
 
+# bases of admissible parameters: integers, whose powers are exact floats
+# far up, and others
+_DELTAS = st.one_of(st.sampled_from([19.0, 20.5, 36.0, 72.0, 1000.0]),
+                    st.floats(18.5, 1000.0))
+
+
+@st.composite
+def _hk_params(draw) -> HKParams:
+    """Admissible parameters, 18 C0 / delta <= c0 < C0."""
+    delta = draw(_DELTAS)
+    C0 = draw(st.floats(0.1, 10.0))
+    lhs = 18.0 * C0 / delta
+    return HKParams(delta=delta, C0=C0,
+                    c0=lhs + draw(st.floats(0.0, 0.99)) * (C0 - lhs))
+
+
+@given(delta=_DELTAS, j=st.integers(-5, 8), step=st.integers(-2, 2))
+@example(delta=36.0, j=3, step=0)
+@example(delta=100.0, j=-2, step=0)
+def test_largest_power_lands_on_exact_powers(delta, j, step):
+    # x is delta^j or a float or two next to it
+    x = delta**j
+    for _ in range(abs(step)):
+        x = math.nextafter(x, step * math.inf)
+    k = largest_power(lambda p: p <= x, x, delta)
+    assert delta**k <= x < delta ** (k + 1)
+    assert k == (j - 1 if step < 0 else j)
+    assert largest_power(lambda p: p < x, x, delta) == (j - 1 if step <= 0
+                                                        else j)
+
+
+def test_levels_at_exact_powers_of_delta():
+    # Z/2592 has diameter 1296 = 36^2, and r0 = 36 puts 36 r0 / c0 at 36^2
+    space, _ = build_group_space("zd", d=1, modulus=2592, r0=36.0)
+    assert HKParams().resolve_levels(space) == ([0, 1, 2, 3], [])
+    c = BoundaryConstants.derive(HKParams(), r0=space.r0)
+    assert (c.L1, c.n1) == (3, 2)
+    config = OperatorConfig.for_space(space)
+    assert config.n_r0 == 0
+    assert [b.n for b in config.blocks] == [0, 1, 2]
+
+
 class TestHKParams:
     def test_defaults_admissible(self):
         p = HKParams()
@@ -202,6 +246,29 @@ class TestHKParams:
         assert levels == [0, 1]
         assert len(notes) == 1
 
+    @given(delta=_DELTAS, powers=st.lists(st.integers(-3, 4), min_size=2,
+                                          max_size=2),
+           free=st.lists(st.one_of(st.none(), st.floats(1e-3, 1e5)),
+                         min_size=2, max_size=2))
+    @example(delta=36.0, powers=[0, 2], free=[None, None])
+    # log_36 36^3 and log_100 100^-2 are off their integers by a rounding
+    @example(delta=36.0, powers=[-3, 3], free=[None, None])
+    @example(delta=100.0, powers=[-2, 3], free=[None, None])
+    def test_automatic_levels_satisfy_defining_inequalities(self, delta,
+                                                            powers, free):
+        # resolution and diameter: exact powers of delta, or free values
+        res, diam = sorted(delta**i if x is None else x
+                           for i, x in zip(powers, free))
+        space = MatrixSpace([[0, res, diam], [res, 0, diam],
+                             [diam, diam, 0]])
+        levels, _ = HKParams(delta=delta, c0=18.0 / delta,
+                             C0=1.0).resolve_levels(space)
+        lo, hi = levels[0], levels[-1]
+        # lo is the least k with delta^k >= resolution, and hi is one past
+        # the least k with delta^k >= diameter
+        assert delta ** (lo - 1) < res <= delta**lo
+        assert delta ** (hi - 2) < diam <= delta ** (hi - 1)
+
     def test_one_point_space(self):
         space = MatrixSpace(np.zeros((1, 1)), label="pt")
         params = HKParams()
@@ -226,10 +293,23 @@ class TestBoundaryConstants:
         c = BoundaryConstants.derive(HKParams(), r0=1.0)
         assert c.eta == pytest.approx(math.log(2) / (math.log(36) * c.L3))
 
-    @given(r0=st.floats(0.25, 50.0), delta=st.sampled_from([36.0, 40.0, 72.0]))
-    def test_thresholds_satisfy_defining_inequalities(self, r0, delta):
-        params = HKParams(delta=delta)
+    @given(params=st.one_of(st.just(HKParams()), _hk_params()),
+           r0=st.one_of(st.floats(0.25, 50.0), st.integers(-2, 4)))
+    @example(params=HKParams(), r0=1.0)
+    @example(params=HKParams(), r0=18.0)
+    @example(params=HKParams(), r0=36.0)
+    @example(params=HKParams(delta=72.0, c0=1.0, C0=4.0), r0=2)
+    def test_thresholds_satisfy_defining_inequalities(self, params, r0):
+        delta, c0, C0 = params.delta, params.c0, params.C0
+        if isinstance(r0, int):
+            # 36 r0 / c0 at delta^r0, exactly so for many deltas at c0 = 1
+            r0 = delta**r0 * c0 / 36.0
         c = BoundaryConstants.derive(params, r0=r0)
+        # L0, L1 and L2 are the least integers whose powers exceed their
+        # bounds
+        for L, bound in ((c.L0, 12.0 / c0), (c.L1, 36.0 * r0 / c0),
+                         (c.L2, 4.0 * C0 + 1.0)):
+            assert delta ** (L - 1) <= bound < delta**L
         # n1 = least n >= 0 with delta^n >= 2 r0
         assert delta**c.n1 >= 2 * r0
         assert c.n1 == 0 or delta ** (c.n1 - 1) < 2 * r0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -542,6 +543,25 @@ def test_spot_check_sums_abs_f_only_for_tolerance_columns(space, gaussian,
     avg_profile(block, space, [1.0, 2.0, 5.0])
     tolerance = gaussian and space.group.family == "zd"
     assert calls == [(space.n, 2)] + [(space.n, 1)] * tolerance
+
+
+def test_fft_engine_sums_its_columns_once(monkeypatch):
+    # on a weighted Z^d quotient the summed columns are an (n, T + 1) copy:
+    # the FFT engine builds them once for its rounding mask and transform,
+    # and the spot check's two passes of direct sums take their own
+    w = np.random.default_rng(6).uniform(0.5, 2.0, 256)
+    space, _ = build_group_space("zd", d=2, modulus=16, weights=w)
+    callers = []
+    real = operators._summed_columns
+
+    def recording(block, weights):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(block, weights)
+
+    monkeypatch.setattr(operators, "_summed_columns", recording)
+    avg_profile(_ensemble_block(space.n), space, [1.0, 2.0, 5.0])
+    assert sorted(callers) == ["_profile_chunks", "_row_profile",
+                               "_row_profile"]
 
 
 @pytest.mark.parametrize("space, engine", [
