@@ -436,6 +436,11 @@ def cmd_space(cfg: dict, sha: str, outdir: Path) -> int:
 def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     system = _build_system(space, cfg)
+    try:
+        constants = BoundaryConstants.derive(system.params, r0=space.r0)
+    except ValueError as exc:
+        raise ConfigError(f"space.r0, cubes.c0 and cubes.C0: {exc}",
+                          keys=("space", "r0"))
     report = verify_cube_axioms(system)
     payload = {
         "levels": list(system.levels),
@@ -453,7 +458,7 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
             "all_pass": report.all_pass,
         },
         "violations": report.violations,
-        "constants": BoundaryConstants.derive(system.params, r0=space.r0),
+        "constants": constants,
     }
     _write_json(outdir, "cubes.json", payload, sha)
     lines = [
@@ -781,12 +786,13 @@ def cmd_report(outdir: Path) -> int:
             lines.append(f"WARNING: artifacts from {len(by_sha)} configs: "
                          + "; ".join(f"{sha[:12]} ({', '.join(names)})"
                                      for sha, names in sorted(by_sha.items())))
-    # an artifact that is an object may still lack a key: name it
+    # an artifact that is an object may still lack a key or hold a value of
+    # the wrong type: name its file
     try:
         for name in ("verify", "cubes", "space", "probe", "experiment"):
             if name not in found:
                 continue
-            blob = found[name]
+            blob, path = found[name], artifacts[name]
             lines.append("")
             if name == "verify":
                 lines.append("suite            checks   failures")
@@ -824,8 +830,10 @@ def cmd_report(outdir: Path) -> int:
                 else:
                     lines.append("tail fit: not claimed")
     except KeyError as exc:
-        print(f"report: {artifacts[name]}: missing key {exc.args[0]!r}",
-              file=sys.stderr)
+        print(f"report: {path}: missing key {exc.args[0]!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (TypeError, ValueError) as exc:
+        print(f"report: {path}: wrong value type: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     (outdir / "report.txt").write_text("\n".join(lines) + "\n")

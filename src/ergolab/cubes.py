@@ -164,13 +164,26 @@ class BoundaryConstants:
             raise ValueError("eps must lie in (0, 1]")
         d, c0, C0 = params.delta, params.c0, params.C0
         a0, C1 = params.a0, params.C1
+
+        def bound(name: str, b: float) -> float:
+            # an infinite bound has no level or integer part
+            if not math.isfinite(b):
+                raise ValueError(f"bound {name} overflows a float")
+            return b
+
+        try:
+            C2 = 4.0 * (K + 1) ** 2 * (72.0 * C0 / c0) ** (2 * eps)
+        except OverflowError:
+            C2 = math.inf
+        bound("C2 = 4*(K+1)^2*(72*C0/c0)^(2*eps)", C2)
         # L0, L1, L2: the least integers whose powers exceed their bounds
         L0, L1, L2 = (largest_power(lambda p: p <= b, b, d) + 1
-                      for b in (12.0 / c0, 36.0 * r0 / c0, 4.0 * C0 + 1.0))
+                      for b in (bound("12/c0", 12.0 / c0),
+                                bound("36*r0/c0", 36.0 * r0 / c0),
+                                bound("4*C0+1", 4.0 * C0 + 1.0)))
         body = 2.0 * (K + 1) ** 2 * (72.0 * C0 / c0) ** (2 * eps)
         L3 = math.floor(body) + L0 + L2
         eta = math.log(2.0) / math.log(d) / L3
-        C2 = 4.0 * (K + 1) ** 2 * (72.0 * C0 / c0) ** (2 * eps)
         C2p = (K + 1) * (3.0 * C1 / a0) ** eps
         K_eps = (2**eps + 1) * K + 2**eps
         # n1 is the least n >= 0 with delta^n >= 2 r0

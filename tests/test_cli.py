@@ -404,6 +404,27 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("text, line", [
+        ('{\n  "space": {\n    "modulus": 64,\n    "r0": 1e307\n  }\n}\n',
+         4),
+        ('{\n  "space": {\n    "modulus": 64\n  },\n  "cubes": {\n'
+         '    "c0": 1e-307,\n    "C0": 1.1e-307\n  }\n}\n', None),
+    ], ids=["r0", "c0"])
+    def test_boundary_bound_past_the_float_range_is_named(
+            self, tmp_path, capsys, text, line):
+        # 36*r0/c0 is 3.6e308 in both, past the float range: no level L1
+        # has a power above it
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert run("cubes", "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        anchor = f"{path}:" if line is None else f"{path}:{line}:"
+        assert (f"{anchor} space.r0, cubes.c0 and cubes.C0: bound 36*r0/c0 "
+                f"overflows a float") in err
+        assert "Traceback" not in err
+        assert not (out / "cubes.json").exists()
+
     @pytest.mark.parametrize("p, gamma", [(150, "1.14893"),
                                           (200, "0.842551")],
                              ids=["150", "200"])
@@ -872,6 +893,23 @@ class TestReport:
         assert run("report", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert f"report: {path}: missing key '{key}'" in err
+        assert "Traceback" not in err
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("name, blob, detail", [
+        ("verify", {"suites": [1]}, "'int' object is not subscriptable"),
+        ("space", {"growth": {"exponent": "x", "constant": 1.0}},
+         "Unknown format code 'f' for object of type 'str'"),
+    ], ids=["verify", "space"])
+    def test_artifact_value_of_the_wrong_type_is_named(
+            self, tmp_path, capsys, name, blob, detail):
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / f"{name}.json"
+        path.write_text(json.dumps(blob))
+        assert run("report", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"report: {path}: wrong value type: {detail}" in err
         assert "Traceback" not in err
         assert not (out / "report.txt").exists()
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,17 @@ class TestBoundaryConstants:
         # k1 = greatest k with C1 delta^k <= 1
         assert params.C1 * delta**c.k1 <= 1.0
         assert params.C1 * delta ** (c.k1 + 1) > 1.0
+
+    @pytest.mark.parametrize("params, r0, name", [
+        (HKParams(), 1e307, "36*r0/c0"),
+        (HKParams(c0=1e-308, C0=2e-308), 1.0, "12/c0"),
+        (HKParams(delta=1e154, c0=9e-154, C0=0.5), 1.0,
+         "C2 = 4*(K+1)^2*(72*C0/c0)^(2*eps)"),
+    ], ids=["L1", "L0", "C2"])
+    def test_bound_past_the_float_range_is_named(self, params, r0, name):
+        with pytest.raises(ValueError,
+                           match=rf"^bound {re.escape(name)} overflows"):
+            BoundaryConstants.derive(params, r0=r0)
 
     def test_n0_is_gap(self):
         c = BoundaryConstants.derive(HKParams(), r0=1.0)
