@@ -8,7 +8,7 @@ The modules build on each other roughly bottom-up:
   annular decay and the doubling cover
 - ``cubes``: dyadic cube systems, their axioms and boundary constants
 - ``martingale``: conditional expectations, differences, maximal functions
-- ``operators``: averaging operators, square function, norm probes
+- ``operators``: averaging operators, domination checks, norm probes
 - ``decomposition``: Gundy-style splits over a cube system
 - ``dynamics``: measure-preserving actions, transference, tail experiments
 - ``cli``: JSON-configured runner producing deterministic artifacts
@@ -29,12 +29,10 @@ _EXPORTS = {
     "dynamics": ("ActionError", "MPSystem", "build_system",
                  "convergence_probe", "regular_system", "tail_experiment",
                  "transference_check"),
-    "martingale": ("SampleFunction", "differences", "dyadic_maximal",
-                   "expectation", "sharp_maximal_bmo", "tower_check",
-                   "weighted_norm"),
+    "martingale": ("SampleFunction", "differences", "expectation",
+                   "tower_check", "weighted_norm"),
     "operators": ("DominationReport", "NormProbeReport", "OperatorConfig",
-                  "SpotCheckError", "domination_check", "norm_probe",
-                  "square_function"),
+                  "SpotCheckError", "domination_check", "norm_probe"),
     "space": ("BallTable", "GroupSpace", "MatrixSpace",
               "annular_decay_profile", "build_group_space",
               "fit_growth_exponent", "geometric_doubling_check",

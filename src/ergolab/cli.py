@@ -31,7 +31,7 @@ from .dynamics import build_system, tail_and_convergence, transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, SpotCheckError, _ENSEMBLES, _draw, \
     domination_checks, norm_probe
-from .space import build_group_space, fit_growth_exponent, \
+from .space import _MAX_POINTS, build_group_space, fit_growth_exponent, \
     geometric_doubling_check
 
 EXIT_OK = 0
@@ -80,8 +80,8 @@ def _distinct(v: list) -> bool:
     return len(set(v)) == len(v)
 
 
-def _increasing(v: Any) -> bool:
-    return (_is_num_list(v) and len(v) >= 1
+def _increasing_positive(v: Any) -> bool:
+    return (_is_num_list(v) and len(v) >= 1 and v[0] > 0
             and all(b > a for a, b in zip(v, v[1:])))
 
 
@@ -145,7 +145,7 @@ _SCHEMA = {
     ("transference", "radii"): (
         [1.0, 2.0, 4.0, 8.0, 16.0],
         "a strictly increasing list of positive numbers",
-        lambda v: _increasing(v) and v[0] > 0),
+        _increasing_positive),
     ("transference", "lambda"): (0.5, "a positive number", _num_above(0)),
     ("experiment", "kind"): (
         "rotation", "one of regular, rotation, rotation2d, heisenberg",
@@ -159,8 +159,9 @@ _SCHEMA = {
         _or_null(lambda v: _is_num_list(v) and len(v) == 2 and v[0] < v[1])),
     ("experiment", "radii"): (
         {"start": 1.0, "stop": 256.0, "step": 1.0},
-        "a strictly increasing list or {start, stop, step} with stop >= start",
-        lambda v: _increasing(v)
+        "a strictly increasing list of positive numbers, or {start, stop, "
+        "step} of positive numbers with stop >= start",
+        lambda v: _increasing_positive(v)
         or (isinstance(v, dict) and set(v) == {"start", "stop", "step"}
             and all(_is_num(x) and x > 0 for x in v.values())
             and v["stop"] >= v["start"])),
@@ -375,8 +376,13 @@ def _radius_grid(spec) -> list[float]:
         start, stop, step = (float(spec[k]) for k in ("start", "stop", "step"))
         # count first and multiply, so rounding does not accumulate along the
         # grid; the slack keeps a stop that lies on the grid
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        return [start + i * step for i in range(count)]
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_POINTS:
+            raise ConfigError(
+                f"experiment.radii: the grid from {start:g} to {stop:g} by "
+                f"{step:g} holds more than {_MAX_POINTS} radii",
+                keys=("experiment", "radii"))
+        return [start + i * step for i in range(math.floor(span) + 1)]
     return [float(r) for r in spec]
 
 

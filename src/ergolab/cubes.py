@@ -298,10 +298,6 @@ class DyadicSystem:
         return (sums / measures[:, None]).reshape(
             measures.shape + np.shape(values)[1:])
 
-    @property
-    def finest(self) -> int:
-        return self.levels[0]
-
 
 def build_cubes(space: FiniteSpace, params: HKParams) -> DyadicSystem:
     """Assemble a dyadic system from the nets of `select_nets`, reading no

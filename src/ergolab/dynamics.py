@@ -407,9 +407,11 @@ class _TailFold:
         self.radii = [float(r) for r in radii if r <= safe]
         if len(self.radii) < len(radii):
             dropped = [float(r) for r in radii if r > safe]
+            which = (f"{len(dropped)} radii, {dropped[0]} to {dropped[-1]}"
+                     if len(dropped) > 1 else f"the radius {dropped[0]}")
             self._notes.append(
                 f"radius grid capped at the safe radius {safe} of the acting "
-                f"group; dropped {dropped}")
+                f"group; dropped {which}")
         if not self.radii:
             raise ValueError(
                 f"all radii exceed the safe radius {safe} of the acting group")

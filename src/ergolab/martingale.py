@@ -2,8 +2,7 @@
 
 Conditional expectations average over cubes; differences between
 consecutive levels give the martingale decomposition, with the dyadic
-maximal function, the sharp maximal function, and the dyadic BMO norm on
-top.  Cube averages commute into the tower identity
+maximal function on top.  Cube averages commute into the tower identity
 E_k(E_j f) = E_{max(j,k)} f only in exact arithmetic, so next to the fast
 float path there is a rational path (floats are dyadic rationals) used by
 ``tower_check``.
@@ -28,9 +27,7 @@ __all__ = [
     "expectation_exact",
     "tower_check",
     "differences",
-    "dyadic_maximal",
     "maximal_block",
-    "sharp_maximal_bmo",
     "martingale_jump_probe",
     "weighted_norm",
 ]
@@ -159,54 +156,14 @@ def differences(f: SampleFunction, system: DyadicSystem) -> MartingaleParts:
                            separating)
 
 
-def dyadic_maximal(f: SampleFunction, system: DyadicSystem) -> SampleFunction:
-    """Pointwise maximum of E_k|f| over the system's levels."""
-    return SampleFunction(f.space_label,
-                          maximal_block(_check_function(f, system), system))
-
-
 def maximal_block(values: np.ndarray, system: DyadicSystem) -> np.ndarray:
-    """`dyadic_maximal` of every column of an (n,) or (n, T) array, one
-    level at a time for all the columns."""
+    """Pointwise maximum of E_k|f| over the levels for each column f of an
+    (n,) or (n, T) array, one level at a time for all the columns."""
     absf = np.abs(values)
     best = np.zeros(absf.shape)
     for k in system.levels:
         np.maximum(best, expectation_block(absf, system, k), out=best)
     return best
-
-
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    """A minimizer of c -> sum w|v - c| (the classical weighted median)."""
-    order = np.argsort(values, kind="stable")
-    cw = np.cumsum(weights[order])
-    half = cw[-1] / 2.0
-    idx = int(np.searchsorted(cw, half))
-    return float(values[order[min(idx, len(order) - 1)]])
-
-
-def sharp_maximal_bmo(f: SampleFunction,
-                      system: DyadicSystem) -> tuple[SampleFunction, float]:
-    """Sharp maximal function and the dyadic BMO norm.
-
-    For each cube the optimal constant in inf_c avg|f - c| is a weighted
-    median, so every cube oscillation is exact; the sharp function takes
-    the max over the cubes containing each point, and the BMO norm is its
-    sup.
-    """
-    values = _check_function(f, system)
-    w = system.space.weights
-    best = np.zeros(system.space.n)
-    for li, k in enumerate(system.levels):
-        order, starts, measures = system.cube_index(k)
-        osc = np.empty(len(measures))
-        for cube in range(len(measures)):
-            mem = order[starts[cube]:starts[cube + 1]]
-            v, wm = values[mem], w[mem]
-            med = _weighted_median(v, wm)
-            osc[cube] = (wm * np.abs(v - med)).sum() / measures[cube]
-        np.maximum(best, osc[system.assign[li]], out=best)
-    sharp = SampleFunction(f.space_label, best)
-    return sharp, float(best.max())
 
 
 def martingale_jump_probe(system: DyadicSystem, *, trials: int = 200,

@@ -33,13 +33,13 @@ consecutive radii into one chunk buffer and yield each chunk as soon as it
 is done; `avg_profile` and `sweep_profile` are the streams with one chunk
 of all the radii.  The one union-grid pass, `_grid_pass`, reads the grid
 one delta-adic block at a time, so it never holds every radius, and
-serves the short variation, the variation probe and the domination check;
-one `_square` serves the square function, the square probe and the
-domination check.  The sweep is also the engine of the dynamics module,
-whose experiments fold the chunks without holding the profile, and of
-the action side of the transference check; on Z^d the sweep is the oracle
-the FFT engine is tested against.  The norm probes push their trials
-through the operators in column blocks sized by `_SWEEP_BYTES`.
+serves the variation probe and the domination check; one `_square` serves
+the square probe and the domination check.  The sweep is also the engine
+of the dynamics module, whose experiments fold the chunks without holding
+the profile, and of the action side of the transference check; on Z^d the
+sweep is the oracle the FFT engine is tested against.  The norm probes
+push their trials through the operators in column blocks sized by
+`_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ __all__ = [
     "sweep_chunks",
     "group_shells",
     "avg_profile",
-    "square_function",
-    "short_variation",
     "DominationReport",
     "domination_check",
     "domination_checks",
@@ -508,20 +506,13 @@ def _square(anchor_rows: np.ndarray, exp_rows: np.ndarray) -> np.ndarray:
 
 def _square_block(values: np.ndarray, system: DyadicSystem,
                   config: OperatorConfig) -> np.ndarray:
-    """`square_function` of each column of an (n,) or (n, T) array."""
+    """l^2 size of (average at scale delta^n) - (expectation at level n)
+    over the levels n > n_r0, for each column of an (n,) or (n, T) array."""
     levels = config.eligible_levels(system)
     anchors = avg_profile(values, system.space,
                           [config.anchor(n) for n in levels])
     return _square(anchors, np.stack([
         expectation_block(values, system, n) for n in levels]))
-
-
-def square_function(f: SampleFunction, system: DyadicSystem,
-                    config: OperatorConfig) -> SampleFunction:
-    """l^2 size of (average at scale delta^n) - (expectation at level n)
-    over the levels n > n_r0."""
-    return SampleFunction(f.space_label,
-                          _square_block(f.values, system, config))
 
 
 def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
@@ -548,13 +539,6 @@ def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
         anchors[i] = rows[0]
     return ([fold.counts().reshape(shape) for fold in folds],
             np.sqrt(sv).reshape(shape), anchors)
-
-
-def short_variation(f: SampleFunction, space: FiniteSpace,
-                    config: OperatorConfig) -> SampleFunction:
-    """l^2 over blocks of the V_2 of r -> A'_r f within each block."""
-    return SampleFunction(f.space_label,
-                          _grid_pass(f.values, space, config)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -513,7 +513,6 @@ class BallTable:
 
     center: int
     radii: tuple[int, ...]
-    _order: np.ndarray = field(repr=False)
     _dists: np.ndarray = field(repr=False)
     _cum_weight: np.ndarray = field(repr=False)
 
@@ -521,21 +520,18 @@ class BallTable:
     def from_space(cls, space: FiniteSpace, center: int) -> "BallTable":
         _, _, order, dists = next(space.ball_chunks([center],
                                                     space.diameter()))
-        return cls.from_sorted(center, order, dists, space.weights[order])
+        return cls.from_sorted(center, dists, space.weights[order])
 
     @classmethod
-    def from_sorted(cls, center: int, order: np.ndarray, dists: np.ndarray,
+    def from_sorted(cls, center: int, dists: np.ndarray,
                     weights: np.ndarray) -> "BallTable":
-        """The table of the points ``order`` at the ascending distances
-        ``dists`` from ``center``, with their ``weights``."""
+        """The table of points at the ascending distances ``dists`` from
+        ``center``, with their ``weights``."""
         radii = tuple(range(int(math.ceil(dists[-1])) + 1))
-        return cls(center, radii, order, dists, np.cumsum(weights))
+        return cls(center, radii, dists, np.cumsum(weights))
 
     def _cut(self, r: float) -> int:
         return int(np.searchsorted(self._dists, r, side="right"))
-
-    def members(self, r: float) -> np.ndarray:
-        return self._order[: self._cut(r)]
 
     def volume(self, r: float) -> float:
         k = self._cut(r)
@@ -693,8 +689,7 @@ def build_group_space(family: str, *, d: int | None = None,
     # d(e, x) = |x| on quotients and truncations alike, since the prefixes
     # of a geodesic stay in the ball; canonical order starts at e and is
     # sorted by word length
-    table = BallTable.from_sorted(0, np.arange(space.n), wl.astype(float),
-                                  space.weights)
+    table = BallTable.from_sorted(0, wl.astype(float), space.weights)
     return space, table
 
 

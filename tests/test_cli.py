@@ -266,6 +266,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("radii", [
         {"start": 10, "stop": 5, "step": 1},     # an empty grid
         [20, 30],                                # beyond the safe radius 16
+        {"start": 1, "stop": 300001, "step": 1},  # one radius past the cap
+        {"start": 1, "stop": 1e308, "step": 1e-308},  # a count past floats
+        [-3, -1, 0, 2],                          # radii that are not positive
     ])
     def test_experiment_grid_without_usable_radius_refused(
             self, tmp_path, capsys, monkeypatch, radii):
@@ -769,6 +772,25 @@ class TestCommands:
         assert any("capped at the safe radius" in n
                    for n in blob["tail"]["notes"])
         assert "capped at the safe radius" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("stop, which", [
+        (64.0, "48 radii, 17.0 to 64.0"), (17.0, "the radius 17.0")],
+        ids=["many", "one"])
+    def test_experiment_capping_note_names_the_dropped_range(
+            self, tmp_path, stop, which):
+        # the safe radius of Z_64 is 16
+        body = dict(SMALL)
+        body["experiment"] = {"modulus": 64,
+                              "radii": {"start": 1.0, "stop": stop,
+                                        "step": 1.0}}
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "run"
+        assert run("experiment", "--config", cfg, "--out", str(out)) == 0
+        note = ("radius grid capped at the safe radius 16.0 of the acting "
+                f"group; dropped {which}")
+        assert json.loads((out / "experiment.json").read_text())[
+            "tail"]["notes"][0] == note
+        assert f"note: {note}\n" in (out / "summary.txt").read_text()
 
     def test_transference_names_radii_beyond_the_diameter(self, tmp_path):
         # Z/16 has diameter 8, so the default grid loses 16.0

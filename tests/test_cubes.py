@@ -533,7 +533,7 @@ class TestBuildCubes:
 
     def test_replaced_system_gets_its_own_index(self, z64):
         system = build_cubes(z64, HKParams())
-        k = system.finest
+        k = system.levels[0]
         before = system.members(k, 0).copy()
         assign = list(system.assign)
         # move the members of cube 0 into cube 1, leaving cube 0 empty

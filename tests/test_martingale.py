@@ -6,13 +6,11 @@ from ergolab.cubes import HKParams, build_cubes
 from ergolab.martingale import (
     SampleFunction,
     differences,
-    dyadic_maximal,
     expectation,
     expectation_block,
     expectation_exact,
     martingale_jump_probe,
     maximal_block,
-    sharp_maximal_bmo,
     tower_check,
     weighted_norm,
 )
@@ -172,23 +170,22 @@ class TestDifferences:
 
 class TestDyadicMaximal:
     def test_constant(self, z64_system):
-        f = SampleFunction("z", np.full(64, 1.5))
-        out = dyadic_maximal(f, z64_system)
-        assert out.values == pytest.approx([1.5] * 64, abs=1e-12)
+        out = maximal_block(np.full(64, 1.5), z64_system)
+        assert out == pytest.approx([1.5] * 64, abs=1e-12)
 
     def test_point_mass(self, z64_system):
         values = np.zeros(64)
         values[17] = -5.0
-        out = dyadic_maximal(SampleFunction("z", values), z64_system)
+        out = maximal_block(values, z64_system)
         # the finest level separates, so the sup at the mass point is |f|
-        assert out.values[17] == 5.0
+        assert out[17] == 5.0
 
     def test_dominates_finest_average(self, z64_system):
         f = rand_f(z64_system, 21)
-        out = dyadic_maximal(f, z64_system)
+        out = maximal_block(f.values, z64_system)
         finest = expectation(SampleFunction("z", np.abs(f.values)),
                              z64_system, z64_system.levels[0]).values
-        assert np.all(out.values >= finest - 1e-12)
+        assert np.all(out >= finest - 1e-12)
 
     def test_block_columns_are_one_column_calls(self, z64_system):
         block = np.random.default_rng(22).standard_normal((64, 3))
@@ -196,7 +193,7 @@ class TestDyadicMaximal:
         for t in range(3):
             f = SampleFunction("z", block[:, t].copy())
             assert best[:, t].tobytes() == (
-                dyadic_maximal(f, z64_system).values.tobytes())
+                maximal_block(f.values, z64_system).tobytes())
             for k in z64_system.levels:
                 one = expectation(f, z64_system, k).values
                 got = expectation_block(block, z64_system, k)[:, t]
@@ -206,56 +203,11 @@ class TestDyadicMaximal:
         w = z64_system.space.weights
         for seed in range(10):
             f = rand_f(z64_system, seed)
-            md = dyadic_maximal(f, z64_system).values
+            md = maximal_block(f.values, z64_system)
             l1 = weighted_norm(f.values, w, 1)
             for gamma in (0.05, 0.2, 0.5, 1.0, 2.0):
                 mass = w[md > gamma].sum()
                 assert gamma * mass <= l1 + 1e-12
-
-
-class TestSharpMaximal:
-    def test_constant_bmo_zero(self, z64_system):
-        f = SampleFunction("z", np.full(64, 7.0))
-        _, bmo = sharp_maximal_bmo(f, z64_system)
-        assert bmo == 0.0
-
-    def test_two_point_median(self, pair_system):
-        f = SampleFunction("pair", np.array([0.0, 1.0]))
-        sharp, bmo = sharp_maximal_bmo(f, pair_system)
-        assert bmo == pytest.approx(0.5)
-        assert sharp.values == pytest.approx([0.5, 0.5])
-
-    def test_median_beats_any_constant(self, z64_system):
-        # the L1 objective is convex piecewise-linear with vertices at the
-        # data, so scanning the data values recovers the exact infimum
-        f = rand_f(z64_system, 31)
-        w = z64_system.space.weights
-        for li, k in enumerate(z64_system.levels):
-            a = z64_system.assign[li]
-            measures = z64_system.cube_measures(k)
-            for cube in range(min(len(z64_system.centers[li]), 8)):
-                mask = a == cube
-                vals, ws = f.values[mask], w[mask]
-                brute = min(
-                    (ws * np.abs(vals - c)).sum() / measures[cube]
-                    for c in vals)
-                sharp, _ = sharp_maximal_bmo(f, z64_system)
-                member = np.nonzero(mask)[0][0]
-                assert sharp.values[member] >= brute - 1e-9
-
-    def test_oscillation_matches_grid_oracle(self, z64_system):
-        f = rand_f(z64_system, 13)
-        w = z64_system.space.weights
-        li = z64_system.level_index(1)
-        a = z64_system.assign[li]
-        mask = a == 0
-        vals, ws = f.values[mask], w[mask]
-        total = ws.sum()
-        exact = min((ws * np.abs(vals - c)).sum() / total for c in vals)
-        from ergolab.martingale import _weighted_median
-        med = _weighted_median(vals, ws)
-        ours = (ws * np.abs(vals - med)).sum() / total
-        assert ours == pytest.approx(exact, abs=1e-9)
 
 
 class TestJumpProbe:

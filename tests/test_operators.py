@@ -15,13 +15,13 @@ from ergolab.operators import (
     SpotCheckError,
     _ENSEMBLES,
     _draw,
+    _grid_pass,
+    _square_block,
     avg_profile,
     domination_check,
     domination_checks,
     fit_doubling_constant,
     norm_probe,
-    short_variation,
-    square_function,
 )
 from ergolab.space import MatrixSpace, build_group_space, random_square_space
 from ergolab.stats import jump_count_batch, variation_batch
@@ -652,7 +652,7 @@ class TestBlockStream:
         want = np.sqrt((np.stack([
             variation_batch(rows[a:b].reshape(b - a, -1), 2.0)
             for a, b in zip(offsets, offsets[1:])]) ** 2).sum(axis=0))
-        got = operators._grid_pass(block, space, config)[1]
+        got = _grid_pass(block, space, config)[1]
         assert got.tobytes() == want.reshape(block.shape).tobytes()
 
     @pytest.mark.parametrize("name", sorted(STREAM_CASES))
@@ -698,7 +698,7 @@ class TestBlockStream:
         monkeypatch.setattr(operators, "_profile_chunks", recording_stream)
         monkeypatch.setattr(operators, "_fft_chunks", recording_fft)
         f = rand_f(space, 3)
-        short_variation(f, space, config)
+        _grid_pass(f.values, space, config)
         domination_check(f, system, config, 0.5)
         blocks = [len(b.radii) for b in config.blocks]
         assert handed == blocks * 2
@@ -707,48 +707,44 @@ class TestBlockStream:
 
 class TestSquareFunction:
     def test_constant_vanishes(self, z512_system, z512_config):
-        f = SampleFunction("z", np.full(512, -4.0))
-        out = square_function(f, z512_system, z512_config)
-        assert np.abs(out.values).max() < 1e-12
+        out = _square_block(np.full(512, -4.0), z512_system, z512_config)
+        assert np.abs(out).max() < 1e-12
 
     def test_single_eligible_level(self, z64):
         system = build_cubes(z64, HKParams())
         cfg = OperatorConfig.for_space(z64)
         assert cfg.eligible_levels(system) == [0]
         f = rand_f(z64, 7)
-        out = square_function(f, system, cfg)
+        out = _square_block(f.values, system, cfg)
         direct = np.abs(avg_profile(f.values, z64, [1.0])[0]
                         - expectation(f, system, 0).values)
-        assert np.abs(out.values - direct).max() < 1e-12
+        assert np.abs(out - direct).max() < 1e-12
 
     def test_no_eligible_levels(self):
         space = MatrixSpace(np.zeros((1, 1)), label="pt")
         system = build_cubes(space, HKParams())
         cfg = OperatorConfig.for_space(space)
         with pytest.raises(ValueError, match="eligible"):
-            square_function(SampleFunction("pt", np.zeros(1)), system, cfg)
+            _square_block(np.zeros(1), system, cfg)
 
     def test_sublinear(self, z512_system, z512_config):
         f, g = rand_f(z512_system.space, 8), rand_f(z512_system.space, 9)
-        fg = SampleFunction("z", f.values + g.values)
-        s_fg = square_function(fg, z512_system, z512_config).values
-        s_f = square_function(f, z512_system, z512_config).values
-        s_g = square_function(g, z512_system, z512_config).values
+        s_fg = _square_block(f.values + g.values, z512_system, z512_config)
+        s_f = _square_block(f.values, z512_system, z512_config)
+        s_g = _square_block(g.values, z512_system, z512_config)
         assert np.all(s_fg <= s_f + s_g + 1e-10)
 
     def test_constant_shift_invariant(self, z512_system, z512_config):
         f = rand_f(z512_system.space, 10)
-        shifted = SampleFunction("z", f.values + 11.0)
-        a = square_function(f, z512_system, z512_config).values
-        b = square_function(shifted, z512_system, z512_config).values
+        a = _square_block(f.values, z512_system, z512_config)
+        b = _square_block(f.values + 11.0, z512_system, z512_config)
         assert np.abs(a - b).max() < 1e-10
 
 
 class TestShortVariation:
     def test_constant_vanishes(self, z512, z512_config):
-        out = short_variation(SampleFunction("z", np.full(512, 2.0)),
-                              z512, z512_config)
-        assert np.abs(out.values).max() < 1e-12
+        out = _grid_pass(np.full(512, 2.0), z512, z512_config)[1]
+        assert np.abs(out).max() < 1e-12
 
     def test_matches_per_block_dp(self, z512, z512_config):
         f = rand_f(z512, 11)
@@ -758,8 +754,8 @@ class TestShortVariation:
             sub = rows[offset:offset + len(block.radii)]
             offset += len(block.radii)
             total += variation_batch(sub, 2.0) ** 2
-        out = short_variation(f, z512, z512_config)
-        assert np.abs(out.values - np.sqrt(total)).max() < 1e-12
+        out = _grid_pass(f.values, z512, z512_config)[1]
+        assert np.abs(out - np.sqrt(total)).max() < 1e-12
 
     def test_single_radius_block_contributes_zero(self, z512):
         cfg = OperatorConfig.for_space(z512)
@@ -772,13 +768,11 @@ class TestShortVariation:
 
     def test_sublinear_and_shift_invariant(self, z512, z512_config):
         f, g = rand_f(z512, 13), rand_f(z512, 14)
-        fg = SampleFunction("z", f.values + g.values)
-        v_fg = short_variation(fg, z512, z512_config).values
-        v_f = short_variation(f, z512, z512_config).values
-        v_g = short_variation(g, z512, z512_config).values
+        v_fg = _grid_pass(f.values + g.values, z512, z512_config)[1]
+        v_f = _grid_pass(f.values, z512, z512_config)[1]
+        v_g = _grid_pass(g.values, z512, z512_config)[1]
         assert np.all(v_fg <= v_f + v_g + 1e-10)
-        shifted = short_variation(SampleFunction("z", f.values + 5.0),
-                                  z512, z512_config).values
+        shifted = _grid_pass(f.values + 5.0, z512, z512_config)[1]
         assert np.abs(shifted - v_f).max() < 1e-10
 
     def test_block_bound_by_enlarged_average(self, z512, z512_config):
@@ -838,9 +832,9 @@ class TestDomination:
         assert rep.grid == config.union_grid()
         assert rep.lhs.shape == (4096,)
         assert "finite union" in rep.note
-        sv = short_variation(f, z4096, config).values
+        sv = _grid_pass(f.values, z4096, config)[1]
         assert rep.short_var.tobytes() == sv.tobytes()
-        sq = square_function(f, system, config).values
+        sq = _square_block(f.values, system, config)
         assert rep.square.tobytes() == sq.tobytes()
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])

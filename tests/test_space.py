@@ -242,8 +242,8 @@ def assert_table_from_row(table: BallTable, space: GroupSpace,
                           row: np.ndarray) -> None:
     """``table`` is the ball table sorted out of the distance row."""
     order = np.argsort(row, kind="stable")
-    want = (order, row[order], np.cumsum(space.weights[order]))
-    for got, ref in zip((table._order, table._dists, table._cum_weight), want):
+    want = (row[order], np.cumsum(space.weights[order]))
+    for got, ref in zip((table._dists, table._cum_weight), want):
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
     assert table.center == 0
@@ -671,20 +671,21 @@ class TestGreedyNet:
 
 class TestBallTable:
     def test_nesting(self):
+        # nested balls, each radius of the table adding a nonempty sphere
         space, table = build_group_space("zd", d=2, radius=5)
-        prev = set()
-        for r in table.radii:
-            cur = set(int(i) for i in table.members(r))
-            assert prev <= cur
-            prev = cur
+        volumes = [table.volume(r) for r in table.radii]
+        assert all(b > a for a, b in zip(volumes, volumes[1:]))
+        assert volumes[-1] == pytest.approx(space.weights.sum())
 
     def test_volume_is_weight_sum(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(0.5, 2.0, size=11)
         space, _ = build_group_space("zd", d=1, radius=5, weights=w)
-        table = BallTable.from_space(space, identity_index(space))
+        e = identity_index(space)
+        table = BallTable.from_space(space, e)
+        row = space.dist_row(e)
         for r in table.radii:
-            assert table.volume(r) == pytest.approx(w[table.members(r)].sum())
+            assert table.volume(r) == pytest.approx(w[row <= r].sum())
 
 
 class TestMatrixSpace:
