@@ -27,7 +27,8 @@ import numpy as np
 from .cubes import BoundaryConstants, DyadicSystem, HKParams, build_cubes, \
     verify_cube_axioms
 from .decomposition import GundyError, gundy_decompose
-from .dynamics import build_system, tail_and_convergence, transference_check
+from .dynamics import _radii_span, build_system, tail_and_convergence, \
+    transference_check
 from .martingale import SampleFunction, martingale_jump_probe
 from .operators import OperatorConfig, SpotCheckError, _ENSEMBLES, _draw, \
     domination_checks, norm_probe
@@ -44,8 +45,8 @@ PROBE_OPERATORS = ("square", "variation", "average", "maximal")
 class ConfigError(Exception):
     """Invalid configuration, anchored to a file line when one is known.
 
-    A command that refuses a value after loading names its key path in
-    ``keys``, and `main` anchors the error at that key of the config file.
+    An error about a key names its key path in ``keys``, and `main` anchors
+    it at that key of the config file; the others carry their own anchor.
     """
 
     def __init__(self, message: str, path: str | None = None,
@@ -211,8 +212,6 @@ def load_config(path: str | None, *, seed: int | None = None,
     it changes where results land, never what they say.
     """
     cfg = _defaults()
-    raw = ""
-    name = path or "<defaults>"
     if path is not None:
         try:
             raw = Path(path).read_text()
@@ -226,16 +225,15 @@ def load_config(path: str | None, *, seed: int | None = None,
             raise ConfigError("top level must be a JSON object", path, 1)
         for key, value in user.items():
             if key not in cfg:
-                raise ConfigError(f"unknown key {key!r}", path,
-                                  _line_of(raw, key))
+                raise ConfigError(f"unknown key {key!r}", keys=(key,))
             if isinstance(cfg[key], dict):
                 if not isinstance(value, dict):
-                    raise ConfigError(f"{key!r} must be an object", path,
-                                      _line_of(raw, key))
+                    raise ConfigError(f"{key!r} must be an object",
+                                      keys=(key,))
                 for sub, sval in value.items():
                     if sub not in cfg[key]:
-                        raise ConfigError(f"unknown key {key}.{sub}", path,
-                                          _line_of(raw, key, sub))
+                        raise ConfigError(f"unknown key {key}.{sub}",
+                                          keys=(key, sub))
                     cfg[key][sub] = sval
             else:
                 cfg[key] = value
@@ -255,15 +253,14 @@ def load_config(path: str | None, *, seed: int | None = None,
             node = node[k]
         if not ok(node):
             raise ConfigError(f"{'.'.join(keys)} must be {want} "
-                              f"(got {node!r})", name,
-                              _line_of(raw, *keys) if raw else None)
+                              f"(got {node!r})", keys=keys)
     if (cfg["space"]["modulus"] is None) == (cfg["space"]["radius"] is None):
         raise ConfigError("space needs exactly one of modulus or radius",
-                          name, _line_of(raw, "space") if raw else None)
+                          keys=("space",))
     exp = cfg["experiment"]
     if (exp["lambda"] is None) == (exp["upcross"] is None):
         raise ConfigError("experiment needs exactly one of lambda or upcross",
-                          name, _line_of(raw, "experiment") if raw else None)
+                          keys=("experiment",))
 
     hashed = {k: v for k, v in cfg.items() if k != "out"}
     canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
@@ -535,8 +532,7 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
     decompositions = 0
     for t in range(cfg["gundy"]["trials"]):
         values = rng.standard_normal(space.n)
-        w = space.weights
-        gmean = float((w * np.abs(values)).sum() / w.sum())
+        gmean = float(np.abs(values).mean())
         f = SampleFunction(space.label, values)
         for factor in cfg["gundy"]["gamma_factors"]:
             gamma = gmean * factor
@@ -579,8 +575,8 @@ def _suite_transference(space, system, cfg: dict) -> dict:
     diam = space.diameter()
     radii = [r for r in cfg["transference"]["radii"] if r <= diam]
     dropped = [float(r) for r in cfg["transference"]["radii"] if r > diam]
-    notes = ([f"radii above the space diameter {diam:g} dropped: {dropped}"]
-             if dropped else [])
+    notes = ([f"radius grid capped at the space diameter {diam:g}; dropped "
+              f"{_radii_span(dropped)}"] if dropped else [])
     try:
         rep = transference_check(space, values, radii,
                                  lam=cfg["transference"]["lambda"])

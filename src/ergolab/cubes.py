@@ -273,7 +273,7 @@ class DyadicSystem:
             order = np.argsort(a, kind="stable")
             self._index[li] = (
                 order, np.searchsorted(a[order], np.arange(m + 1)),
-                np.bincount(a, weights=self.space.weights, minlength=m))
+                np.bincount(a, minlength=m).astype(float))
             for arr in self._index[li]:
                 arr.flags.writeable = False
         return self._index[li]
@@ -286,14 +286,13 @@ class DyadicSystem:
         return self.cube_index(k)[2]
 
     def cube_averages(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Weighted average of ``values``, shape (n,) or (n, T), over each
+        """Average of ``values``, shape (n,) or (n, T), over each
         level-k cube: shape (cubes,) or (cubes, T), one `bincount` per
         column, so every column equals its one-column call bit for bit."""
         a = self.assign[self.level_index(k)]
         measures = self.cube_measures(k)
-        w = self.space.weights
         sums = np.column_stack([
-            np.bincount(a, weights=w * col, minlength=len(measures))
+            np.bincount(a, weights=col, minlength=len(measures))
             for col in np.reshape(values, (len(a), -1)).T])
         return (sums / measures[:, None]).reshape(
             measures.shape + np.shape(values)[1:])

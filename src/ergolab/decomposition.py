@@ -201,7 +201,6 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
     values = f.values
     if len(values) != space.n:
         raise ValueError("function length does not match the space")
-    w = space.weights
     levels, assign = system.levels, system.assign
     for li in range(len(levels) - 1):
         if not np.array_equal(assign[li + 1], system.parents[li][assign[li]]):
@@ -255,15 +254,14 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
         lump += np.bincount(parents, weights=d * ratio,
                             minlength=len(measures[li + 1]))[assign[li + 1]]
         sums.append(np.stack([
-            np.bincount(cq, weights=w[pts] * bv, minlength=len(stop))[cubes],
-            np.bincount(cq, weights=w[pts] * np.abs(bv),
-                        minlength=len(stop))[cubes],
+            np.bincount(cq, weights=bv, minlength=len(stop))[cubes],
+            np.bincount(cq, weights=np.abs(bv), minlength=len(stop))[cubes],
             inside * mq + outside * (mp - mq),
             np.abs(inside) * mq + np.abs(outside) * (mp - mq)], axis=1))
 
     part_sums = np.concatenate(sums) if sums else np.zeros((0, 4))
     g = base + lump
-    f_l1 = weighted_norm(values, w, 1)
+    f_l1 = weighted_norm(values, space.weights, 1)
     # f = g + sum of b parts + sum of xi parts, where the xi parts sum to
     # the spikes minus the lumps
     gap = float(np.abs(g + b_sum + (spikes - lump) - values).max())
@@ -276,7 +274,7 @@ def gundy_decompose(f: SampleFunction, system: DyadicSystem, gamma: float,
         reconstruction_gap=rel_gap,
         b_l1=float(part_sums[:, 1].sum()),
         xi_l1=float(part_sums[:, 3].sum()),
-        g_p_power=float((w * np.abs(g) ** p).sum()),
+        g_p_power=float((np.abs(g) ** p).sum()),
         g_bound=g_norm_bound(gamma, f_l1, p),
         max_part_integral=float(integrals.max()) if integrals.size else 0.0,
         system=system, f_values=values, stops=tuple(reversed(stops)),

@@ -256,12 +256,10 @@ def action_profile(system: MPSystem, values: np.ndarray,
     for values of shape (n_states, T), shape (len(radii), n_states, T),
     each column bitwise equal to its own profile.
 
-    The ball average weights group elements by counting measure, so the
-    sweep runs with unit weights regardless of mu, as the geometric ball
-    averages of a quotient count its points.
+    The ball average counts group elements, whatever mu is, as the
+    geometric ball averages of a quotient count its points.
     """
     return sweep_profile(_state_values(system, values),
-                         np.ones(system.n_states),
                          group_shells(system.group, system.act_perm, radii),
                          radii)
 
@@ -282,7 +280,6 @@ def _action_chunks(system: MPSystem, values: np.ndarray,
     radii at the same rows."""
     rows = max(1, operators._SWEEP_BYTES // (16 * system.n_states))
     return sweep_chunks(_state_values(system, values),
-                        np.ones(system.n_states),
                         group_shells(system.group, system.act_perm, radii),
                         radii, rows)
 
@@ -383,6 +380,13 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     return _tail_and_convergence(system, values, radii, lam, upcross)[0]
 
 
+def _radii_span(radii: Sequence[float]) -> str:
+    """One or more dropped radii in a note, by their count and ends, so
+    that the note stays short however long the grid is."""
+    return (f"{len(radii)} radii, {radii[0]} to {radii[-1]}"
+            if len(radii) > 1 else f"the radius {radii[0]}")
+
+
 class _TailFold:
     """Jump (or upcrossing) counts and mean drift of the clipped values'
     profile over the radii up to the safe radius, fed chunks of
@@ -407,11 +411,9 @@ class _TailFold:
         self.radii = [float(r) for r in radii if r <= safe]
         if len(self.radii) < len(radii):
             dropped = [float(r) for r in radii if r > safe]
-            which = (f"{len(dropped)} radii, {dropped[0]} to {dropped[-1]}"
-                     if len(dropped) > 1 else f"the radius {dropped[0]}")
             self._notes.append(
                 f"radius grid capped at the safe radius {safe} of the acting "
-                f"group; dropped {which}")
+                f"group; dropped {_radii_span(dropped)}")
         if not self.radii:
             raise ValueError(
                 f"all radii exceed the safe radius {safe} of the acting group")
@@ -509,8 +511,8 @@ class _ConvergenceFold:
     def report(self) -> ConvergenceReport:
         safe = self._system.group.safe_radius
         beyond = [r for r in self.radii if r > safe]
-        notes = ([f"radii beyond the safe radius {safe} of the acting group: "
-                  f"{beyond}"] if beyond else [])
+        notes = ([f"averages beyond the safe radius {safe} of the acting "
+                  f"group at {_radii_span(beyond)}"] if beyond else [])
         return ConvergenceReport(
             radii=tuple(self.radii),
             distances=tuple(self._distances),

@@ -79,7 +79,7 @@ def _check_function(f: SampleFunction, system: DyadicSystem) -> np.ndarray:
 
 
 def expectation(f: SampleFunction, system: DyadicSystem, k: int) -> SampleFunction:
-    """Conditional expectation onto the level-k cubes (weighted averages)."""
+    """Conditional expectation onto the level-k cubes (their averages)."""
     return SampleFunction(f.space_label, expectation_block(
         _check_function(f, system), system, k))
 
@@ -101,12 +101,10 @@ def expectation_exact(values: Sequence, system: DyadicSystem,
     """
     if len(values) != system.space.n:
         raise ValueError("length mismatch")
-    w = system.space.weights
     out = [Fraction(0)] * system.space.n
     for cube in range(system.n_cubes(k)):
         mem = system.members(k, cube)
-        fw = [Fraction(w[x]) for x in mem]
-        mean = sum(c * Fraction(values[x]) for c, x in zip(fw, mem)) / sum(fw)
+        mean = sum(Fraction(values[x]) for x in mem) / len(mem)
         for x in mem:
             out[x] = mean
     return out

@@ -9,13 +9,12 @@ inequalities that transfer jump counts from the full radius grid to the
 martingale, and randomized operator-norm probes.
 
 `_profile_chunks` picks the engine of the ball averages and the columns
-its spot check compares bit for bit.  Quotients of Z^d (any weights) take
-`_fft_chunks`, a cyclic convolution with the identity-ball indicator over
-the (N,)*d key grid, whose integer columns (with integer weights) are
-rounded to their exact sums before the one division; other quotients (the
-Heisenberg family) take one sweep of the group's spheres (`sweep_chunks`
-over `group_shells`), one right-translation at a time, each gathered once
-for all columns.  Both streams pass through `_spot_checked`, which
+its spot check compares bit for bit.  Quotients of Z^d take `_fft_chunks`,
+a cyclic convolution with the identity-ball indicator over the (N,)*d key
+grid, whose integer columns are rounded to their exact sums before the one
+division; other quotients (the Heisenberg family) take one sweep of the
+group's spheres (`sweep_chunks` over `group_shells`), one
+right-translation at a time, each gathered once for all columns.  Both streams pass through `_spot_checked`, which
 recomputes the averages at `_SPOT_CENTERS` fixed centers by direct sums
 over the closed balls of `FiniteSpace.ball_chunks` (`_row_profile`) and
 raises `SpotCheckError` on a mismatch: bit for bit in every column of the
@@ -24,8 +23,8 @@ rounded columns, to a tolerance elsewhere.  Every other space takes the
 direct sums themselves, from which the doubling fit also reads its ball
 masses.
 
-All three engines sum the columns of `_summed_columns`, one weighting
-rule: f under uniform weights, else w f and w, divided by `_divide`.
+All three engines average under counting measure: a ball sum divided by
+the ball's point count.
 
 Both group engines stream: `_fft_chunks` (over one forward transform) and
 `sweep_chunks` (over one pass of the spheres) divide the averages of
@@ -202,24 +201,7 @@ def _row_view(block: np.ndarray) -> np.ndarray:
     return block.view(np.dtype((np.void, block.shape[1] * block.itemsize)))[:, 0]
 
 
-def _summed_columns(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The columns every ball engine sums for the averages of an (n, T)
-    block: the block itself under uniform weights, else the T columns w f
-    followed by the column w, as one C-contiguous (n, T + 1) array."""
-    if np.all(weights == weights[0]):
-        return block
-    return np.column_stack([weights[:, None] * block, weights])
-
-
-def _divide(sums: np.ndarray, T: int, count, out: np.ndarray | None = None
-            ) -> np.ndarray:
-    """Averages from the ball sums of `_summed_columns`: over ``count``,
-    the ball's points, if there are T columns, else over the sum of w."""
-    return np.divide(sums[..., :T],
-                     count if sums.shape[-1] == T else sums[..., T:], out=out)
-
-
-def sweep_profile(values: np.ndarray, weights: np.ndarray,
+def sweep_profile(values: np.ndarray,
                   shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                   radii: Sequence[float]) -> np.ndarray:
     """Ball-average profile from one pass over translation shells: the
@@ -237,12 +219,11 @@ def sweep_profile(values: np.ndarray, weights: np.ndarray,
     1-D call on that column.
     """
     values = np.asarray(values, dtype=float)
-    return next(sweep_chunks(values, weights, shells, radii,
-                             max(1, len(radii))),
+    return next(sweep_chunks(values, shells, radii, max(1, len(radii))),
                 np.empty((0,) + values.shape))
 
 
-def sweep_chunks(values: np.ndarray, weights: np.ndarray,
+def sweep_chunks(values: np.ndarray,
                  shells: Iterable[tuple[int, Sequence[np.ndarray]]],
                  radii: Sequence[float],
                  rows: int | Sequence[int]) -> Iterator[np.ndarray]:
@@ -261,10 +242,9 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
     block = np.ascontiguousarray(values).reshape(n, -1)
     out = np.empty((max(lengths, default=0),) + block.shape)
     chunk = out.reshape((len(out),) + values.shape)
-    src = _summed_columns(block, weights)
-    acc = src.copy()
-    buf = np.empty_like(src)
-    src_rows, buf_rows = _row_view(src), _row_view(buf)
+    acc = block.copy()
+    buf = np.empty_like(block)
+    src_rows, buf_rows = _row_view(block), _row_view(buf)
     shells = iter(shells)
     ridx = k = c = 0
     count = 1
@@ -272,7 +252,7 @@ def sweep_chunks(values: np.ndarray, weights: np.ndarray,
         # past the last shell every remaining ball is the whole sweep
         dist, perms = next(shells, (np.inf, ()))
         while ridx < len(radii) and radii[ridx] < dist:
-            _divide(acc, block.shape[1], count, out=out[k])
+            np.divide(acc, count, out=out[k])
             ridx += 1
             k += 1
             if k == lengths[c]:
@@ -315,15 +295,15 @@ def group_shells(group: GroupSpace, perm: Callable[[int], np.ndarray],
             yield s, [perm(j)]
 
 
-def _fft_chunks(block: np.ndarray, cols: np.ndarray, space: GroupSpace,
-                radii: np.ndarray, lengths: Sequence[int], exact: np.ndarray
+def _fft_chunks(block: np.ndarray, space: GroupSpace, radii: np.ndarray,
+                lengths: Sequence[int], exact: np.ndarray
                 ) -> Iterator[np.ndarray]:
     """Ball averages of an (n, T) block on a Z_N^d quotient by cyclic
     convolution over the key grid, yielded in chunks of consecutive radii
     of the given lengths, each of shape (k, n, T) and divided into one
-    reused buffer, so valid only until the next one is drawn.  ``cols``
-    are the block's summed columns (`_summed_columns`); those in the mask
-    ``exact`` are rounded to their exact ball sums before the division.
+    reused buffer, so valid only until the next one is drawn.  The columns
+    in the mask ``exact`` are rounded to their exact ball sums before the
+    division.
 
     The ball sum at x is sum_{|u| <= r} f(x + u), a correlation with the
     indicator of B(e, r); generator sets are symmetric, so it is also the
@@ -339,7 +319,7 @@ def _fft_chunks(block: np.ndarray, cols: np.ndarray, space: GroupSpace,
     # the transform
     if radii.size and sizes[-1] > 1:
         spectrum = np.fft.rfftn(
-            cols[space._key_order].reshape(shape + (cols.shape[1],)),
+            block[space._key_order].reshape(shape + (T,)),
             axes=axes)
     avg = np.empty((n, T))
     buf = np.empty((max(lengths, default=0), n, T))
@@ -356,7 +336,7 @@ def _fft_chunks(block: np.ndarray, cols: np.ndarray, space: GroupSpace,
                 sums = np.fft.irfftn(spectrum * kernel, s=shape, axes=axes)
                 sums = sums.reshape(n, -1)
                 sums[:, exact] = np.rint(sums[:, exact])
-                _divide(sums, T, sizes[j], out=avg)
+                np.divide(sums, sizes[j], out=avg)
                 # from key order back to point order
                 np.take(_row_view(avg), space._keys, out=_row_view(out[i]))
         yield out
@@ -374,7 +354,6 @@ def _spot_checked(chunks: Iterable[np.ndarray], block: np.ndarray,
     per call, and |f| only over the columns compared to a tolerance.
     Raises `SpotCheckError` on a mismatch, naming the ``engine`` and the
     first center that has one."""
-    w = space.weights
     centers = np.unique(np.linspace(0, space.n - 1,
                                     _SPOT_CENTERS).astype(np.int64))
     direct = _row_profile(block, space, radii, centers).transpose(1, 0, 2)
@@ -385,7 +364,7 @@ def _spot_checked(chunks: Iterable[np.ndarray], block: np.ndarray,
         loose = np.abs(block[:, ~exact])
         scale[..., ~exact] = np.maximum(
             _row_profile(loose, space, radii, centers).transpose(1, 0, 2),
-            (w @ loose) / w.sum())
+            loose.mean(axis=0))
     lo = 0
     for out in chunks:
         hi = lo + len(out)
@@ -435,19 +414,16 @@ def _profile_chunks(values: np.ndarray, space: FiniteSpace,
         ends = np.cumsum(lengths)
         chunks = (profile[end - k:end] for k, end in zip(lengths, ends))
     elif space.group.family == "zd":
-        cols = _summed_columns(block, space.weights)
-        rounded = (np.all(cols == np.rint(cols), axis=0)
-                   & (np.abs(cols).sum(axis=0) < _EXACT_SUM))
-        # a weighted average is exact when its sum and the sum of w are
+        exact = (np.all(block == np.rint(block), axis=0)
+                 & (np.abs(block).sum(axis=0) < _EXACT_SUM))
         chunks = _spot_checked(
-            _fft_chunks(block, cols, space, radii, lengths, rounded), block,
-            space, radii, rounded[:T] & rounded[T:].all(), "FFT")
+            _fft_chunks(block, space, radii, lengths, exact), block, space,
+            radii, exact, "FFT")
     else:
         # the translated balls of `ball_chunks` list their members in the
         # order the sweep adds them: every column must match bit for bit
         chunks = _spot_checked(
-            sweep_chunks(block, space.weights,
-                         group_shells(space, space.right_perm, radii),
+            sweep_chunks(block, group_shells(space, space.right_perm, radii),
                          radii, lengths),
             block, space, radii, np.ones(T, dtype=bool), "group sweep")
     return (c.reshape((len(c),) + values.shape) for c in chunks)
@@ -459,23 +435,20 @@ def _row_profile(block: np.ndarray, space: FiniteSpace, radii: np.ndarray,
     default), shape (len(radii), len(points), T), from running sums over
     each point's ball of `FiniteSpace.ball_chunks`, which lists its
     members by distance, at the largest radius it needs.  A radius below 0
-    reads the center alone, like one below the smallest distance; uniform
-    weights count points, as the FFT and the sweep do."""
+    reads the center alone, like one below the smallest distance."""
     points = (np.arange(space.n) if points is None
               else np.asarray(points, dtype=np.int64))
-    T = block.shape[1]
-    out = np.empty((len(radii), points.size, T))
+    out = np.empty((len(radii), points.size, block.shape[1]))
     if not radii.size:
         return out
-    cols = _summed_columns(block, space.weights)
     rmax = min(max(float(radii[-1]), 0.0), space.diameter())
     for lo, indptr, members, dists in space.ball_chunks(points, rmax):
         for k, (a, b) in enumerate(zip(indptr[:-1], indptr[1:]), lo):
             pos = np.searchsorted(dists[a:b], radii, side="right") - 1
             np.maximum(pos, 0, out=pos)
             # the running sum at position i of the ball covers i + 1 points
-            _divide(np.cumsum(cols[members[a:b]], axis=0)[pos], T,
-                    (pos + 1.0)[:, None], out=out[:, k])
+            np.divide(np.cumsum(block[members[a:b]], axis=0)[pos],
+                      (pos + 1.0)[:, None], out=out[:, k])
     return out
 
 
@@ -638,9 +611,9 @@ def domination_checks(f: SampleFunction, system: DyadicSystem,
 def fit_doubling_constant(space: FiniteSpace) -> float | None:
     """Empirical doubling constant: max of m(B(x,2r))/m(B(x,r)) over
     every max(1, n // 32)-th point x and dyadic radii r from the resolution
-    with 2r within the safe radius, the masses read from each center's ball
-    of `FiniteSpace.ball_chunks` at the largest 2r; None when no such r
-    exists."""
+    with 2r within the safe radius, the masses counted in each center's
+    ball of `FiniteSpace.ball_chunks` at the largest 2r; None when no such
+    r exists."""
     radii = []
     r = space.resolution()
     while 2 * r <= space.safe_radius:
@@ -651,13 +624,11 @@ def fit_doubling_constant(space: FiniteSpace) -> float | None:
     radii = np.array(radii)
     centers = np.arange(0, space.n, max(1, space.n // 32))
     best = 1.0
-    w = space.weights
-    for _, indptr, members, dists in space.ball_chunks(centers, 2 * radii[-1]):
+    for _, indptr, _, dists in space.ball_chunks(centers, 2 * radii[-1]):
         for a, b in zip(indptr[:-1], indptr[1:]):
-            mass = np.cumsum(w[members[a:b]])
-            ball = dists[a:b]
-            small = mass[np.searchsorted(ball, radii, side="right") - 1]
-            big = mass[np.searchsorted(ball, 2 * radii, side="right") - 1]
+            # the point counts; the center lies in every ball
+            small = np.searchsorted(dists[a:b], radii, side="right")
+            big = np.searchsorted(dists[a:b], 2 * radii, side="right")
             best = max(best, float((big / small).max()))
     return float(best)
 

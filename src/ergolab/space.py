@@ -164,22 +164,18 @@ def _decode(keys: np.ndarray, box: tuple[np.ndarray, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class FiniteSpace:
-    """Base class: indexed points, a metric through `dist_row`, and weights."""
+    """Base class: indexed points under counting measure, and a metric
+    through `dist_row`."""
 
-    def __init__(self, n: int, weights, r0: float, label: str) -> None:
+    def __init__(self, n: int, r0: float, label: str) -> None:
         if n < 1:
             raise ValueError("space needs at least one point")
-        if weights is None:
-            weights = np.ones(n)
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError("weights must be one per point")
-        if not np.all(weights > 0):
-            raise ValueError("weights must be positive")
         if not r0 > 0:
             raise ValueError("r0 must be positive")
         self.n = n
-        self.weights = weights
+        # the counting measure, read-only: every average divides by points
+        self.weights = np.ones(n)
+        self.weights.flags.writeable = False
         self.r0 = float(r0)
         self.label = label
         self._matrix: np.ndarray | None = None
@@ -271,7 +267,7 @@ class FiniteSpace:
 class MatrixSpace(FiniteSpace):
     """A space given by an explicit distance matrix (at most 4096 points)."""
 
-    def __init__(self, matrix, weights=None, r0: float = 1.0,
+    def __init__(self, matrix, r0: float = 1.0,
                  label: str = "matrix") -> None:
         # a private read-only copy: rows handed out are views of it
         matrix = np.array(matrix, dtype=float)
@@ -293,7 +289,7 @@ class MatrixSpace(FiniteSpace):
             i, j = (int(v) for v in np.argwhere(coincide)[0])
             raise ValueError(f"points ({i}, {j}) coincide: d({i}, {j}) == 0, "
                              f"so the matrix is a pseudometric, not a metric")
-        super().__init__(n, weights, r0, label)
+        super().__init__(n, r0, label)
         self._matrix = matrix
         self._diameter = float(matrix.max())
 
@@ -319,10 +315,10 @@ class GroupSpace(FiniteSpace):
     it."""
 
     def __init__(self, group: FinGroup, elements: np.ndarray, wl: np.ndarray,
-                 radius: int | None, weights=None, r0: float = 1.0,
+                 radius: int | None, r0: float = 1.0,
                  label: str = "group",
                  neighbors: np.ndarray | None = None) -> None:
-        super().__init__(elements.shape[0], weights, r0, label)
+        super().__init__(elements.shape[0], r0, label)
         self.group = group
         self.elements = elements
         self.word_lengths = wl
@@ -514,28 +510,22 @@ class BallTable:
     center: int
     radii: tuple[int, ...]
     _dists: np.ndarray = field(repr=False)
-    _cum_weight: np.ndarray = field(repr=False)
 
     @classmethod
     def from_space(cls, space: FiniteSpace, center: int) -> "BallTable":
-        _, _, order, dists = next(space.ball_chunks([center],
-                                                    space.diameter()))
-        return cls.from_sorted(center, dists, space.weights[order])
+        _, _, _, dists = next(space.ball_chunks([center], space.diameter()))
+        return cls.from_sorted(center, dists)
 
     @classmethod
-    def from_sorted(cls, center: int, dists: np.ndarray,
-                    weights: np.ndarray) -> "BallTable":
+    def from_sorted(cls, center: int, dists: np.ndarray) -> "BallTable":
         """The table of points at the ascending distances ``dists`` from
-        ``center``, with their ``weights``."""
+        ``center``."""
         radii = tuple(range(int(math.ceil(dists[-1])) + 1))
-        return cls(center, radii, dists, np.cumsum(weights))
-
-    def _cut(self, r: float) -> int:
-        return int(np.searchsorted(self._dists, r, side="right"))
+        return cls(center, radii, dists)
 
     def volume(self, r: float) -> float:
-        k = self._cut(r)
-        return float(self._cum_weight[k - 1]) if k else 0.0
+        """The number of points within distance r of the center."""
+        return float(np.searchsorted(self._dists, r, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +631,7 @@ def _zd_quotient(d: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_group_space(family: str, *, d: int | None = None,
                       radius: int | None = None, modulus: int | None = None,
-                      r0: float = 1.0, weights=None
-                      ) -> tuple[GroupSpace, BallTable]:
+                      r0: float = 1.0) -> tuple[GroupSpace, BallTable]:
     """Enumerate a group-family space and its identity-centered ball table.
 
     family "zd" needs ``d``; family "h3" is the discrete Heisenberg group.
@@ -684,12 +673,12 @@ def build_group_space(family: str, *, d: int | None = None,
     else:
         base = "H3"
     label = f"{base} mod {modulus}" if modulus else f"{base} ball R={radius}"
-    space = GroupSpace(group, elems, wl, radius, weights=weights, r0=r0,
-                       label=label, neighbors=neighbors)
+    space = GroupSpace(group, elems, wl, radius, r0=r0, label=label,
+                       neighbors=neighbors)
     # d(e, x) = |x| on quotients and truncations alike, since the prefixes
     # of a geodesic stay in the ball; canonical order starts at e and is
     # sorted by word length
-    table = BallTable.from_sorted(0, wl.astype(float), space.weights)
+    table = BallTable.from_sorted(0, wl.astype(float))
     return space, table
 
 

@@ -800,10 +800,27 @@ class TestCommands:
                    "--suite", "transference") == 0
         suite, = json.loads((out / "verify.json").read_text())["suites"]
         assert suite["failures"] == []
-        assert suite["notes"] == [
-            "radii above the space diameter 8 dropped: [16.0]"]
-        assert "note: radii above the space diameter 8 dropped: [16.0]" in (
-            out / "summary.txt").read_text()
+        note = ("radius grid capped at the space diameter 8; dropped the "
+                "radius 16.0")
+        assert suite["notes"] == [note]
+        assert f"note: {note}\n" in (out / "summary.txt").read_text()
+
+    def test_transference_note_is_bounded(self, tmp_path):
+        # 19,992 of the 20,000 radii lie above the diameter 8 of Z/16: the
+        # note names their count and ends, not each radius
+        cfg = write_config(tmp_path, {
+            "space": {"modulus": 16},
+            "transference": {"radii": list(range(1, 20001))}})
+        out = tmp_path / "run"
+        assert run("verify", "--config", cfg, "--out", str(out),
+                   "--suite", "transference") == 0
+        note = ("radius grid capped at the space diameter 8; dropped 19992 "
+                "radii, 9.0 to 20000.0")
+        suite, = json.loads((out / "verify.json").read_text())["suites"]
+        assert suite["notes"] == [note]
+        summary = (out / "summary.txt").read_bytes()
+        assert f"note: {note}\n".encode() in summary
+        assert len(summary) < 4096
 
     def test_radius_grid_does_not_accumulate_rounding(self):
         grid = _radius_grid({"start": 0.1, "stop": 1.0, "step": 0.1})

@@ -306,8 +306,8 @@ class TestTransference:
         radii = [1.0, 3.0, 7.0, 15.0]
         system = regular_system(z64)
         act = action_profile(system, f, radii)
-        trans = sweep_profile(f, z64.weights,
-                              group_shells(z64, z64.right_perm, radii), radii)
+        trans = sweep_profile(f, group_shells(z64, z64.right_perm, radii),
+                              radii)
         assert np.array_equal(act, trans)
         # avg_profile averages Z^d quotients by FFT: equal to rounding
         assert np.allclose(avg_profile(f, z64, radii), act,

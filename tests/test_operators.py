@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -186,21 +185,17 @@ class TestAvgProfile:
             assert prof[0, x] == pytest.approx(direct, rel=1e-12)
 
 
-def _weighted_matrix_space():
+def _matrix_space():
     space, _ = build_group_space(family="zd", d=1, modulus=24)
     matrix = np.stack([space.dist_row(x) for x in range(space.n)])
-    w = np.random.default_rng(4).uniform(0.5, 2.0, space.n)
-    return MatrixSpace(matrix, weights=w, label="z24-weighted-matrix")
+    return MatrixSpace(matrix, label="z24-matrix")
 
 
 BATCH_SPACES = {
     "z64": lambda: build_group_space("zd", d=1, modulus=64)[0],
     "z2_8": lambda: build_group_space("zd", d=2, modulus=8)[0],
     "h3_4": lambda: build_group_space("h3", modulus=4)[0],
-    "z64_weighted": lambda: build_group_space(
-        "zd", d=1, modulus=64,
-        weights=np.random.default_rng(3).uniform(0.5, 2.0, 64))[0],
-    "matrix_weighted": _weighted_matrix_space,
+    "z24_matrix": _matrix_space,
 }
 
 
@@ -219,16 +214,9 @@ def _sorted_row_profile(block, space, radii):
     return out
 
 
-def _weighted_square_space():
-    square = random_square_space(60, 40, 9)
-    w = np.random.default_rng(10).uniform(0.5, 2.0, square.n)
-    return MatrixSpace(square.dist_matrix(), weights=w, label="square-weighted")
-
-
 ROW_SPACES = {
     "h3_ball_6": lambda: build_group_space("h3", radius=6)[0],
     "square_60": lambda: random_square_space(60, 40, 9),
-    "square_60_weighted": _weighted_square_space,
 }
 
 
@@ -277,7 +265,7 @@ class TestBatchedSweep:
             one = avg_profile(block[:, t].copy(), space, radii)
             assert np.array_equal(prof[:, :, t], one)
 
-    @pytest.mark.parametrize("name", ["z64", "matrix_weighted"])
+    @pytest.mark.parametrize("name", ["z64", "z24_matrix"])
     @pytest.mark.parametrize("columns", [None, 3])
     def test_empty_radii(self, name, columns):
         space = BATCH_SPACES[name]()
@@ -299,19 +287,19 @@ class TestSweepChunks:
     and the sweep draws no shell past the one that closes the last
     radius."""
 
-    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("heisenberg", [False, True])
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 9])
-    def test_chunks_match_the_profile(self, weighted, rows):
-        w = (np.random.default_rng(7).integers(1, 4, 64).astype(float)
-             if weighted else None)
-        space, _ = build_group_space("zd", d=1, modulus=64, weights=w)
+    def test_chunks_match_the_profile(self, heisenberg, rows):
+        # Z/64 and H3/4, both of 64 points
+        space, table = (build_group_space("h3", modulus=4) if heisenberg
+                        else build_group_space("zd", d=1, modulus=64))
         block = np.random.default_rng(8).standard_normal((64, 3))
         block[5, 0] = np.nan
         block[:, 2] = 0.7
         radii = [0.5, 1.0, 2.5, 3.0, 7.0]
         profile = operators.sweep_profile(
-            block, space.weights,
-            operators.group_shells(space, space.right_perm, radii), radii)
+            block, operators.group_shells(space, space.right_perm, radii),
+            radii)
         drawn = []
 
         def shells():
@@ -322,13 +310,15 @@ class TestSweepChunks:
 
         # a chunk lives until the next is drawn: copy each one
         chunks = [c.copy() for c in operators.sweep_chunks(
-            block, space.weights, shells(), radii, rows)]
+            block, shells(), radii, rows)]
         assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
         got = np.concatenate(chunks)
         assert got.shape == profile.shape
         assert got.tobytes() == profile.tobytes()
-        assert np.isnan(got[-1, :, 0]).sum() == 15
-        assert drawn == list(range(1, 9))
+        # the balls that hold the nan point are as many as the points of a
+        # ball, since the generators are symmetric
+        assert np.isnan(got[-1, :, 0]).sum() == table.volume(7.0)
+        assert drawn == list(range(1, min(8, int(space.diameter())) + 1))
 
     def test_shell_chunks_cut_at_the_byte_budget(self, z64, monkeypatch):
         # three radii of two 64-state columns per chunk of the dynamics sweep
@@ -347,7 +337,7 @@ class TestSweepChunks:
 
     def test_no_radii(self, z64):
         out = operators.sweep_profile(
-            np.ones((64, 2)), z64.weights,
+            np.ones((64, 2)),
             operators.group_shells(z64, z64.right_perm, []), [])
         assert out.shape == (0, 64, 2)
 
@@ -370,7 +360,6 @@ FFT_SPACES = {
     "z64": BATCH_SPACES["z64"],
     "z2_16": lambda: build_group_space("zd", d=2, modulus=16)[0],
     "z3_6": lambda: build_group_space("zd", d=3, modulus=6)[0],
-    "z64_weighted": BATCH_SPACES["z64_weighted"],
 }
 
 
@@ -390,26 +379,14 @@ class TestFFTEngine:
         block = _ensemble_block(space.n)
         fft = avg_profile(block, space, radii)
         sweep = operators.sweep_profile(
-            block, space.weights,
-            operators.group_shells(space, space.right_perm, radii), radii)
-        weighted = not np.all(space.weights == space.weights[0])
+            block, operators.group_shells(space, space.right_perm, radii),
+            radii)
         for t, ensemble in enumerate(_ENSEMBLES):
-            if ensemble == "gaussian" or weighted:
+            if ensemble == "gaussian":
                 assert np.allclose(fft[..., t], sweep[..., t],
                                    rtol=1e-12, atol=1e-12)
             else:
                 assert np.array_equal(fft[..., t], sweep[..., t])
-
-    def test_integer_weights_stay_exact(self):
-        w = np.random.default_rng(5).integers(1, 4, 64).astype(float)
-        space, _ = build_group_space("zd", d=1, modulus=64, weights=w)
-        block = _ensemble_block(64)[:, 1:]
-        radii = [0.5, 1.0, 3.0, 17.0, 32.0]
-        fft = avg_profile(block, space, radii)
-        sweep = operators.sweep_profile(
-            block, w, operators.group_shells(space, space.right_perm, radii),
-            radii)
-        assert np.array_equal(fft, sweep)
 
     def test_engine_by_family(self, z64, monkeypatch):
         calls = []
@@ -545,25 +522,6 @@ def test_spot_check_sums_abs_f_only_for_tolerance_columns(space, gaussian,
     assert calls == [(space.n, 2)] + [(space.n, 1)] * tolerance
 
 
-def test_fft_engine_sums_its_columns_once(monkeypatch):
-    # on a weighted Z^d quotient the summed columns are an (n, T + 1) copy:
-    # the FFT engine builds them once for its rounding mask and transform,
-    # and the spot check's two passes of direct sums take their own
-    w = np.random.default_rng(6).uniform(0.5, 2.0, 256)
-    space, _ = build_group_space("zd", d=2, modulus=16, weights=w)
-    callers = []
-    real = operators._summed_columns
-
-    def recording(block, weights):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(block, weights)
-
-    monkeypatch.setattr(operators, "_summed_columns", recording)
-    avg_profile(_ensemble_block(space.n), space, [1.0, 2.0, 5.0])
-    assert sorted(callers) == ["_profile_chunks", "_row_profile",
-                               "_row_profile"]
-
-
 @pytest.mark.parametrize("space, engine", [
     (build_group_space("h3", modulus=8)[0], "sweep_chunks"),
     (build_group_space("zd", d=1, modulus=512)[0], "_fft_chunks"),
@@ -619,14 +577,11 @@ class TestBlockStream:
     operator that reads it gives bitwise the numbers of the collected
     profile."""
 
-    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("two_d", [False, True])
     @pytest.mark.parametrize("rows", [1, 2, 5, [3, 1, 4, 2], [10]])
-    def test_any_split_concatenates_to_the_profile(self, weighted, rows):
-        if weighted:
-            w = np.random.default_rng(6).integers(1, 4, 256).astype(float)
-            space, _ = build_group_space("zd", d=2, modulus=16, weights=w)
-        else:
-            space, _ = build_group_space("zd", d=1, modulus=512)
+    def test_any_split_concatenates_to_the_profile(self, two_d, rows):
+        space, _ = (build_group_space("zd", d=2, modulus=16) if two_d
+                    else build_group_space("zd", d=1, modulus=512))
         block = _ensemble_block(space.n)     # gaussian, rademacher, sparse
         radii = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 300.0]
         whole = avg_profile(block, space, radii)

@@ -238,14 +238,13 @@ class TestEnumeration:
             build_group_space("h3", radius=radius)
 
 
-def assert_table_from_row(table: BallTable, space: GroupSpace,
-                          row: np.ndarray) -> None:
+def assert_table_from_row(table: BallTable, row: np.ndarray) -> None:
     """``table`` is the ball table sorted out of the distance row."""
-    order = np.argsort(row, kind="stable")
-    want = (row[order], np.cumsum(space.weights[order]))
-    for got, ref in zip((table._dists, table._cum_weight), want):
-        assert got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
+    want = np.sort(row)
+    assert table._dists.dtype == want.dtype
+    assert np.array_equal(table._dists, want)
+    for r in table.radii:
+        assert table.volume(r) == np.count_nonzero(row <= r)
     assert table.center == 0
     assert table.radii == tuple(range(int(row.max()) + 1))
 
@@ -253,12 +252,11 @@ def assert_table_from_row(table: BallTable, space: GroupSpace,
 class TestIdentityBallTable:
     def test_truncation_table_matches_bfs_row(self):
         space, table = build_group_space("h3", radius=7)
-        assert_table_from_row(table, space, space._bfs_row(0).astype(float))
+        assert_table_from_row(table, space._bfs_row(0).astype(float))
 
     def test_quotient_table_matches_dist_row(self):
-        weights = np.random.default_rng(5).uniform(0.5, 2.0, size=8 ** 3)
-        space, table = build_group_space("h3", modulus=8, weights=weights)
-        assert_table_from_row(table, space, space.dist_row(0))
+        space, table = build_group_space("h3", modulus=8)
+        assert_table_from_row(table, space.dist_row(0))
 
 
 class TestWordMetric:
@@ -677,15 +675,25 @@ class TestBallTable:
         assert all(b > a for a, b in zip(volumes, volumes[1:]))
         assert volumes[-1] == pytest.approx(space.weights.sum())
 
-    def test_volume_is_weight_sum(self):
-        rng = np.random.default_rng(5)
-        w = rng.uniform(0.5, 2.0, size=11)
-        space, _ = build_group_space("zd", d=1, radius=5, weights=w)
+    def test_volume_is_point_count(self):
+        space, _ = build_group_space("zd", d=1, radius=5)
         e = identity_index(space)
         table = BallTable.from_space(space, e)
         row = space.dist_row(e)
-        for r in table.radii:
-            assert table.volume(r) == pytest.approx(w[row <= r].sum())
+        for r in (-1.0, *table.radii, 2.5):
+            assert table.volume(r) == np.count_nonzero(row <= r)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_group_space("h3", modulus=4)[0],
+    lambda: build_group_space("zd", d=2, radius=3)[0],
+    lambda: MatrixSpace([[0.0, 1.0], [1.0, 0.0]]),
+], ids=["quotient", "truncation", "matrix"])
+def test_weights_are_the_read_only_counting_measure(make):
+    space = make()
+    assert np.array_equal(space.weights, np.ones(space.n))
+    with pytest.raises(ValueError, match="read-only"):
+        space.weights[0] = 2.0
 
 
 class TestMatrixSpace:
