@@ -14,10 +14,16 @@ The modules build on each other roughly bottom-up:
 - ``cli``: JSON-configured runner producing deterministic artifacts
 
 A public name loads its home module on first use (PEP 562), so
-``import ergolab`` alone imports none of them.
+``import ergolab`` alone imports none of them.  A library module reached
+through the package (``ergolab.operators``, ``from . import cubes``) is
+registered lazily and executes on its first attribute access, so ``cli``
+runs only the modules of the command it is given.
 """
 
 import importlib
+import importlib.util
+import sys
+import threading
 
 __version__ = "0.1.0"
 
@@ -41,15 +47,34 @@ _EXPORTS = {
               "variation", "variation_oracle"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+# two threads that reach one module for the first time register one copy
+_LAZY_LOCK = threading.Lock()
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
+    if name in _EXPORTS:
+        return _lazy_module(f"{__name__}.{name}")
     mod = _HOME.get(name)
     if mod is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{mod}"), name)
+
+
+def _lazy_module(full):
+    """The module ``full`` from `sys.modules`, where one is (a second copy
+    would hold a second `SpotCheckError` class); else a new entry there
+    that executes on its first attribute access."""
+    with _LAZY_LOCK:
+        if full in sys.modules:
+            return sys.modules[full]
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        return module
 
 
 def __dir__():

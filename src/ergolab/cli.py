@@ -24,16 +24,12 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .cubes import BoundaryConstants, DyadicSystem, HKParams, build_cubes, \
-    verify_cube_axioms
-from .decomposition import GundyError, gundy_decompose
-from .dynamics import _radii_span, build_system, tail_and_convergence, \
-    transference_check
-from .martingale import SampleFunction, martingale_jump_probe
-from .operators import OperatorConfig, SpotCheckError, _ENSEMBLES, _draw, \
-    domination_checks, norm_probe
-from .space import _MAX_POINTS, build_group_space, fit_growth_exponent, \
-    geometric_doubling_check
+# every command builds a space; the other modules execute on their first
+# attribute access (see the package's `__getattr__`), so a command runs
+# only the modules it reads
+from . import cubes, decomposition, dynamics, martingale, operators
+from .space import _ENSEMBLES, _MAX_POINTS, _draw, build_group_space, \
+    fit_growth_exponent, geometric_doubling_check
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -339,26 +335,27 @@ def _build_space(cfg: dict):
         raise ConfigError(f"space: {exc}", keys=("space",))
 
 
-def _operator_config(space, cfg: dict) -> OperatorConfig:
-    return OperatorConfig.for_space(space, delta=cfg["cubes"]["delta"],
-                                    block_cap=cfg["operators"]["block_cap"])
+def _operator_config(space, cfg: dict) -> operators.OperatorConfig:
+    return operators.OperatorConfig.for_space(
+        space, delta=cfg["cubes"]["delta"],
+        block_cap=cfg["operators"]["block_cap"])
 
 
-def _build_system(space, cfg: dict, *, operators: bool = False,
-                  gundy: bool = False) -> DyadicSystem:
+def _build_system(space, cfg: dict, *, blocks: bool = False,
+                  gundy: bool = False) -> cubes.DyadicSystem:
     """The run's cube system, on the `HKParams` of the config's ``cubes``
     section.  Inadmissible parameters, a construction that fails under
     them, or a level range that is empty, lacks a radius block level the
-    operators read (``operators``; a space with no block above n_r0 has
+    operators read (``blocks``; a space with no block above n_r0 has
     none to read) or the two levels of the Gundy decomposition
     (``gundy``), are a config error at `cubes`, raised before any suite
     runs."""
     c = cfg["cubes"]
     try:
-        system = build_cubes(space, HKParams(
+        system = cubes.build_cubes(space, cubes.HKParams(
             delta=c["delta"], c0=c["c0"], C0=c["C0"], k_min=c["k_min"],
             k_max=c["k_max"]))
-        if operators:
+        if blocks:
             _operator_config(space, cfg).eligible_levels(system)
         if gundy and len(system.levels) < 2:
             raise ValueError(f"suite gundy needs at least two levels "
@@ -440,11 +437,11 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     system = _build_system(space, cfg)
     try:
-        constants = BoundaryConstants.derive(system.params, r0=space.r0)
+        constants = cubes.BoundaryConstants.derive(system.params, r0=space.r0)
     except ValueError as exc:
         raise ConfigError(f"space.r0, cubes.c0 and cubes.C0: {exc}",
                           keys=("space", "r0"))
-    report = verify_cube_axioms(system)
+    report = cubes.verify_cube_axioms(system)
     payload = {
         "levels": list(system.levels),
         "sizes": [system.n_cubes(k) for k in system.levels],
@@ -481,7 +478,7 @@ def cmd_cubes(cfg: dict, sha: str, outdir: Path) -> int:
 
 
 def _suite_axioms(space, system, cfg: dict) -> dict:
-    report = verify_cube_axioms(system)
+    report = cubes.verify_cube_axioms(system)
     failures = [f"axiom {v.axiom} level {v.level} cube {v.cube}: {v.detail}"
                 for v in report.violations]
     if not report.all_pass and not failures:
@@ -499,11 +496,11 @@ def _suite_domination(space, system, cfg: dict) -> dict:
     lambdas = cfg["domination"]["lambdas"]
     for t in range(cfg["domination"]["trials"]):
         values = _draw(_ENSEMBLES[t % len(_ENSEMBLES)], rng, space.n)
-        f = SampleFunction(space.label, values)
+        f = martingale.SampleFunction(space.label, values)
         # one pass over the trial's profile serves every lambda
         try:
-            reports = domination_checks(f, system, opcfg, lambdas)
-        except SpotCheckError as exc:
+            reports = operators.domination_checks(f, system, opcfg, lambdas)
+        except operators.SpotCheckError as exc:
             failures += [f"trial {t} lambda {lam}: {exc}" for lam in lambdas]
             continue
         for lam, rep in zip(lambdas, reports):
@@ -533,12 +530,12 @@ def _suite_gundy(space, system, cfg: dict) -> dict:
     for t in range(cfg["gundy"]["trials"]):
         values = rng.standard_normal(space.n)
         gmean = float(np.abs(values).mean())
-        f = SampleFunction(space.label, values)
+        f = martingale.SampleFunction(space.label, values)
         for factor in cfg["gundy"]["gamma_factors"]:
             gamma = gmean * factor
             try:
-                res = gundy_decompose(f, system, gamma, p=p)
-            except GundyError as exc:
+                res = decomposition.gundy_decompose(f, system, gamma, p=p)
+            except decomposition.GundyError as exc:
                 failures.append(f"trial {t} gamma {gamma:g}: {exc}")
                 continue
             if not (math.isfinite(res.g_p_power)
@@ -576,11 +573,11 @@ def _suite_transference(space, system, cfg: dict) -> dict:
     radii = [r for r in cfg["transference"]["radii"] if r <= diam]
     dropped = [float(r) for r in cfg["transference"]["radii"] if r > diam]
     notes = ([f"radius grid capped at the space diameter {diam:g}; dropped "
-              f"{_radii_span(dropped)}"] if dropped else [])
+              f"{dynamics._radii_span(dropped)}"] if dropped else [])
     try:
-        rep = transference_check(space, values, radii,
-                                 lam=cfg["transference"]["lambda"])
-    except SpotCheckError as exc:
+        rep = dynamics.transference_check(space, values, radii,
+                                          lam=cfg["transference"]["lambda"])
+    except operators.SpotCheckError as exc:
         return {"suite": "transference", "checks": 0,
                 "failures": [str(exc)], "notes": notes}
     failures: list[str] = []
@@ -613,7 +610,7 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
             f"transference.radii: no radius within the space diameter "
             f"{space.diameter():g}", keys=("transference", "radii"))
     # one cube system serves every suite that reads cubes
-    system = (_build_system(space, cfg, operators="domination" in suites,
+    system = (_build_system(space, cfg, blocks="domination" in suites,
                             gundy="gundy" in suites)
               if any(_SUITES[name][1] for name in suites) else None)
     results = [_SUITES[name][0](space, system, cfg) for name in suites]
@@ -633,7 +630,7 @@ def cmd_verify(cfg: dict, sha: str, outdir: Path,
 def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     space, _ = _build_space(cfg)
     system = _build_system(space, cfg,
-                           operators="square" in cfg["probe"]["operators"])
+                           blocks="square" in cfg["probe"]["operators"])
     opcfg = _operator_config(space, cfg)
     rows: list[str] = []
     reports = {}
@@ -641,11 +638,12 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
     notes = list(opcfg.notes)
     for op in cfg["probe"]["operators"]:
         try:
-            rep = norm_probe(system, opcfg, op, p=cfg["probe"]["p"],
-                             trials=cfg["probe"]["trials"],
-                             seed=_suite_seed(cfg["seed"], f"probe:{op}"),
-                             gammas=tuple(cfg["probe"]["gammas"]))
-        except SpotCheckError as exc:
+            rep = operators.norm_probe(
+                system, opcfg, op, p=cfg["probe"]["p"],
+                trials=cfg["probe"]["trials"],
+                seed=_suite_seed(cfg["seed"], f"probe:{op}"),
+                gammas=tuple(cfg["probe"]["gammas"]))
+        except operators.SpotCheckError as exc:
             failures.append(f"{op}: {exc}")
             continue
         reports[op] = rep.to_json()
@@ -662,10 +660,9 @@ def cmd_probe(cfg: dict, sha: str, outdir: Path) -> int:
                 f"2r within the safe radius {space.safe_radius:g}, so no "
                 f"doubling constant is fitted and the bound D^(1/p) is not "
                 f"checked")
-    jump = martingale_jump_probe(system,
-                                 trials=cfg["probe"]["trials"],
-                                 seed=_suite_seed(cfg["seed"], "probe:jump"),
-                                 p=cfg["probe"]["p"])
+    jump = martingale.martingale_jump_probe(
+        system, trials=cfg["probe"]["trials"],
+        seed=_suite_seed(cfg["seed"], "probe:jump"), p=cfg["probe"]["p"])
     _write_csv(outdir, "probe.csv", "operator,p,seed,ensemble,ratio",
                rows, sha)
     _write_json(outdir, "probe.json",
@@ -689,7 +686,8 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
             f"translation and takes no step (got {e['step']}); only "
             f"rotations read it", keys=("experiment", "step"))
     try:
-        system = build_system(e["kind"], modulus=e["modulus"], step=e["step"])
+        system = dynamics.build_system(e["kind"], modulus=e["modulus"],
+                                       step=e["step"])
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}", keys=("experiment",))
     rng = np.random.default_rng(_suite_seed(cfg["seed"], "experiment"))
@@ -702,7 +700,8 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
             f"of the acting group", keys=("experiment", "radii"))
     threshold = ({"lam": e["lambda"]} if e["lambda"] is not None
                  else {"upcross": tuple(e["upcross"])})
-    tail, conv = tail_and_convergence(system, values, grid, **threshold)
+    tail, conv = dynamics.tail_and_convergence(system, values, grid,
+                                               **threshold)
 
     failures: list[str] = []
     diffs = np.diff(np.asarray(tail.tails))

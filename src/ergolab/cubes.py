@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import FiniteSpace, greedy_net
+from .space import FiniteSpace, _sorted_unique, greedy_net
 
 __all__ = [
     "HKParams",
@@ -407,9 +407,9 @@ def verify_cube_axioms(system: DyadicSystem) -> AxiomReport:
         fine, coarse = system.assign[li], system.assign[lj]
         m = len(system.centers[lj])
         keys = fine.astype(np.int64) * m + coarse
-        fine_ids = np.unique(keys) // m
+        fine_ids = _sorted_unique(keys) // m
         dup = fine_ids[:-1][fine_ids[:-1] == fine_ids[1:]]
-        for cube in np.unique(dup):
+        for cube in _sorted_unique(dup):
             nesting_ok = False
             add("ii", system.levels[li], int(cube),
                 f"straddles two cubes at level {system.levels[lj]}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import operators
 from .operators import group_shells, sweep_chunks, sweep_profile
-from .space import GroupSpace, build_group_space
+from .space import GroupSpace, _sorted_unique, build_group_space
 from .stats import JumpFold, UpcrossingFold, jump_count_batch
 
 __all__ = [
@@ -119,7 +119,7 @@ class MPSystem:
         idx = g.index_of(gens)
         if np.any(idx < 0):
             raise ActionError("generators missing from the enumerated quotient")
-        return np.unique(idx)
+        return _sorted_unique(idx)
 
     def _validate(self) -> None:
         g = self.group
@@ -516,7 +516,7 @@ class _ConvergenceFold:
         return ConvergenceReport(
             radii=tuple(self.radii),
             distances=tuple(self._distances),
-            n_orbits=int(len(np.unique(self._system.orbit_labels()))),
+            n_orbits=len(_sorted_unique(self._system.orbit_labels())),
             notes=tuple(notes))
 
 

@@ -49,10 +49,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cubes import DyadicSystem, largest_power
-from .martingale import (SampleFunction, expectation_block, maximal_block,
-                         weighted_norm)
-from .space import FiniteSpace, GroupSpace
+# only function bodies read cubes and martingale, so the dynamics sweep,
+# which reads neither, executes neither
+from . import cubes, martingale
+from .space import _ENSEMBLES, FiniteSpace, GroupSpace, _draw, _sorted_unique
 from .stats import JumpFold, jump_count_batch, variation_batch
 
 # bytes of the (radii, n, T) profile that sizes a block of `norm_probe`
@@ -123,7 +123,7 @@ class OperatorConfig:
         if block_cap < 2:
             raise ValueError("block_cap must be at least 2")
         r0 = space.r0
-        n_r0 = largest_power(lambda p: p < r0, r0, delta)
+        n_r0 = cubes.largest_power(lambda p: p < r0, r0, delta)
         diam = space.diameter()
         notes: list[str] = []
         blocks: list[BlockGrid] = []
@@ -137,7 +137,7 @@ class OperatorConfig:
                             for r in range(math.floor(lo) + 1, last + 1)]
             if len(radii) > block_cap:
                 # index 0 is always kept: the anchor survives subsampling
-                idx = np.unique(np.round(
+                idx = _sorted_unique(np.round(
                     np.geomspace(1, len(radii), block_cap)).astype(int) - 1)
                 notes.append(
                     f"block n={n} subsampled to {len(idx)} of "
@@ -165,7 +165,7 @@ class OperatorConfig:
     def anchor(self, n: int) -> float:
         return self.delta**n
 
-    def eligible_levels(self, system: DyadicSystem) -> list[int]:
+    def eligible_levels(self, system: cubes.DyadicSystem) -> list[int]:
         """Block levels n > n_r0, of which there must be one at least, and
         which must exist in the cube system."""
         wanted = [b.n for b in self.blocks if b.n > self.n_r0]
@@ -354,8 +354,8 @@ def _spot_checked(chunks: Iterable[np.ndarray], block: np.ndarray,
     per call, and |f| only over the columns compared to a tolerance.
     Raises `SpotCheckError` on a mismatch, naming the ``engine`` and the
     first center that has one."""
-    centers = np.unique(np.linspace(0, space.n - 1,
-                                    _SPOT_CENTERS).astype(np.int64))
+    centers = _sorted_unique(np.linspace(0, space.n - 1,
+                                         _SPOT_CENTERS).astype(np.int64))
     direct = _row_profile(block, space, radii, centers).transpose(1, 0, 2)
     scale = np.zeros_like(direct)
     if not exact.all():
@@ -477,7 +477,7 @@ def _square(anchor_rows: np.ndarray, exp_rows: np.ndarray) -> np.ndarray:
     return np.sqrt(((anchor_rows - exp_rows) ** 2).sum(axis=0))
 
 
-def _square_block(values: np.ndarray, system: DyadicSystem,
+def _square_block(values: np.ndarray, system: cubes.DyadicSystem,
                   config: OperatorConfig) -> np.ndarray:
     """l^2 size of (average at scale delta^n) - (expectation at level n)
     over the levels n > n_r0, for each column of an (n,) or (n, T) array."""
@@ -485,7 +485,7 @@ def _square_block(values: np.ndarray, system: DyadicSystem,
     anchors = avg_profile(values, system.space,
                           [config.anchor(n) for n in levels])
     return _square(anchors, np.stack([
-        expectation_block(values, system, n) for n in levels]))
+        martingale.expectation_block(values, system, n) for n in levels]))
 
 
 def _grid_pass(values: np.ndarray, space: FiniteSpace, config: OperatorConfig,
@@ -558,14 +558,15 @@ class DominationReport:
                 and self.violations_martingale.size == 0)
 
 
-def domination_check(f: SampleFunction, system: DyadicSystem,
-                     config: OperatorConfig, lam: float) -> DominationReport:
+def domination_check(f: martingale.SampleFunction,
+                     system: cubes.DyadicSystem, config: OperatorConfig,
+                     lam: float) -> DominationReport:
     """`domination_checks` at one lam."""
     return domination_checks(f, system, config, (lam,))[0]
 
 
-def domination_checks(f: SampleFunction, system: DyadicSystem,
-                      config: OperatorConfig,
+def domination_checks(f: martingale.SampleFunction,
+                      system: cubes.DyadicSystem, config: OperatorConfig,
                       lams: Sequence[float]) -> list[DominationReport]:
     """The domination report of ``f`` at each of ``lams``, from one pass
     over its union-grid profile: the profile, the short variation, the
@@ -577,7 +578,7 @@ def domination_checks(f: SampleFunction, system: DyadicSystem,
     levels = config.eligible_levels(system)
     grid = config.union_grid()
     jumps, sv, anchor_rows = _grid_pass(f.values, system.space, config, lams)
-    exp_rows = np.stack([expectation_block(f.values, system, n)
+    exp_rows = np.stack([martingale.expectation_block(f.values, system, n)
                          for n in levels])
     # the blocks after the n_r0 block are those of the levels n > n_r0
     square = _square(anchor_rows[1:], exp_rows)
@@ -641,23 +642,6 @@ class ProbeRow(NamedTuple):
     ratio: float
 
 
-_ENSEMBLES = ("gaussian", "rademacher", "sparse")
-
-
-def _draw(ensemble: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    if ensemble == "gaussian":
-        return rng.standard_normal(n)
-    if ensemble == "rademacher":
-        return rng.integers(0, 2, n) * 2.0 - 1.0
-    if ensemble == "sparse":
-        values = np.zeros(n)
-        k = max(1, n // 64)
-        idx = rng.choice(n, size=k, replace=False)
-        values[idx] = rng.integers(0, 2, k) * 2.0 - 1.0
-        return values
-    raise ValueError(f"unknown ensemble {ensemble!r}")
-
-
 @dataclass(frozen=True)
 class NormProbeReport:
     operator: str
@@ -689,8 +673,21 @@ class NormProbeReport:
         }
 
 
-def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
-               p: float = 2.0, trials: int = 200, seed: int = 0,
+def _median(a: np.ndarray) -> float:
+    """`np.median` of a 1-D float array, bit for bit, NaN included: the
+    middle of a sorted copy, or the mean of the two middles.  np.median
+    (numpy 2.4) imports numpy.ma for its NaN check."""
+    s = np.sort(a)
+    mid = s.size // 2
+    if np.isnan(s[-1]):
+        # the sort puts NaN last, and np.median returns that entry
+        return float(s[-1])
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
+def norm_probe(system: cubes.DyadicSystem, config: OperatorConfig,
+               operator: str, *, p: float = 2.0, trials: int = 200,
+               seed: int = 0,
                gammas: Sequence[float] = (0.5, 1.0, 2.0)) -> NormProbeReport:
     """Randomized size of one operator: strong-(p,p) ratios over three
     ensembles, weak-(1,1) ratios on a gamma grid, and (for averages at the
@@ -728,7 +725,8 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
     elif operator == "average":
         width, apply = 1, lambda block: avg_profile(block, space, [r])[0]
     elif operator == "maximal":
-        width, apply = 1, lambda block: maximal_block(block, system)
+        width, apply = 1, lambda block: martingale.maximal_block(block,
+                                                                 system)
     else:
         raise ValueError(f"unknown operator {operator!r}")
 
@@ -744,10 +742,11 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
         outs = apply(np.stack(draws, axis=1))
         for t, ensemble, values, col in zip(ts, ensembles, draws, outs.T):
             out = np.ascontiguousarray(col)
-            fnorm = weighted_norm(values, w, p)
-            ratio = 0.0 if fnorm == 0 else weighted_norm(out, w, p) / fnorm
+            fnorm = martingale.weighted_norm(values, w, p)
+            ratio = (0.0 if fnorm == 0
+                     else martingale.weighted_norm(out, w, p) / fnorm)
             rows.append(ProbeRow(operator, p, seed + t, ensemble, float(ratio)))
-            l1 = weighted_norm(values, w, 1)
+            l1 = martingale.weighted_norm(values, w, 1)
             if l1 > 0:
                 for g in gammas:
                     weak[g] = max(weak[g], g * w[np.abs(out) > g].sum() / l1)
@@ -763,7 +762,7 @@ def norm_probe(system: DyadicSystem, config: OperatorConfig, operator: str, *,
         rows=tuple(rows),
         strong_max=float(ratios.max()),
         strong_mean=float(ratios.mean()),
-        strong_median=float(np.median(ratios)),
+        strong_median=_median(ratios),
         weak_max=tuple((g, float(weak[g])) for g in gammas),
         avg_radius=r if operator == "average" else None,
         doubling_D=doubling,

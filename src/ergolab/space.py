@@ -534,7 +534,8 @@ class BallTable:
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """Distinct entries of ``a`` in ascending order, by sort and adjacent
-    compare: np.unique (numpy 2.4) is about 8x slower on BFS frontiers."""
+    compare: np.unique (numpy 2.4) is about 8x slower on BFS frontiers,
+    and imports numpy.ma for its mask check."""
     a = np.sort(a)
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
@@ -692,6 +693,30 @@ def random_square_space(n: int, side: int, seed: int, r0: float = 1.0) -> Matrix
     diff = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
     return MatrixSpace(diff.astype(float), r0=r0,
                        label=f"random-square n={n} side={side}")
+
+
+
+# ---------------------------------------------------------------------------
+# random test functions
+# ---------------------------------------------------------------------------
+
+# the draws of the operator probes, the domination and transference suites
+# and the experiments; the config schema reads the names at import
+_ENSEMBLES = ("gaussian", "rademacher", "sparse")
+
+
+def _draw(ensemble: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    if ensemble == "gaussian":
+        return rng.standard_normal(n)
+    if ensemble == "rademacher":
+        return rng.integers(0, 2, n) * 2.0 - 1.0
+    if ensemble == "sparse":
+        values = np.zeros(n)
+        k = max(1, n // 64)
+        idx = rng.choice(n, size=k, replace=False)
+        values[idx] = rng.integers(0, 2, k) * 2.0 - 1.0
+        return values
+    raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergolab import cli, dynamics, operators
+from ergolab import cli, cubes, dynamics, operators
 from ergolab.cli import _radius_grid, main
 from ergolab.cubes import DyadicSystem
 from ergolab.operators import OperatorConfig
@@ -83,7 +83,7 @@ def _zero_short_variation(monkeypatch) -> None:
 
 def _point_zero_moved(monkeypatch) -> None:
     """Point 0 joins the next level-0 cube of the run's cube system."""
-    real = cli.build_cubes
+    real = cubes.build_cubes
 
     def moved(*args, **kwargs):
         system = real(*args, **kwargs)
@@ -92,7 +92,7 @@ def _point_zero_moved(monkeypatch) -> None:
         return dataclasses.replace(system,
                                    assign=(finest,) + system.assign[1:])
 
-    monkeypatch.setattr(cli, "build_cubes", moved)
+    monkeypatch.setattr(cubes, "build_cubes", moved)
 
 
 def _tripled_translation(monkeypatch) -> None:
@@ -252,7 +252,7 @@ class TestConfigValidation:
             raise AssertionError("a suite ran before the config was refused")
 
         monkeypatch.setitem(cli._SUITES, "gundy", (never, True))
-        monkeypatch.setattr(cli, "build_cubes", never)
+        monkeypatch.setattr(cubes, "build_cubes", never)
         cfg = write_config(tmp_path, {"space": {"family": "h3", "radius": 4,
                                                 "modulus": None}})
         out = tmp_path / "run"
@@ -275,7 +275,7 @@ class TestConfigValidation:
         def never(*args, **kwargs):
             raise AssertionError("a sweep ran before the grid was refused")
 
-        monkeypatch.setattr(cli, "tail_and_convergence", never)
+        monkeypatch.setattr(dynamics, "tail_and_convergence", never)
         path = tmp_path / "config.json"
         path.write_text('{\n  "experiment": {\n    "modulus": 64,\n'
                         f'    "radii": {json.dumps(radii)}\n  }}\n}}\n')
@@ -371,7 +371,7 @@ class TestConfigValidation:
 
         for name, (_, reads_cubes) in list(cli._SUITES.items()):
             monkeypatch.setitem(cli._SUITES, name, (never, reads_cubes))
-        monkeypatch.setattr(cli, "norm_probe", never)
+        monkeypatch.setattr(operators, "norm_probe", never)
         path = tmp_path / "config.json"
         path.write_text(body)
         out = tmp_path / "run"
@@ -455,7 +455,7 @@ class TestConfigValidation:
         def never(*args, **kwargs):
             raise AssertionError("a sweep ran before the step was refused")
 
-        monkeypatch.setattr(cli, "tail_and_convergence", never)
+        monkeypatch.setattr(dynamics, "tail_and_convergence", never)
         path = tmp_path / "config.json"
         path.write_text(f'{{\n  "experiment": {{\n    "kind": "{kind}",\n'
                         f'    "modulus": {modulus},\n    "step": 5\n'
@@ -549,8 +549,8 @@ class TestCommands:
 
     def test_verify_builds_one_cube_system(self, tmp_path, monkeypatch):
         calls = []
-        real = cli.build_cubes
-        monkeypatch.setattr(cli, "build_cubes",
+        real = cubes.build_cubes
+        monkeypatch.setattr(cubes, "build_cubes",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         cfg = write_config(tmp_path, SMALL)
         assert run("verify", "--config", cfg, "--out",
@@ -576,7 +576,7 @@ class TestCommands:
 
     def test_domination_violation_at_point_zero_fails(self, tmp_path,
                                                       monkeypatch):
-        real = cli.domination_checks
+        real = operators.domination_checks
 
         def one_violation(*args, **kwargs):
             return [dataclasses.replace(
@@ -584,7 +584,8 @@ class TestCommands:
                 violations_martingale=np.array([], dtype=np.int64))
                 for rep in real(*args, **kwargs)]
 
-        monkeypatch.setattr(cli, "domination_checks", one_violation)
+        monkeypatch.setattr(operators, "domination_checks",
+                            one_violation)
         cfg = write_config(tmp_path, SMALL)
         out = tmp_path / "run"
         assert run("verify", "--config", cfg, "--out", str(out),

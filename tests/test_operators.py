@@ -900,6 +900,17 @@ class TestNormProbe:
         with pytest.raises(ValueError):
             norm_probe(z512_system, z512_config, "square", trials=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 20])
+    @pytest.mark.parametrize("nan_at", [None, 0, -1])
+    def test_median_is_np_median_bit_for_bit(self, n, nan_at):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+                       rng.integers(0, 3, n) / 3.0):
+            if nan_at is not None:
+                values[nan_at] = np.nan
+            want = np.float64(np.median(values)).tobytes()
+            assert np.float64(operators._median(values)).tobytes() == want
+
 
 class TestProbeBlocks:
     """Trials swept in blocks of columns give the numbers of one block."""
