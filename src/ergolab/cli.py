@@ -734,6 +734,26 @@ def cmd_experiment(cfg: dict, sha: str, outdir: Path) -> int:
 # Report
 # ---------------------------------------------------------------------------
 
+def _quantile(a: np.ndarray, q: float) -> float:
+    """`np.quantile(a, q)` of a nonempty 1-D float array for q in [0, 1],
+    bit for bit, NaN included: its linear method on a sorted copy.  Equal
+    entries (0.0 and -0.0) may fall in either order.  np.quantile (numpy
+    2.4) imports numpy.ma for its NaN check."""
+    s = np.sort(a)
+    if np.isnan(s[-1]):
+        # the sort puts NaN last, and np.quantile returns that entry
+        return float(s[-1])
+    v = (s.size - 1) * q
+    # at the top both neighbours are the last entry, and the weight is
+    # measured from index -1, as in np.quantile
+    i = math.floor(v) if v < s.size - 1 else -1
+    j = i + 1 if i >= 0 else -1
+    t = v - i
+    lo, hi = s[i], s[j]
+    diff = hi - lo
+    return float(hi - diff * (1 - t) if t >= 0.5 else lo + diff * t)
+
+
 def _quantile_rows(csv_path: Path) -> list[tuple[str, float, float, float]]:
     by_op: dict[str, list[float]] = {}
     for line in csv_path.read_text().splitlines():
@@ -746,8 +766,8 @@ def _quantile_rows(csv_path: Path) -> list[tuple[str, float, float, float]]:
     out = []
     for op in sorted(by_op):
         arr = np.asarray(by_op[op])
-        out.append((op, float(np.quantile(arr, 0.5)),
-                    float(np.quantile(arr, 0.9)), float(arr.max())))
+        out.append((op, _quantile(arr, 0.5), _quantile(arr, 0.9),
+                    float(arr.max())))
     return out
 
 

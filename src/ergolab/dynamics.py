@@ -23,15 +23,17 @@ min-label hooking with pointer jumping (Shiloach-Vishkin 1982), in O(log n)
 rounds.
 
 The tail and convergence experiments never hold the (radii x states)
-profile.  The sweep emits chunks of consecutive radii
-(`operators.sweep_chunks` in `_action_chunks`, at most `_SWEEP_BYTES` with
-room for two state vectors per radius), and every chunk is folded into the jump or upcrossing
-DP (`stats.JumpFold`, `stats.UpcrossingFold`), the mean drift and the
-convergence maxima before the next is swept.  Their memory is
-O(n_states * levels + _SWEEP_BYTES) whatever the number of radii (the jump
-fold holds two floats per state and level, and two more per state for its
-quiet intervals), and every count, tail and distance is bitwise the one
-the whole profile gives.
+profile.  The sweep (`operators.sweep_chunks` in `_action_rows`) hands
+over each radius's row as soon as it closes that radius, and the row is
+folded into the jump or upcrossing DP (`stats.JumpFold`,
+`stats.UpcrossingFold`), the mean drift and the convergence maxima before
+the sweep divides the next row into the same buffer.  Their memory is
+O(n_states * levels) whatever the number of radii (the jump fold holds two
+floats per state and level, and two more per state for its quiet
+intervals), and every count, tail and distance is bitwise the one the
+whole profile gives.  The drift of a row is the plain reduction
+(row * mu).sum(), which calls no BLAS, so it depends neither on the
+number of BLAS threads nor on how the rows are grouped.
 `action_profile` and `transference_check` collect the profile.
 """
 
@@ -271,17 +273,16 @@ def _state_values(system: MPSystem, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _action_chunks(system: MPSystem, values: np.ndarray,
-                   radii: Sequence[float]) -> Iterator[np.ndarray]:
-    """The rows of `action_profile`, bitwise, in chunks of consecutive
-    radii (`operators.sweep_chunks`) whose rows for two state vectors fit
-    in `operators._SWEEP_BYTES`, read at each call.  The chunk rows depend
-    only on the number of states, so a one- and a two-column sweep cut the
-    radii at the same rows."""
-    rows = max(1, operators._SWEEP_BYTES // (16 * system.n_states))
-    return sweep_chunks(_state_values(system, values),
-                        group_shells(system.group, system.act_perm, radii),
-                        radii, rows)
+def _action_rows(system: MPSystem, values: np.ndarray,
+                 radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """The rows of `action_profile`, bitwise, one radius at a time, each of
+    shape ``values.shape``: `operators.sweep_chunks` in chunks of one row,
+    so a row is valid only until the next one is drawn."""
+    for chunk in sweep_chunks(_state_values(system, values),
+                              group_shells(system.group, system.act_perm,
+                                           radii),
+                              radii, 1):
+        yield chunk[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +375,8 @@ def tail_experiment(system: MPSystem, values: np.ndarray,
     Values above sup-norm one are clipped, and the grid is capped at the
     acting group's safe radius; both are recorded in the report rather
     than applied silently.  This is the tail report of
-    `tail_and_convergence`, which folds the profile chunk by chunk as it
-    is swept, never holding it whole.
+    `tail_and_convergence`, which folds the profile row by row as it is
+    swept, never holding it whole.
     """
     return _tail_and_convergence(system, values, radii, lam, upcross)[0]
 
@@ -389,10 +390,10 @@ def _radii_span(radii: Sequence[float]) -> str:
 
 class _TailFold:
     """Jump (or upcrossing) counts and mean drift of the clipped values'
-    profile over the radii up to the safe radius, fed chunks of
-    consecutive radii.  ``values`` and ``radii`` are what it folds: the
-    values clipped to sup-norm one (the input itself when nothing was
-    clipped) and the kept radii."""
+    profile over the radii up to the safe radius, fed one row per radius.
+    ``values`` and ``radii`` are what it folds: the values clipped to
+    sup-norm one (the input itself when nothing was clipped) and the kept
+    radii."""
 
     def __init__(self, system: MPSystem, values: np.ndarray,
                  radii: Sequence[float], lam: float | None,
@@ -429,11 +430,10 @@ class _TailFold:
         self._mean = (system.mu * values).sum()
         self._drift = -np.inf
 
-    def update(self, rows: np.ndarray) -> None:
-        # the drift's matrix product reads a contiguous block
-        rows = np.ascontiguousarray(rows)
-        self._counts.update(rows)
-        drift = np.abs(rows @ self._mu - self._mean).max()
+    def update(self, row: np.ndarray) -> None:
+        self._counts.update(row[None])
+        # the reduction of `_mean`, row by row: no BLAS product
+        drift = abs((row * self._mu).sum() - self._mean)
         # np.maximum, unlike max(), keeps a NaN drift
         self._drift = float(np.maximum(self._drift, drift))
 
@@ -484,15 +484,14 @@ def convergence_probe(system: MPSystem, values: np.ndarray,
     orbit means exactly) but are named in the report.
     """
     conv = _ConvergenceFold(system, values, radii)
-    for rows in _action_chunks(system, values, conv.radii):
-        conv.update(rows)
+    for row in _action_rows(system, values, conv.radii):
+        conv.update(row)
     return conv.report()
 
 
 class _ConvergenceFold:
     """Per-radius sup distance of the averages from the orbit means, fed
-    chunks of consecutive radii; every row goes through one state-sized
-    buffer."""
+    one row per radius; every row goes through one state-sized buffer."""
 
     def __init__(self, system: MPSystem, values: np.ndarray,
                  radii: Sequence[float]) -> None:
@@ -502,11 +501,10 @@ class _ConvergenceFold:
         self._diff = np.empty_like(self._target)
         self._distances: list[float] = []
 
-    def update(self, rows: np.ndarray) -> None:
-        for row in rows:
-            np.subtract(row, self._target, out=self._diff)
-            np.abs(self._diff, out=self._diff)
-            self._distances.append(float(self._diff.max()))
+    def update(self, row: np.ndarray) -> None:
+        np.subtract(row, self._target, out=self._diff)
+        np.abs(self._diff, out=self._diff)
+        self._distances.append(float(self._diff.max()))
 
     def report(self) -> ConvergenceReport:
         safe = self._system.group.safe_radius
@@ -525,10 +523,10 @@ def tail_and_convergence(system: MPSystem, values: np.ndarray,
                          upcross: tuple[float, float] | None = None
                          ) -> tuple[TailReport, ConvergenceReport]:
     """`tail_experiment` and `convergence_probe` over the tail's radii from
-    one sweep, streamed: each chunk of consecutive radii updates the count
-    fold, the drift and the convergence maxima before the sweep divides
-    the next chunk into the same buffer, so the memory stays
-    O(n_states * levels + _SWEEP_BYTES) instead of O(n_states * radii).
+    one sweep, streamed: each radius's row updates the count fold, the
+    drift and the convergence maxima before the sweep divides the next row
+    into the same buffer, so the memory stays O(n_states * levels) instead
+    of O(n_states * radii).
     The probe reads the unclipped values, so it reads the tail's rows when
     nothing was clipped; otherwise the clipped and the unclipped values are
     swept as one (n_states, 2) block.  The convergence report is bitwise
@@ -544,12 +542,12 @@ def _tail_and_convergence(system: MPSystem, values: np.ndarray,
     tail = _TailFold(system, values, radii, lam, upcross)
     conv = _ConvergenceFold(system, values, tail.radii)
     if tail.values is values:
-        for rows in _action_chunks(system, values, tail.radii):
-            tail.update(rows)
-            conv.update(rows)
+        for row in _action_rows(system, values, tail.radii):
+            tail.update(row)
+            conv.update(row)
     else:
         both = np.stack([tail.values, values], axis=1)
-        for rows in _action_chunks(system, both, tail.radii):
-            tail.update(rows[..., 0])
-            conv.update(rows[..., 1])
+        for row in _action_rows(system, both, tail.radii):
+            tail.update(row[:, 0])
+            conv.update(row[:, 1])
     return tail.report(), conv.report()

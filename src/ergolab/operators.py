@@ -34,11 +34,11 @@ of all the radii.  The one union-grid pass, `_grid_pass`, reads the grid
 one delta-adic block at a time, so it never holds every radius, and
 serves the variation probe and the domination check; one `_square` serves
 the square probe and the domination check.  The sweep is also the engine
-of the dynamics module, whose experiments fold the chunks without holding
-the profile, and of the action side of the transference check; on Z^d the
-sweep is the oracle the FFT engine is tested against.  The norm probes
-push their trials through the operators in column blocks sized by
-`_SWEEP_BYTES`.
+of the dynamics module, whose experiments fold it one radius at a time
+without holding the profile, and of the action side of the transference
+check; on Z^d the sweep is the oracle the FFT engine is tested against.
+The norm probes push their trials through the operators in column blocks
+sized by `_SWEEP_BYTES`.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ from .space import _ENSEMBLES, FiniteSpace, GroupSpace, _draw, _sorted_unique
 from .stats import JumpFold, jump_count_batch, variation_batch
 
 # bytes of the (radii, n, T) profile that sizes a block of `norm_probe`
-# trials (a block holds at least one trial, whatever its profile), and of
-# one chunk of the dynamics sweep with room for two state vectors
-# (`dynamics._action_chunks`)
+# trials (a block holds at least one trial, whatever its profile)
 _SWEEP_BYTES = 8 * 2**20
 # centers at which `_spot_checked` recomputes the averages by direct sums
 _SPOT_CENTERS = 3

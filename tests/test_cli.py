@@ -992,6 +992,18 @@ class TestReport:
             if table == "probe":
                 assert float(value) == max(raw[key])
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("nan_at", [None, 0, -1])
+    def test_quantile_is_np_quantile_bit_for_bit(self, n, nan_at):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4),
+                       rng.integers(0, 3, n) / 3.0):
+            if nan_at is not None:
+                values[nan_at] = np.nan
+            for q in (0.5, 0.9):
+                want = np.float64(np.quantile(values, q)).tobytes()
+                assert np.float64(cli._quantile(values, q)).tobytes() == want
+
 
 class TestExperimentSweep:
     """`experiment` sweeps the rotation once, and its experiment.json is

@@ -320,18 +320,17 @@ class TestSweepChunks:
         assert np.isnan(got[-1, :, 0]).sum() == table.volume(7.0)
         assert drawn == list(range(1, min(8, int(space.diameter())) + 1))
 
-    def test_shell_chunks_cut_at_the_byte_budget(self, z64, monkeypatch):
-        # three radii of two 64-state columns per chunk of the dynamics sweep
-        monkeypatch.setattr(operators, "_SWEEP_BYTES", 16 * 64 * 3 + 5)
+    def test_action_rows_match_the_profile(self, z64):
+        # the dynamics sweep streams one row per radius, of the values' shape
         f = np.random.default_rng(9).standard_normal((64, 2))
         radii = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         system = dynamics.regular_system(z64)
         profile = dynamics.action_profile(system, f, radii)
         for column in (f[:, 0], f):
-            chunks = [c.copy() for c in dynamics._action_chunks(
+            # a row lives until the next is drawn: copy each one
+            rows = [r.copy() for r in dynamics._action_rows(
                 system, column, radii)]
-            assert [len(c) for c in chunks] == [3, 3, 1]
-            assert np.array_equal(np.concatenate(chunks),
+            assert np.array_equal(np.stack(rows),
                                   profile[..., 0] if column.ndim == 1
                                   else profile)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ergolab
+from ergolab import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,7 +89,23 @@ def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv,
                                                      executed):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_SMALL))
-    argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    _assert_executes(argv + ["--config", str(cfg),
+                             "--out", str(tmp_path / "run")], executed)
+
+
+def test_report_executes_cli_and_space_alone(tmp_path):
+    # a probe bundle, whose probe.csv the report reads quantiles from
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_SMALL))
+    out = tmp_path / "run"
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
+    _assert_executes(["report", "--out", str(out)], [])
+
+
+def _assert_executes(argv: list[str], executed: list[str]) -> None:
+    """``cli.main(argv)`` in a fresh interpreter exits 0, executes cli,
+    space and the modules ``executed`` alone, and loads no numpy.ma beyond
+    what ``import numpy`` loads."""
     code, ran, ma_numpy, ma_run = _fresh(
         "import numpy\n"
         f"ma_numpy = {_NUMPY_MA}\n"
@@ -98,7 +115,8 @@ def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv,
     assert code == 0
     assert ran == [f"ergolab.{m}"
                    for m in sorted(["cli", "space", *executed])]
-    # np.unique and np.median (numpy 2.4) import numpy.ma for mask checks
+    # np.unique, np.median and np.quantile (numpy 2.4) import numpy.ma for
+    # mask checks
     assert ma_run == ma_numpy
 
 
