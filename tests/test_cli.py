@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergolab import cli, cubes, dynamics, operators
 from ergolab.cli import _radius_grid, main
@@ -269,6 +270,7 @@ class TestConfigValidation:
         {"start": 1, "stop": 300001, "step": 1},  # one radius past the cap
         {"start": 1, "stop": 1e308, "step": 1e-308},  # a count past floats
         [-3, -1, 0, 2],                          # radii that are not positive
+        {"start": 1, "stop": 10**400, "step": 1},  # an int past floats
     ])
     def test_experiment_grid_without_usable_radius_refused(
             self, tmp_path, capsys, monkeypatch, radii):
@@ -285,6 +287,28 @@ class TestConfigValidation:
         assert f"{path}:4:" in err
         assert "experiment.radii" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,body", [
+        ("space", "space.r0", {"space": {"r0": 10**400}}),
+        ("cubes", "cubes.delta", {"cubes": {"delta": 10**400}}),
+        ("experiment", "experiment.lambda",
+         {"experiment": {"modulus": 64, "lambda": 10**400}}),
+        ("experiment", "experiment.radii",
+         {"experiment": {"modulus": 64, "radii": {"start": 1,
+                                                  "stop": 10**400,
+                                                  "step": 1}}}),
+        ("probe", "probe.p", {"probe": {"p": 10**400}}),
+    ], ids=["r0", "delta", "lambda", "radii-stop", "p"])
+    def test_integer_past_the_float_range_is_a_config_error(
+            self, tmp_path, capsys, command, key, body):
+        path = write_config(tmp_path, body)
+        out = tmp_path / "run"
+        assert run(command, "--config", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err
+        assert f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.json"))
 
     def test_transference_grid_beyond_the_diameter_refused(
             self, tmp_path, capsys, monkeypatch):
@@ -867,6 +891,21 @@ class TestDeterminism:
         assert cli.load_config(write_config(tmp_path, SMALL))[1] == (
             "568e6d0183fed4092d6a76ca85143e1c5a168af5ab56c601bda76e9d15d15f52")
 
+    def test_config_hash_is_the_sha256_of_the_canonical_json(self, tmp_path):
+        cfg, sha = cli.load_config(write_config(tmp_path, SMALL))
+        hashed = {k: v for k, v in cfg.items() if k != "out"}
+        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+        assert sha == hashlib.sha256(canonical.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", [
+        "domination", "gundy", "transference", "experiment", "probe:jump",
+        *(f"probe:{op}" for op in cli.PROBE_OPERATORS)])
+    def test_suite_seed_is_the_first_four_digest_bytes(self, name):
+        for base in (0, 7, 2**64 - 1):
+            digest = hashlib.sha256(f"{base}:{name}".encode()).digest()
+            assert cli._suite_seed(base, name) == int.from_bytes(digest[:4],
+                                                                 "big")
+
     def test_defaults_are_fresh_copies(self):
         cli._defaults()["probe"]["gammas"].append(9.0)
         assert cli._defaults()["probe"]["gammas"] == [0.5, 1.0, 2.0]
@@ -880,6 +919,21 @@ class TestDeterminism:
         sha1 = json.loads((out1 / "cubes.json").read_text())["config_sha256"]
         sha2 = json.loads((out2 / "cubes.json").read_text())["config_sha256"]
         assert sha1 != sha2
+
+
+class TestSha256:
+    def test_every_length_through_the_padding_boundaries(self):
+        # at 56 and 120 bytes the padding first takes one more block, and
+        # 64 fills one exactly
+        rng = np.random.default_rng(0)
+        for n in range(201):
+            data = rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+            assert cli._sha256(data) == hashlib.sha256(data).digest(), n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=1000))
+    def test_equals_the_standard_library(self, data):
+        assert cli._sha256(data) == hashlib.sha256(data).digest()
 
 
 class TestReport:

@@ -1,6 +1,6 @@
 """The package namespace: `import ergolab` loads a library module only when
 one of its public names is first used, and a CLI process executes only the
-library modules its command runs."""
+library modules its command runs, and loads OpenSSL only when it draws."""
 
 from __future__ import annotations
 
@@ -74,23 +74,24 @@ def test_submodule_import_falls_through():
         "from ergolab import cli\nassert cli.__name__ == 'ergolab.cli'")
 
 
-@pytest.mark.parametrize("argv,executed", [
-    (["space"], []),
-    (["cubes"], ["cubes"]),
-    (["verify", "--suite", "axioms"], ["cubes"]),
-    (["probe"], ["cubes", "martingale", "operators", "stats"]),
-    (["experiment"], ["dynamics", "operators", "stats"]),
+@pytest.mark.parametrize("argv,executed,draws", [
+    (["space"], [], False),
+    (["cubes"], ["cubes"], False),
+    (["verify", "--suite", "axioms"], ["cubes"], False),
+    (["probe"], ["cubes", "martingale", "operators", "stats"], True),
+    (["experiment"], ["dynamics", "operators", "stats"], True),
     (["verify", "--suite", "gundy,transference"],
      ["cubes", "decomposition", "dynamics", "martingale", "operators",
-      "stats"]),
+      "stats"], True),
 ], ids=["space", "cubes", "axioms", "probe", "experiment",
         "gundy-transference"])
 def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv,
-                                                     executed):
+                                                     executed, draws):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_SMALL))
     _assert_executes(argv + ["--config", str(cfg),
-                             "--out", str(tmp_path / "run")], executed)
+                             "--out", str(tmp_path / "run")], executed,
+                     draws)
 
 
 def test_report_executes_cli_and_space_alone(tmp_path):
@@ -99,25 +100,33 @@ def test_report_executes_cli_and_space_alone(tmp_path):
     cfg.write_text(json.dumps(_SMALL))
     out = tmp_path / "run"
     assert cli.main(["probe", "--config", str(cfg), "--out", str(out)]) == 0
-    _assert_executes(["report", "--out", str(out)], [])
+    _assert_executes(["report", "--out", str(out)], [], False)
 
 
-def _assert_executes(argv: list[str], executed: list[str]) -> None:
+def _assert_executes(argv: list[str], executed: list[str],
+                     draws: bool) -> None:
     """``cli.main(argv)`` in a fresh interpreter exits 0, executes cli,
-    space and the modules ``executed`` alone, and loads no numpy.ma beyond
-    what ``import numpy`` loads."""
-    code, ran, ma_numpy, ma_run = _fresh(
+    space and the modules ``executed`` alone, loads no numpy.ma beyond
+    what ``import numpy`` loads, and loads OpenSSL's ``_hashlib`` only if
+    it ``draws`` random numbers."""
+    code, ran, ma_numpy, ma_run, openssl, random = _fresh(
         "import numpy\n"
         f"ma_numpy = {_NUMPY_MA}\n"
         "from ergolab import cli\n"
         f"code = cli.main({argv!r})\n",
-        f"[code, {_EXECUTED}, ma_numpy, {_NUMPY_MA}]")
+        f"[code, {_EXECUTED}, ma_numpy, {_NUMPY_MA},\n"
+        "    '_hashlib' in sys.modules, 'numpy.random' in sys.modules]")
     assert code == 0
     assert ran == [f"ergolab.{m}"
                    for m in sorted(["cli", "space", *executed])]
     # np.unique, np.median and np.quantile (numpy 2.4) import numpy.ma for
     # mask checks
     assert ma_run == ma_numpy
+    # the config hash and the suite seeds are plain Python; a command that
+    # draws loads OpenSSL through numpy.random alone (its `secrets` imports
+    # `hmac`)
+    assert random == draws
+    assert random or not openssl
 
 
 def test_cli_reads_the_modules_imported_before_it(tmp_path):
