@@ -570,10 +570,12 @@ def _suite_domination(space, system, cfg: dict) -> dict:
                     f"trial {t} lambda {lam}: {na} anchor / {nm} martingale "
                     f"violations")
     notes = list(opcfg.notes) + [
-        "a PASS certifies the jump and short-variation DPs: both "
-        "inequalities hold for any sequences, so it certifies neither the "
-        "ball averages (each engine's spot check does) nor the cubes (the "
-        "axioms suite does)"]
+        "a PASS shows that both inequalities held for the counts the jump "
+        "and short-variation DPs returned; it does not catch a jump DP that "
+        "undercounts, which only shrinks the left side, and as both "
+        "inequalities hold for any sequences it certifies neither the ball "
+        "averages (each engine's spot check does) nor the cubes (the axioms "
+        "suite does)"]
     return {"suite": "domination", "checks": checks, "failures": failures,
             "notes": notes}
 

@@ -1,12 +1,14 @@
 """Measure-preserving actions of finite group quotients and their ergodic
 averages.
 
-A system is a finite probability space together with an action of a group
+A system is a finite set of states, with the uniform measure that every
+permutation preserves (an invariant measure is constant on each orbit, so
+another could only reweight whole orbits), and an action of a group
 quotient; the ergodic average A_r f(x) is the plain mean of f(tau_{g^-1} x)
 over the word-metric ball |g| <= r.  Infinite acting groups are replaced by
-finite quotients ("desk-scale" systems): measure preservation is then exact
-and the full-group ball averages every orbit evenly, so orbit means are
-reached exactly instead of asymptotically.
+finite quotients ("desk-scale" systems): the full-group ball then averages
+every orbit evenly, so orbit means are reached exactly instead of
+asymptotically.
 
 For the regular action of a quotient on itself the ergodic averages and the
 geometric ball averages on the same quotient coincide after identifying the
@@ -32,8 +34,9 @@ O(n_states * levels) whatever the number of radii (the jump fold holds two
 floats per state and level, and two more per state for its quiet
 intervals), and every count, tail and distance is bitwise the one the
 whole profile gives.  The drift of a row is the plain reduction
-(row * mu).sum(), which calls no BLAS, so it depends neither on the
-number of BLAS threads nor on how the rows are grouped.
+(row * w).sum() over the fold's uniform weights w, which calls no BLAS,
+so it depends neither on the number of BLAS threads nor on how the rows
+are grouped.
 `action_profile` and `transference_check` collect the profile.
 """
 
@@ -68,7 +71,7 @@ __all__ = [
 
 
 class ActionError(ValueError):
-    """The data does not define a measure-preserving action."""
+    """The data does not define a group action by permutations."""
 
 
 # products (u, v) whose action `MPSystem` checks against the homomorphism law
@@ -76,31 +79,27 @@ _HOMOMORPHISM_SAMPLES = 40
 
 
 class MPSystem:
-    """A finite probability space with a measure-preserving group action.
+    """``n_states`` states, with the uniform measure, and a group action.
 
     ``perm_for(j)`` must return, for the j-th group element u (in the
     quotient's canonical order), the state permutation x -> tau_{u^-1}(x);
     gathering f through it evaluates the Koopman translate T_u f.  The
     system stores no permutations: each `act_perm` call asks ``perm_for``
     and checks the answer's length and range.
-    The constructor checks bijectivity and measure preservation on the
-    generators, the identity, and `_HOMOMORPHISM_SAMPLES` products drawn
-    from seed 0 (the homomorphism law composes as
-    perm(uv) = perm(v)[perm(u)]).
+    The constructor checks bijectivity on the generators, the identity,
+    and `_HOMOMORPHISM_SAMPLES` products drawn from seed 0 (the
+    homomorphism law composes as perm(uv) = perm(v)[perm(u)]).
     """
 
-    def __init__(self, group: GroupSpace, mu,
+    def __init__(self, group: GroupSpace, n_states: int,
                  perm_for: Callable[[int], np.ndarray]) -> None:
         if not group.is_quotient:
             raise ActionError("the acting group must be a finite quotient")
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim != 1 or len(mu) == 0:
-            raise ActionError("mu must be a one-dimensional weight vector")
-        if not np.all(mu > 0):
-            raise ActionError("mu must be strictly positive")
+        if (not isinstance(n_states, (int, np.integer))
+                or isinstance(n_states, bool) or n_states < 1):
+            raise ActionError("n_states must be a positive integer")
         self.group = group
-        self.n_states = len(mu)
-        self.mu = mu / mu.sum()
+        self.n_states = int(n_states)
         self._perm_for = perm_for
         self._labels: np.ndarray | None = None
         self._validate()
@@ -138,9 +137,6 @@ class MPSystem:
             if counts.max() != 1:
                 raise ActionError(
                     f"generator element {j} does not act bijectively")
-            if np.abs(self.mu[perm] - self.mu).max() > 1e-12:
-                raise ActionError(
-                    f"generator element {j} does not preserve the measure")
         rng = np.random.default_rng(0)
         for _ in range(_HOMOMORPHISM_SAMPLES):
             i = int(rng.integers(g.n))
@@ -181,21 +177,14 @@ class MPSystem:
         return labels
 
     def orbit_means(self, values: np.ndarray) -> np.ndarray:
-        """Per-state mean of ``values`` over the state's orbit (mu-weighted).
-
-        Uniform mu takes the plain sum/count path so that exactly summable
-        values (integers, signs) give the exact mean rather than one
-        perturbed by the 1/n weights.
-        """
+        """Per-state mean of ``values`` over the state's orbit, as a plain
+        sum over count, so that exactly summable values (integers, signs)
+        give the exact mean rather than one perturbed by 1/n weights."""
         labels = self.orbit_labels()
         _, compact = np.unique(labels, return_inverse=True)
-        if np.all(self.mu == self.mu[0]):
-            sums = np.bincount(compact, weights=values)
-            sizes = np.bincount(compact)
-            return (sums / sizes)[compact]
-        sums = np.bincount(compact, weights=self.mu * values)
-        mass = np.bincount(compact, weights=self.mu)
-        return (sums / mass)[compact]
+        sums = np.bincount(compact, weights=values)
+        sizes = np.bincount(compact)
+        return (sums / sizes)[compact]
 
 
 def regular_system(space: GroupSpace) -> MPSystem:
@@ -204,8 +193,7 @@ def regular_system(space: GroupSpace) -> MPSystem:
     The action permutations are the space's own right translations,
     computed by `GroupSpace.right_perm` on every call.
     """
-    mu = np.ones(space.n) / space.n
-    return MPSystem(space, mu, space.right_perm)
+    return MPSystem(space, space.n, space.right_perm)
 
 
 def build_system(kind: str, *, modulus: int, step: int = 1) -> MPSystem:
@@ -219,8 +207,8 @@ def build_system(kind: str, *, modulus: int, step: int = 1) -> MPSystem:
                      and (0, 1)
 
     A rotation acts through the quotient Z_N^d itself, on which every
-    shift is defined; ``step`` moves only rotations.  Every system carries
-    the uniform measure.
+    shift is defined; ``step`` moves only rotations, and any integer step
+    acts as ``step % N``.
     """
     if kind in ("regular", "heisenberg"):
         group, _ = (build_group_space("zd", d=1, modulus=modulus)
@@ -234,10 +222,9 @@ def build_system(kind: str, *, modulus: int, step: int = 1) -> MPSystem:
             f"rotation2d, heisenberg")
     n = int(modulus)
     dim = 1 if kind == "rotation" else 2
-    # row i: the i-th shift
-    steps = np.array([[step, 0], [0, 1]], dtype=np.int64)[:dim, :dim]
     group, _ = build_group_space("zd", d=dim, modulus=n)
-    mu = np.ones(n ** dim) / n ** dim
+    # row i: the i-th shift; reduced mod n, so e @ steps stays in int64
+    steps = np.array([[step % n, 0], [0, 1]], dtype=np.int64)[:dim, :dim]
     grid = np.arange(n ** dim).reshape((n,) * dim)
 
     def perm_for(j: int) -> np.ndarray:
@@ -245,7 +232,7 @@ def build_system(kind: str, *, modulus: int, step: int = 1) -> MPSystem:
         shift = (group.elements[j] @ steps) % n
         return np.roll(grid, tuple(-shift), axis=tuple(range(dim))).ravel()
 
-    return MPSystem(group, mu, perm_for)
+    return MPSystem(group, n ** dim, perm_for)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +245,8 @@ def action_profile(system: MPSystem, values: np.ndarray,
     for values of shape (n_states, T), shape (len(radii), n_states, T),
     each column bitwise equal to its own profile.
 
-    The ball average counts group elements, whatever mu is, as the
-    geometric ball averages of a quotient count its points.
+    The ball average counts group elements, as the geometric ball
+    averages of a quotient count its points.
     """
     return sweep_profile(_state_values(system, values),
                          group_shells(system.group, system.act_perm, radii),
@@ -325,13 +312,13 @@ class TailReport:
     threshold: tuple[float, ...]   # (lam,) or (a, b)
     radii: tuple[float, ...]
     ns: tuple[int, ...]
-    tails: tuple[float, ...]       # mu{N > n} for each n
+    tails: tuple[float, ...]       # share of states with N > n, each n
     fitted: bool
     slope: float | None
     c1: float | None               # exp(intercept)
     c2: float | None               # exp(slope); in (0,1) iff slope < 0
     r_squared: float | None
-    mean_drift: float              # max over radii of |mu(A_r f) - mu(f)|
+    mean_drift: float              # max over radii of |mean(A_r f) - mean(f)|
     notes: tuple[str, ...]
 
     @property
@@ -426,14 +413,18 @@ class _TailFold:
             self._kind, self._threshold = "upcrossing", tuple(
                 float(t) for t in upcross)
             self._counts = UpcrossingFold(*upcross, system.n_states)
-        self._mu = system.mu
-        self._mean = (system.mu * values).sum()
+        # the uniform weights, renormalised: n copies of 1/n need not sum
+        # to 1 in floats (n = 100, 1000, ...), and dividing by their sum
+        # keeps the tails and the drift bitwise those of earlier bundles
+        w = np.ones(system.n_states) / system.n_states
+        self._weights = w / w.sum()
+        self._mean = (self._weights * values).sum()
         self._drift = -np.inf
 
     def update(self, row: np.ndarray) -> None:
         self._counts.update(row[None])
         # the reduction of `_mean`, row by row: no BLAS product
-        drift = abs((row * self._mu).sum() - self._mean)
+        drift = abs((row * self._weights).sum() - self._mean)
         # np.maximum, unlike max(), keeps a NaN drift
         self._drift = float(np.maximum(self._drift, drift))
 
@@ -442,7 +433,7 @@ class _TailFold:
         counts = self._counts.counts()
         notes = list(self._notes)
         ns = np.arange(int(counts.max()) + 1)
-        tails = np.array([float(self._mu[counts > n].sum()) for n in ns])
+        tails = np.array([float(self._weights[counts > n].sum()) for n in ns])
 
         pos = tails > 0
         fitted, slope, c1, c2, r2 = False, None, None, None, None

@@ -765,10 +765,12 @@ class TestCommands:
             assert block in notes
         space, _ = build_group_space("zd", d=1, modulus=4096)
         assert notes == list(OperatorConfig.for_space(space).notes) + [
-            "a PASS certifies the jump and short-variation DPs: both "
-            "inequalities hold for any sequences, so it certifies neither "
-            "the ball averages (each engine's spot check does) nor the "
-            "cubes (the axioms suite does)"]
+            "a PASS shows that both inequalities held for the counts the "
+            "jump and short-variation DPs returned; it does not catch a jump "
+            "DP that undercounts, which only shrinks the left side, and as "
+            "both inequalities hold for any sequences it certifies neither "
+            "the ball averages (each engine's spot check does) nor the cubes "
+            "(the axioms suite does)"]
         summary = (out / "summary.txt").read_text()
         assert all(f"  note: {n}\n" in summary for n in notes)
 
@@ -784,6 +786,20 @@ class TestCommands:
         assert all(b <= a for a, b in zip(tails, tails[1:]))
         # grid 1..16 equals the safe radius of Z_64, so nothing is dropped
         assert blob["tail"]["radii"][-1] == 16.0
+
+    @pytest.mark.parametrize("step", [2**62 + 1, 10**22])
+    def test_experiment_step_past_int64_acts_as_its_residue(self, tmp_path,
+                                                            step):
+        blobs = []
+        for s in (step, step % 100):
+            cfg = write_config(tmp_path, {"experiment": {
+                "modulus": 100, "step": s}}, name=f"{s}.json")
+            out = tmp_path / str(s)
+            assert run("experiment", "--config", cfg, "--out", str(out)) == 0
+            blob = json.loads((out / "experiment.json").read_text())
+            del blob["config_sha256"]
+            blobs.append(blob)
+        assert blobs[0] == blobs[1]
 
     def test_experiment_radius_capping_is_named(self, tmp_path):
         body = dict(SMALL)

@@ -1,4 +1,5 @@
-"""Tests for measure-preserving actions, transference, and tail experiments."""
+"""Tests for group actions on finite states, transference, and tail
+experiments."""
 
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ def rotation(kind, n, steps, m):
         return build_system(kind, modulus=n, step=steps[0][0])
     dim = len(steps)
     group = build_group_space("zd", d=dim, modulus=m or n)[0]
-    return MPSystem(group, np.ones(n ** dim), lambda j: modular_perm(
+    return MPSystem(group, n ** dim, lambda j: modular_perm(
         kind, n, steps, group.elements[j]))
 
 
@@ -73,6 +74,13 @@ def modular_perm(kind, n, steps, e):
              for c in range(2)]
     grid_i, grid_j = np.divmod(np.arange(n * n), n)
     return ((grid_i + shift[0]) % n) * n + (grid_j + shift[1]) % n
+
+
+def uniform(n):
+    """The uniform weights on n states as the tail fold builds them: 1/n,
+    divided by its float sum, which is not 1 at n = 1000."""
+    w = np.ones(n) / n
+    return w / w.sum()
 
 
 def union_find_labels(system):
@@ -96,7 +104,7 @@ def union_find_labels(system):
 class TestConstruction:
     def test_rotation_is_valid(self, rot8):
         assert rot8.n_states == 8
-        assert rot8.mu.sum() == pytest.approx(1.0)
+        assert not hasattr(rot8, "mu")
         # generator (value 1) sends x to x+1
         gi = int(rot8.group.index_of([[1]])[0])
         assert np.array_equal(rot8.act_perm(gi), (np.arange(8) + 1) % 8)
@@ -144,6 +152,13 @@ class TestConstruction:
             assert np.array_equal(perm, modular_perm(kind, n, steps,
                                                      system.group.elements[j]))
 
+    @pytest.mark.parametrize("step", [2**62 + 1, 2**63, 10**22, -(2**63) - 1])
+    def test_large_step_acts_as_its_residue(self, step):
+        system = build_system("rotation", modulus=100, step=step)
+        residue = build_system("rotation", modulus=100, step=step % 100)
+        for j in range(100):
+            assert np.array_equal(system.act_perm(j), residue.act_perm(j))
+
     def test_act_perm_builds_on_demand(self, rot8):
         gi = int(rot8.group.index_of([[1]])[0])
         first = rot8.act_perm(gi)
@@ -171,6 +186,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown kind"):
             build_system("shift", modulus=8)
 
+    @pytest.mark.parametrize("kind", ["rotation", "rotation2d"])
+    def test_zero_modulus_refused(self, kind):
+        with pytest.raises(ValueError, match="modulus must be >= 4"):
+            build_system(kind, modulus=0, step=3)
+
     def test_non_bijective_map_rejected(self, z64):
         def broken(j):
             perm = np.array(z64.right_perm(j))
@@ -179,14 +199,12 @@ class TestConstruction:
             return perm
 
         with pytest.raises(ActionError, match="bijectively"):
-            MPSystem(z64, np.ones(64), broken)
+            MPSystem(z64, 64, broken)
 
-    def test_measure_not_preserved_rejected(self):
-        space, _ = build_group_space("zd", d=1, modulus=8)
-        mu = np.ones(8)
-        mu[0] = 5.0  # rotation moves the heavy state
-        with pytest.raises(ActionError, match="preserve the measure"):
-            MPSystem(space, mu, space.right_perm)
+    @pytest.mark.parametrize("n_states", [0, -1, 64.0, True])
+    def test_state_count_must_be_a_positive_integer(self, z64, n_states):
+        with pytest.raises(ActionError, match="positive integer"):
+            MPSystem(z64, n_states, z64.right_perm)
 
     def test_identity_must_fix_everything(self, z64):
         def broken(j):
@@ -195,7 +213,7 @@ class TestConstruction:
             return z64.right_perm(j)
 
         with pytest.raises(ActionError, match="identity"):
-            MPSystem(z64, np.ones(64), broken)
+            MPSystem(z64, 64, broken)
 
     def test_out_of_range_permutation_refused_in_sweep(self, z64):
         # element 12 is no generator, and none of the 40 products that
@@ -205,7 +223,7 @@ class TestConstruction:
             perm = z64.right_perm(j)
             return np.where(perm == 0, 64, perm) if j == 12 else perm
 
-        system = MPSystem(z64, np.ones(64), broken)
+        system = MPSystem(z64, 64, broken)
         with pytest.raises(ActionError, match="leaves the states"):
             action_profile(system, np.ones(64), [8.0])
 
@@ -220,25 +238,26 @@ class TestConstruction:
             return z64.right_perm(j)
 
         with pytest.raises(ActionError, match="homomorphism"):
-            MPSystem(z64, np.ones(64), broken)
+            MPSystem(z64, 64, broken)
 
 
 class TestMeasurePreservation:
     def test_generator_sums(self, rot8):
         rng = RNG(3)
         f = rng.standard_normal(8)
+        mu = uniform(8)
         for j in rot8._generator_indices():
             perm = rot8.act_perm(int(j))
-            assert abs((rot8.mu * f[perm]).sum()
-                       - (rot8.mu * f).sum()) <= 1e-12
+            assert abs((mu * f[perm]).sum() - (mu * f).sum()) <= 1e-12
 
     def test_mean_preserved_along_radii(self, rot8):
         rng = RNG(4)
         f = rng.standard_normal(8)
         rows = action_profile(rot8, f, [1.0, 2.0, 3.0, 4.0])
-        base = (rot8.mu * f).sum()
+        mu = uniform(8)
+        base = (mu * f).sum()
         for row in rows:
-            assert abs((rot8.mu * row).sum() - base) <= 1e-12
+            assert abs((mu * row).sum() - base) <= 1e-12
 
 
 class TestAveraging:
@@ -261,8 +280,8 @@ class TestAveraging:
         rng = RNG(9)
         f = rng.standard_normal(8)
         out = action_profile(rot8, f, [2.0])[0]
-        assert (rot8.mu * np.abs(out)).sum() <= (
-            rot8.mu * np.abs(f)).sum() + 1e-12
+        mu = uniform(8)
+        assert (mu * np.abs(out)).sum() <= (mu * np.abs(f)).sum() + 1e-12
 
     def test_full_ball_reaches_global_mean(self):
         system = build_system("rotation", modulus=9, step=1)
@@ -408,8 +427,9 @@ class TestTailExperiment:
             rep = tail_experiment(rot8, f, radii, lam=0.1)
         g = np.clip(f, -1, 1)
         rows = action_profile(rot8, g, radii)
-        mean = (rot8.mu * g).sum()
-        drift = max(abs((row * rot8.mu).sum() - mean) for row in rows)
+        mu = uniform(8)
+        mean = (mu * g).sum()
+        drift = max(abs((row * mu).sum() - mean) for row in rows)
         assert rep.mean_drift == drift
         assert rep.mean_drift <= 1e-12
         assert "mean_drift" not in rep.to_json()
@@ -457,19 +477,6 @@ class TestConvergence:
         # the limit differs from the global mean unless f conspires
         orbit_means = system.orbit_means(f)
         assert np.abs(orbit_means - f.mean()).max() > 1e-6
-
-    def test_weighted_orbit_means(self):
-        # mu is constant on each orbit of x -> x + 3, the residues mod 3,
-        # but differs across them: the mu-weighted path of orbit_means
-        rot = build_system("rotation", modulus=12, step=3)
-        system = MPSystem(rot.group, 1.0 + np.arange(12) % 3, rot.act_perm)
-        f = RNG(34).standard_normal(12)
-        want = np.empty(12)
-        for r in range(3):
-            orbit = np.arange(r, 12, 3)
-            want[orbit] = ((system.mu[orbit] * f[orbit]).sum()
-                           / system.mu[orbit].sum())
-        assert np.abs(system.orbit_means(f) - want).max() <= 1e-15
 
     def test_distances_reflect_orbit_projection(self):
         system = build_system("rotation", modulus=12, step=3)
@@ -525,40 +532,46 @@ class TestStreamedExperiments:
     the collected profile, and the entry points agree with each other bit
     for bit."""
 
-    @pytest.fixture(scope="class")
-    def rot1024(self):
-        return build_system("rotation", modulus=1024, step=1)
-
     RADII = [float(r) for r in range(1, 70)]
 
-    @pytest.mark.parametrize("threshold", [{"lam": 0.2},
-                                           {"upcross": (-0.1, 0.2)}])
-    @pytest.mark.parametrize("scale", [1.0, 1.5])
-    def test_chunks_match_the_collected_profile(self, rot1024, threshold,
-                                                scale):
-        f = RNG(40).uniform(-scale, scale, 1024)
+    # (modulus, step, scale of a uniform draw or None for a gaussian one,
+    # threshold); on 1000 states the tails and the drift tell the
+    # renormalised weights from plain 1/n ones
+    @pytest.mark.parametrize("modulus, step, scale, threshold", [
+        pytest.param(1024, 1, scale, threshold, id=f"{scale}-threshold{i}")
+        for scale in (1.0, 1.5)
+        for i, threshold in enumerate([{"lam": 0.2},
+                                       {"upcross": (-0.1, 0.2)}])] + [
+        pytest.param(1000, 7, None, {"lam": 0.1}, id="z1000-gaussian")])
+    def test_chunks_match_the_collected_profile(self, modulus, step, scale,
+                                                threshold):
+        system = build_system("rotation", modulus=modulus, step=step)
+        rng = RNG(40)
+        f = (rng.standard_normal(modulus) if scale is None
+             else rng.uniform(-scale, scale, modulus))
         f[::7] = 0.3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tail, conv = tail_and_convergence(rot1024, f, self.RADII,
+            tail, conv = tail_and_convergence(system, f, self.RADII,
                                               **threshold)
-            alone = tail_experiment(rot1024, f, self.RADII, **threshold)
+            alone = tail_experiment(system, f, self.RADII, **threshold)
         assert alone == tail
-        assert convergence_probe(rot1024, f, self.RADII) == conv
+        assert convergence_probe(system, f, self.RADII) == conv
         g = np.clip(f, -1, 1)
-        rows = action_profile(rot1024, g, self.RADII)
+        rows = action_profile(system, g, self.RADII)
         if "lam" in threshold:
             counts = jump_count_batch(rows, threshold["lam"])
         else:
             counts = upcrossing_count_batch(rows, *threshold["upcross"])
-        want = [float(rot1024.mu[counts > n].sum())
+        mu = uniform(modulus)
+        want = [float(mu[counts > n].sum())
                 for n in range(int(counts.max()) + 1)]
         assert list(tail.tails) == want
-        mean = (rot1024.mu * g).sum()
-        assert tail.mean_drift == max(abs((row * rot1024.mu).sum() - mean)
+        mean = (mu * g).sum()
+        assert tail.mean_drift == max(abs((row * mu).sum() - mean)
                                       for row in rows)
-        raw = action_profile(rot1024, f, self.RADII)
-        dists = np.abs(raw - rot1024.orbit_means(f)).max(axis=1)
+        raw = action_profile(system, f, self.RADII)
+        dists = np.abs(raw - system.orbit_means(f)).max(axis=1)
         assert conv.distances == tuple(float(x) for x in dists)
 
     def test_experiment_memory_is_bounded_by_the_folds(self):
